@@ -157,8 +157,9 @@ fn bench_analyze(c: &mut Criterion) {
     g.bench_function("serialize-roundtrip", |b| {
         b.iter(|| {
             let mut buf = Vec::with_capacity(trace.len() * 17 + 24);
-            dss_trace::write_trace(&trace, &mut buf).expect("in-memory");
-            dss_trace::read_trace(buf.as_slice()).expect("roundtrip")
+            dss_trace::write_trace_blocks(&trace, &mut buf, dss_trace::DEFAULT_BLOCK_EVENTS)
+                .expect("in-memory");
+            dss_trace::read_trace_blocks(buf.as_slice()).expect("roundtrip")
         })
     });
     g.finish();

@@ -11,19 +11,15 @@
 //! (`ext`, or `ext-protocol`, `ext-prefetch`, `ext-updates`, `ext-intra`,
 //! `ext-streams`, `ext-procs`), `--jobs N` to set the number of worker
 //! threads the sweeps fan out over (default: available parallelism),
-//! `--gen-jobs N` to run each sweep point's trace production pipelined on
-//! `N` dedicated producer threads carved out of the `--jobs` budget
-//! (generation overlaps simulation; stdout stays byte-identical; 0, the
-//! default, keeps production inline), `--sf X` to override the database
+//! `--sf X` to override the database
 //! scale factor (default: the paper's 0.01), `--trace-mode
 //! streamed|materialized` to pick how traces reach the simulator (streamed
 //! records block files and replays them from disk, so peak memory stays
 //! bounded at any scale factor; stdout is identical either way), and
 //! `--bench-json PATH` to write the per-experiment wall/compute timings,
-//! heap-allocation counts (measured by a counting allocator), per-experiment
-//! peak RSS, and pipeline stall times as a machine-readable JSON file (the
-//! CI benchmark artifact). Each experiment prints the paper-shaped chart
-//! plus its PASS/FAIL shape checks.
+//! heap-allocation counts (measured by a counting allocator), and
+//! per-experiment peak RSS as a machine-readable JSON file. Each experiment
+//! prints the paper-shaped chart plus its PASS/FAIL shape checks.
 //!
 //! The run is crash-safe when given a state directory: `--state-dir PATH`
 //! keeps a checkpoint manifest (`PATH/manifest.ckpt`) journaling every
@@ -59,8 +55,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dss_core::{
-    config_fingerprint, experiments, paper, query_label, report, CheckpointJournal,
-    PipelineSnapshot, PointError, TraceMode, Workbench, STUDIED_QUERIES,
+    config_fingerprint, experiments, paper, query_label, report, CheckpointJournal, PointError,
+    TraceMode, Workbench, STUDIED_QUERIES,
 };
 use dss_query::DbConfig;
 
@@ -78,14 +74,13 @@ mod alloc;
 static COUNTING_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 /// One recorded experiment: label, wall-clock, fanned-out compute, heap
-/// traffic, pipeline utilization, and two RSS measures — this experiment's
-/// own peak (bytes) and the process-wide high-water mark so far.
+/// traffic, and two RSS measures — this experiment's own peak (bytes) and
+/// the process-wide high-water mark so far.
 struct BenchEntry {
     name: String,
     wall: Duration,
     compute: Duration,
     heap: alloc::AllocReport,
-    pipe: PipelineSnapshot,
     peak_rss: u64,
     peak_rss_cumulative: u64,
     /// Sweep points served from the checkpoint journal (resume provenance).
@@ -149,15 +144,14 @@ impl BenchLog {
 
     /// Records one experiment's wall-clock, the aggregate single-thread
     /// compute it fanned out (their ratio is the parallel speedup), the
-    /// heap traffic its gate observed, pipeline utilization, and the peak
-    /// RSS of its own window. Stderr, to keep stdout diffable.
+    /// heap traffic its gate observed, and the peak RSS of its own window.
+    /// Stderr, to keep stdout diffable.
     fn record(
         &mut self,
         label: &str,
         wall: Duration,
         compute: Duration,
         heap: alloc::AllocReport,
-        pipe: PipelineSnapshot,
         ckpt: (u64, u64),
     ) {
         let (points_loaded, points_computed) = ckpt;
@@ -186,17 +180,6 @@ impl BenchLog {
                 heap.allocs
             );
         }
-        if pipe.blocks > 0 {
-            // Which side of the pipeline was the bottleneck: time each side
-            // spent blocked on the bounded channels.
-            eprintln!(
-                "  [{label}] pipeline: {} block(s); producer stalled {:.1?}, \
-                 consumer stalled {:.1?}",
-                pipe.blocks,
-                Duration::from_nanos(pipe.producer_stall_ns),
-                Duration::from_nanos(pipe.consumer_stall_ns),
-            );
-        }
         if points_loaded > 0 {
             eprintln!("  [{label}] {points_loaded} point(s) served from the checkpoint journal");
         }
@@ -205,7 +188,6 @@ impl BenchLog {
             wall,
             compute,
             heap,
-            pipe,
             peak_rss,
             peak_rss_cumulative,
             points_loaded,
@@ -214,8 +196,10 @@ impl BenchLog {
     }
 
     /// The recorded timings as a self-describing JSON document. Labels are
-    /// experiment names from this binary (no escaping needed). Schema v6
-    /// adds the crash-safety provenance: a top-level `resume` object
+    /// experiment names from this binary (no escaping needed). Schema v7
+    /// drops the pipeline fields (the producer-thread count and the two
+    /// per-experiment stall times) with the pipeline itself. Schema v6 added the
+    /// crash-safety provenance: a top-level `resume` object
     /// (`mode`: `"fresh"` or `"resumed"`, `crash_site`: the armed
     /// crash-injection site or `null`, and the run's total
     /// `points_loaded` / `points_computed`), plus per-experiment
@@ -224,9 +208,8 @@ impl BenchLog {
     /// destroyed; always 0 in a fresh run). Schema v5 made `peak_rss` honest
     /// per experiment (the kernel high-water mark is reset at the start of
     /// each one; where the reset interface is missing the value degrades to
-    /// delta-from-start), added the monotone `peak_rss_cumulative`, and the
-    /// pipeline fields (`gen_jobs`, `producer_stall_ns` /
-    /// `consumer_stall_ns`). Schema v3 added the degradation record:
+    /// delta-from-start) and added the monotone `peak_rss_cumulative`.
+    /// Schema v3 added the degradation record:
     /// `point_errors` and `failed_experiments`, both empty on a healthy run.
     // The report serializes every top-level measurement as its own scalar;
     // the arity is the schema's, not an API anyone else calls.
@@ -234,7 +217,6 @@ impl BenchLog {
     fn to_json(
         &self,
         jobs: usize,
-        gen_jobs: usize,
         trace_mode: TraceMode,
         scale: f64,
         total_wall: Duration,
@@ -251,8 +233,7 @@ impl BenchLog {
                 format!(
                     "    {{\"name\": \"{}\", \"wall_ns\": {}, \"sim_compute_ns\": {}, \
                      \"allocs\": {}, \"alloc_bytes\": {}, \"peak_rss\": {}, \
-                     \"peak_rss_cumulative\": {}, \"producer_stall_ns\": {}, \
-                     \"consumer_stall_ns\": {}, \"points_loaded\": {}, \
+                     \"peak_rss_cumulative\": {}, \"points_loaded\": {}, \
                      \"points_computed\": {}, \"retries\": {}}}",
                     e.name,
                     e.wall.as_nanos(),
@@ -261,8 +242,6 @@ impl BenchLog {
                     e.heap.bytes_allocated,
                     e.peak_rss,
                     e.peak_rss_cumulative,
-                    e.pipe.producer_stall_ns,
-                    e.pipe.consumer_stall_ns,
                     e.points_loaded,
                     e.points_computed,
                     if resumed { e.points_computed } else { 0 }
@@ -285,14 +264,13 @@ impl BenchLog {
             None => "null".to_string(),
         };
         format!(
-            "{{\n  \"schema\": \"dss-bench-repro/v6\",\n  \"jobs\": {},\n  \
-             \"gen_jobs\": {},\n  \"trace_mode\": \"{}\",\n  \"scale\": {},\n  \
+            "{{\n  \"schema\": \"dss-bench-repro/v7\",\n  \"jobs\": {},\n  \
+             \"trace_mode\": \"{}\",\n  \"scale\": {},\n  \
              \"resume\": {{\"mode\": \"{}\", \"crash_site\": {}, \
              \"points_loaded\": {}, \"points_computed\": {}}},\n  \
              \"total_wall_ns\": {},\n  \"point_errors\": [{}],\n  \
              \"failed_experiments\": [{}],\n  \"experiments\": [\n{}\n  ]\n}}\n",
             jobs,
-            gen_jobs,
             mode,
             scale,
             resume_mode,
@@ -334,7 +312,6 @@ fn drain_point_errors(wb: &mut Workbench, sink: &mut Vec<PointError>) {
 
 fn main() {
     let mut jobs: Option<usize> = None;
-    let mut gen_jobs: Option<usize> = None;
     let mut bench_json: Option<String> = None;
     let mut inject: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -434,20 +411,6 @@ fn main() {
             }
             continue;
         }
-        if arg == "--gen-jobs" || arg.starts_with("--gen-jobs=") {
-            let value = arg
-                .strip_prefix("--gen-jobs=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref().map(str::parse) {
-                Some(Ok(n)) => gen_jobs = Some(n),
-                _ => {
-                    eprintln!("error: --gen-jobs needs a number (e.g. --gen-jobs 2)");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
         let value = if arg == "--jobs" {
             argv.next()
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
@@ -488,9 +451,6 @@ fn main() {
     let mut wb = Workbench::new(&config, 4);
     if let Some(n) = jobs {
         wb.set_jobs(n);
-    }
-    if let Some(n) = gen_jobs {
-        wb.set_gen_jobs(n);
     }
     // Scratch trace dir, deleted at exit. With `--state-dir` the block files
     // are durable resume state instead and live under the state dir.
@@ -568,18 +528,14 @@ fn main() {
     if let Some(ms) = deadline_ms {
         wb.set_point_deadline(Some(Duration::from_millis(ms)));
     }
-    let worker_note = if wb.gen_jobs() > 0 {
-        let (sim_jobs, producers) = dss_core::split_jobs(wb.jobs(), wb.gen_jobs());
-        format!("{sim_jobs} simulation worker(s), {producers} trace producer(s) per point")
-    } else {
-        format!("{} simulation worker(s)", wb.jobs())
-    };
     eprintln!(
-        "  built in {:.1?}: {} heap pages (~{} MB of data), {} shared MB mapped; {worker_note}\n",
+        "  built in {:.1?}: {} heap pages (~{} MB of data), {} shared MB mapped; \
+         {} simulation worker(s)\n",
         start.elapsed(),
         wb.db.catalog.total_heap_pages(),
         wb.db.catalog.total_heap_pages() * 8192 / 1_000_000,
         wb.db.space.mapped_bytes() / 1_000_000,
+        wb.jobs(),
     );
 
     if want("table1") {
@@ -595,7 +551,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -638,7 +593,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -674,7 +628,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -710,7 +663,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -732,7 +684,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -755,7 +706,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -778,7 +728,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -798,7 +747,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -816,7 +764,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -834,7 +781,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -853,7 +799,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -873,7 +818,6 @@ fn main() {
             t.elapsed(),
             wb.take_sim_compute(),
             g.end(),
-            wb.take_pipeline_stats(),
             wb.take_checkpoint_counts(),
         );
         drain_point_errors(&mut wb, &mut point_errors);
@@ -892,7 +836,6 @@ fn main() {
             .filter(|s| !s.is_empty());
         let json = log.to_json(
             wb.jobs(),
-            wb.gen_jobs(),
             trace_mode,
             scale,
             total,

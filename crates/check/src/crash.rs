@@ -119,7 +119,6 @@ pub fn normalize_bench(json: &str) -> String {
         let deterministic = [
             "\"schema\"",
             "\"jobs\"",
-            "\"gen_jobs\"",
             "\"trace_mode\"",
             "\"scale\"",
             "\"point_errors\"",
@@ -325,15 +324,15 @@ mod tests {
 
     #[test]
     fn normalization_keeps_only_the_deterministic_fields() {
-        let json = "{\n  \"schema\": \"dss-bench-repro/v6\",\n  \"jobs\": 2,\n  \
-                    \"gen_jobs\": 0,\n  \"trace_mode\": \"streamed\",\n  \"scale\": 0.003,\n  \
+        let json = "{\n  \"schema\": \"dss-bench-repro/v7\",\n  \"jobs\": 2,\n  \
+                    \"trace_mode\": \"streamed\",\n  \"scale\": 0.003,\n  \
                     \"resume\": {\"mode\": \"fresh\", \"crash_site\": null, \
                     \"points_loaded\": 0, \"points_computed\": 15},\n  \
                     \"total_wall_ns\": 12345,\n  \"point_errors\": [],\n  \
                     \"failed_experiments\": [],\n  \"experiments\": [\n    \
                     {\"name\": \"fig8/fig9\", \"wall_ns\": 999, \"points_loaded\": 0}\n  ]\n}\n";
         let norm = normalize_bench(json);
-        assert!(norm.contains("\"schema\": \"dss-bench-repro/v6\","));
+        assert!(norm.contains("\"schema\": \"dss-bench-repro/v7\","));
         assert!(norm.contains("\"scale\": 0.003,"));
         assert!(norm.contains("fig8/fig9"));
         assert!(!norm.contains("wall_ns"), "timings must be stripped");

@@ -1,7 +1,7 @@
 //! `dss-check determinism` — static source→sink taint over the call graph.
 //!
 //! Every result in the reproduction rests on one invariant: same seed ⇒
-//! bit-identical stdout at any `--jobs`/`--gen-jobs`/chunk size/trace mode.
+//! bit-identical stdout at any `--jobs`/chunk size/trace mode.
 //! The golden tests and CI cmp drills enforce it dynamically; this pass adds
 //! the static story. It classifies nondeterminism **sources** —
 //! `Instant::now`/`SystemTime::now`, iteration over `RandomState`-hashed
@@ -12,8 +12,8 @@
 //! writers — then reports every source whose function lies inside a sink's
 //! transitive call tree, with the shortest sink→source call chain.
 //!
-//! Intentional nondeterminism (stderr timing, `PipelineStats` stall
-//! accounting, tmp-file naming) is allowlisted in a committed
+//! Intentional nondeterminism (stderr timing, tmp-file naming) is
+//! allowlisted in a committed
 //! `crates/check/determinism-allow.txt` with the same justified-entry and
 //! stale-entry discipline as `lint-allow.txt`.
 //!
@@ -514,11 +514,11 @@ mod tests {
     fn codec_writers_are_sink_roots() {
         let files = [file(
             "crates/trace/src/io.rs",
-            "pub fn write_trace_file() { stamp(); }
+            "pub fn write_trace_blocks() { stamp(); }
              fn stamp() { let t = SystemTime::now(); }",
         )];
         let r = analyze_determinism(&files, &mut Allowlist::default(), &[]);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-        assert!(r.findings[0].chain.contains("write_trace_file -> stamp"));
+        assert!(r.findings[0].chain.contains("write_trace_blocks -> stamp"));
     }
 }

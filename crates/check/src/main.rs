@@ -54,8 +54,7 @@ use std::process::ExitCode;
 
 use dss_check::budget::{AllocBudget, Counts, RunBudget};
 use dss_check::{
-    check_baseline_suite, detect_races, detect_races_source, find_workspace_root, lint_workspace,
-    Allowlist, RaceReport,
+    check_baseline_suite, detect_races, find_workspace_root, lint_workspace, Allowlist,
 };
 use dss_core::{query_label, Workbench, STUDIED_QUERIES};
 use dss_memsim::{Machine, MachineConfig, Protocol, SimStats};
@@ -646,15 +645,9 @@ fn lint(prune: bool) -> std::io::Result<(usize, String)> {
 }
 
 /// Runs the race detector over the studied queries; returns findings.
-///
-/// Each query is analyzed twice: eagerly over the materialized traces, and
-/// with the streaming detector over block files written from the same events.
-/// The two reports must agree exactly — a divergence means the block codec or
-/// the streamed replay changed the analyzed workload, and is a finding.
 fn races(wb: &mut Workbench) -> (usize, String) {
     let mut findings = 0;
     let mut queries = Vec::new();
-    let dir = std::env::temp_dir().join(format!("dss-check-races-{}", std::process::id()));
     for query in STUDIED_QUERIES {
         let traces = wb.traces(query, 0);
         match detect_races(&traces) {
@@ -662,24 +655,8 @@ fn races(wb: &mut Workbench) -> (usize, String) {
                 for race in &report.races {
                     eprintln!("races: {}: {race}", query_label(query));
                 }
-                let agreement = match streamed_report(&traces, &dir, query) {
-                    Ok(streamed) if streamed == report => "streamed replay agrees",
-                    Ok(_) => {
-                        eprintln!(
-                            "races: {}: streamed replay DIVERGED from the materialized analysis",
-                            query_label(query)
-                        );
-                        findings += 1;
-                        "streamed replay DIVERGED"
-                    }
-                    Err(e) => {
-                        eprintln!("races: {}: streamed replay failed: {e}", query_label(query));
-                        findings += 1;
-                        "streamed replay failed"
-                    }
-                };
                 println!(
-                    "races: {}: {} race(s) over {} shared accesses in {} classes ({agreement})",
+                    "races: {}: {} race(s) over {} shared accesses in {} classes",
                     query_label(query),
                     report.races.len(),
                     report.total_checked(),
@@ -687,13 +664,11 @@ fn races(wb: &mut Workbench) -> (usize, String) {
                 );
                 findings += report.races.len();
                 queries.push(format!(
-                    "{{\"query\": \"{}\", \"races\": {}, \"checked\": {}, \"classes\": {}, \
-                     \"streamed\": \"{}\"}}",
+                    "{{\"query\": \"{}\", \"races\": {}, \"checked\": {}, \"classes\": {}}}",
                     esc(&query_label(query)),
                     report.races.len(),
                     report.total_checked(),
-                    report.checked.len(),
-                    esc(agreement)
+                    report.checked.len()
                 ));
             }
             Err(e) => {
@@ -707,36 +682,11 @@ fn races(wb: &mut Workbench) -> (usize, String) {
             }
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
     let frag = format!(
         "{{\"findings\": {findings}, \"queries\": [{}]}}",
         queries.join(", ")
     );
     (findings, frag)
-}
-
-/// Writes `traces` as block files under `dir` and re-runs the analysis with
-/// the streaming detector.
-fn streamed_report(
-    traces: &[dss_trace::Trace],
-    dir: &std::path::Path,
-    query: u8,
-) -> Result<RaceReport, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let stem = format!("q{query}");
-    let paths = traces
-        .iter()
-        .map(|t| {
-            let path = dss_trace::FileTraceSource::proc_path(dir, &stem, t.proc_id);
-            let file = std::fs::File::create(&path)
-                .map_err(|e| format!("creating {}: {e}", path.display()))?;
-            let mut w = std::io::BufWriter::new(file);
-            dss_trace::write_trace_blocks(t, &mut w, dss_trace::DEFAULT_BLOCK_EVENTS)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            Ok(path)
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    detect_races_source(&dss_trace::FileTraceSource::new(paths)).map_err(|e| e.to_string())
 }
 
 /// Runs the coherence invariant suite; returns findings.

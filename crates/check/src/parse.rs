@@ -115,7 +115,7 @@ pub struct Binding {
 /// One parsed function (free fn, inherent/trait method, or default body).
 #[derive(Clone, Debug)]
 pub struct FnDef {
-    /// Module-qualified path (`pipeline::ChunkSequencer::release`).
+    /// Module-qualified path (`io::BlockWriter::write_block`).
     pub qpath: String,
     /// Bare function name.
     pub name: String,

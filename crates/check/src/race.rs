@@ -23,19 +23,17 @@
 //! nested discipline checked by [`check_lock_discipline`] — the detector
 //! validates that first and refuses to analyze ill-formed traces.
 //!
-//! Two entry points share the replay: [`detect_races`] over materialized
-//! traces (discipline pre-checked, trace by trace), and
-//! [`detect_races_source`] over any [`TraceSource`] — it holds one event
-//! block per processor and checks the discipline incrementally as events
-//! stream past, so block files are analyzable without ever materializing a
-//! trace. Both produce identical [`RaceReport`]s for the same events.
+//! There is one replay, [`detect_races_source`], over any [`TraceSource`]: it
+//! holds one event block per processor and checks the discipline
+//! incrementally as events stream past, so block files are analyzable
+//! without ever materializing a trace. [`detect_races`] is the same call for
+//! materialized traces — a slice of traces is a source.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use dss_trace::{
-    check_lock_discipline, DataClass, Event, EventStream, LockDisciplineError, Trace, TraceError,
-    TraceSource,
+    DataClass, Event, EventStream, LockDisciplineError, Trace, TraceError, TraceSource,
 };
 
 /// Access granularity of the detector: 8-byte words, matching the engine's
@@ -180,111 +178,22 @@ struct LockState {
     waiters: Vec<usize>,
 }
 
-/// Detects happens-before races over `traces` (one per processor).
-///
-/// Lock acquisition order — and therefore the synchronization edges — comes
-/// from the same deterministic simulated-time interleaving the memory
-/// simulator uses: processors advance by busy cycles and one cycle per
-/// reference, and a contended acquire parks the processor until the holder's
-/// release. The result is reproducible and matches what the simulated
-/// machine actually interleaves.
+/// Detects happens-before races over materialized `traces` (one per
+/// processor): [`detect_races_source`] over the slice.
 ///
 /// # Errors
 ///
-/// Returns [`RaceAnalysisError::Discipline`] if any trace breaks the lock
-/// stack discipline (see [`check_lock_discipline`]), making vector-clock
-/// analysis meaningless, and [`RaceAnalysisError::Deadlock`] if the replay
-/// cannot make progress.
+/// As [`detect_races_source`]; a slice never fails as a stream.
 pub fn detect_races(traces: &[Trace]) -> Result<RaceReport, RaceAnalysisError> {
-    for trace in traces {
-        check_lock_discipline(trace).map_err(|error| RaceAnalysisError::Discipline {
-            proc_id: trace.proc_id,
-            error,
-        })?;
-    }
-    let n = traces.len();
-    let mut report = RaceReport::default();
-    let mut clocks: Vec<VClock> = (0..n).map(|_| VClock::new(n)).collect();
-    for (p, c) in clocks.iter_mut().enumerate() {
-        c.0[p] = 1; // Epoch 0 means "no access recorded".
-    }
-    let mut pos = vec![0usize; n];
-    let mut time = vec![0u64; n];
-    let mut parked = vec![false; n];
-    let mut locks: BTreeMap<u64, LockState> = BTreeMap::new();
-    let mut words: BTreeMap<u64, WordState> = BTreeMap::new();
-
-    loop {
-        // Deterministic merge: the runnable processor with the least
-        // (time, id) steps next, exactly like the simulator's event queue.
-        let Some(p) = (0..n)
-            .filter(|&p| pos[p] < traces[p].events.len() && !parked[p])
-            .min_by_key(|&p| (time[p], p))
-        else {
-            if (0..n).any(|p| pos[p] < traces[p].events.len()) {
-                return Err(RaceAnalysisError::Deadlock);
-            }
-            break;
-        };
-        let index = pos[p];
-        match traces[p].events[index] {
-            Event::Busy(cycles) => {
-                time[p] += cycles as u64;
-                pos[p] += 1;
-            }
-            Event::Ref(r) => {
-                if r.class.is_shared() {
-                    check_ref(p, index, &r, &clocks[p], &mut words, &mut report);
-                    *report.checked.entry(r.class).or_insert(0) += 1;
-                }
-                time[p] += 1;
-                pos[p] += 1;
-            }
-            Event::LockAcquire(tok) => {
-                let lock = locks.entry(tok.addr).or_default();
-                match lock.holder {
-                    Some(holder) if holder != p => {
-                        lock.waiters.push(p);
-                        parked[p] = true;
-                    }
-                    _ => {
-                        lock.holder = Some(p);
-                        // Acquire edge: everything before the last release
-                        // happened before this critical section.
-                        let released = lock.released.clone();
-                        clocks[p].join(&released);
-                        time[p] += 1;
-                        pos[p] += 1;
-                    }
-                }
-            }
-            Event::LockRelease(tok) => {
-                let release_time = time[p] + 1;
-                let released = clocks[p].clone();
-                let lock = locks.entry(tok.addr).or_default();
-                debug_assert_eq!(lock.holder, Some(p), "discipline checked above");
-                lock.released = released;
-                lock.holder = None;
-                // Wake every waiter; they re-contend in deterministic order.
-                for w in lock.waiters.drain(..) {
-                    parked[w] = false;
-                    time[w] = time[w].max(release_time);
-                }
-                clocks[p].0[p] += 1;
-                time[p] = release_time;
-                pos[p] += 1;
-            }
-        }
-    }
-    Ok(report)
+    detect_races_source(traces)
 }
 
 /// One processor's replay cursor over a streamed trace: the current block,
 /// the stream it refills from, and the incremental lock-discipline stack.
 ///
 /// `base + pos` is the event's index within the processor's whole trace, so
-/// races and discipline errors report the same indices as the materialized
-/// detector.
+/// races and discipline errors report trace-wide indices whatever the block
+/// size.
 struct Cursor<'a> {
     stream: Box<dyn EventStream + 'a>,
     buf: Vec<Event>,
@@ -295,7 +204,8 @@ struct Cursor<'a> {
     /// The stream returned its zero-count end-of-stream block.
     done: bool,
     /// Locks currently held: `(addr, trace-wide acquire index)`, innermost
-    /// last — the streaming equivalent of [`check_lock_discipline`]'s stack.
+    /// last — the streaming equivalent of
+    /// [`dss_trace::check_lock_discipline`]'s stack.
     held: Vec<(u64, usize)>,
 }
 
@@ -323,22 +233,28 @@ impl Cursor<'_> {
     }
 }
 
-/// Detects happens-before races over a streamed [`TraceSource`], holding one
-/// event block per processor — block files are analyzable at any trace
-/// length without materializing.
+/// Detects happens-before races over a [`TraceSource`] (one stream per
+/// processor), holding one event block per processor — block files are
+/// analyzable at any trace length without materializing.
 ///
-/// The replay, the synchronization model, and the produced [`RaceReport`]
-/// are identical to [`detect_races`] over the materialized equivalent. The
-/// lock discipline is checked *incrementally* as events stream past instead
-/// of up front, so when several violations exist the reported one is the
-/// first encountered in replay order (the materialized detector reports the
-/// first in processor order); a single violation is reported identically.
+/// Lock acquisition order — and therefore the synchronization edges — comes
+/// from the same deterministic simulated-time interleaving the memory
+/// simulator uses: processors advance by busy cycles and one cycle per
+/// reference, and a contended acquire parks the processor until the holder's
+/// release. The result is reproducible and matches what the simulated
+/// machine actually interleaves.
+///
+/// The lock discipline is checked *incrementally* as events stream past, so
+/// when several violations exist the reported one is the first encountered
+/// in replay order.
 ///
 /// # Errors
 ///
-/// [`RaceAnalysisError::Discipline`] and [`RaceAnalysisError::Deadlock`] as
-/// for [`detect_races`], plus [`RaceAnalysisError::Stream`] when the source
-/// fails mid-analysis (truncated or corrupt block files).
+/// Returns [`RaceAnalysisError::Discipline`] if any trace breaks the lock
+/// stack discipline (see [`dss_trace::check_lock_discipline`]), making
+/// vector-clock analysis meaningless, [`RaceAnalysisError::Deadlock`] if the
+/// replay cannot make progress, and [`RaceAnalysisError::Stream`] when the
+/// source fails mid-analysis (truncated or corrupt block files).
 pub fn detect_races_source<S>(src: &S) -> Result<RaceReport, RaceAnalysisError>
 where
     S: TraceSource + ?Sized,
@@ -373,10 +289,10 @@ where
     let mut words: BTreeMap<u64, WordState> = BTreeMap::new();
 
     loop {
-        // Deterministic merge, exactly as in [`detect_races`]: the runnable
-        // processor with the least (time, id) steps next. A parked processor
-        // is unfinished by definition; an unparked one is runnable when its
-        // cursor still yields an event.
+        // Deterministic merge: the runnable processor with the least
+        // (time, id) steps next, exactly like the simulator's event queue. A
+        // parked processor is unfinished by definition; an unparked one is
+        // runnable when its cursor still yields an event.
         let mut next: Option<(usize, Event)> = None;
         let mut unfinished = false;
         for p in 0..n {
@@ -392,6 +308,17 @@ where
             }
         }
         let Some((p, event)) = next else {
+            // A trace that ended inside a critical section is the breach to
+            // report — also when it left every other processor parked on
+            // that lock, which would otherwise read as a deadlock.
+            for c in cursors.iter().filter(|c| c.done) {
+                if let Some(&(addr, index)) = c.held.first() {
+                    return Err(discipline(
+                        c,
+                        LockDisciplineError::HeldAtEnd { index, addr },
+                    ));
+                }
+            }
             if unfinished {
                 return Err(RaceAnalysisError::Deadlock);
             }
@@ -429,6 +356,8 @@ where
                     }
                     _ => {
                         lock.holder = Some(p);
+                        // Acquire edge: everything before the last release
+                        // happened before this critical section.
                         let released = lock.released.clone();
                         clocks[p].join(&released);
                         cursors[p].held.push((tok.addr, index));
@@ -472,6 +401,7 @@ where
                 let lock = locks.entry(tok.addr).or_default();
                 lock.released = released;
                 lock.holder = None;
+                // Wake every waiter; they re-contend in deterministic order.
                 for w in lock.waiters.drain(..) {
                     parked[w] = false;
                     time[w] = time[w].max(release_time);
@@ -480,14 +410,6 @@ where
                 time[p] = release_time;
                 cursors[p].pos += 1;
             }
-        }
-    }
-    for c in &cursors {
-        if let Some(&(addr, index)) = c.held.first() {
-            return Err(discipline(
-                c,
-                LockDisciplineError::HeldAtEnd { index, addr },
-            ));
         }
     }
     Ok(report)
@@ -699,27 +621,24 @@ mod tests {
     }
 
     #[test]
-    fn streamed_detection_matches_materialized() {
+    fn block_size_never_changes_the_report() {
         let traces = contended_traces(3);
-        let eager = detect_races(&traces).expect("analyzable");
-        assert!(!eager.races.is_empty(), "workload must exercise the races");
+        let whole = detect_races(&traces).expect("analyzable");
+        assert!(!whole.races.is_empty(), "workload must exercise the races");
 
-        // The slice adapter and block files at several block sizes must all
-        // reproduce the materialized report exactly — indices included.
-        let via_slice = detect_races_source(&traces[..]).expect("analyzable");
-        assert_eq!(eager, via_slice);
-
+        // Block files at several block sizes must all reproduce the slice's
+        // report exactly — trace-wide indices included.
         let dir = std::env::temp_dir().join(format!("dss-race-src-{}", std::process::id()));
         for block in [7, 64, 4096] {
             let src = block_files(&traces, &dir, block);
             let streamed = detect_races_source(&src).expect("analyzable");
-            assert_eq!(eager, streamed, "block_events={block}");
+            assert_eq!(whole, streamed, "block_events={block}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn streamed_discipline_violations_are_reported() {
+    fn discipline_violations_are_reported_with_their_index() {
         // Held at the end of the stream.
         let t = Tracer::new(0);
         t.busy(5);
@@ -736,6 +655,22 @@ mod tests {
                 }
             }
         );
+        // Held at the end with a waiter parked on it: still the discipline
+        // breach, not the deadlock it causes.
+        let t0 = Tracer::new(0);
+        t0.lock_acquire(tok());
+        let t1 = Tracer::new(1);
+        t1.busy(5);
+        t1.lock_acquire(tok());
+        t1.lock_release(tok());
+        let err = detect_races(&[t0.take(), t1.take()]).unwrap_err();
+        assert!(matches!(
+            err,
+            RaceAnalysisError::Discipline {
+                proc_id: 0,
+                error: dss_trace::LockDisciplineError::HeldAtEnd { index: 0, .. }
+            }
+        ));
         // Released while never held.
         let t = Tracer::new(0);
         t.lock_release(tok());

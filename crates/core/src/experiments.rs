@@ -3,8 +3,9 @@
 //! The experiment API lives on [`Workbench`]: each method generates (or
 //! reuses) the traces it needs and runs the memory-hierarchy simulator at the
 //! appropriate configurations, fanning independent sweep points across up to
-//! [`Workbench::jobs`] worker threads through [`crate::sim_points`] — with
-//! results bit-identical to a serial run at any job count. The returned
+//! [`Workbench::jobs`] worker threads through one point runner
+//! (`Workbench::fan_out_labeled`) — with results bit-identical to a serial
+//! run at any job count. The returned
 //! structs carry raw [`SimStats`]; rendering to the paper's chart shapes
 //! lives in [`crate::report`].
 //!
@@ -21,9 +22,10 @@ use dss_faultkit::crash::crash_point;
 use dss_memsim::{Machine, MachineConfig, SimStats};
 use dss_query::{Database, PlanFeatures};
 use dss_tpcd::params;
+use dss_trace::{ProcPrefix, TraceSource};
 
 use crate::degrade::PointError;
-use crate::sim::{run_point_pipelined, run_point_source, run_soft, split_jobs, SoftFailure};
+use crate::sim::{run_soft, SoftFailure};
 use crate::workload::{SimSource, Workbench};
 
 /// L2 line sizes swept by Figures 8 and 9 (L1 lines are half).
@@ -127,18 +129,47 @@ pub struct ProtocolAblation {
     pub mesi: SimStats,
 }
 
+/// One sweep point: a fresh machine of `cfg`, optionally warmed by replaying
+/// `warm` first, then measured over `source`.
+struct PointTask {
+    cfg: MachineConfig,
+    warm: Option<SimSource>,
+    source: SimSource,
+}
+
+impl PointTask {
+    /// Simulates the point: every replay feeds the machine block by block
+    /// from the leading `cfg.nprocs` streams of its source. Stream failures
+    /// panic so the fail-soft runner classifies them like any other point
+    /// failure.
+    fn run(&self) -> SimStats {
+        let mut machine = Machine::new(self.cfg.clone());
+        let mut replay = |src: &SimSource| {
+            let take = self.cfg.nprocs.min(src.nprocs());
+            machine
+                .run_source(&ProcPrefix::new(src, take))
+                .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
+        };
+        if let Some(warm) = &self.warm {
+            replay(warm);
+        }
+        replay(&self.source)
+    }
+}
+
 impl Workbench {
-    /// Fans labeled `(config, trace source)` points across this workbench's
-    /// worker threads, recording compute time for
-    /// [`Workbench::take_sim_compute`].
+    /// The point runner: fans labeled points across this workbench's worker
+    /// threads, recording compute time for [`Workbench::take_sim_compute`].
+    /// `tasks` builds the points (typically generating their traces) and is
+    /// only called when at least one of them has to be simulated.
     ///
-    /// Fail-hard (the default): a panicking point propagates, exactly as
-    /// [`crate::sim_points`] does, and every slot is `Some`. Fail-soft
-    /// ([`Workbench::set_fail_soft`]): each point runs under `catch_unwind`
-    /// with the optional point deadline, a failed point is recorded as a
-    /// [`PointError`] under its label and yields `None`, and the remaining
-    /// points still run. The sabotage hook ([`Workbench::set_sabotage`])
-    /// panics the matching point in either mode.
+    /// Fail-hard (the default): a panicking point propagates and every slot
+    /// is `Some`. Fail-soft ([`Workbench::set_fail_soft`]): each point runs
+    /// under `catch_unwind` with the optional point deadline, a failed point
+    /// is recorded as a [`PointError`] under its label and yields `None`,
+    /// and the remaining points still run. The sabotage hook
+    /// ([`Workbench::set_sabotage`]) panics the matching point in either
+    /// mode.
     ///
     /// With a checkpoint journal attached ([`Workbench::set_checkpoint`]),
     /// points the journal already holds are served from it — no simulation,
@@ -149,16 +180,10 @@ impl Workbench {
     fn fan_out_labeled(
         &mut self,
         labels: &[String],
-        tasks: &[(MachineConfig, SimSource)],
         seed: u64,
+        tasks: impl FnOnce(&mut Self) -> Vec<PointTask>,
     ) -> Vec<Option<SimStats>> {
-        debug_assert_eq!(labels.len(), tasks.len());
-        let sabotage = self.sabotage.clone();
-        let clock = Arc::clone(&self.sim_nanos);
-        let gen_jobs = self.gen_jobs;
-        let pipe = Arc::clone(&self.pipe_stats);
         let checkpoint = self.checkpoint.clone();
-        let computed_ctr = Arc::clone(&self.ckpt_computed);
         // Journal lookups happen up front on this thread; workers then see a
         // plain preloaded slot and skip the simulation entirely.
         let preloaded: Vec<Option<SimStats>> = labels
@@ -174,14 +199,21 @@ impl Workbench {
             .collect();
         let nloaded = preloaded.iter().filter(|p| p.is_some()).count() as u64;
         self.ckpt_loaded.fetch_add(nloaded, Ordering::Relaxed);
+        if nloaded as usize == labels.len() {
+            return preloaded;
+        }
+        let tasks = tasks(self);
+        debug_assert_eq!(labels.len(), tasks.len());
+        let sabotage = self.sabotage.clone();
+        let clock = Arc::clone(&self.sim_nanos);
+        let computed_ctr = Arc::clone(&self.ckpt_computed);
         let points: Vec<_> = tasks
             .iter()
             .zip(labels)
             .zip(&preloaded)
-            .map(|(((cfg, source), label), pre)| {
+            .map(|((task, label), pre)| {
                 let sabotage = sabotage.as_deref();
                 let clock = &clock;
-                let pipe = &pipe;
                 let checkpoint = checkpoint.as_ref();
                 let computed_ctr = &computed_ctr;
                 move || {
@@ -192,11 +224,7 @@ impl Workbench {
                         panic!("injected: sweep point {label} sabotaged");
                     }
                     let start = Instant::now();
-                    let stats = if gen_jobs > 0 {
-                        run_point_pipelined(cfg, source, gen_jobs, pipe)
-                    } else {
-                        run_point_source(cfg, source)
-                    };
+                    let stats = task.run();
                     clock.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     if let Some(journal) = checkpoint {
                         crash_point("crash.point.pre-journal");
@@ -219,8 +247,7 @@ impl Workbench {
         } else {
             None
         };
-        let (sim_jobs, _) = split_jobs(self.jobs(), gen_jobs);
-        let outcomes = run_soft(sim_jobs, &points, deadline);
+        let outcomes = run_soft(self.jobs(), &points, deadline);
         drop(points);
         outcomes
             .into_iter()
@@ -251,11 +278,16 @@ impl Workbench {
         configs: &[MachineConfig],
         labels: &[String],
     ) -> Vec<Option<SimStats>> {
-        let tasks: Vec<(MachineConfig, SimSource)> = configs
-            .iter()
-            .map(|c| (c.clone(), source.clone()))
-            .collect();
-        self.fan_out_labeled(labels, &tasks, 0)
+        self.fan_out_labeled(labels, 0, |_| {
+            configs
+                .iter()
+                .map(|cfg| PointTask {
+                    cfg: cfg.clone(),
+                    warm: None,
+                    source: source.clone(),
+                })
+                .collect()
+        })
     }
 
     /// Runs the baseline architecture for one query.
@@ -277,15 +309,20 @@ impl Workbench {
     /// ones), one sweep point per query. In fail-soft mode, failed points
     /// are skipped (and recorded as [`PointError`]s).
     pub fn baseline_suite(&mut self, queries: &[u8]) -> Vec<QueryBaseline> {
-        let tasks: Vec<(MachineConfig, SimSource)> = queries
-            .iter()
-            .map(|&q| (MachineConfig::baseline(), self.source(q, 0)))
-            .collect();
         let labels: Vec<String> = queries
             .iter()
             .map(|&q| format!("fig6/Q{q}/baseline"))
             .collect();
-        let stats = self.fan_out_labeled(&labels, &tasks, 0);
+        let stats = self.fan_out_labeled(&labels, 0, |wb| {
+            queries
+                .iter()
+                .map(|&q| PointTask {
+                    cfg: MachineConfig::baseline(),
+                    warm: None,
+                    source: wb.source(q, 0),
+                })
+                .collect()
+        });
         queries
             .iter()
             .zip(stats)
@@ -418,7 +455,7 @@ impl Workbench {
             .iter()
             .map(|&n| format!("scaling/Q{query}/nprocs={n}"))
             .collect();
-        // sim_points runs each config over the leading `nprocs` traces, which
+        // Each point runs its config over the leading `nprocs` traces, which
         // is exactly the scaling subset.
         let stats = self.fan_out(&traces, &configs, &labels);
         PROC_COUNTS
@@ -432,105 +469,44 @@ impl Workbench {
     /// Figure 12: inter-query temporal locality with very large caches.
     ///
     /// Each arm warms (or doesn't) its *own* machine and then replays the
-    /// measured set on it, so the three arms are independent and fan across
-    /// up to [`Workbench::jobs`] workers; the within-arm warm→measured order
-    /// is what carries the cache-reuse effect and stays serial. The measured
-    /// set is generated once and replayed by every arm (generation is
-    /// history-independent, so this changes nothing but wall-clock and
-    /// allocations).
+    /// measured set on it, so the three arms are independent sweep points and
+    /// fan across up to [`Workbench::jobs`] workers; the within-arm
+    /// warm→measured order is what carries the cache-reuse effect and stays
+    /// serial. The measured set is generated once and replayed by every arm
+    /// (generation is history-independent, so this changes nothing but
+    /// wall-clock and allocations). With all three arms journaled, no trace
+    /// is generated at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arm fails — the comparison is meaningless without all
+    /// three (in fail-soft mode the failure is still recorded first, and the
+    /// surviving arms are journaled).
     pub fn reuse_experiment(&mut self, query: u8, other: u8) -> ReuseSet {
         let labels = [
             format!("fig12/Q{query}v{other}/cold"),
             format!("fig12/Q{query}v{other}/warm_same"),
             format!("fig12/Q{query}v{other}/warm_other"),
         ];
-        let checkpoint = self.checkpoint.clone();
-        let computed_ctr = Arc::clone(&self.ckpt_computed);
-        let preloaded: Vec<Option<SimStats>> = labels
-            .iter()
-            .map(|label| {
-                checkpoint.as_ref().and_then(|j| {
-                    j.lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .lookup(label, 0)
-                        .cloned()
-                })
-            })
-            .collect();
-        let nloaded = preloaded.iter().filter(|p| p.is_some()).count() as u64;
-        self.ckpt_loaded.fetch_add(nloaded, Ordering::Relaxed);
-        // All three arms journaled: skip trace generation outright — a
-        // resumed run that already finished fig12 touches nothing.
-        if let [Some(cold), Some(warm_same), Some(warm_other)] = &preloaded[..] {
-            return ReuseSet {
-                query,
-                other,
-                cold: cold.clone(),
-                warm_same: warm_same.clone(),
-                warm_other: warm_other.clone(),
-            };
-        }
-
         let (l1_kb, l2_kb) = REUSE_CACHES_KB;
         let cfg = MachineConfig::baseline().with_cache_sizes(l1_kb * 1024, l2_kb * 1024);
-        let replay = |m: &mut Machine, src: &SimSource| {
-            m.run_source(src)
-                .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
-        };
-        // Sources come first (trace generation needs `&mut self`); the sims
-        // then share them immutably across workers.
-        let measured = self.source(query, 0);
-        let warm_same_src = self.source(query, 1000);
-        let warm_other_src = self.source(other, 1000);
-
-        let arms: [Option<&SimSource>; 3] = [None, Some(&warm_same_src), Some(&warm_other_src)];
-        let points: Vec<_> = arms
-            .iter()
-            .zip(&labels)
-            .zip(&preloaded)
-            .map(|((warm, label), pre)| {
-                let (cfg, measured) = (&cfg, &measured);
-                let checkpoint = checkpoint.as_ref();
-                let computed_ctr = &computed_ctr;
-                move || {
-                    if let Some(stats) = pre {
-                        return stats.clone();
-                    }
-                    let mut m = Machine::new(cfg.clone());
-                    if let Some(warm) = warm {
-                        replay(&mut m, warm);
-                    }
-                    let stats = replay(&mut m, measured);
-                    if let Some(journal) = checkpoint {
-                        crash_point("crash.point.pre-journal");
-                        let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                        if let Err(e) = journal.append(label, 0, &stats) {
-                            eprintln!("checkpoint append failed for {label}: {e}");
-                        }
-                        drop(journal);
-                        crash_point("crash.point.post-journal");
-                    }
-                    computed_ctr.fetch_add(1, Ordering::Relaxed);
-                    stats
-                }
-            })
-            .collect();
-        let mut stats = run_soft(self.jobs(), &points, None)
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(stats) => stats,
-                Err(SoftFailure {
-                    payload: Some(payload),
-                    ..
-                }) => resume_unwind(payload),
-                Err(failure) => panic!("reuse arm failed: {}", failure.cause),
-            });
-        let (cold, warm_same, warm_other) = (
-            stats.next().expect("cold arm"),
-            stats.next().expect("warm-same arm"),
-            stats.next().expect("warm-other arm"),
-        );
-
+        let mut stats = self.fan_out_labeled(&labels, 0, |wb| {
+            let measured = wb.source(query, 0);
+            let warm_same = wb.source(query, 1000);
+            let warm_other = wb.source(other, 1000);
+            [None, Some(warm_same), Some(warm_other)]
+                .into_iter()
+                .map(|warm| PointTask {
+                    cfg: cfg.clone(),
+                    warm,
+                    source: measured.clone(),
+                })
+                .collect()
+        });
+        let lost = || panic!("fig12/Q{query}v{other} lost a sweep point (see point errors)");
+        let warm_other = stats.pop().flatten().unwrap_or_else(lost);
+        let warm_same = stats.pop().flatten().unwrap_or_else(lost);
+        let cold = stats.pop().flatten().unwrap_or_else(lost);
         ReuseSet {
             query,
             other,

@@ -12,10 +12,10 @@
 //!   experiment methods, one per table/figure of the evaluation. Under
 //!   [`TraceMode::Streamed`] the workbench records traces straight to block
 //!   files and replays them from disk, bounding peak memory at any scale.
-//! * [`sim_points`] / [`sim_points_source`] — the parallel harness: fan
-//!   sweep points across worker threads with results bit-identical to a
-//!   serial run, over a materialized [`TraceSet`] or any streaming
-//!   [`dss_trace::TraceSource`].
+//!   Every sweep point takes one path: it opens its [`SimSource`] — a
+//!   materialized [`TraceSet`] or block files — and replays it through
+//!   [`dss_memsim::Machine::run_source`], fanned across worker threads with
+//!   results bit-identical to a serial run.
 //! * [`experiments`] — the experiments' result types.
 //! * [`report`] — ASCII renderings in the paper's chart shapes.
 //! * [`paper`] — the paper's claims as executable shape checks.
@@ -51,7 +51,5 @@ mod workload;
 
 pub use checkpoint::{config_fingerprint, CheckpointJournal};
 pub use degrade::{PointCause, PointError};
-pub use dss_trace::{PipelineSnapshot, PipelineStats};
 pub use persist::{fsync_dir, write_atomic};
-pub use sim::{sim_points, sim_points_pipelined, sim_points_source, split_jobs};
 pub use workload::{query_label, SimSource, TraceMode, TraceSet, Workbench, STUDIED_QUERIES};

@@ -2,179 +2,29 @@
 //! scoped worker threads.
 //!
 //! Every sweep in [`crate::experiments`] has the same shape: one immutable
-//! trace population replayed through many [`Machine`]s, one per
-//! [`MachineConfig`]. The points share no mutable state — each gets a fresh
+//! trace population replayed through many [`dss_memsim::Machine`]s, one per
+//! configuration. The points share no mutable state — each gets a fresh
 //! machine with cold caches — so they can run on any number of threads with
 //! bit-identical results to a serial run; only wall-clock changes. The paper
 //! itself never needed this (its evaluation ran once); re-parameterized
-//! replay studies do, and [`sim_points`] makes them embarrassingly parallel
+//! replay studies do, and [`run_soft`] makes them embarrassingly parallel
 //! with no dependencies beyond `std::thread::scope`.
 //!
-//! Points consume their traces through the [`TraceSource`] streaming API, so
-//! the same harness replays a fully materialized [`TraceSet`] or block files
-//! on disk ([`dss_trace::FileTraceSource`]) with bit-identical results — the
-//! latter without ever holding a full trace in memory.
+//! There is one point runner — `Workbench::fan_out_labeled` in
+//! [`crate::experiments`] — and it is the only caller: a point opens its
+//! [`crate::SimSource`] and feeds a fresh machine through
+//! [`dss_memsim::Machine::run_source`], whether the events sit in a
+//! materialized [`crate::TraceSet`] or in block files on disk. This module
+//! only schedules the points and turns a panicking or overdue one into a
+//! value.
 
 use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dss_memsim::{Machine, MachineConfig, SimStats};
-use dss_trace::{PipelineStats, PipelinedTraceSource, ProcPrefix, TraceSource};
-
 use crate::degrade::PointCause;
-use crate::workload::TraceSet;
-
-/// Runs one simulation per config over a shared trace set, on up to `jobs`
-/// worker threads, returning results in config order.
-///
-/// Each point simulates a *fresh* machine (cold caches) over the leading
-/// `config.nprocs` traces of the set — so a config with fewer processors than
-/// the set has traces runs the processor-scaling subset, exactly as the
-/// serial harness did. `jobs <= 1` runs everything on the calling thread;
-/// any job count produces identical [`SimStats`].
-///
-/// This is the materialized-set convenience over [`sim_points_source`]: a
-/// `&[Trace]` is itself a [`TraceSource`].
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (the simulation itself panicking, e.g.
-/// on an invalid config).
-pub fn sim_points(traces: &TraceSet, configs: &[MachineConfig], jobs: usize) -> Vec<SimStats> {
-    sim_points_source(&traces[..], configs, jobs)
-}
-
-/// Runs one simulation per config over any [`TraceSource`], on up to `jobs`
-/// worker threads, returning results in config order.
-///
-/// Each point opens its own streams from `src`, so peak memory per point is
-/// bounded by the source's block size, not the trace length — replaying
-/// block files keeps the whole sweep within a few event blocks per
-/// processor. Results are bit-identical to [`sim_points`] over the
-/// materialized equivalent, at any job count.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics, or if the source fails mid-stream
-/// (truncated or corrupt block files).
-pub fn sim_points_source<S>(src: &S, configs: &[MachineConfig], jobs: usize) -> Vec<SimStats>
-where
-    S: TraceSource + ?Sized,
-{
-    let points: Vec<_> = configs
-        .iter()
-        .map(|cfg| move || run_point_source(cfg, src))
-        .collect();
-    run_soft(jobs, &points, None)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(stats) => stats,
-            // Hard mode: re-raise the first failing point's panic unchanged
-            // (the remaining points already ran; no work is re-entered).
-            Err(SoftFailure {
-                payload: Some(payload),
-                ..
-            }) => resume_unwind(payload),
-            Err(failure) => panic!("sweep point failed: {}", failure.cause),
-        })
-        .collect()
-}
-
-/// Splits a total worker budget between simulation and trace production:
-/// with `gen_jobs` producer threads per in-flight point, simulation points
-/// get the remainder of `jobs` (at least one). `gen_jobs == 0` disables
-/// pipelining, so the whole budget goes to simulation workers — the serial
-/// producer path, bit-identical and thread-for-thread identical to before
-/// pipelining existed.
-pub fn split_jobs(jobs: usize, gen_jobs: usize) -> (usize, usize) {
-    (jobs.max(1).saturating_sub(gen_jobs).max(1), gen_jobs)
-}
-
-/// Runs one simulation per config over a *pipelined* source: each point
-/// spawns `gen_jobs` producer worker threads that generate/decode blocks
-/// while the point's machine simulates them, with bounded channels keeping
-/// memory within a few blocks per processor. Results are bit-identical to
-/// [`sim_points_source`] (pinned by tests); only wall-clock changes. The
-/// simulation fan-out uses the worker budget left by [`split_jobs`].
-///
-/// # Panics
-///
-/// Panics if a worker thread panics, or if the source fails mid-stream —
-/// including a producer-side panic, which surfaces as a classified
-/// `pipeline` [`dss_trace::TraceError`] instead of a hang.
-pub fn sim_points_pipelined<S>(
-    src: &S,
-    configs: &[MachineConfig],
-    jobs: usize,
-    gen_jobs: usize,
-) -> Vec<SimStats>
-where
-    S: TraceSource + Clone + Send + Sync + 'static,
-{
-    if gen_jobs == 0 {
-        return sim_points_source(src, configs, jobs);
-    }
-    let stats = PipelineStats::shared();
-    let (sim_jobs, gen_jobs) = split_jobs(jobs, gen_jobs);
-    let points: Vec<_> = configs
-        .iter()
-        .map(|cfg| {
-            let stats = &stats;
-            move || run_point_pipelined(cfg, src, gen_jobs, stats)
-        })
-        .collect();
-    run_soft(sim_jobs, &points, None)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(stats) => stats,
-            Err(SoftFailure {
-                payload: Some(payload),
-                ..
-            }) => resume_unwind(payload),
-            Err(failure) => panic!("sweep point failed: {}", failure.cause),
-        })
-        .collect()
-}
-
-/// One streamed simulation point: a fresh machine fed block-by-block from
-/// the leading `nprocs` streams of `src`. Stream failures panic so the
-/// fail-soft runner classifies them like any other point failure.
-pub(crate) fn run_point_source<S>(cfg: &MachineConfig, src: &S) -> SimStats
-where
-    S: TraceSource + ?Sized,
-{
-    let take = cfg.nprocs.min(src.nprocs());
-    let prefix = ProcPrefix::new(src, take);
-    Machine::new(cfg.clone())
-        .run_source(&prefix)
-        .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
-}
-
-/// One *pipelined* simulation point: like [`run_point_source`], but block
-/// production runs on `gen_jobs` background workers behind bounded channels
-/// (see [`PipelinedTraceSource`]). The processor prefix is applied *inside*
-/// the pipeline so producers never pump streams the config won't simulate.
-/// Producer-side panics arrive in-band as `pipeline`-classified stream
-/// errors, so this panics (and fail-soft classifies) instead of hanging.
-pub(crate) fn run_point_pipelined<S>(
-    cfg: &MachineConfig,
-    src: &S,
-    gen_jobs: usize,
-    stats: &Arc<PipelineStats>,
-) -> SimStats
-where
-    S: TraceSource + Clone + Send + Sync + 'static,
-{
-    let take = cfg.nprocs.min(src.nprocs());
-    let piped = PipelinedTraceSource::new(ProcPrefix::new(src.clone(), take), gen_jobs)
-        .shared_stats(Arc::clone(stats));
-    Machine::new(cfg.clone())
-        .run_source(&piped)
-        .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
-}
 
 /// A point failure as the runner sees it: the public classification plus the
 /// original panic payload, so hard-mode callers can re-raise it unchanged.
@@ -208,8 +58,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// runaway simulation, so a wedged point still delays completion of the run
 /// (but no longer decides its outcome).
 ///
-/// With no deadline and no panics this is behaviorally identical to
-/// [`sim_points`]: bit-identical results at any job count.
+/// With no deadline and no panics the results are bit-identical at any job
+/// count.
 pub(crate) fn run_soft<T, F>(
     jobs: usize,
     points: &[F],
@@ -307,190 +157,51 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_shmem::SHARED_BASE;
-    use dss_trace::{DataClass, Tracer};
 
-    fn synthetic_set(nprocs: usize) -> TraceSet {
-        (0..nprocs)
-            .map(|p| {
-                let t = Tracer::new(p);
-                for i in 0..2000u64 {
-                    t.read(
-                        SHARED_BASE + (i * 61 + p as u64 * 13) % 65_536,
-                        8,
-                        DataClass::Data,
-                    );
-                    t.busy((i % 5) as u32);
-                    t.write(dss_shmem::private_base(p) + i * 24, 8, DataClass::PrivHeap);
+    #[test]
+    fn order_is_preserved_at_any_job_count() {
+        let points: Vec<_> = (0..9u64).map(|i| move || i * i).collect();
+        for jobs in [0, 1, 2, 4, 16] {
+            let got: Vec<u64> = run_soft(jobs, &points, None)
+                .into_iter()
+                .map(|slot| slot.unwrap_or_else(|f| panic!("{}", f.cause)))
+                .collect();
+            assert_eq!(got, [0, 1, 4, 9, 16, 25, 36, 49, 64], "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn no_points_is_fine() {
+        let points: [fn() -> u64; 0] = [];
+        assert!(run_soft(4, &points, None).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_point_is_classified_and_the_rest_still_run() {
+        let points: Vec<_> = (0..4u64)
+            .map(|i| {
+                move || {
+                    assert!(i != 2, "point {i} broke");
+                    i
                 }
-                t.take()
-            })
-            .collect::<Vec<_>>()
-            .into()
-    }
-
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        let traces = synthetic_set(4);
-        let configs: Vec<MachineConfig> = [16u64, 32, 64, 128]
-            .iter()
-            .map(|&l| MachineConfig::baseline().with_line_size(l))
-            .collect();
-        let serial = sim_points(&traces, &configs, 1);
-        for jobs in [2, 4, 9] {
-            let parallel = sim_points(&traces, &configs, jobs);
-            assert_eq!(serial, parallel, "jobs={jobs} must not change results");
-        }
-    }
-
-    #[test]
-    fn config_order_is_preserved() {
-        let traces = synthetic_set(4);
-        let configs: Vec<MachineConfig> = (1..=4)
-            .map(|n| MachineConfig::baseline().with_processors(n))
-            .collect();
-        let stats = sim_points(&traces, &configs, 4);
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(
-                s.procs.len(),
-                i + 1,
-                "point {i} ran the {}-processor config",
-                i + 1
-            );
-        }
-    }
-
-    #[test]
-    fn file_backed_source_matches_materialized_sweep() {
-        use dss_trace::FileTraceSource;
-
-        let traces = synthetic_set(3);
-        let dir = std::env::temp_dir().join(format!("dss-sim-src-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let paths: Vec<_> = traces
-            .iter()
-            .map(|t| {
-                let path = FileTraceSource::proc_path(&dir, "synthetic", t.proc_id);
-                let mut bytes = Vec::new();
-                dss_trace::write_trace_blocks(t, &mut bytes, 256).unwrap();
-                std::fs::write(&path, bytes).unwrap();
-                path
             })
             .collect();
-        let src = FileTraceSource::new(paths);
-        let configs: Vec<MachineConfig> = (1..=3)
-            .map(|n| MachineConfig::baseline().with_processors(n))
-            .collect();
-        let materialized = sim_points(&traces, &configs, 2);
-        let streamed = sim_points_source(&src, &configs, 2);
-        assert_eq!(materialized, streamed, "block files replay bit-identically");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_config_list_is_fine() {
-        let traces = synthetic_set(1);
-        assert!(sim_points(&traces, &[], 4).is_empty());
-    }
-
-    #[test]
-    fn split_jobs_budget() {
-        assert_eq!(split_jobs(4, 0), (4, 0), "gen off: all workers simulate");
-        assert_eq!(split_jobs(4, 2), (2, 2));
-        assert_eq!(split_jobs(2, 2), (1, 2), "simulation always keeps a worker");
-        assert_eq!(split_jobs(0, 1), (1, 1), "zero budget still runs");
-    }
-
-    #[test]
-    fn pipelined_matches_serial_bit_for_bit() {
-        use crate::workload::SimSource;
-
-        let traces = synthetic_set(4);
-        let configs: Vec<MachineConfig> = [16u64, 64, 256]
-            .iter()
-            .map(|&l| MachineConfig::baseline().with_line_size(l))
-            .collect();
-        let serial = sim_points(&traces, &configs, 1);
-        let src = SimSource::Set(traces);
-        for (jobs, gen_jobs) in [(1, 1), (4, 2), (2, 4), (3, 0)] {
-            let piped = sim_points_pipelined(&src, &configs, jobs, gen_jobs);
-            assert_eq!(
-                serial, piped,
-                "jobs={jobs} gen_jobs={gen_jobs} must not change results"
-            );
-        }
-    }
-
-    /// A source whose processor-0 stream panics partway through: the shape
-    /// of any producer-side bug under pipelining.
-    #[derive(Clone)]
-    struct PanicySource;
-
-    struct PanicyStream {
-        left: usize,
-    }
-
-    impl dss_trace::EventStream for PanicyStream {
-        fn proc_id(&self) -> usize {
-            0
-        }
-
-        fn next_block(&mut self, buf: &mut Vec<dss_trace::Event>) -> Result<usize, TraceError> {
-            buf.clear();
-            if self.left == 0 {
-                panic!("synthetic producer failure");
+        for jobs in [1, 3] {
+            let outcomes = run_soft(jobs, &points, Some(Duration::from_secs(3600)));
+            for (i, slot) in outcomes.into_iter().enumerate() {
+                match slot {
+                    Ok(v) => assert_eq!(v, i as u64),
+                    Err(f) => {
+                        assert_eq!(i, 2, "only the broken point fails");
+                        assert!(f.payload.is_some(), "payload kept for fail-hard callers");
+                        assert!(
+                            matches!(&f.cause, PointCause::Panicked(m) if m.contains("point 2 broke")),
+                            "{}",
+                            f.cause
+                        );
+                    }
+                }
             }
-            self.left -= 1;
-            buf.push(dss_trace::Event::Busy(1));
-            Ok(1)
         }
-    }
-
-    use dss_trace::TraceError;
-
-    impl TraceSource for PanicySource {
-        fn nprocs(&self) -> usize {
-            1
-        }
-
-        fn open(&self) -> Result<Vec<Box<dyn dss_trace::EventStream + '_>>, TraceError> {
-            Ok(vec![Box::new(PanicyStream { left: 2 })])
-        }
-    }
-
-    /// The tentpole's fail-soft guarantee: a producer panic on a pipeline
-    /// worker thread surfaces as a structured, `Panicked`-classified point
-    /// failure — promptly, with the watchdog armed, never as a deadlock.
-    #[test]
-    fn producer_panic_is_a_classified_point_failure_not_a_hang() {
-        let cfg = MachineConfig::baseline().with_processors(1);
-        let points = [|| run_point_pipelined(&cfg, &PanicySource, 2, &PipelineStats::shared())];
-        let started = Instant::now();
-        let outcomes = run_soft(2, &points, Some(Duration::from_secs(5)));
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "failure must surface without waiting out the watchdog"
-        );
-        let failure = match outcomes.into_iter().next() {
-            Some(Err(f)) => f,
-            _ => panic!("expected a point failure"),
-        };
-        match &failure.cause {
-            PointCause::Panicked(msg) => {
-                assert!(msg.contains("trace stream failed"), "{msg}");
-                assert!(
-                    msg.contains("pipeline") || msg.contains("panicked"),
-                    "{msg}"
-                );
-            }
-            other => panic!("expected Panicked, got {other}"),
-        }
-        // The classification is exactly what fail-soft sweeps expose.
-        let err = crate::degrade::PointError {
-            site: "test/pipeline".into(),
-            cause: failure.cause,
-            seed: 0,
-        };
-        assert!(err.to_string().contains("test/pipeline"));
     }
 }

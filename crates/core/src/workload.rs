@@ -11,8 +11,8 @@ use dss_faultkit::crash::crash_point;
 use dss_query::{Database, DbConfig, Session};
 use dss_tpcd::params;
 use dss_trace::{
-    salvage_scan_file, EventStream, FileTraceSource, PipelineSnapshot, PipelineStats, Trace,
-    TraceError, TraceSource, Tracer, DEFAULT_BLOCK_EVENTS,
+    salvage_scan_file, EventStream, FileTraceSource, Trace, TraceError, TraceSource, Tracer,
+    DEFAULT_BLOCK_EVENTS,
 };
 
 use crate::checkpoint::CheckpointJournal;
@@ -144,11 +144,6 @@ pub struct Workbench {
     pub(crate) sabotage: Option<String>,
     /// Point failures accumulated by fail-soft sweeps since the last drain.
     pub(crate) point_errors: Vec<PointError>,
-    /// Producer worker threads per in-flight sweep point (0 = pipelining
-    /// off: blocks are produced inline on the simulating thread).
-    pub(crate) gen_jobs: usize,
-    /// Pipeline utilization counters shared with every pipelined point.
-    pub(crate) pipe_stats: Arc<PipelineStats>,
     /// The crash-safety journal: completed sweep points are served from it
     /// and newly computed points are appended (durably) as they finish.
     pub(crate) checkpoint: Option<Arc<Mutex<CheckpointJournal>>>,
@@ -187,8 +182,6 @@ impl Workbench {
             point_deadline: None,
             sabotage: None,
             point_errors: Vec::new(),
-            gen_jobs: 0,
-            pipe_stats: PipelineStats::shared(),
             checkpoint: None,
             resume: false,
             ckpt_loaded: Arc::new(AtomicU64::new(0)),
@@ -234,31 +227,6 @@ impl Workbench {
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.set_jobs(jobs);
         self
-    }
-
-    /// Producer worker threads per in-flight sweep point (0 = pipelining
-    /// off).
-    pub fn gen_jobs(&self) -> usize {
-        self.gen_jobs
-    }
-
-    /// Sets how many producer worker threads each in-flight sweep point may
-    /// use for trace-block production ([`dss_trace::PipelinedTraceSource`]).
-    ///
-    /// `0` (the default) produces blocks inline on the simulating thread —
-    /// the original serial streamed path. Any value leaves results
-    /// bit-identical (pinned by tests); the producer budget is taken out of
-    /// [`Workbench::jobs`] per [`crate::split_jobs`], so `--jobs 4
-    /// --gen-jobs 2` runs two concurrent points with two producers each.
-    pub fn set_gen_jobs(&mut self, gen_jobs: usize) {
-        self.gen_jobs = gen_jobs;
-    }
-
-    /// Drains the pipeline utilization counters accumulated since the last
-    /// call: producer/consumer time blocked on the bounded channels and
-    /// blocks delivered. All zero when pipelining is off.
-    pub fn take_pipeline_stats(&self) -> PipelineSnapshot {
-        self.pipe_stats.take()
     }
 
     /// Enables (or disables) fail-soft sweeps. In fail-soft mode each sweep

@@ -10,20 +10,20 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use dss_core::{PointCause, Workbench};
+use dss_core::{config_fingerprint, CheckpointJournal, PointCause, Workbench};
 use dss_query::DbConfig;
+
+fn config() -> DbConfig {
+    DbConfig {
+        scale: 0.001,
+        nbuffers: 1024,
+        ..DbConfig::default()
+    }
+}
 
 /// A tiny workbench: big enough to sweep, small enough to build per test.
 fn wb() -> Workbench {
-    Workbench::new(
-        &DbConfig {
-            scale: 0.001,
-            nbuffers: 1024,
-            ..DbConfig::default()
-        },
-        2,
-    )
-    .with_jobs(2)
+    Workbench::new(&config(), 2).with_jobs(2)
 }
 
 #[test]
@@ -95,4 +95,39 @@ fn fail_soft_without_faults_is_bit_identical() {
     let soft: Vec<_> = wb.line_size_sweep(6).into_iter().map(|p| p.stats).collect();
     assert_eq!(hard, soft, "fail-soft mode must not perturb results");
     assert_eq!(wb.point_error_count(), 0);
+}
+
+#[test]
+fn sabotaged_reuse_arm_is_recorded_and_the_other_arms_are_journaled() {
+    let dir = std::env::temp_dir().join(format!("dss-degrade-fig12-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("manifest.ckpt");
+    let fp = config_fingerprint(&config(), 2);
+
+    let mut wb = wb();
+    wb.set_checkpoint(CheckpointJournal::create(&manifest, fp).expect("journal"));
+    wb.set_fail_soft(true);
+    wb.set_sabotage(Some("fig12/Q3v12/warm_same".into()));
+    // Figure 12 needs all three arms, so the experiment itself is abandoned…
+    catch_unwind(AssertUnwindSafe(|| wb.reuse_experiment(3, 12)))
+        .expect_err("an incomplete comparison is not returned");
+    // …but only after the failure was recorded and the healthy arms ran.
+    let errors = wb.take_point_errors();
+    assert_eq!(errors.len(), 1);
+    assert_eq!(errors[0].site, "fig12/Q3v12/warm_same");
+    assert!(matches!(&errors[0].cause, PointCause::Panicked(m) if m.contains("injected")));
+    assert_eq!(
+        wb.take_checkpoint_counts(),
+        (0, 2),
+        "cold and warm_other computed"
+    );
+    assert_eq!(
+        CheckpointJournal::resume(&manifest, fp)
+            .expect("journal reopens")
+            .replayed(),
+        2,
+        "and journaled, so a resume only redoes the sabotaged arm"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

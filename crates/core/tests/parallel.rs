@@ -2,8 +2,7 @@
 //! `--jobs` value must reproduce the serial results bit for bit, and the
 //! shared-trace cache must stay bounded while handles circulate.
 
-use dss_core::{sim_points, Workbench};
-use dss_memsim::MachineConfig;
+use dss_core::{TraceMode, Workbench};
 
 #[test]
 fn q6_line_size_sweep_is_job_count_invariant() {
@@ -23,17 +22,45 @@ fn q6_line_size_sweep_is_job_count_invariant() {
 }
 
 #[test]
-fn sim_points_is_job_count_invariant_on_real_traces() {
+fn processor_sweep_runs_each_prefix_at_any_job_count() {
     let mut wb = Workbench::small();
-    let traces = wb.traces(6, 0);
-    let configs: Vec<MachineConfig> = [(4u64, 128u64), (16, 512), (64, 2048)]
-        .iter()
-        .map(|&(l1, l2)| MachineConfig::baseline().with_cache_sizes(l1 * 1024, l2 * 1024))
-        .collect();
-    let serial = sim_points(&traces, &configs, 1);
-    for jobs in [2, 4, 7] {
-        assert_eq!(serial, sim_points(&traces, &configs, jobs), "jobs={jobs}");
+    wb.set_jobs(1);
+    let serial = wb.processor_sweep(6);
+    for (n, stats) in &serial {
+        let active = stats.procs.iter().filter(|p| p.cycles > 0).count();
+        assert_eq!(
+            (stats.procs.len(), active),
+            (*n, *n),
+            "the {n}-processor point replays the leading {n} traces"
+        );
     }
+    wb.set_jobs(3);
+    assert_eq!(serial, wb.processor_sweep(6), "jobs=3 diverged");
+}
+
+#[test]
+fn block_file_sweep_matches_the_materialized_one_at_any_job_count() {
+    let mut wb = Workbench::small();
+    wb.set_jobs(1);
+    let materialized = wb.line_size_sweep(6);
+
+    let dir = std::env::temp_dir().join(format!("dss-parallel-trb-{}", std::process::id()));
+    wb.set_trace_dir(dir.clone());
+    wb.set_trace_mode(TraceMode::Streamed);
+    for jobs in [1, 4] {
+        wb.set_jobs(jobs);
+        let streamed = wb.line_size_sweep(6);
+        assert_eq!(materialized.len(), streamed.len());
+        for (m, s) in materialized.iter().zip(&streamed) {
+            assert_eq!(m.l2_line, s.l2_line);
+            assert_eq!(
+                m.stats, s.stats,
+                "block files at jobs={jobs} diverged at l2_line={}",
+                m.l2_line
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -65,41 +92,12 @@ fn parallel_sweeps_record_compute_time() {
 }
 
 #[test]
-fn pipelined_streamed_sweep_is_gen_jobs_invariant() {
-    use dss_core::TraceMode;
-
-    let mut wb = Workbench::small();
-    let dir = std::env::temp_dir().join(format!("dss-pipe-inv-{}", std::process::id()));
-    wb.set_trace_dir(dir.clone());
-    wb.set_trace_mode(TraceMode::Streamed);
-
-    wb.set_jobs(1);
-    let serial = wb.line_size_sweep(6);
-
-    for (jobs, gen_jobs) in [(4, 2), (2, 3), (1, 1)] {
-        wb.set_jobs(jobs);
-        wb.set_gen_jobs(gen_jobs);
-        let piped = wb.line_size_sweep(6);
-        assert_eq!(serial.len(), piped.len());
-        for (s, p) in serial.iter().zip(&piped) {
-            assert_eq!(s.l2_line, p.l2_line);
-            assert_eq!(
-                s.stats, p.stats,
-                "jobs={jobs} gen_jobs={gen_jobs} diverged at l2_line={}",
-                s.l2_line
-            );
-        }
-        let snap = wb.take_pipeline_stats();
-        assert!(snap.blocks > 0, "pipelined points deliver blocks");
-    }
-
-    // Pipelining composes with materialized mode too.
-    wb.set_trace_mode(TraceMode::Materialized);
-    wb.set_jobs(4);
-    wb.set_gen_jobs(2);
-    let materialized = wb.line_size_sweep(6);
-    for (s, p) in serial.iter().zip(&materialized) {
-        assert_eq!(s.stats, p.stats, "materialized+pipelined diverged");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+fn reuse_experiment_records_compute_time() {
+    let mut wb = Workbench::small().with_jobs(2);
+    let _ = wb.take_sim_compute();
+    let _ = wb.reuse_experiment(6, 3);
+    assert!(
+        wb.take_sim_compute().as_nanos() > 0,
+        "fig12's arms run through the instrumented point runner"
+    );
 }

@@ -20,8 +20,9 @@
 //!
 //! The sites span the workbench's three trust boundaries:
 //!
-//! * **trace codec** (`trace.io.*`) — truncations, bad magic, flipped bits,
-//!   impossible tags/classes against [`dss_trace::read_trace`];
+//! * **trace codec** (`trace.io.*`, `trace.blocks.*`) — truncations, bad
+//!   magic, flipped bits, impossible tags/classes, reordered blocks against
+//!   [`dss_trace::read_trace_blocks`];
 //! * **trace semantics** (`trace.check.*`) — lock-discipline breaches a
 //!   truncated or interleaving-corrupted trace would exhibit;
 //! * **database loader** (`tpcd.tbl.*`) — hostile rows against

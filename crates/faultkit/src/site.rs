@@ -16,9 +16,8 @@ use dss_memsim::protocol::{self, ExploreConfig, Kernel, KernelFault};
 use dss_memsim::{Machine, MachineConfig, Protocol};
 use dss_tpcd::{from_tbl, table_def, ColType, TableDef};
 use dss_trace::{
-    check_lock_discipline, read_trace, read_trace_blocks, write_trace, write_trace_blocks,
-    ChunkSequencer, DataClass, LockClass, LockDisciplineError, LockToken, Trace, TraceError,
-    Tracer,
+    check_lock_discipline, read_trace_blocks, write_trace_blocks, DataClass, LockClass,
+    LockDisciplineError, LockToken, Trace, Tracer,
 };
 
 use crate::Outcome;
@@ -111,18 +110,6 @@ static SITES: &[Site] = &[
         run: block_chunk_swap,
     },
     Site {
-        name: "trace.pipeline.dropped-block",
-        layer: "trace pipeline",
-        expect: "pipeline",
-        run: pipeline_dropped_block,
-    },
-    Site {
-        name: "trace.pipeline.replayed-chunk",
-        layer: "trace pipeline",
-        expect: "pipeline",
-        run: pipeline_replayed_chunk,
-    },
-    Site {
         name: "trace.check.lock-truncated",
         layer: "trace semantics",
         expect: "lock-held-at-end",
@@ -193,6 +180,24 @@ static SITES: &[Site] = &[
 
 // --- fixtures ---------------------------------------------------------------
 
+/// Events per block in the fixtures: small enough that [`block_trace`]
+/// spans several blocks, large enough that [`sample_trace`] is exactly one,
+/// fixed so byte offsets are computable.
+const BLOCK_EVENTS: usize = 16;
+/// Number of full blocks [`block_trace`] encodes.
+const BLOCKS: usize = 4;
+/// Stream header size: magic, processor id, header checksum.
+const BLOCK_HEADER: usize = 24;
+/// Byte offset of the first block's first event record (past its count and
+/// chunk index).
+const FIRST_RECORD: usize = BLOCK_HEADER + 16;
+/// Byte size of one full block: count, chunk index, 17-byte records,
+/// checksum.
+const BLOCK_SIZE: usize = 8 + 8 + BLOCK_EVENTS * 17 + 8;
+/// Byte size of the end-of-stream marker: a zero count, the next chunk
+/// index, checksum.
+const END_MARKER: usize = 24;
+
 /// A small, representative trace: a data Ref first (the `bad-class` site
 /// targets its record), then a locked critical section and a busy spin.
 fn sample_trace(rng: &mut StdRng) -> Trace {
@@ -206,11 +211,25 @@ fn sample_trace(rng: &mut StdRng) -> Trace {
     t.take()
 }
 
-/// Serializes a trace; in-memory writes cannot fail, so a `None` here means
-/// the fixture itself is broken (reported as a skip by callers).
+/// A trace of exactly [`BLOCKS`]` × `[`BLOCK_EVENTS`] uniform events, so its
+/// encoding is [`BLOCKS`] byte-interchangeable full blocks (every record is
+/// 17 bytes; only the chunk index distinguishes equal-count blocks) plus the
+/// end marker.
+fn block_trace(rng: &mut StdRng) -> Trace {
+    let t = Tracer::new(rng.gen_range(0..4usize));
+    let base = dss_shmem::SHARED_BASE + rng.gen_range(0..1024u64) * 64;
+    for i in 0..(BLOCKS * BLOCK_EVENTS) as u64 {
+        t.read(base + i * 8, 8, DataClass::Data);
+    }
+    t.take()
+}
+
+/// Serializes a trace as a block stream; in-memory writes cannot fail, so a
+/// `None` here means the fixture itself is broken (reported as a skip by
+/// callers).
 fn encode(trace: &Trace) -> Option<Vec<u8>> {
     let mut buf = Vec::new();
-    write_trace(trace, &mut buf).ok()?;
+    write_trace_blocks(trace, &mut buf, BLOCK_EVENTS).ok()?;
     Some(buf)
 }
 
@@ -222,7 +241,7 @@ fn skipped(reason: &str) -> Outcome {
 
 /// Feeds corrupted bytes to the decoder and demands error kind `want`.
 fn classify_read(bytes: &[u8], want: &str) -> Outcome {
-    match read_trace(bytes) {
+    match read_trace_blocks(bytes) {
         Err(e) if e.kind() == want => Outcome::Detected {
             classification: e.kind().to_string(),
         },
@@ -241,7 +260,7 @@ fn classify_read(bytes: &[u8], want: &str) -> Outcome {
 /// Feeds corrupted bytes to the decoder; any structured error counts (the
 /// bit-flip site cannot know which field a random bit lands in).
 fn classify_read_any(bytes: &[u8]) -> Outcome {
-    match read_trace(bytes) {
+    match read_trace_blocks(bytes) {
         Err(e) => Outcome::Detected {
             classification: e.kind().to_string(),
         },
@@ -277,30 +296,33 @@ fn header_only(rng: &mut StdRng) -> Outcome {
     classify_read(&buf, "truncated")
 }
 
-/// The stream cut somewhere inside the event section.
+/// The stream cut somewhere inside the (single) block's event records.
 fn truncated_event(rng: &mut StdRng) -> Outcome {
-    let Some(mut buf) = encode(&sample_trace(rng)) else {
+    let trace = sample_trace(rng);
+    let Some(mut buf) = encode(&trace) else {
         return skipped("trace fixture failed to encode");
     };
-    let body_end = buf.len() - 8;
-    buf.truncate(rng.gen_range(24..body_end));
+    let records_end = FIRST_RECORD + trace.events.len() * 17;
+    buf.truncate(rng.gen_range(FIRST_RECORD..records_end));
     classify_read(&buf, "truncated")
 }
 
-/// The header promises more events than the stream carries.
+/// A block header promises more events than the stream carries: the end
+/// marker's zero count is bumped, so the reader looks for records where only
+/// the marker's checksum remains.
 fn count_overrun(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
-    let mut word = [0u8; 8];
-    word.copy_from_slice(&buf[16..24]);
-    let bumped = u64::from_le_bytes(word) + rng.gen_range(1..1000u64);
-    buf[16..24].copy_from_slice(&bumped.to_le_bytes());
+    let count = buf.len() - END_MARKER;
+    let bumped = rng.gen_range(1..1000u64);
+    buf[count..count + 8].copy_from_slice(&bumped.to_le_bytes());
     classify_read(&buf, "truncated")
 }
 
-/// One flipped bit anywhere after the magic — header, any event field, or
-/// the checksum itself. Whatever it hits must surface as *some* error.
+/// One flipped bit anywhere after the magic — stream or block header, any
+/// event field, a checksum, or the end marker. Whatever it hits must surface
+/// as *some* error.
 fn bit_flip(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
@@ -310,12 +332,14 @@ fn bit_flip(rng: &mut StdRng) -> Outcome {
     classify_read_any(&buf)
 }
 
-/// An impossible event tag in the first record.
+/// An impossible event tag in the first record. Records are validated as
+/// they decode, ahead of the block checksum, so this is `corrupt`, not a
+/// checksum mismatch.
 fn bad_tag(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
-    buf[24] = rng.gen_range(4..=255u8);
+    buf[FIRST_RECORD] = rng.gen_range(4..=255u8);
     classify_read(&buf, "corrupt")
 }
 
@@ -325,7 +349,7 @@ fn bad_class(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
-    let class_byte = 24 + 9;
+    let class_byte = FIRST_RECORD + 9;
     buf[class_byte] = (buf[class_byte] & 0x80) | rng.gen_range(10..=127u8);
     classify_read(&buf, "corrupt")
 }
@@ -335,82 +359,28 @@ fn bad_lock_class(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
-    buf[24 + 17 + 9] = rng.gen_range(3..=255u8);
+    buf[FIRST_RECORD + 17 + 9] = rng.gen_range(3..=255u8);
     classify_read(&buf, "corrupt")
 }
 
 // --- block stream sites -----------------------------------------------------
 
-/// Events per block in the block-stream fixtures: small enough that the
-/// fixture spans several blocks, fixed so block byte offsets are computable.
-const BLOCK_EVENTS: usize = 16;
-/// Number of full blocks the fixture encodes.
-const BLOCKS: usize = 4;
-/// Stream header size: magic, processor id, header checksum.
-const BLOCK_HEADER: usize = 24;
-/// Byte size of one full block: count, chunk index, 17-byte records,
-/// checksum.
-const BLOCK_SIZE: usize = 8 + 8 + BLOCK_EVENTS * 17 + 8;
-
-/// A trace of exactly [`BLOCKS`]` × `[`BLOCK_EVENTS`] uniform events, so the
-/// chunked encoding is [`BLOCKS`] byte-interchangeable full blocks (every
-/// record is 17 bytes; only the chunk index distinguishes equal-count
-/// blocks) plus the end marker.
-fn block_trace(rng: &mut StdRng) -> Trace {
-    let t = Tracer::new(rng.gen_range(0..4usize));
-    let base = dss_shmem::SHARED_BASE + rng.gen_range(0..1024u64) * 64;
-    for i in 0..(BLOCKS * BLOCK_EVENTS) as u64 {
-        t.read(base + i * 8, 8, DataClass::Data);
-    }
-    t.take()
-}
-
-/// Serializes a trace in the chunked block format; in-memory writes cannot
-/// fail, so `None` means the fixture itself is broken.
-fn encode_blocks(trace: &Trace) -> Option<Vec<u8>> {
-    let mut buf = Vec::new();
-    write_trace_blocks(trace, &mut buf, BLOCK_EVENTS).ok()?;
-    Some(buf)
-}
-
-/// Feeds a corrupted block stream to the block decoder and demands error
-/// kind `want`.
-fn classify_read_blocks(bytes: &[u8], want: &str) -> Outcome {
-    match read_trace_blocks(bytes) {
-        Err(e) if e.kind() == want => Outcome::Detected {
-            classification: e.kind().to_string(),
-        },
-        Err(e) => Outcome::Absorbed {
-            detail: format!(
-                "detected, but classified {:?} where {want:?} was demanded: {e}",
-                e.kind()
-            ),
-        },
-        Ok(t) => Outcome::Absorbed {
-            detail: format!(
-                "decoded {} events from a corrupt block stream",
-                t.events.len()
-            ),
-        },
-    }
-}
-
 /// The block stream cut anywhere past its header — inside a block's records,
 /// its checksum, a block header, or the end marker. Every such cut is a torn
 /// write the reader must classify as truncation.
 fn block_truncated(rng: &mut StdRng) -> Outcome {
-    let Some(mut buf) = encode_blocks(&block_trace(rng)) else {
+    let Some(mut buf) = encode(&block_trace(rng)) else {
         return skipped("block fixture failed to encode");
     };
     buf.truncate(rng.gen_range(BLOCK_HEADER..buf.len()));
-    classify_read_blocks(&buf, "truncated")
+    classify_read(&buf, "truncated")
 }
 
 /// Two whole blocks swapped in place — the shape a mis-seeded or mis-ordered
-/// parallel producer would emit. Every per-block checksum still verifies, so
+/// producer would emit. Every per-block checksum still verifies, so
 /// only the sequential chunk-index check can reveal the damage.
 fn block_chunk_swap(rng: &mut StdRng) -> Outcome {
-    let Some(mut buf) = encode_blocks(&block_trace(rng)) else {
+    let Some(mut buf) = encode(&block_trace(rng)) else {
         return skipped("block fixture failed to encode");
     };
     if buf.len() < BLOCK_HEADER + BLOCKS * BLOCK_SIZE {
@@ -424,92 +394,7 @@ fn block_chunk_swap(rng: &mut StdRng) -> Outcome {
             BLOCK_HEADER + j * BLOCK_SIZE + k,
         );
     }
-    classify_read_blocks(&buf, "corrupt")
-}
-
-// --- trace pipeline sites ---------------------------------------------------
-
-/// Demands a pipeline fault with the in-order invariant intact: nothing past
-/// the gap at `lost` may have been released when the sequencer rejected.
-fn classify_pipeline(e: TraceError, released: u64, lost: u64) -> Outcome {
-    if e.kind() != "pipeline" {
-        return Outcome::Absorbed {
-            detail: format!(
-                "detected, but classified {:?} where \"pipeline\" was demanded: {e}",
-                e.kind()
-            ),
-        };
-    }
-    if released != lost {
-        return Outcome::Absorbed {
-            detail: format!(
-                "classified as a pipeline fault, but {released} chunk(s) were released \
-                 across the gap at chunk {lost}"
-            ),
-        };
-    }
-    Outcome::Detected {
-        classification: e.kind().to_string(),
-    }
-}
-
-/// A block lost in flight between a producer worker and the simulator: the
-/// chunk sequencer must hold every later block back and classify the gap as
-/// a pipeline fault — when its reorder window fills for a mid-stream loss,
-/// or at the producer's end-of-stream count for a tail loss.
-fn pipeline_dropped_block(rng: &mut StdRng) -> Outcome {
-    let chunks = rng.gen_range(4..32u64);
-    let lost = rng.gen_range(0..chunks);
-    let events = sample_trace(rng).events;
-    let mut seq = ChunkSequencer::new(rng.gen_range(0..4usize), 4);
-    for chunk in (0..chunks).filter(|&c| c != lost) {
-        if let Err(e) = seq.accept(chunk, events.clone()) {
-            return classify_pipeline(e, seq.released(), lost);
-        }
-        while seq.pop_ready().is_some() {}
-    }
-    match seq.finish(chunks) {
-        Err(e) => classify_pipeline(e, seq.released(), lost),
-        Ok(()) => Outcome::Absorbed {
-            detail: format!(
-                "sequencer finished having released {} of {chunks} chunks with \
-                 chunk {lost} missing",
-                seq.released()
-            ),
-        },
-    }
-}
-
-/// A block replayed with a chunk index the sequencer already released — a
-/// duplicated channel delivery. Accepting it would feed the simulator the
-/// same events twice, so the sequencer must reject it as a pipeline fault.
-fn pipeline_replayed_chunk(rng: &mut StdRng) -> Outcome {
-    let chunks = rng.gen_range(2..16u64);
-    let events = sample_trace(rng).events;
-    let mut seq = ChunkSequencer::new(rng.gen_range(0..4usize), 8);
-    for chunk in 0..chunks {
-        if seq.accept(chunk, events.clone()).is_err() {
-            return skipped("healthy in-order delivery was rejected");
-        }
-        while seq.pop_ready().is_some() {}
-    }
-    let replay = rng.gen_range(0..chunks);
-    match seq.accept(replay, events.clone()) {
-        Err(e) if e.kind() == "pipeline" => Outcome::Detected {
-            classification: e.kind().to_string(),
-        },
-        Err(e) => Outcome::Absorbed {
-            detail: format!(
-                "detected, but classified {:?} where \"pipeline\" was demanded: {e}",
-                e.kind()
-            ),
-        },
-        Ok(()) => Outcome::Absorbed {
-            detail: format!(
-                "replayed chunk {replay} was accepted after all {chunks} chunks released"
-            ),
-        },
-    }
+    classify_read(&buf, "corrupt")
 }
 
 // --- trace semantics sites --------------------------------------------------

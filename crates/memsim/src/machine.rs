@@ -17,8 +17,9 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::convert::Infallible;
 
-use dss_trace::{DataClass, Event, Trace, TraceError, TraceSource};
+use dss_trace::{DataClass, Event, EventStream, Trace, TraceError, TraceSource};
 
 use crate::cache::{Cache, LineState};
 use crate::config::MachineConfig;
@@ -63,7 +64,7 @@ pub struct Machine {
     /// linear scan over a small vector beats hashing on the lock path and
     /// keeps the hot loop free of hashed containers.
     locks: Vec<(u64, usize)>,
-    /// Reusable per-processor run state. Hoisted out of [`Machine::run`] so
+    /// Reusable per-processor run state. Hoisted out of the replay loop so
     /// that, once a run has grown these buffers, subsequent runs (through
     /// [`Machine::run_into`]) never touch the heap — the steady-state
     /// property `dss-check alloc` measures.
@@ -74,7 +75,7 @@ pub struct Machine {
     /// streaming run replays one block per processor at a time, refilling
     /// these in place, so peak memory stays bounded by the block size — not
     /// the trace length — and steady-state streaming runs stay heap-quiet.
-    blocks: Vec<Trace>,
+    blocks: Vec<Vec<Event>>,
     /// When armed (test-only `alloc-probe` feature), every simulated event
     /// performs one deliberate heap allocation so the allocation audit's
     /// negative test can prove the gate fires.
@@ -131,6 +132,93 @@ impl ProcScratch {
     fn charge_mem(&mut self, class: DataClass, cycles: u64) {
         self.stats.mem_stall += cycles;
         self.stats.stall_by_class[class_index(class)] += cycles;
+    }
+}
+
+/// The per-processor block cursors of one run: for each processor, the block
+/// of events being replayed and how to replace it once it is exhausted. The
+/// replay loop is generic over this, so whole in-memory traces and streamed
+/// block files share one scheduler.
+trait BlockCursors {
+    /// How a refill can fail.
+    type Error;
+
+    /// Number of processors with a trace.
+    fn len(&self) -> usize;
+
+    /// The simulated processor cursor `i` belongs to.
+    fn proc_id(&self, i: usize) -> usize;
+
+    /// Cursor `i`'s current block.
+    fn block(&self, i: usize) -> &[Event];
+
+    /// Replaces cursor `i`'s exhausted block with its next one. `false`
+    /// means the trace has ended (and the current block is unchanged or
+    /// empty).
+    fn refill(&mut self, i: usize) -> Result<bool, Self::Error>;
+}
+
+/// Moves processor `i` onto its next block, if there is one.
+fn advance<C: BlockCursors>(
+    cursors: &mut C,
+    i: usize,
+    rp: &mut ProcScratch,
+) -> Result<bool, C::Error> {
+    let more = cursors.refill(i)?;
+    if more {
+        rp.pos = 0;
+    }
+    Ok(more)
+}
+
+/// Materialized traces, borrowed: each trace is its own single block, so a
+/// run copies nothing and allocates nothing.
+struct WholeTraces<'a>(&'a [Trace]);
+
+impl BlockCursors for WholeTraces<'_> {
+    type Error = Infallible;
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn proc_id(&self, i: usize) -> usize {
+        self.0[i].proc_id
+    }
+
+    fn block(&self, i: usize) -> &[Event] {
+        &self.0[i].events
+    }
+
+    fn refill(&mut self, _i: usize) -> Result<bool, Infallible> {
+        Ok(false)
+    }
+}
+
+/// Open event streams, each refilling one of the machine's reusable block
+/// buffers in place.
+struct StreamBlocks<'a> {
+    streams: Vec<Box<dyn EventStream + 'a>>,
+    blocks: Vec<Vec<Event>>,
+}
+
+impl BlockCursors for StreamBlocks<'_> {
+    type Error = TraceError;
+
+    fn len(&self) -> usize {
+        self.streams.len()
+    }
+
+    fn proc_id(&self, i: usize) -> usize {
+        self.streams[i].proc_id()
+    }
+
+    fn block(&self, i: usize) -> &[Event] {
+        &self.blocks[i]
+    }
+
+    fn refill(&mut self, i: usize) -> Result<bool, TraceError> {
+        Ok(self.streams[i].next_block(&mut self.blocks[i])? > 0)
     }
 }
 
@@ -204,106 +292,31 @@ impl Machine {
 
     /// [`Machine::run`] into a caller-owned [`SimStats`], overwriting it.
     ///
-    /// This is the allocation-free form: all per-run state lives in buffers
-    /// the machine reuses between runs, so once one run has grown them (and
-    /// the caches' lazily paged tables have seen the trace's address
-    /// footprint), subsequent runs perform **zero** heap allocations —
-    /// `dss-check alloc` measures exactly this with a counting allocator.
-    /// [`Machine::run`] is a convenience wrapper that allocates one fresh
-    /// `SimStats` per call.
+    /// This is the allocation-free form: the traces are replayed in place
+    /// (no copy) and all per-run state lives in buffers the machine reuses
+    /// between runs, so once one run has grown them (and the caches' lazily
+    /// paged tables have seen the trace's address footprint), subsequent
+    /// runs perform **zero** heap allocations — `dss-check alloc` measures
+    /// exactly this with a counting allocator. [`Machine::run`] is a
+    /// convenience wrapper that allocates one fresh `SimStats` per call.
     ///
     /// # Panics
     ///
     /// As [`Machine::run`].
     pub fn run_into(&mut self, traces: &[Trace], out: &mut SimStats) {
-        assert!(
-            traces.len() <= self.cfg.nprocs,
-            "more traces than processors"
-        );
-        self.locks.clear();
-        // Move the reusable buffers out of `self` so the run loop can borrow
-        // them mutably alongside `&mut self`; they go back at the end.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        while scratch.len() < traces.len() {
-            scratch.push(ProcScratch::default());
+        match self.replay(&mut WholeTraces(traces), out) {
+            Ok(()) => {}
+            Err(never) => match never {},
         }
-        let mut seen: u128 = 0;
-        for (rp, t) in scratch.iter_mut().zip(traces) {
-            assert!(
-                t.proc_id < self.cfg.nprocs,
-                "trace for processor {} on a {}-processor machine",
-                t.proc_id,
-                self.cfg.nprocs
-            );
-            assert!(
-                seen & (1 << t.proc_id) == 0,
-                "two traces for processor {}",
-                t.proc_id
-            );
-            seen |= 1 << t.proc_id;
-            rp.reset(t.proc_id);
-            // The write buffer never holds more than `cfg.write_buffer`
-            // entries (overflow stalls instead), but warm-cache timing can
-            // fill it deeper than the cold first run did — reserve the full
-            // bound now so later runs never grow it mid-loop.
-            rp.wb.reserve(self.cfg.write_buffer);
-        }
-        let mut l1s = LevelStats::default();
-        let mut l2s = LevelStats::default();
-
-        // Deterministic interleave: the unfinished processor with the
-        // smallest clock (ties by position) executes its next event. Each
-        // live processor has exactly one heap entry, re-keyed after its step,
-        // so pop order reproduces the former full scan exactly. A lone trace
-        // needs no arbitration at all.
-        if let ([rp], [trace]) = (&mut scratch[..traces.len()], traces) {
-            let node = rp.node;
-            while rp.pos < trace.events.len() {
-                self.step(node, trace, rp, &mut l1s, &mut l2s);
-            }
-        } else {
-            let mut ready = std::mem::take(&mut self.ready);
-            ready.clear();
-            for (i, (rp, trace)) in scratch.iter().zip(traces).enumerate() {
-                if rp.pos < trace.events.len() {
-                    ready.push(Reverse((rp.clock, i)));
-                }
-            }
-            while let Some(Reverse((_, i))) = ready.pop() {
-                let rp = &mut scratch[i];
-                let trace = &traces[i];
-                let node = rp.node;
-                self.step(node, trace, rp, &mut l1s, &mut l2s);
-                if rp.pos < trace.events.len() {
-                    ready.push(Reverse((rp.clock, i)));
-                }
-            }
-            self.ready = ready;
-        }
-
-        out.procs.clear();
-        out.procs.resize(self.cfg.nprocs, ProcStats::default());
-        for rp in &mut scratch[..traces.len()] {
-            // Drain the write buffer into the final time.
-            if let Some(&(_, complete)) = rp.wb.back() {
-                rp.clock = rp.clock.max(complete);
-            }
-            rp.stats.cycles = rp.clock;
-            out.procs[rp.node] = rp.stats;
-        }
-        out.l1 = l1s;
-        out.l2 = l2s;
-        out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
-        out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
-        self.scratch = scratch;
     }
 
     /// Runs a streaming [`TraceSource`] to completion: each processor's
     /// events are consumed one block at a time, so peak memory is bounded by
     /// the block size regardless of trace length. Identical in every
     /// simulated respect to materializing the source and calling
-    /// [`Machine::run`] — block boundaries carry no timing — which the
-    /// equivalence tests pin bit-for-bit.
+    /// [`Machine::run`] — both drive the same replay loop, and block
+    /// boundaries carry no timing — which the equivalence tests pin
+    /// bit-for-bit.
     ///
     /// # Errors
     ///
@@ -315,108 +328,118 @@ impl Machine {
     ///
     /// As [`Machine::run`].
     pub fn run_source(&mut self, src: &dyn TraceSource) -> Result<SimStats, TraceError> {
+        let streams = src.open()?;
+        let mut blocks = std::mem::take(&mut self.blocks);
+        blocks.resize_with(blocks.len().max(streams.len()), Vec::new);
+        blocks.iter_mut().for_each(Vec::clear);
+        let mut cursors = StreamBlocks { streams, blocks };
         let mut stats = SimStats::default();
-        self.run_source_into(src, &mut stats)?;
-        Ok(stats)
+        let result = self.replay(&mut cursors, &mut stats);
+        self.blocks = cursors.blocks;
+        result.map(|()| stats)
     }
 
-    /// [`Machine::run_source`] into a caller-owned [`SimStats`], overwriting
-    /// it — the buffer-reusing form, like [`Machine::run_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::run_source`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::run`].
-    pub fn run_source_into(
+    /// The one replay loop: interleaves the processors' events by simulated
+    /// time, whichever kind of block cursor delivers them.
+    fn replay<C: BlockCursors>(
         &mut self,
-        src: &dyn TraceSource,
+        cursors: &mut C,
         out: &mut SimStats,
-    ) -> Result<(), TraceError> {
-        let mut streams = src.open()?;
-        let n = streams.len();
-        assert!(n <= self.cfg.nprocs, "more streams than processors");
+    ) -> Result<(), C::Error> {
+        let n = cursors.len();
+        assert!(n <= self.cfg.nprocs, "more traces than processors");
         self.locks.clear();
+        // Move the reusable buffers out of `self` so the loop can borrow them
+        // mutably alongside `&mut self`; they go back at the end, whether or
+        // not a cursor failed mid-stream.
         let mut scratch = std::mem::take(&mut self.scratch);
         while scratch.len() < n {
             scratch.push(ProcScratch::default());
         }
-        let mut blocks = std::mem::take(&mut self.blocks);
-        while blocks.len() < n {
-            blocks.push(Trace::default());
+        let mut seen: u128 = 0;
+        for (i, rp) in scratch[..n].iter_mut().enumerate() {
+            let proc_id = cursors.proc_id(i);
+            assert!(
+                proc_id < self.cfg.nprocs,
+                "trace for processor {} on a {}-processor machine",
+                proc_id,
+                self.cfg.nprocs
+            );
+            assert!(
+                seen & (1 << proc_id) == 0,
+                "two traces for processor {proc_id}"
+            );
+            seen |= 1 << proc_id;
+            rp.reset(proc_id);
+            // The write buffer never holds more than `cfg.write_buffer`
+            // entries (overflow stalls instead), but warm-cache timing can
+            // fill it deeper than the cold first run did — reserve the full
+            // bound now so later runs never grow it mid-loop.
+            rp.wb.reserve(self.cfg.write_buffer);
         }
         let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
         let mut l1s = LevelStats::default();
         let mut l2s = LevelStats::default();
-
-        // The replay loop proper, in a closure so an early stream error can
-        // still hand the reusable buffers back to the machine below.
-        let result = (|| -> Result<(), TraceError> {
-            let mut seen: u128 = 0;
-            for i in 0..n {
-                let proc_id = streams[i].proc_id();
-                assert!(
-                    proc_id < self.cfg.nprocs,
-                    "stream for processor {} on a {}-processor machine",
-                    proc_id,
-                    self.cfg.nprocs
-                );
-                assert!(
-                    seen & (1 << proc_id) == 0,
-                    "two streams for processor {proc_id}"
-                );
-                seen |= 1 << proc_id;
-                let rp = &mut scratch[i];
-                rp.reset(proc_id);
-                rp.wb.reserve(self.cfg.write_buffer);
-                blocks[i].proc_id = proc_id;
-                if streams[i].next_block(&mut blocks[i].events)? > 0 {
-                    ready.push(Reverse((rp.clock, i)));
-                }
-            }
-            // Same deterministic interleave as `run_into`: block boundaries
-            // only decide when a refill happens, never who steps next.
-            while let Some(Reverse((_, i))) = ready.pop() {
-                let rp = &mut scratch[i];
-                let node = rp.node;
-                self.step(node, &blocks[i], rp, &mut l1s, &mut l2s);
-                let rp = &mut scratch[i];
-                if rp.pos == blocks[i].events.len()
-                    && streams[i].next_block(&mut blocks[i].events)? > 0
-                {
-                    rp.pos = 0;
-                }
-                if rp.pos < blocks[i].events.len() {
-                    ready.push(Reverse((rp.clock, i)));
-                }
-            }
-            Ok(())
-        })();
+        let result = self.interleave(cursors, &mut scratch[..n], &mut ready, &mut l1s, &mut l2s);
+        // A failed cursor leaves the other processors queued; the heap goes
+        // back empty either way.
         ready.clear();
         self.ready = ready;
-        self.blocks = blocks;
-        if result.is_err() {
-            self.scratch = scratch;
-            return result;
-        }
 
-        out.procs.clear();
-        out.procs.resize(self.cfg.nprocs, ProcStats::default());
-        for rp in &mut scratch[..n] {
-            if let Some(&(_, complete)) = rp.wb.back() {
-                rp.clock = rp.clock.max(complete);
+        if result.is_ok() {
+            out.procs.clear();
+            out.procs.resize(self.cfg.nprocs, ProcStats::default());
+            for rp in &mut scratch[..n] {
+                // Drain the write buffer into the final time.
+                if let Some(&(_, complete)) = rp.wb.back() {
+                    rp.clock = rp.clock.max(complete);
+                }
+                rp.stats.cycles = rp.clock;
+                out.procs[rp.node] = rp.stats;
             }
-            rp.stats.cycles = rp.clock;
-            out.procs[rp.node] = rp.stats;
+            out.l1 = l1s;
+            out.l2 = l2s;
+            out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
+            out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
         }
-        out.l1 = l1s;
-        out.l2 = l2s;
-        out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
-        out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
         self.scratch = scratch;
+        result
+    }
+
+    /// Deterministic interleave: the unfinished processor with the smallest
+    /// clock (ties by position) executes its next event. Each live processor
+    /// has exactly one heap entry, re-keyed after its step, so pop order
+    /// reproduces a full scan exactly; block boundaries only decide when a
+    /// refill happens, never who steps next.
+    fn interleave<C: BlockCursors>(
+        &mut self,
+        cursors: &mut C,
+        scratch: &mut [ProcScratch],
+        ready: &mut BinaryHeap<Reverse<(u64, usize)>>,
+        l1s: &mut LevelStats,
+        l2s: &mut LevelStats,
+    ) -> Result<(), C::Error> {
+        // A lone trace needs no arbitration at all.
+        if let [rp] = scratch {
+            let node = rp.node;
+            while rp.pos < cursors.block(0).len() || advance(cursors, 0, rp)? {
+                self.step(node, cursors.block(0), rp, l1s, l2s);
+            }
+            return Ok(());
+        }
+        for (i, rp) in scratch.iter_mut().enumerate() {
+            if !cursors.block(i).is_empty() || advance(cursors, i, rp)? {
+                ready.push(Reverse((rp.clock, i)));
+            }
+        }
+        while let Some(Reverse((_, i))) = ready.pop() {
+            let rp = &mut scratch[i];
+            let node = rp.node;
+            self.step(node, cursors.block(i), rp, l1s, l2s);
+            if rp.pos < cursors.block(i).len() || advance(cursors, i, rp)? {
+                ready.push(Reverse((rp.clock, i)));
+            }
+        }
         Ok(())
     }
 
@@ -437,7 +460,7 @@ impl Machine {
     fn step(
         &mut self,
         p: usize,
-        trace: &Trace,
+        block: &[Event],
         rp: &mut ProcScratch,
         l1s: &mut LevelStats,
         l2s: &mut LevelStats,
@@ -449,7 +472,7 @@ impl Machine {
             let probe: Vec<u64> = Vec::with_capacity(1);
             std::hint::black_box(&probe);
         }
-        let event = trace.events[rp.pos];
+        let event = block[rp.pos];
         match event {
             Event::Busy(n) => {
                 rp.clock += n as u64;
@@ -1238,38 +1261,80 @@ mod tests {
     }
 
     #[test]
-    fn run_source_surfaces_stream_errors() {
+    fn lone_trace_needs_no_arbitration() {
+        let traces = contended_traces(1);
+        let mut whole = machine();
+        let mut chopped = machine();
+        let stats = whole.run(&traces);
+        let streamed = chopped
+            .run_source(&Chopped {
+                traces: &traces,
+                block: 7,
+            })
+            .expect("in-memory source cannot fail");
+        assert_eq!(stats, streamed);
+        assert_eq!(
+            (whole.ready.capacity(), chopped.ready.capacity()),
+            (0, 0),
+            "the scheduler heap was never touched"
+        );
+    }
+
+    #[test]
+    fn mid_stream_error_hands_the_buffers_back() {
+        /// Two processors' streams: one healthy block of busy time each, then
+        /// a truncation.
         struct Broken;
-        struct BrokenStream;
+        struct BrokenStream {
+            proc_id: usize,
+            served: bool,
+        }
         impl dss_trace::EventStream for BrokenStream {
             fn proc_id(&self) -> usize {
-                0
+                self.proc_id
             }
-            fn next_block(&mut self, _buf: &mut Vec<Event>) -> Result<usize, TraceError> {
-                Err(TraceError::Truncated {
-                    offset: 42,
-                    expected: "event record",
-                    event: None,
-                })
+            fn next_block(&mut self, buf: &mut Vec<Event>) -> Result<usize, TraceError> {
+                buf.clear();
+                if std::mem::replace(&mut self.served, true) {
+                    return Err(TraceError::Truncated {
+                        offset: 42,
+                        expected: "event record",
+                        event: None,
+                    });
+                }
+                buf.extend([Event::Busy(5); 3]);
+                Ok(3)
             }
         }
         impl TraceSource for Broken {
             fn nprocs(&self) -> usize {
-                1
+                2
             }
             fn open(&self) -> Result<Vec<Box<dyn dss_trace::EventStream + '_>>, TraceError> {
-                Ok(vec![Box::new(BrokenStream)])
+                Ok((0..2)
+                    .map(|proc_id| {
+                        Box::new(BrokenStream {
+                            proc_id,
+                            served: false,
+                        }) as Box<dyn dss_trace::EventStream>
+                    })
+                    .collect())
             }
         }
         let mut m = machine();
         let err = m.run_source(&Broken).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), "truncated");
+        assert_eq!(
+            (m.scratch.len(), m.blocks.len(), m.ready.len()),
+            (2, 2, 0),
+            "run state and block buffers are back, the scheduler is empty"
+        );
         // The machine is still usable for a fresh run afterwards.
-        let traces = contended_traces(1);
+        let traces = contended_traces(2);
         assert_eq!(
             Machine::new(MachineConfig::baseline()).run(&traces),
             m.run(&traces),
-            "post-error machine had cold caches (no events were replayed)"
+            "post-error machine had cold caches (only busy time was replayed)"
         );
     }
 }

@@ -1,37 +1,37 @@
-//! Compact binary serialization of traces.
+//! Compact binary serialization of traces: the chunked block format.
 //!
 //! Traces run to millions of events; this fixed-width little-endian format
 //! lets a workload be traced once and re-simulated elsewhere (the same
-//! workflow as saving an execution-driven simulator's address trace). No
-//! external dependencies: the format is eight bytes of magic, sixteen bytes
-//! of header, 17 bytes per event, and a trailing FNV-1a checksum of
-//! everything after the magic — so a single flipped bit anywhere in the file
-//! is *detected* instead of silently replayed as a different workload.
+//! workflow as saving an execution-driven simulator's address trace), a
+//! block at a time in bounded memory. No external dependencies: a stream is
+//! eight bytes of magic and a checksummed sixteen-byte header, then blocks of
+//! 17-byte event records, each block carrying its sequential chunk index and
+//! an FNV-1a checksum — so a single flipped bit anywhere in the file, or a
+//! block out of order, is *detected* instead of silently replayed as a
+//! different workload.
 //!
 //! Failures never panic: malformed or truncated input comes back as a
 //! structured [`TraceError`] carrying the byte offset (and, for event-level
-//! failures, the event index) where decoding stopped, and the
-//! [`read_trace_file`] / [`write_trace_file`] helpers wrap the file path, so
-//! a bad trace on disk is diagnosable from the error alone. File writes go
-//! through a write-temp-then-rename protocol, so a killed writer never
-//! leaves a torn trace at the destination path.
+//! failures, the event index) where decoding stopped, and the file-level
+//! readers ([`salvage_scan_file`], [`crate::FileTraceSource`]) wrap the file
+//! path, so a bad trace on disk is diagnosable from the error alone. A stream
+//! ends with an explicit marker, so a killed writer leaves a file that reads
+//! back as truncated and that [`salvage_scan`] can cut to its last valid
+//! block.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::{DataClass, Event, LockClass, LockToken, MemRef, Trace};
 
-/// Format magic. `02` added the trailing whole-file checksum.
-const MAGIC: &[u8; 8] = b"DSSTRC02";
-
-/// Magic of the chunked block format: a stream header followed by
-/// independently checksummed event blocks, so a trace can be produced and
-/// consumed incrementally with bounded memory.
+/// Format magic: a stream header followed by independently checksummed event
+/// blocks, so a trace can be produced and consumed incrementally with bounded
+/// memory.
 const BLOCK_MAGIC: &[u8; 8] = b"DSSTRB01";
 
-/// FNV-1a 64-bit offset basis / prime, the checksum of the trace body.
+/// FNV-1a 64-bit offset basis / prime, the checksum of header and blocks.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -77,8 +77,9 @@ pub enum TraceError {
         /// What was wrong with the record.
         what: String,
     },
-    /// Every record decoded, but the trailing checksum does not match the
-    /// bytes read — some bit of the file changed since it was written.
+    /// Every record decoded, but the header's or block's checksum does not
+    /// match the bytes read — some bit of the file changed since it was
+    /// written.
     ChecksumMismatch {
         /// The checksum stored in the file.
         stored: u64,
@@ -99,16 +100,6 @@ pub enum TraceError {
         /// The underlying failure.
         source: Box<TraceError>,
     },
-    /// The pipelined delivery path itself failed: a producer worker died,
-    /// disconnected mid-stream, or violated the in-order chunk contract
-    /// (dropped or replayed a block). Distinct from the codec errors above —
-    /// the bytes on disk may be fine; the hand-off between threads was not.
-    Pipeline {
-        /// The simulated processor whose stream the failure concerned.
-        proc_id: usize,
-        /// What the pipeline did wrong.
-        what: String,
-    },
 }
 
 impl TraceError {
@@ -123,7 +114,6 @@ impl TraceError {
             TraceError::ChecksumMismatch { .. } => "checksum-mismatch",
             TraceError::Io { .. } => "io",
             TraceError::InFile { source, .. } => source.kind(),
-            TraceError::Pipeline { .. } => "pipeline",
         }
     }
 }
@@ -173,9 +163,6 @@ impl fmt::Display for TraceError {
                 write!(f, "I/O error at byte offset {offset}: {source}")
             }
             TraceError::InFile { path, source } => write!(f, "{}: {source}", path.display()),
-            TraceError::Pipeline { proc_id, what } => {
-                write!(f, "trace pipeline failed for processor {proc_id}: {what}")
-            }
         }
     }
 }
@@ -206,26 +193,6 @@ impl From<TraceError> for io::Error {
     }
 }
 
-/// Writes `trace` in the binary format (magic, header, events, checksum).
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    let mut hash = FNV_OFFSET;
-    let mut put = |w: &mut W, bytes: &[u8]| -> io::Result<()> {
-        hash = fnv1a(hash, bytes);
-        w.write_all(bytes)
-    };
-    put(&mut w, &(trace.proc_id as u64).to_le_bytes())?;
-    put(&mut w, &(trace.events.len() as u64).to_le_bytes())?;
-    for event in &trace.events {
-        put(&mut w, &encode_event(event))?;
-    }
-    w.write_all(&hash.to_le_bytes())
-}
-
 /// Encodes one event as its 17-byte wire record.
 fn encode_event(event: &Event) -> [u8; 17] {
     let (tag, a, b): (u8, u64, u64) = match event {
@@ -244,43 +211,6 @@ fn encode_event(event: &Event) -> [u8; 17] {
     record
 }
 
-/// Writes `trace` to the file at `path` atomically: the bytes land in a
-/// temporary sibling file which is renamed over `path` only once fully
-/// written and flushed, so a crash mid-write never leaves a torn trace.
-///
-/// # Errors
-///
-/// As [`write_trace`], with the file path prepended to the error message.
-pub fn write_trace_file(trace: &Trace, path: &Path) -> io::Result<()> {
-    let run = || -> io::Result<()> {
-        let tmp = tmp_sibling(path);
-        let result = (|| {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            write_trace(trace, &mut w)?;
-            w.flush()?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
-    };
-    run().map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
-}
-
-/// Names a temporary sibling of `path` in the same directory (renames across
-/// filesystems are not atomic, so the temp file must live next to its
-/// destination). The process id keeps concurrent writers apart.
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(format!(".tmp.{}", std::process::id()));
-    path.with_file_name(name)
-}
-
 /// An incremental writer for the chunked block format ([`BLOCK_MAGIC`]).
 ///
 /// The stream is a header (magic, processor id, header checksum) followed by
@@ -294,9 +224,9 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 /// reordered, duplicated, or mis-seeded chunks (e.g. from a buggy parallel
 /// producer) as corruption instead of replaying a scrambled workload. A
 /// zero-count block terminates the stream; a stream cut before that marker
-/// is reported as truncated. Unlike [`write_trace`], nothing about the
-/// stream's total length is promised up front, so a producer can emit blocks
-/// as it generates them and never hold more than one block in memory.
+/// is reported as truncated. Nothing about the stream's total length is
+/// promised up front, so a producer can emit blocks as it generates them and
+/// never hold more than one block in memory.
 pub struct BlockWriter<W: Write> {
     w: W,
     next_chunk: u64,
@@ -410,8 +340,7 @@ impl<R: Read> BlockReader<R> {
     ///
     /// # Errors
     ///
-    /// [`TraceError::BadMagic`] for a foreign stream (including the
-    /// whole-trace [`write_trace`] format), [`TraceError::Truncated`] /
+    /// [`TraceError::BadMagic`] for a foreign stream, [`TraceError::Truncated`] /
     /// [`TraceError::Io`] when the header cannot be read, and
     /// [`TraceError::ChecksumMismatch`] when the header checksum fails.
     pub fn new(r: R) -> Result<Self, TraceError> {
@@ -510,7 +439,7 @@ impl<R: Read> BlockReader<R> {
 }
 
 /// Writes `trace` as a block stream with at most `block_events` events per
-/// block — the streaming counterpart of [`write_trace`].
+/// block.
 ///
 /// # Errors
 ///
@@ -676,67 +605,6 @@ impl<R: Read> CountingReader<R> {
     }
 }
 
-/// Reads a trace written by [`write_trace`].
-///
-/// # Errors
-///
-/// Returns a structured [`TraceError`]: [`TraceError::BadMagic`] for a
-/// foreign file, [`TraceError::Truncated`] when the stream ends early
-/// (including empty and header-only inputs), [`TraceError::Corrupt`] for
-/// impossible record values, and [`TraceError::ChecksumMismatch`] when the
-/// decoded bytes do not hash to the stored checksum. Every error names the
-/// byte offset the decoder had reached, and event-level errors also name the
-/// event index.
-pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceError> {
-    let mut r = CountingReader {
-        inner: r,
-        offset: 0,
-        hash: FNV_OFFSET,
-        hashing: false,
-    };
-    let mut magic = [0u8; 8];
-    r.fill(&mut magic, "trace magic", None)?;
-    if &magic != MAGIC {
-        return Err(TraceError::BadMagic { found: magic });
-    }
-    r.hashing = true;
-    let mut word = [0u8; 8];
-    r.fill(&mut word, "trace header", None)?;
-    let proc_id = u64::from_le_bytes(word) as usize;
-    r.fill(&mut word, "trace header", None)?;
-    let n = u64::from_le_bytes(word) as usize;
-    let mut events = Vec::with_capacity(n.min(1 << 24));
-    let mut record = [0u8; 17];
-    for i in 0..n {
-        let start = r.fill(&mut record, "event record", Some((i, n)))?;
-        events.push(decode_event(&record, start, (i, n))?);
-    }
-    r.hashing = false;
-    let computed = r.hash;
-    r.fill(&mut word, "trace checksum", None)?;
-    let stored = u64::from_le_bytes(word);
-    if stored != computed {
-        return Err(TraceError::ChecksumMismatch { stored, computed });
-    }
-    Ok(Trace { proc_id, events })
-}
-
-/// Reads the trace stored in the file at `path`.
-///
-/// # Errors
-///
-/// As [`read_trace`], wrapped in [`TraceError::InFile`] naming the path.
-pub fn read_trace_file(path: &Path) -> Result<Trace, TraceError> {
-    let run = || -> Result<Trace, TraceError> {
-        let file = File::open(path).map_err(|source| TraceError::Io { offset: 0, source })?;
-        read_trace(BufReader::new(file))
-    };
-    run().map_err(|e| TraceError::InFile {
-        path: path.to_path_buf(),
-        source: Box::new(e),
-    })
-}
-
 /// Decodes one 17-byte event record beginning at byte `offset`.
 fn decode_event(
     record: &[u8; 17],
@@ -832,16 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_everything() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).expect("in-memory write");
-        let back = read_trace(buf.as_slice()).expect("read back");
-        assert_eq!(back, trace);
-        assert_eq!(back.proc_id, 3);
-    }
-
-    #[test]
     fn every_class_roundtrips() {
         let t = Tracer::new(0);
         for (i, class) in DataClass::ALL.iter().enumerate() {
@@ -849,8 +707,8 @@ mod tests {
         }
         let trace = t.take();
         let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        assert_eq!(read_trace(buf.as_slice()).unwrap(), trace);
+        write_trace_blocks(&trace, &mut buf, 4).unwrap();
+        assert_eq!(read_trace_blocks(buf.as_slice()).unwrap(), trace);
     }
 
     #[test]
@@ -862,158 +720,46 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = read_trace(&b"NOTATRCE"[..]).unwrap_err();
+        let err = read_trace_blocks(&b"NOTATRCE"[..]).unwrap_err();
         assert!(matches!(err, TraceError::BadMagic { .. }), "{err}");
         assert_eq!(err.kind(), "bad-magic");
-        // An old-format (pre-checksum) trace is also refused up front.
-        let err = read_trace(&b"DSSTRC01"[..]).unwrap_err();
-        assert!(matches!(err, TraceError::BadMagic { .. }), "{err}");
     }
 
     #[test]
-    fn empty_input_reports_truncation_at_offset_zero() {
-        let err = read_trace(&b""[..]).unwrap_err();
-        match err {
-            TraceError::Truncated { offset, event, .. } => {
-                assert_eq!(offset, 0);
-                assert_eq!(event, None);
-            }
-            other => panic!("expected Truncated, got {other}"),
-        }
-    }
-
-    #[test]
-    fn header_only_input_reports_truncation() {
-        // Magic plus a partial header: the classic "file created, write
-        // interrupted" shape.
+    fn missing_block_checksum_is_truncation() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&3u64.to_le_bytes()[..4]);
-        let err = read_trace(buf.as_slice()).unwrap_err();
+        write_trace_blocks(&sample(), &mut buf, 100).unwrap();
+        buf.truncate(buf.len() - 24 - 8); // end marker, then the block's checksum
+        let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         match err {
-            TraceError::Truncated {
-                offset,
-                expected,
-                event,
-            } => {
-                assert_eq!(offset, 8);
-                assert_eq!(expected, "trace header");
-                assert_eq!(event, None);
-            }
+            TraceError::Truncated { expected, .. } => assert_eq!(expected, "block checksum"),
             other => panic!("expected Truncated, got {other}"),
-        }
-    }
-
-    #[test]
-    fn truncated_input_reports_event_and_offset() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        // Cut inside the final event record (past it sit 8 checksum bytes).
-        buf.truncate(buf.len() - 8 - 3);
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        let last = trace.events.len() - 1;
-        let start = (24 + 17 * last) as u64;
-        match err {
-            TraceError::Truncated { offset, event, .. } => {
-                assert_eq!(offset, start);
-                assert_eq!(event, Some((last, trace.events.len())));
-            }
-            other => panic!("expected Truncated, got {other}"),
-        }
-    }
-
-    #[test]
-    fn missing_checksum_is_truncation() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 8);
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        match err {
-            TraceError::Truncated { expected, .. } => assert_eq!(expected, "trace checksum"),
-            other => panic!("expected Truncated, got {other}"),
-        }
-    }
-
-    #[test]
-    fn any_flipped_payload_bit_is_detected() {
-        let trace = sample();
-        let mut clean = Vec::new();
-        write_trace(&trace, &mut clean).unwrap();
-        // Flip one bit at every byte position after the magic: each flip must
-        // surface as *some* classified error — never a silently different
-        // trace.
-        for pos in 8..clean.len() {
-            let mut buf = clean.clone();
-            buf[pos] ^= 1 << (pos % 8);
-            match read_trace(buf.as_slice()) {
-                Err(_) => {}
-                Ok(t) => panic!(
-                    "flip at byte {pos} silently decoded {} events",
-                    t.events.len()
-                ),
-            }
         }
     }
 
     #[test]
     fn bad_event_tag_is_rejected() {
         let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        // Corrupt the first event's tag byte (offset 24).
-        buf[24] = 9;
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        // The tag error is reported before the checksum is reached.
+        write_trace_blocks(&sample(), &mut buf, 3).unwrap();
+        // Corrupt the first event's tag byte (stream header, block header).
+        buf[24 + 16] = 9;
+        let err = read_trace_blocks(buf.as_slice()).unwrap_err();
+        // The tag error is reported before the block checksum is reached.
         match &err {
             TraceError::Corrupt { what, event, .. } => {
                 assert!(what.contains("unknown event tag 9"), "{err}");
-                assert_eq!(*event, Some((0, sample().events.len())));
+                assert_eq!(*event, Some((0, 3)));
             }
             other => panic!("expected Corrupt, got {other}"),
         }
     }
 
     #[test]
-    fn truncated_header_is_located() {
-        let err = read_trace(&MAGIC[..]).unwrap_err();
-        assert!(
-            err.to_string().contains("byte offset 8"),
-            "offset named: {err}"
-        );
-        assert_eq!(err.kind(), "truncated");
-    }
-
-    #[test]
-    fn file_roundtrip_and_error_name_the_path() {
-        let dir = std::env::temp_dir().join("dss-trace-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("q.trace");
-        let trace = sample();
-        write_trace_file(&trace, &path).unwrap();
-        assert_eq!(read_trace_file(&path).unwrap(), trace);
-        // The atomic-write protocol leaves no temp droppings behind.
-        let siblings = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(siblings, 1, "only the destination file remains");
-
-        std::fs::write(&path, b"NOTATRCE").unwrap();
-        let err = read_trace_file(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("q.trace"),
-            "path appears in: {err}"
-        );
-        assert_eq!(err.kind(), "bad-magic", "wrapping preserves the kind");
-        let missing = dir.join("does-not-exist.trace");
-        let err = read_trace_file(&missing).unwrap_err();
-        assert!(err.to_string().contains("does-not-exist.trace"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn trace_errors_convert_to_io_errors() {
-        let err = read_trace(&b""[..]).unwrap_err();
+        let err = read_trace_blocks(&b""[..]).unwrap_err();
         let io_err: io::Error = err.into();
         assert_eq!(io_err.kind(), io::ErrorKind::UnexpectedEof);
-        let err = read_trace(&b"NOTATRCE"[..]).unwrap_err();
+        let err = read_trace_blocks(&b"NOTATRCE"[..]).unwrap_err();
         let io_err: io::Error = err.into();
         assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
     }
@@ -1022,8 +768,13 @@ mod tests {
     fn format_is_compact() {
         let trace = sample();
         let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8 + 16 + trace.events.len() * 17 + 8);
+        write_trace_blocks(&trace, &mut buf, 3).unwrap();
+        let blocks = trace.events.len().div_ceil(3);
+        assert_eq!(
+            buf.len(),
+            24 + blocks * (16 + 8) + trace.events.len() * 17 + 24,
+            "header, per-block framing, 17 bytes an event, end marker"
+        );
     }
 
     #[test]
@@ -1079,7 +830,10 @@ mod tests {
         buf.truncate(second_block_events + 9);
         let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         match err {
-            TraceError::Truncated { event, .. } => assert_eq!(event, Some((0, 4))),
+            TraceError::Truncated { offset, event, .. } => {
+                assert_eq!(offset, second_block_events as u64);
+                assert_eq!(event, Some((0, 4)));
+            }
             other => panic!("expected Truncated, got {other}"),
         }
     }
@@ -1114,14 +868,6 @@ mod tests {
                 "flip at byte {pos} went undetected"
             );
         }
-    }
-
-    #[test]
-    fn whole_trace_magic_is_rejected_by_block_reader() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        let err = BlockReader::new(buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), "bad-magic");
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! * [`TraceSource`] / [`EventStream`] — the streaming contract: per-block
 //!   checksummed event chunks consumed one at a time, so trace generation
 //!   can fuse with simulation in bounded memory at any scale factor (see
-//!   [`BlockWriter`], [`BlockReader`], [`FileTraceSource`]).
-//! * [`PipelinedTraceSource`] — the same contract produced on background
-//!   worker threads through bounded channels, overlapping block production
-//!   with simulation while a [`ChunkSequencer`] keeps delivery strictly
-//!   in order (bit-identical to the serial path).
+//!   [`BlockWriter`], [`BlockReader`], [`FileTraceSource`]). The block
+//!   stream (`DSSTRB01`) is the one on-disk trace format; a slice of
+//!   materialized [`Trace`]s is a source too, so every consumer is written
+//!   once, against the streaming contract.
 //!
 //! The paper's methodology applies one correction we reproduce here by
 //! construction: accesses to private *stack and static* data are assumed to
@@ -51,7 +50,6 @@ mod cost;
 mod discipline;
 mod event;
 mod io;
-mod pipeline;
 mod source;
 mod stats;
 mod tracer;
@@ -62,12 +60,8 @@ pub use cost::CostModel;
 pub use discipline::{check_lock_discipline, LockDisciplineError};
 pub use event::{Event, LockClass, LockToken, MemRef};
 pub use io::{
-    read_trace, read_trace_blocks, read_trace_file, salvage_scan, salvage_scan_file, write_trace,
-    write_trace_blocks, write_trace_file, BlockReader, BlockWriter, SalvageScan, TraceError,
-};
-pub use pipeline::{
-    ChunkSequencer, PipelineSnapshot, PipelineStats, PipelinedTraceSource, DEFAULT_CHANNEL_BLOCKS,
-    DEFAULT_REORDER_WINDOW,
+    read_trace_blocks, salvage_scan, salvage_scan_file, write_trace_blocks, BlockReader,
+    BlockWriter, SalvageScan, TraceError,
 };
 pub use source::{
     materialize, EventStream, FileTraceSource, ProcPrefix, TraceSource, DEFAULT_BLOCK_EVENTS,

@@ -115,19 +115,6 @@ impl TraceSource for [Trace] {
     }
 }
 
-/// Owned traces are a source too (delegating to the slice impl), so a
-/// `'static` trace set can feed adapters that hand the source to worker
-/// threads (e.g. [`crate::PipelinedTraceSource`]).
-impl TraceSource for Vec<Trace> {
-    fn nprocs(&self) -> usize {
-        self.len()
-    }
-
-    fn open(&self) -> Result<Vec<Box<dyn EventStream + '_>>, TraceError> {
-        self.as_slice().open()
-    }
-}
-
 /// A source restricted to the leading `n` processors of another source — the
 /// streaming equivalent of simulating `&traces[..n]` for processor-scaling
 /// sweeps.

@@ -1,15 +1,16 @@
-//! Fuzz-style robustness tests for the trace codec: arbitrary byte soup,
-//! single-byte corruptions, and truncations of a valid trace must all come
-//! back as structured [`TraceError`]s — never a panic, and never garbage
-//! silently accepted as a healthy trace.
+//! Fuzz-style robustness tests for the trace codec: arbitrary byte soup and
+//! single-byte corruptions of a valid trace must all come back as structured
+//! [`TraceError`]s — never a panic, and never garbage silently accepted as a
+//! healthy trace. (Truncation at every byte offset is `tests/salvage.rs`.)
 
 use proptest::collection;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-use dss_trace::{read_trace, write_trace, DataClass, LockClass, LockToken, Tracer};
+use dss_trace::{read_trace_blocks, write_trace_blocks, DataClass, LockClass, LockToken, Tracer};
 
-/// Encodes a small valid trace with every event kind represented.
+/// Encodes a small valid trace with every event kind represented, in two
+/// blocks so block framing is part of what gets corrupted.
 fn valid_trace_bytes() -> Vec<u8> {
     let t = Tracer::new(1);
     t.read(0x1000, 8, DataClass::Data);
@@ -18,7 +19,7 @@ fn valid_trace_bytes() -> Vec<u8> {
     t.lock_release(LockToken::new(0x40, LockClass::LockMgr));
     t.busy(123);
     let mut bytes = Vec::new();
-    write_trace(&t.take(), &mut bytes).expect("in-memory write cannot fail");
+    write_trace_blocks(&t.take(), &mut bytes, 3).expect("in-memory write cannot fail");
     bytes
 }
 
@@ -29,21 +30,22 @@ proptest! {
     /// at least have carried the format magic.
     #[test]
     fn byte_soup_never_panics(bytes in collection::vec(any::<u8>(), 0..512)) {
-        match read_trace(&bytes[..]) {
-            Ok(_) => prop_assert!(bytes.len() >= 8 && &bytes[..8] == b"DSSTRC02"),
+        match read_trace_blocks(&bytes[..]) {
+            Ok(_) => prop_assert!(bytes.len() >= 8 && &bytes[..8] == b"DSSTRB01"),
             Err(e) => prop_assert!(!e.kind().is_empty()),
         }
     }
 
     /// Flipping any single byte of a valid trace is always detected: the
-    /// magic check, the per-event validation, or the trailing checksum must
-    /// catch it — a one-byte corruption can never round-trip as healthy.
+    /// magic check, the chunk sequence, the per-event validation, or a header
+    /// or block checksum must catch it — a one-byte corruption can never
+    /// round-trip as healthy.
     #[test]
     fn single_byte_flip_is_always_detected(pos in 0usize..1000, flip in 1u8..=255) {
         let mut bytes = valid_trace_bytes();
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
-        let err = match read_trace(&bytes[..]) {
+        let err = match read_trace_blocks(&bytes[..]) {
             Ok(_) => return Err(TestCaseError::fail(format!(
                 "flip of byte {pos} by {flip:#04x} was silently absorbed"
             ))),
@@ -54,18 +56,6 @@ proptest! {
             "unexpected classification {} for flip at byte {}", err.kind(), pos
         );
     }
-
-    /// Every proper prefix of a valid trace is rejected (the trailing
-    /// checksum means even an event-aligned cut cannot look complete).
-    #[test]
-    fn every_truncation_is_rejected(cut in 0usize..1000) {
-        let bytes = valid_trace_bytes();
-        let cut = cut % bytes.len();
-        prop_assert!(
-            read_trace(&bytes[..cut]).is_err(),
-            "prefix of {cut}/{} bytes decoded as a complete trace", bytes.len()
-        );
-    }
 }
 
 /// The unmutated fixture itself must decode — otherwise the proptests above
@@ -73,6 +63,6 @@ proptest! {
 #[test]
 fn the_fixture_is_actually_valid() {
     let bytes = valid_trace_bytes();
-    let trace = read_trace(&bytes[..]).expect("fixture decodes");
+    let trace = read_trace_blocks(&bytes[..]).expect("fixture decodes");
     assert_eq!(trace.len(), 5);
 }

@@ -5,11 +5,11 @@
 //! trace would have (a lock acquired, the trace ending before its release).
 
 use dss_trace::{
-    check_lock_discipline, read_trace, read_trace_file, write_trace, DataClass, LockClass,
-    LockDisciplineError, LockToken, TraceError, Tracer,
+    check_lock_discipline, materialize, read_trace_blocks, write_trace_blocks, DataClass,
+    FileTraceSource, LockClass, LockDisciplineError, LockToken, TraceError, Tracer,
 };
 
-/// Encodes a trace whose one critical section sits mid-stream.
+/// Encodes a one-block trace whose one critical section sits mid-stream.
 fn locked_trace_bytes() -> Vec<u8> {
     let t = Tracer::new(0);
     t.read(0x1000, 8, DataClass::Data);
@@ -18,57 +18,38 @@ fn locked_trace_bytes() -> Vec<u8> {
     t.lock_release(LockToken::new(0x40, LockClass::LockMgr));
     t.busy(7);
     let mut bytes = Vec::new();
-    write_trace(&t.take(), &mut bytes).expect("in-memory write cannot fail");
+    write_trace_blocks(&t.take(), &mut bytes, 8).expect("in-memory write cannot fail");
     bytes
 }
 
-#[test]
-fn empty_stream_is_truncated_at_offset_zero() {
-    match read_trace(&[][..]) {
+/// Decodes `bytes`, demanding a truncation at `offset` while reading
+/// `expected`, inside event `event` if any.
+fn assert_truncated_at(bytes: &[u8], offset: u64, expected: &str, event: Option<(usize, usize)>) {
+    match read_trace_blocks(bytes) {
         Err(TraceError::Truncated {
-            offset,
-            expected,
-            event,
-        }) => {
-            assert_eq!(offset, 0);
-            assert_eq!(expected, "trace magic");
-            assert_eq!(event, None);
-        }
-        other => panic!("empty stream: expected Truncated, got {other:?}"),
+            offset: at,
+            expected: what,
+            event: ev,
+        }) => assert_eq!((at, what, ev), (offset, expected, event)),
+        other => panic!("{} bytes: expected Truncated, got {other:?}", bytes.len()),
     }
 }
 
 #[test]
-fn magic_only_stream_is_truncated_at_the_header() {
-    match read_trace(&b"DSSTRC02"[..]) {
-        Err(TraceError::Truncated {
-            offset, expected, ..
-        }) => {
-            assert_eq!(offset, 8);
-            assert_eq!(expected, "trace header");
-        }
-        other => panic!("magic-only stream: expected Truncated, got {other:?}"),
-    }
-}
-
-#[test]
-fn header_only_stream_is_truncated_before_the_first_event() {
-    // Magic + proc id + a promised event count, then nothing.
-    let mut bytes = Vec::from(*b"DSSTRC02");
-    bytes.extend_from_slice(&1u64.to_le_bytes());
-    bytes.extend_from_slice(&5u64.to_le_bytes());
-    match read_trace(&bytes[..]) {
-        Err(TraceError::Truncated {
-            offset,
-            expected,
-            event,
-        }) => {
-            assert_eq!(offset, 24);
-            assert_eq!(expected, "event record");
-            assert_eq!(event, Some((0, 5)));
-        }
-        other => panic!("header-only stream: expected Truncated, got {other:?}"),
-    }
+fn cut_streams_are_truncated_where_the_bytes_ran_out() {
+    let bytes = locked_trace_bytes();
+    assert_truncated_at(&[], 0, "block stream magic", None);
+    assert_truncated_at(&bytes[..8], 8, "block stream header", None);
+    let err = read_trace_blocks(&bytes[..8]).expect_err("magic-only stream");
+    assert!(err.to_string().contains("byte offset 8"), "{err}");
+    // A whole stream header and nothing else: no block, no end marker.
+    assert_truncated_at(&bytes[..24], 24, "block header", None);
+    // A block header promising five events, then nothing.
+    assert_truncated_at(&bytes[..40], 40, "event record", Some((0, 5)));
+    // Cut inside the critical section: past the acquire (event 1), before
+    // the release (event 3).
+    let cut = 40 + 2 * 17 + 9;
+    assert_truncated_at(&bytes[..cut], 40 + 2 * 17, "event record", Some((2, 5)));
 }
 
 #[test]
@@ -76,27 +57,18 @@ fn empty_and_header_only_files_are_classified() {
     let dir = std::env::temp_dir().join(format!("dss-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     for (name, contents) in [
-        ("empty.trc", &[][..]),
-        ("header-only.trc", &locked_trace_bytes()[..24]),
+        ("empty.trb", &[][..]),
+        ("header-only.trb", &locked_trace_bytes()[..24]),
     ] {
         let path = dir.join(name);
         std::fs::write(&path, contents).expect("write fixture");
-        let err = read_trace_file(&path).expect_err("cut file must not decode");
+        let err =
+            materialize(&FileTraceSource::new(vec![path])).expect_err("cut file must not decode");
         assert_eq!(err.kind(), "truncated", "{name}: {err}");
         // The InFile wrapper names the file so an operator can find it.
         assert!(err.to_string().contains(name), "{name}: {err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn file_cut_inside_the_critical_section_is_truncated() {
-    let bytes = locked_trace_bytes();
-    // Cut mid-stream: past the acquire (event 1) but before the release
-    // (event 3). Events are 17 bytes starting at offset 24.
-    let cut = 24 + 2 * 17 + 9;
-    let err = read_trace(&bytes[..cut]).expect_err("cut trace must not decode");
-    assert_eq!(err.kind(), "truncated", "{err}");
 }
 
 #[test]

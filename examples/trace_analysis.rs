@@ -7,7 +7,9 @@
 
 use dss_workbench::query::{Database, DbConfig, Session};
 use dss_workbench::tpcd::params;
-use dss_workbench::trace::{analyze, read_trace, write_trace, DataClass};
+use dss_workbench::trace::{
+    analyze, read_trace_blocks, write_trace_blocks, DataClass, DEFAULT_BLOCK_EVENTS,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = Database::build(&DbConfig {
@@ -24,13 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Traces serialize compactly for offline analysis.
     let mut bytes = Vec::new();
-    write_trace(&trace, &mut bytes)?;
+    write_trace_blocks(&trace, &mut bytes, DEFAULT_BLOCK_EVENTS)?;
     println!(
         "trace: {} events, {:.1} MB serialized",
         trace.len(),
         bytes.len() as f64 / 1e6
     );
-    let trace = read_trace(bytes.as_slice())?;
+    let trace = read_trace_blocks(bytes.as_slice())?;
 
     // Locality at both of the paper's line granularities.
     for line in [32u64, 64] {
