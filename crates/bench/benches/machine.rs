@@ -1,7 +1,6 @@
 //! Criterion benchmarks of the simulator hot loop (`Machine::run`).
 //!
-//! Four workloads isolate the per-reference costs the hot-path rewrite
-//! targets:
+//! Five workloads isolate the per-reference costs of the hot path:
 //!
 //! * `l1-hit-stream` — every reference hits the primary cache: pure
 //!   lookup/scheduler overhead, no miss classification.
@@ -10,17 +9,20 @@
 //!   directory.
 //! * `remote-ping-pong` — two processors write-share one line: directory
 //!   transactions, invalidations, and coherence classification dominate.
+//! * `lockstep-4p` — four processors replaying identical 1-cycle events: every
+//!   clock ties, so the run-ahead scheduler's runs are one event long and
+//!   every event pays a switch — its worst case.
 //! * `full-q6` — four processors each running a real traced Q6 instance: the
 //!   end-to-end mix every figure of the paper pays for.
 //!
-//! Before/after numbers for the hash-free rewrite are recorded in
-//! EXPERIMENTS.md ("Simulator performance").
+//! Before/after numbers are recorded in EXPERIMENTS.md ("Simulator
+//! performance").
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use dss_bench::{bench_database, trace_query};
 use dss_memsim::{Machine, MachineConfig};
-use dss_shmem::SHARED_BASE;
+use dss_shmem::{private_base, SHARED_BASE};
 use dss_trace::{DataClass, Trace, Tracer};
 
 /// One processor cycling through a working set that fits the 4 KB L1.
@@ -60,11 +62,25 @@ fn ping_pong_traces(events: u64) -> Vec<Trace> {
         .collect()
 }
 
+/// Four processors each hitting their own resident line, one cycle an event.
+fn lockstep_traces(events: u64) -> Vec<Trace> {
+    (0..4)
+        .map(|p| {
+            let t = Tracer::new(p);
+            for _ in 0..events {
+                t.read(private_base(p), 8, DataClass::PrivHeap);
+            }
+            t.take()
+        })
+        .collect()
+}
+
 fn bench_hot_loop(c: &mut Criterion) {
     const N: u64 = 200_000;
     let l1 = vec![l1_hit_trace(N)];
     let l2 = vec![l2_hit_trace(N)];
     let pp = ping_pong_traces(N / 4);
+    let ls = lockstep_traces(N / 4);
 
     let mut g = c.benchmark_group("machine");
     g.sample_size(10);
@@ -85,6 +101,12 @@ fn bench_hot_loop(c: &mut Criterion) {
     ));
     g.bench_function("remote-ping-pong", |b| {
         b.iter(|| Machine::new(MachineConfig::baseline()).run(&pp))
+    });
+    g.throughput(Throughput::Elements(
+        ls.iter().map(|t| t.len() as u64).sum(),
+    ));
+    g.bench_function("lockstep-4p", |b| {
+        b.iter(|| Machine::new(MachineConfig::baseline()).run(&ls))
     });
     g.finish();
 }

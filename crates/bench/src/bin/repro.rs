@@ -41,6 +41,9 @@
 //! makes the sweep point with that label (e.g. `fig8/Q6/l2_line=64`) panic,
 //! and `--point-deadline-ms N` times out any point slower than `N` ms.
 //!
+//! An argument that is neither a known experiment nor a known option is a
+//! usage error naming the valid ones; nothing runs.
+//!
 //! Exit codes: `0` success, `1` artifact write failure, `2` usage error,
 //! `3` partial results (one or more points or experiments failed; everything
 //! that could run did, and the failures are listed in the `--bench-json`
@@ -310,6 +313,41 @@ fn drain_point_errors(wb: &mut Workbench, sink: &mut Vec<PointError>) {
     }
 }
 
+/// Every experiment name the command line accepts: the paper's tables and
+/// figures, the extensions, and the two groups.
+const EXPERIMENTS: [&str; 18] = [
+    "all",
+    "table1",
+    "fig6",
+    "fig7",
+    "rates",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "ext",
+    "ext-protocol",
+    "ext-prefetch",
+    "ext-updates",
+    "ext-intra",
+    "ext-streams",
+    "ext-procs",
+];
+
+/// Every option the command line accepts.
+const OPTIONS: [&str; 8] = [
+    "--jobs",
+    "--sf",
+    "--trace-mode",
+    "--bench-json",
+    "--state-dir",
+    "--resume",
+    "--inject",
+    "--point-deadline-ms",
+];
+
 fn main() {
     let mut jobs: Option<usize> = None;
     let mut bench_json: Option<String> = None;
@@ -415,6 +453,18 @@ fn main() {
             argv.next()
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
             Some(v.to_string())
+        } else if arg.starts_with('-') {
+            eprintln!(
+                "error: unknown option `{arg}` (options: {})",
+                OPTIONS.join(", ")
+            );
+            std::process::exit(2);
+        } else if !EXPERIMENTS.contains(&arg.as_str()) {
+            eprintln!(
+                "error: unknown experiment `{arg}` (experiments: {})",
+                EXPERIMENTS.join(", ")
+            );
+            std::process::exit(2);
         } else {
             names.insert(arg);
             continue;

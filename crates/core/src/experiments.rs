@@ -138,17 +138,20 @@ struct PointTask {
 }
 
 impl PointTask {
-    /// Simulates the point: every replay feeds the machine block by block
-    /// from the leading `cfg.nprocs` streams of its source. Stream failures
-    /// panic so the fail-soft runner classifies them like any other point
-    /// failure.
+    /// Simulates the point: every replay feeds the machine the leading
+    /// `cfg.nprocs` traces of its source — a materialized set in place,
+    /// block files a block at a time. Stream failures panic so the fail-soft
+    /// runner classifies them like any other point failure.
     fn run(&self) -> SimStats {
         let mut machine = Machine::new(self.cfg.clone());
         let mut replay = |src: &SimSource| {
             let take = self.cfg.nprocs.min(src.nprocs());
-            machine
-                .run_source(&ProcPrefix::new(src, take))
-                .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
+            match src {
+                SimSource::Set(set) => machine.run(&set[..take]),
+                SimSource::Files(files) => machine
+                    .run_source(&ProcPrefix::new(files, take))
+                    .unwrap_or_else(|e| panic!("trace stream failed: {e}")),
+            }
         };
         if let Some(warm) = &self.warm {
             replay(warm);

@@ -12,10 +12,12 @@
 //!   experiment methods, one per table/figure of the evaluation. Under
 //!   [`TraceMode::Streamed`] the workbench records traces straight to block
 //!   files and replays them from disk, bounding peak memory at any scale.
-//!   Every sweep point takes one path: it opens its [`SimSource`] — a
-//!   materialized [`TraceSet`] or block files — and replays it through
-//!   [`dss_memsim::Machine::run_source`], fanned across worker threads with
-//!   results bit-identical to a serial run.
+//!   Every sweep point takes one path: a fresh [`dss_memsim::Machine`]
+//!   replays its [`SimSource`] — a materialized [`TraceSet`] in place
+//!   ([`dss_memsim::Machine::run`]) or block files a block at a time
+//!   ([`dss_memsim::Machine::run_source`]), the same replay loop either way
+//!   — fanned across worker threads with results bit-identical to a serial
+//!   run.
 //! * [`experiments`] — the experiments' result types.
 //! * [`report`] — ASCII renderings in the paper's chart shapes.
 //! * [`paper`] — the paper's claims as executable shape checks.

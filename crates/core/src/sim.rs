@@ -11,12 +11,12 @@
 //! with no dependencies beyond `std::thread::scope`.
 //!
 //! There is one point runner — `Workbench::fan_out_labeled` in
-//! [`crate::experiments`] — and it is the only caller: a point opens its
-//! [`crate::SimSource`] and feeds a fresh machine through
-//! [`dss_memsim::Machine::run_source`], whether the events sit in a
-//! materialized [`crate::TraceSet`] or in block files on disk. This module
-//! only schedules the points and turns a panicking or overdue one into a
-//! value.
+//! [`crate::experiments`] — and it is the only caller: a point feeds its
+//! [`crate::SimSource`] to a fresh machine, a materialized
+//! [`crate::TraceSet`] in place through [`dss_memsim::Machine::run`] and
+//! block files on disk through [`dss_memsim::Machine::run_source`]. This
+//! module only schedules the points and turns a panicking or overdue one
+//! into a value.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -55,8 +55,9 @@ pub enum TraceMode {
 
 /// A trace population as the experiment sweeps consume it: either a
 /// materialized in-memory set or block files replayed from disk. Cloning is
-/// cheap (an `Arc` bump or a path list); both variants stream through the
-/// same [`TraceSource`] API and yield identical events.
+/// cheap (an `Arc` bump or a path list); both variants yield identical
+/// events, and a sweep point replays a set in place rather than through the
+/// [`TraceSource`] streams it also offers.
 #[derive(Clone, Debug)]
 pub enum SimSource {
     /// A fully materialized, shared trace set.

@@ -76,13 +76,33 @@ fn classify_code(code: u8) -> MissKind {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    state: LineState,
-    /// LRU timestamp (bigger = more recent).
-    lru: u64,
-    valid: bool,
+/// A resident line packed into one word: `line | state << 1 | VALID`. Lines
+/// are at least [`MIN_LINE`] bytes, so the three low bits of a line address
+/// are free; an empty way is 0, which no resident line encodes (not even
+/// line 0, whose key still carries `VALID`).
+const VALID: u64 = 1;
+const STATE_SHIFT: u32 = 1;
+const STATE_BITS: u64 = 0b11 << STATE_SHIFT;
+/// Smallest line whose address leaves the tag bits free.
+const MIN_LINE: u64 = 8;
+
+#[inline]
+fn pack(line: u64, state: LineState) -> u64 {
+    line | (state as u64) << STATE_SHIFT | VALID
+}
+
+#[inline]
+fn state_of(key: u64) -> LineState {
+    match (key & STATE_BITS) >> STATE_SHIFT {
+        0 => LineState::Shared,
+        1 => LineState::Exclusive,
+        _ => LineState::Modified,
+    }
+}
+
+#[inline]
+fn line_in(key: u64) -> u64 {
+    key & !(STATE_BITS | VALID)
 }
 
 /// One processor's cache at one level.
@@ -96,7 +116,13 @@ pub struct Cache {
     /// `sets - 1`: ANDing the shifted line yields the set index.
     set_mask: u64,
     assoc: usize,
-    ways: Vec<Way>,
+    /// One packed key per way, set-major, then — in the same allocation, so
+    /// probes stay dense — one LRU timestamp per way (bigger = more recent).
+    /// A direct-mapped cache has no replacement choice to make and keeps no
+    /// timestamps.
+    ways: Vec<u64>,
+    /// Number of keys in `ways`: way `at`'s timestamp is at `at + nways`.
+    nways: usize,
     tick: u64,
     history: PagedMap<u8>,
 }
@@ -106,25 +132,25 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (see [`CacheConfig::validate`]).
+    /// Panics if the geometry is invalid (see [`CacheConfig::validate`]) or
+    /// the lines are shorter than 8 bytes.
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate();
+        assert!(
+            cfg.line >= MIN_LINE,
+            "lines below {MIN_LINE} bytes leave no room for the state bits"
+        );
         let sets = cfg.sets();
+        let assoc = cfg.assoc as usize;
+        let nways = sets as usize * assoc;
         Cache {
             cfg,
             line_shift: cfg.line.trailing_zeros(),
             line_mask: !(cfg.line - 1),
             set_mask: sets - 1,
-            assoc: cfg.assoc as usize,
-            ways: vec![
-                Way {
-                    tag: 0,
-                    state: LineState::Shared,
-                    lru: 0,
-                    valid: false
-                };
-                (sets * cfg.assoc as u64) as usize
-            ],
+            assoc,
+            ways: vec![0; if assoc > 1 { 2 * nways } else { nways }],
+            nways,
             tick: 0,
             history: PagedMap::new(cfg.line.trailing_zeros()),
         }
@@ -141,38 +167,40 @@ impl Cache {
         self.cfg.line
     }
 
-    /// The set index of a line address.
+    /// Index of the first way of `line`'s set.
     #[inline]
-    fn set_of(&self, line: u64) -> u64 {
-        (line >> self.line_shift) & self.set_mask
+    fn set_start(&self, line: u64) -> usize {
+        ((line >> self.line_shift) & self.set_mask) as usize * self.assoc
     }
 
+    /// Index of the way holding `line`, if it is resident: one load and one
+    /// compare per way, whatever the state.
     #[inline]
-    fn ways_at(&self, set: u64) -> &[Way] {
-        let start = set as usize * self.assoc;
-        &self.ways[start..start + self.assoc]
+    fn find(&self, line: u64) -> Option<usize> {
+        let start = self.set_start(line);
+        let want = line | VALID;
+        self.ways[start..start + self.assoc]
+            .iter()
+            .position(|&key| key & !STATE_BITS == want)
+            .map(|way| start + way)
     }
 
+    /// Stamps way `at` most recently used.
     #[inline]
-    fn ways_of(&mut self, set: u64) -> &mut [Way] {
-        let start = set as usize * self.assoc;
-        &mut self.ways[start..start + self.assoc]
+    fn touch(&mut self, at: usize) {
+        if self.assoc > 1 {
+            self.tick += 1;
+            self.ways[at + self.nways] = self.tick;
+        }
     }
 
     /// Looks up the line containing `addr`; on a hit, refreshes LRU and
     /// returns its state.
+    #[inline]
     pub fn lookup(&mut self, addr: u64) -> Option<LineState> {
-        let line = self.line_of(addr);
-        let set = self.set_of(line);
-        self.tick += 1;
-        let tick = self.tick;
-        for w in self.ways_of(set) {
-            if w.valid && w.tag == line {
-                w.lru = tick;
-                return Some(w.state);
-            }
-        }
-        None
+        let at = self.find(self.line_of(addr))?;
+        self.touch(at);
+        Some(state_of(self.ways[at]))
     }
 
     /// Classifies a miss on `addr` without recording anything (pure query;
@@ -181,12 +209,10 @@ impl Cache {
         classify_code(self.history.get(addr))
     }
 
-    /// Classifies a miss on `addr` and marks the line as referenced — the
-    /// merged hot-path form of [`Cache::classify_miss`] plus the history half
-    /// of [`Cache::insert`], costing a single table probe. Call it exactly
-    /// when a lookup missed and the line is about to be filled; the fill
-    /// itself ([`Cache::insert`]) is then free to skip no bookkeeping, since
-    /// re-marking a seen line is idempotent.
+    /// Classifies a miss on `addr` and marks the line as referenced, in a
+    /// single table probe. Call it exactly when a lookup missed and the line
+    /// is about to be filled: it is the only place a line becomes "seen", so
+    /// [`Cache::insert`] of a non-resident line relies on it having run.
     pub fn record_miss(&mut self, addr: u64) -> MissKind {
         let slot = self.history.get_mut(addr);
         let kind = classify_code(*slot);
@@ -195,92 +221,70 @@ impl Cache {
     }
 
     /// Inserts the line containing `addr` in `state`, returning the evicted
-    /// line (address, was-dirty) if a valid victim was replaced.
+    /// line (address, was-dirty) if a valid victim was replaced. The victim
+    /// is the set's first invalid way, else its least recently used one.
+    ///
+    /// The line's own classification history is not touched: a resident line
+    /// is already marked seen, and a non-resident one was marked by the
+    /// [`Cache::record_miss`] that precedes its fill.
     pub fn insert(&mut self, addr: u64, state: LineState) -> Option<(u64, bool)> {
         let line = self.line_of(addr);
-        let set = self.set_of(line);
-        self.tick += 1;
-        let tick = self.tick;
-        self.history.set(line, HIST_SEEN);
-        // Already present: update state.
-        for w in self.ways_of(set) {
-            if w.valid && w.tag == line {
-                w.state = state;
-                w.lru = tick;
-                return None;
-            }
+        if let Some(at) = self.find(line) {
+            self.ways[at] = pack(line, state);
+            self.touch(at);
+            return None;
         }
-        // Choose an invalid way or the LRU victim.
-        let victim = {
-            let ways = self.ways_of(set);
-            let mut victim = 0;
-            for (i, w) in ways.iter().enumerate() {
-                if !w.valid {
-                    victim = i;
+        let start = self.set_start(line);
+        let mut at = start;
+        if self.assoc > 1 {
+            for way in start..start + self.assoc {
+                if self.ways[way] == 0 {
+                    at = way;
                     break;
                 }
-                if w.lru < ways[victim].lru {
-                    victim = i;
+                if self.ways[way + self.nways] < self.ways[at + self.nways] {
+                    at = way;
                 }
             }
-            victim
-        };
-        let ways = self.ways_of(set);
-        let evicted = if ways[victim].valid {
-            Some((ways[victim].tag, ways[victim].state == LineState::Modified))
-        } else {
-            None
-        };
-        ways[victim] = Way {
-            tag: line,
-            state,
-            lru: tick,
-            valid: true,
-        };
-        if let Some((tag, _)) = evicted {
-            self.history.set(tag, HIST_REPLACED);
         }
-        evicted
+        let victim = self.ways[at];
+        self.ways[at] = pack(line, state);
+        self.touch(at);
+        if victim == 0 {
+            return None;
+        }
+        self.history.set(line_in(victim), HIST_REPLACED);
+        Some((line_in(victim), state_of(victim).dirty()))
     }
 
-    /// Upgrades a resident line to Modified (no-op if absent).
+    /// Sets the state of a resident line (no-op if absent).
     pub fn set_state(&mut self, addr: u64, state: LineState) {
         let line = self.line_of(addr);
-        let set = self.set_of(line);
-        for w in self.ways_of(set) {
-            if w.valid && w.tag == line {
-                w.state = state;
-                return;
-            }
+        if let Some(at) = self.find(line) {
+            self.ways[at] = pack(line, state);
         }
+    }
+
+    /// Removes a resident line, recording why for the next miss on it;
+    /// returns whether it was dirty.
+    fn remove(&mut self, line: u64, cause: u8) -> Option<bool> {
+        let at = self.find(line)?;
+        let dirty = state_of(self.ways[at]).dirty();
+        self.ways[at] = 0;
+        self.history.set(line, cause);
+        Some(dirty)
     }
 
     /// Removes a line due to coherence activity; returns whether it was
     /// present (and dirty).
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_of(line);
-        for w in self.ways_of(set) {
-            if w.valid && w.tag == line {
-                w.valid = false;
-                let dirty = w.state == LineState::Modified;
-                self.history.set(line, HIST_INVALIDATED);
-                return Some(dirty);
-            }
-        }
-        None
+        self.remove(line, HIST_INVALIDATED)
     }
 
     /// Removes a line due to an inclusion victim in the other level;
     /// classified as replacement.
     pub fn evict_for_inclusion(&mut self, line: u64) {
-        let set = self.set_of(line);
-        for w in self.ways_of(set) {
-            if w.valid && w.tag == line {
-                w.valid = false;
-                self.history.set(line, HIST_REPLACED);
-                return;
-            }
-        }
+        self.remove(line, HIST_REPLACED);
     }
 
     /// Downgrades a Modified line to Shared (no-op if absent or clean).
@@ -290,28 +294,22 @@ impl Cache {
 
     /// Every resident line with its state (for invariant checks).
     pub fn resident_lines(&self) -> Vec<(u64, LineState)> {
-        self.ways
+        self.ways[..self.nways]
             .iter()
-            .filter(|w| w.valid)
-            .map(|w| (w.tag, w.state))
+            .filter(|&&key| key != 0)
+            .map(|&key| (line_in(key), state_of(key)))
             .collect()
     }
 
     /// State of the line containing `addr`, without touching LRU.
     pub fn peek_state(&self, addr: u64) -> Option<LineState> {
-        let line = self.line_of(addr);
-        self.ways_at(self.set_of(line))
-            .iter()
-            .find(|w| w.valid && w.tag == line)
-            .map(|w| w.state)
+        self.find(self.line_of(addr))
+            .map(|at| state_of(self.ways[at]))
     }
 
     /// Whether the line containing `addr` is resident (no LRU update).
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        self.ways_at(self.set_of(line))
-            .iter()
-            .any(|w| w.valid && w.tag == line)
+        self.find(self.line_of(addr)).is_some()
     }
 }
 
@@ -427,11 +425,95 @@ mod tests {
     fn classification_spans_shared_and_private_segments() {
         use dss_shmem::{private_base, SHARED_BASE};
         let mut c = tiny();
+        assert_eq!(c.record_miss(SHARED_BASE), MissKind::Cold);
         c.insert(SHARED_BASE, LineState::Shared);
+        assert_eq!(c.record_miss(private_base(1) + 0x40), MissKind::Cold);
         c.insert(private_base(1) + 0x40, LineState::Modified);
         assert_eq!(c.classify_miss(SHARED_BASE + 8), MissKind::Conflict);
         assert_eq!(c.classify_miss(private_base(1) + 0x48), MissKind::Conflict);
         assert_eq!(c.classify_miss(private_base(1)), MissKind::Cold);
+    }
+
+    #[test]
+    fn line_zero_in_shared_is_resident() {
+        // Line 0 in `Shared` packs to the bare valid bit — still not the
+        // empty way's 0.
+        let mut c = tiny();
+        c.insert(0x0000, LineState::Shared);
+        assert_eq!(c.lookup(0x0008), Some(LineState::Shared));
+        assert_eq!(c.resident_lines(), vec![(0x0000, LineState::Shared)]);
+        // It is a victim like any other: two more lines of set 0 evict it.
+        c.insert(0x0080, LineState::Shared);
+        assert_eq!(c.insert(0x0100, LineState::Modified), Some((0x0000, false)));
+        assert_eq!(c.classify_miss(0x0000), MissKind::Conflict);
+    }
+
+    #[test]
+    fn invalidated_hole_is_refilled_before_any_eviction() {
+        let mut c = tiny();
+        c.insert(0x0000, LineState::Shared);
+        c.insert(0x0080, LineState::Modified);
+        // The hole is the *more* recently used way: LRU alone would evict
+        // 0x0000 instead.
+        assert_eq!(c.invalidate(0x0080), Some(true));
+        assert_eq!(c.insert(0x0100, LineState::Shared), None);
+        assert!(c.contains(0x0000) && c.contains(0x0100));
+        // Full again: now the least recently used valid line goes.
+        assert_eq!(c.insert(0x0180, LineState::Shared), Some((0x0000, false)));
+    }
+
+    #[test]
+    fn removal_causes_keep_their_history_codes() {
+        let mut c = tiny();
+        c.insert(0x0000, LineState::Exclusive);
+        c.evict_for_inclusion(0x0000);
+        assert!(!c.contains(0x0000));
+        assert_eq!(c.record_miss(0x0000), MissKind::Conflict);
+        c.insert(0x0000, LineState::Exclusive);
+        assert_eq!(c.invalidate(0x0000), Some(false), "Exclusive is clean");
+        assert_eq!(c.record_miss(0x0000), MissKind::Coherence);
+        // Removing an absent line records nothing.
+        c.evict_for_inclusion(0x0080);
+        assert_eq!(c.invalidate(0x0080), None);
+        assert_eq!(c.classify_miss(0x0080), MissKind::Cold);
+    }
+
+    #[test]
+    fn eight_byte_lines_leave_room_for_the_state_bits() {
+        // The smallest L1 line `MachineConfig::with_line_size(16)` produces.
+        let mut c = Cache::new(CacheConfig {
+            size: 64,
+            line: 8,
+            assoc: 2,
+        });
+        let states = [LineState::Shared, LineState::Exclusive, LineState::Modified];
+        for (i, &state) in states.iter().enumerate() {
+            // Adjacent lines: every address bit above the low three is used.
+            let addr = 0x1000 + 8 * i as u64;
+            c.insert(addr, state);
+            assert_eq!(c.lookup(addr + 7), Some(state));
+            assert_eq!(c.peek_state(addr), Some(state));
+        }
+        let mut resident = c.resident_lines();
+        resident.sort_unstable_by_key(|&(line, _)| line);
+        assert_eq!(
+            resident,
+            vec![
+                (0x1000, LineState::Shared),
+                (0x1008, LineState::Exclusive),
+                (0x1010, LineState::Modified)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no room for the state bits")]
+    fn four_byte_lines_rejected() {
+        Cache::new(CacheConfig {
+            size: 64,
+            line: 4,
+            assoc: 1,
+        });
     }
 
     #[test]

@@ -9,16 +9,16 @@
 //! state changes are applied when a reference is issued, which keeps the
 //! interleaving deterministic.
 //!
-//! The hot loop is hash-free and allocation-free: the next processor to step
-//! comes from a binary heap keyed on `(clock, proc_id)` rather than a scan,
-//! miss classification is one paged-table probe inside
-//! [`Cache::record_miss`], and invalidation targets arrive as a node bitmask
-//! from the directory.
+//! The hot loop is hash-free and allocation-free: the processor with the
+//! smallest `(clock, index)` runs ahead until that key passes the runner-up's
+//! — one scan of the live clocks per switch, nothing per event — miss
+//! classification is one paged-table probe inside [`Cache::record_miss`], and
+//! invalidation targets arrive as a node bitmask from the directory.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::convert::Infallible;
 
+use dss_shmem::MAX_PROCS;
 use dss_trace::{DataClass, Event, EventStream, Trace, TraceError, TraceSource};
 
 use crate::cache::{Cache, LineState};
@@ -69,8 +69,6 @@ pub struct Machine {
     /// [`Machine::run_into`]) never touch the heap — the steady-state
     /// property `dss-check alloc` measures.
     scratch: Vec<ProcScratch>,
-    /// Reusable scheduler heap (same rationale as `scratch`).
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
     /// Reusable per-processor block buffers for [`Machine::run_source`]: the
     /// streaming run replays one block per processor at a time, refilling
     /// these in place, so peak memory stays bounded by the block size — not
@@ -247,7 +245,6 @@ impl Machine {
             // timing overlaps more lock holds than the cold first run did.
             locks: Vec::with_capacity(4 * cfg.nprocs),
             scratch: Vec::new(),
-            ready: BinaryHeap::new(),
             blocks: Vec::new(),
             #[cfg(feature = "alloc-probe")]
             probe_allocs: false,
@@ -377,70 +374,96 @@ impl Machine {
             // bound now so later runs never grow it mid-loop.
             rp.wb.reserve(self.cfg.write_buffer);
         }
-        let mut ready = std::mem::take(&mut self.ready);
         let mut l1s = LevelStats::default();
         let mut l2s = LevelStats::default();
-        let result = self.interleave(cursors, &mut scratch[..n], &mut ready, &mut l1s, &mut l2s);
-        // A failed cursor leaves the other processors queued; the heap goes
-        // back empty either way.
-        ready.clear();
-        self.ready = ready;
+        let result = self.interleave(cursors, &mut scratch[..n], &mut l1s, &mut l2s);
 
         if result.is_ok() {
-            out.procs.clear();
-            out.procs.resize(self.cfg.nprocs, ProcStats::default());
-            for rp in &mut scratch[..n] {
-                // Drain the write buffer into the final time.
-                if let Some(&(_, complete)) = rp.wb.back() {
-                    rp.clock = rp.clock.max(complete);
-                }
-                rp.stats.cycles = rp.clock;
-                out.procs[rp.node] = rp.stats;
-            }
-            out.l1 = l1s;
-            out.l2 = l2s;
-            out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
-            out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
+            self.collect(&mut scratch[..n], l1s, l2s, out);
         }
         self.scratch = scratch;
         result
     }
 
+    /// Closes a finished run: drains each processor's write buffer into its
+    /// final time and moves the run's counters into `out`.
+    fn collect(
+        &mut self,
+        scratch: &mut [ProcScratch],
+        l1s: LevelStats,
+        l2s: LevelStats,
+        out: &mut SimStats,
+    ) {
+        out.procs.clear();
+        out.procs.resize(self.cfg.nprocs, ProcStats::default());
+        for rp in scratch {
+            if let Some(&(_, complete)) = rp.wb.back() {
+                rp.clock = rp.clock.max(complete);
+            }
+            rp.stats.cycles = rp.clock;
+            out.procs[rp.node] = rp.stats;
+        }
+        out.l1 = l1s;
+        out.l2 = l2s;
+        out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
+        out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
+    }
+
     /// Deterministic interleave: the unfinished processor with the smallest
-    /// clock (ties by position) executes its next event. Each live processor
-    /// has exactly one heap entry, re-keyed after its step, so pop order
-    /// reproduces a full scan exactly; block boundaries only decide when a
-    /// refill happens, never who steps next.
+    /// clock (ties by position) executes its next event. A step moves only
+    /// the stepping processor's clock, so the minimum stays the minimum until
+    /// its `(clock, index)` key passes the runner-up's: one scan picks both
+    /// and the minimum runs ahead to that limit, in exactly the order a
+    /// one-event-at-a-time scan would produce. A contended lock acquire
+    /// advances the clock but not the position, so spinning is the same loop.
+    /// Block boundaries only decide when a refill happens, never who steps
+    /// next.
     fn interleave<C: BlockCursors>(
         &mut self,
         cursors: &mut C,
         scratch: &mut [ProcScratch],
-        ready: &mut BinaryHeap<Reverse<(u64, usize)>>,
         l1s: &mut LevelStats,
         l2s: &mut LevelStats,
     ) -> Result<(), C::Error> {
-        // A lone trace needs no arbitration at all.
-        if let [rp] = scratch {
-            let node = rp.node;
-            while rp.pos < cursors.block(0).len() || advance(cursors, 0, rp)? {
-                self.step(node, cursors.block(0), rp, l1s, l2s);
-            }
-            return Ok(());
-        }
+        /// Clock of a processor with no events left: never the minimum.
+        const DONE: u64 = u64::MAX;
+        // The scheduler's keys, dense: a switch scans a few adjacent words,
+        // not one `ProcScratch` per processor.
+        let mut clocks = [DONE; MAX_PROCS];
+        let clocks = &mut clocks[..scratch.len()];
         for (i, rp) in scratch.iter_mut().enumerate() {
             if !cursors.block(i).is_empty() || advance(cursors, i, rp)? {
-                ready.push(Reverse((rp.clock, i)));
+                clocks[i] = rp.clock;
             }
         }
-        while let Some(Reverse((_, i))) = ready.pop() {
+        loop {
+            let (mut i, mut least) = (usize::MAX, DONE);
+            let (mut next, mut second) = (usize::MAX, DONE);
+            for (j, &clock) in clocks.iter().enumerate() {
+                if clock < least {
+                    (next, second) = (i, least);
+                    (i, least) = (j, clock);
+                } else if clock < second {
+                    (next, second) = (j, clock);
+                }
+            }
+            if least == DONE {
+                return Ok(());
+            }
+            // `i` keeps stepping while `(clock, i) < (second, next)`.
+            let limit = second.saturating_add(u64::from(i < next));
             let rp = &mut scratch[i];
             let node = rp.node;
-            self.step(node, cursors.block(i), rp, l1s, l2s);
-            if rp.pos < cursors.block(i).len() || advance(cursors, i, rp)? {
-                ready.push(Reverse((rp.clock, i)));
-            }
+            clocks[i] = loop {
+                self.step(node, cursors.block(i), rp, l1s, l2s);
+                if rp.pos == cursors.block(i).len() && !advance(cursors, i, rp)? {
+                    break DONE;
+                }
+                if rp.clock >= limit {
+                    break rp.clock;
+                }
+            };
         }
-        Ok(())
     }
 
     /// Verifies the structural invariants of the cache hierarchy and
@@ -457,6 +480,10 @@ impl Machine {
         }
     }
 
+    /// Executes processor `p`'s next event. Inlined into the run-ahead loop
+    /// (its one caller outside tests), which keeps the stepping processor's
+    /// clock and position in registers from one event to the next.
+    #[inline(always)]
     fn step(
         &mut self,
         p: usize,
@@ -480,18 +507,22 @@ impl Machine {
                 rp.pos += 1;
             }
             Event::Ref(r) if !r.write => {
-                self.wait_for_pending_write(rp, r.addr, r.class);
+                if !rp.wb.is_empty() {
+                    self.wait_for_pending_write(rp, r.addr, r.class);
+                }
                 let stall = self.read_access(p, r.addr, r.class, l1s, l2s);
                 rp.clock += 1 + stall;
                 rp.stats.busy += 1;
-                rp.charge_mem(r.class, stall);
+                if stall > 0 {
+                    rp.charge_mem(r.class, stall);
+                }
                 if r.class == DataClass::Data && self.cfg.prefetch_data_lines > 0 {
                     self.prefetch_from(p, r.addr);
                 }
                 rp.pos += 1;
             }
             Event::Ref(r) => {
-                let service = self.write_service(p, r.addr, r.class, l1s, l2s);
+                let service = self.write_service(p, r.addr, l1s, l2s);
                 if service > 0 {
                     self.push_wb(rp, r.addr, service, r.class);
                 }
@@ -518,7 +549,7 @@ impl Machine {
                         // Free: acquire with a blocking read-modify-write.
                         // Its miss latency is ordinary memory stall on the
                         // lock's data structure (the paper's Metadata time).
-                        let service = self.write_service(p, tok.addr, class, l1s, l2s);
+                        let service = self.write_service(p, tok.addr, l1s, l2s);
                         rp.clock += 1 + service;
                         rp.stats.busy += 1;
                         rp.charge_mem(class, service);
@@ -537,7 +568,7 @@ impl Machine {
                     .position(|&(a, _)| a == tok.addr)
                     .map(|i| self.locks.swap_remove(i).1);
                 assert_eq!(holder, Some(p), "lock released by non-holder");
-                let service = self.write_service(p, tok.addr, class, l1s, l2s);
+                let service = self.write_service(p, tok.addr, l1s, l2s);
                 if service > 0 {
                     self.push_wb(rp, tok.addr, service, class);
                 }
@@ -631,6 +662,8 @@ impl Machine {
     }
 
     /// Resolves a load: returns the stall beyond the 1-cycle issue slot.
+    /// Inlined with [`Machine::step`]: most events are loads.
+    #[inline(always)]
     fn read_access(
         &mut self,
         p: usize,
@@ -707,11 +740,9 @@ impl Machine {
         &mut self,
         p: usize,
         addr: u64,
-        class: DataClass,
         l1s: &mut LevelStats,
         l2s: &mut LevelStats,
     ) -> u64 {
-        let _ = class;
         l1s.write_accesses += 1;
         match self.nodes[p].l1.lookup(addr) {
             Some(state) if state.writable() => {
@@ -725,7 +756,10 @@ impl Machine {
                 return 0;
             }
             Some(_) => {}
-            None => l1s.write_misses += 1,
+            None => {
+                l1s.write_misses += 1;
+                self.nodes[p].l1.record_miss(addr);
+            }
         }
         l2s.write_accesses += 1;
         let line = addr & self.l2_line_mask;
@@ -749,6 +783,7 @@ impl Machine {
             }
             None => {
                 l2s.write_misses += 1;
+                self.nodes[p].l2.record_miss(addr);
                 let entry = self.dir.entry(line);
                 let wt = self.kernel.write_transaction(entry, p);
                 let inv = self.dir.record_write(line, p);
@@ -830,19 +865,20 @@ impl Machine {
             if self.nodes[p].l1.contains(pf) {
                 continue;
             }
-            if self.nodes[p].l2.contains(pf) {
-                self.fill_l1(p, pf, LineState::Shared);
-                self.prefetches_filled += 1;
-                continue;
+            if !self.nodes[p].l2.contains(pf) {
+                let line = pf & self.l2_line_mask;
+                let entry = self.dir.entry(line);
+                if matches!(entry.owner, Some(o) if o != p) {
+                    // Dirty elsewhere: the simple prefetcher skips it.
+                    continue;
+                }
+                self.dir.record_read(line, p);
+                self.nodes[p].l2.record_miss(pf);
+                self.fill_l2(p, pf, LineState::Shared);
             }
-            let line = pf & self.l2_line_mask;
-            let entry = self.dir.entry(line);
-            if matches!(entry.owner, Some(o) if o != p) {
-                // Dirty elsewhere: the simple prefetcher skips it.
-                continue;
-            }
-            self.dir.record_read(line, p);
-            self.fill_l2(p, pf, LineState::Shared);
+            // Marked seen only now that the fill is certain: a skipped line
+            // keeps its history for the demand miss that follows.
+            self.nodes[p].l1.record_miss(pf);
             self.fill_l1(p, pf, LineState::Shared);
             self.prefetches_filled += 1;
         }
@@ -1065,6 +1101,25 @@ mod tests {
     }
 
     #[test]
+    fn skipped_prefetch_leaves_the_line_unseen() {
+        // Node 1 dirties the second L2 line of a page; node 0 then reads the
+        // first with prefetching on. The prefetcher fills what it can and
+        // skips the dirty line — which must still classify as cold when
+        // node 0 finally demands it.
+        let t1 = Tracer::new(1);
+        t1.write(SHARED_BASE + 64, 8, DataClass::Data);
+        let t0 = Tracer::new(0);
+        t0.busy(10_000);
+        t0.read(SHARED_BASE, 8, DataClass::Data);
+        t0.read(SHARED_BASE + 64, 8, DataClass::Data);
+        let mut m = Machine::new(MachineConfig::baseline().with_data_prefetch(4));
+        let stats = m.run(&[t0.take(), t1.take()]);
+        assert!(stats.prefetches_filled < stats.prefetches_issued, "skipped");
+        let misses = |kind| stats.l1.read_misses.get(DataClass::Data, kind);
+        assert_eq!((misses(MissKind::Cold), misses(MissKind::Conflict)), (2, 0));
+    }
+
+    #[test]
     fn busy_time_accumulates() {
         let t = Tracer::new(0);
         t.busy(100);
@@ -1262,6 +1317,9 @@ mod tests {
 
     #[test]
     fn lone_trace_needs_no_arbitration() {
+        // With no runner-up the run-ahead limit is never reached: the trace
+        // replays in one stretch, refills included, exactly as the
+        // one-event-at-a-time definition has it.
         let traces = contended_traces(1);
         let mut whole = machine();
         let mut chopped = machine();
@@ -1273,11 +1331,7 @@ mod tests {
             })
             .expect("in-memory source cannot fail");
         assert_eq!(stats, streamed);
-        assert_eq!(
-            (whole.ready.capacity(), chopped.ready.capacity()),
-            (0, 0),
-            "the scheduler heap was never touched"
-        );
+        assert_eq!(stats, run_reference(&mut machine(), &traces));
     }
 
     #[test]
@@ -1325,9 +1379,9 @@ mod tests {
         let err = m.run_source(&Broken).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), "truncated");
         assert_eq!(
-            (m.scratch.len(), m.blocks.len(), m.ready.len()),
-            (2, 2, 0),
-            "run state and block buffers are back, the scheduler is empty"
+            (m.scratch.len(), m.blocks.len()),
+            (2, 2),
+            "run state and block buffers are back"
         );
         // The machine is still usable for a fresh run afterwards.
         let traces = contended_traces(2);
@@ -1336,5 +1390,157 @@ mod tests {
             m.run(&traces),
             "post-error machine had cold caches (only busy time was replayed)"
         );
+    }
+
+    /// The definition run-ahead scheduling must equal: scan the unfinished
+    /// processors for the smallest `(clock, index)` and step it exactly one
+    /// event, over and over.
+    fn run_reference(m: &mut Machine, traces: &[Trace]) -> SimStats {
+        m.locks.clear();
+        let mut procs: Vec<ProcScratch> = traces
+            .iter()
+            .map(|t| {
+                let mut rp = ProcScratch::default();
+                rp.reset(t.proc_id);
+                rp
+            })
+            .collect();
+        let mut l1s = LevelStats::default();
+        let mut l2s = LevelStats::default();
+        while let Some(i) = (0..traces.len())
+            .filter(|&i| procs[i].pos < traces[i].events.len())
+            .min_by_key(|&i| (procs[i].clock, i))
+        {
+            let node = procs[i].node;
+            m.step(node, &traces[i].events, &mut procs[i], &mut l1s, &mut l2s);
+        }
+        let mut out = SimStats::default();
+        m.collect(&mut procs, l1s, l2s, &mut out);
+        out
+    }
+
+    /// Every node's resident lines, L1 then L2.
+    fn resident(m: &Machine) -> Vec<Vec<(u64, LineState)>> {
+        m.nodes
+            .iter()
+            .flat_map(|n| [n.l1.resident_lines(), n.l2.resident_lines()])
+            .collect()
+    }
+
+    mod scheduler {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// Busy cycles from a tiny set, so clocks tie constantly.
+            Busy(u32),
+            /// A reference to one of a few lines every processor shares.
+            Shared { slot: u8, write: bool },
+            /// A reference to the processor's own heap.
+            Private { slot: u8, write: bool },
+            /// A critical section on one of two contended locks.
+            Critical { lock: bool, hold: u8, slot: u8 },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                3 => (0u8..3).prop_map(|k| Op::Busy(if k < 2 { 1 } else { 7 })),
+                3 => (0u8..12, any::<bool>()).prop_map(|(slot, write)| Op::Shared { slot, write }),
+                2 => (any::<u8>(), any::<bool>()).prop_map(|(slot, write)| Op::Private { slot, write }),
+                2 => (any::<bool>(), 0u8..40, 0u8..12)
+                    .prop_map(|(lock, hold, slot)| Op::Critical { lock, hold, slot }),
+            ]
+        }
+
+        fn trace(proc: usize, ops: &[Op]) -> Trace {
+            let t = Tracer::new(proc);
+            for op in ops {
+                match *op {
+                    Op::Busy(cycles) => t.busy(cycles),
+                    Op::Shared { slot, write: false } => {
+                        t.read(SHARED_BASE + 4096 + slot as u64 * 32, 8, DataClass::Data)
+                    }
+                    Op::Shared { slot, write: true } => {
+                        t.write(SHARED_BASE + 4096 + slot as u64 * 32, 8, DataClass::Data)
+                    }
+                    Op::Private { slot, write } => {
+                        // 4 KB apart: collides in the direct-mapped L1.
+                        let addr = dss_shmem::private_base(proc) + (slot as u64 % 24) * 4096;
+                        if write {
+                            t.write(addr, 8, DataClass::PrivHeap);
+                        } else {
+                            t.read(addr, 8, DataClass::PrivHeap);
+                        }
+                    }
+                    Op::Critical { lock, hold, slot } => {
+                        let tok = LockToken::new(
+                            SHARED_BASE + 64 * (1 + lock as u64),
+                            if lock {
+                                LockClass::LockMgr
+                            } else {
+                                LockClass::BufMgr
+                            },
+                        );
+                        t.lock_acquire(tok);
+                        t.busy(hold as u32 * 10);
+                        t.write(
+                            SHARED_BASE + 4096 + slot as u64 * 32,
+                            8,
+                            DataClass::LockHash,
+                        );
+                        t.lock_release(tok);
+                    }
+                }
+            }
+            t.take()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Run-ahead scheduling replays exactly the one-event-at-a-time
+            /// interleave — same statistics, same cache contents — cold and
+            /// warm, whole traces and blocks that end mid-spin.
+            #[test]
+            fn run_ahead_equals_one_event_at_a_time(
+                per_proc in proptest::collection::vec(
+                    proptest::collection::vec(op(), 0..120), 2..9),
+                lockstep in any::<bool>(),
+                mesi in any::<bool>(),
+            ) {
+                // Lockstep: every processor replays processor 0's ops, so
+                // every shared-free stretch is one long clock tie.
+                let traces: Vec<Trace> = per_proc
+                    .iter()
+                    .enumerate()
+                    .map(|(p, ops)| trace(p, if lockstep { &per_proc[0] } else { ops }))
+                    .collect();
+                let mut cfg = MachineConfig::baseline().with_processors(traces.len());
+                if mesi {
+                    cfg = cfg.with_protocol(crate::Protocol::Mesi);
+                }
+                let mut reference = Machine::new(cfg.clone());
+                let mut whole = Machine::new(cfg.clone());
+                let mut chopped: Vec<(usize, Machine)> = [1, 3, 64]
+                    .into_iter()
+                    .map(|block| (block, Machine::new(cfg.clone())))
+                    .collect();
+                for pass in ["cold", "warm"] {
+                    let expected = run_reference(&mut reference, &traces);
+                    let lines = resident(&reference);
+                    prop_assert_eq!(&whole.run(&traces), &expected, "{} whole", pass);
+                    prop_assert_eq!(&resident(&whole), &lines, "{} whole", pass);
+                    for (block, m) in &mut chopped {
+                        let got = m
+                            .run_source(&Chopped { traces: &traces, block: *block })
+                            .expect("in-memory source cannot fail");
+                        prop_assert_eq!(&got, &expected, "{} block {}", pass, block);
+                        prop_assert_eq!(&resident(m), &lines, "{} block {}", pass, block);
+                    }
+                    reference.check_invariants();
+                }
+            }
+        }
     }
 }

@@ -97,6 +97,11 @@ proptest! {
                 Op::Insert { idx, modified } => {
                     let line = pool[idx];
                     let state = if modified { LineState::Modified } else { LineState::Shared };
+                    // The fill contract: a non-resident line is classified
+                    // (and thereby marked seen) before it is inserted.
+                    if !cache.contains(line) {
+                        prop_assert_eq!(cache.record_miss(line), model.classify(line));
+                    }
                     let evicted = cache.insert(line, state);
                     model.mark_seen(line);
                     if let Some((victim, _dirty)) = evicted {
