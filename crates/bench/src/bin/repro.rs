@@ -6,20 +6,19 @@
 //! cargo run -p dss-bench --release --bin repro -- all --jobs 4 # four workers
 //! ```
 //!
-//! Accepted arguments: `table1`, `fig6`, `fig7`, `rates`, `fig8`, `fig9`,
-//! `fig10`, `fig11`, `fig12`, `fig13`, `all` (default), the extensions
-//! (`ext`, or `ext-protocol`, `ext-prefetch`, `ext-updates`, `ext-intra`,
-//! `ext-streams`, `ext-procs`), `--jobs N` to set the number of worker
-//! threads the sweeps fan out over (default: available parallelism),
-//! `--sf X` to override the database
-//! scale factor (default: the paper's 0.01), `--trace-mode
-//! streamed|materialized` to pick how traces reach the simulator (streamed
-//! records block files and replays them from disk, so peak memory stays
-//! bounded at any scale factor; stdout is identical either way), and
-//! `--bench-json PATH` to write the per-experiment wall/compute timings,
-//! heap-allocation counts (measured by a counting allocator), and
-//! per-experiment peak RSS as a machine-readable JSON file. Each experiment
-//! prints the paper-shaped chart plus its PASS/FAIL shape checks.
+//! Arguments are experiment names — the names in the `EXPERIMENTS` table, or
+//! its groups `all` (the paper's tables and figures; the default) and `ext`
+//! (the extensions) — and the options of the `OPTIONS` table. `--jobs N`
+//! sets the number of worker threads the sweeps fan out over (default:
+//! available parallelism), `--sf X` overrides the database scale factor
+//! (default: the paper's 0.01), `--trace-mode streamed|materialized` picks
+//! how traces reach the simulator (streamed records block files and replays
+//! them from disk, so peak memory stays bounded at any scale factor; stdout
+//! is identical either way), and `--bench-json PATH` writes the
+//! per-experiment wall/compute timings, heap-allocation counts (measured by a
+//! counting allocator), and per-experiment peak RSS as a machine-readable
+//! JSON file. Each experiment prints the paper-shaped chart plus its
+//! PASS/FAIL shape checks.
 //!
 //! The run is crash-safe when given a state directory: `--state-dir PATH`
 //! keeps a checkpoint manifest (`PATH/manifest.ckpt`) journaling every
@@ -36,7 +35,7 @@
 //! The run degrades gracefully instead of aborting: every sweep point runs
 //! fail-soft (a panicking or deadline-blown point becomes a structured
 //! `PointError` and the rest of the sweep completes), and every experiment
-//! block runs under `catch_unwind` so one broken figure cannot take down the
+//! body runs under `catch_unwind` so one broken figure cannot take down the
 //! others. Two flags exercise this path deterministically: `--inject LABEL`
 //! makes the sweep point with that label (e.g. `fig8/Q6/l2_line=64`) panic,
 //! and `--point-deadline-ms N` times out any point slower than `N` ms.
@@ -57,8 +56,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use dss_core::experiments::{self, CACHE_SIZES_KB, LINE_SIZES};
 use dss_core::{
-    config_fingerprint, experiments, paper, query_label, report, CheckpointJournal, PointError,
+    config_fingerprint, paper, query_label, report, CheckpointJournal, PointError, SweepTally,
     TraceMode, Workbench, STUDIED_QUERIES,
 };
 use dss_query::DbConfig;
@@ -76,20 +76,30 @@ mod alloc;
 #[global_allocator]
 static COUNTING_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
-/// One recorded experiment: label, wall-clock, fanned-out compute, heap
-/// traffic, and two RSS measures — this experiment's own peak (bytes) and
-/// the process-wide high-water mark so far.
+/// One recorded experiment: label, wall-clock, heap traffic, two RSS
+/// measures — this experiment's own peak (bytes) and the process-wide
+/// high-water mark so far — and what its sweeps did.
 struct BenchEntry {
     name: String,
     wall: Duration,
-    compute: Duration,
     heap: alloc::AllocReport,
     peak_rss: u64,
     peak_rss_cumulative: u64,
-    /// Sweep points served from the checkpoint journal (resume provenance).
-    points_loaded: u64,
-    /// Sweep points actually simulated by this experiment.
-    points_computed: u64,
+    /// Fanned-out compute time, points served from the checkpoint journal
+    /// (resume provenance) vs. simulated, and the points that failed.
+    tally: SweepTally,
+}
+
+/// The run-wide half of the `--bench-json` document.
+struct RunHeader {
+    jobs: usize,
+    trace_mode: TraceMode,
+    scale: f64,
+    total_wall: Duration,
+    /// `"fresh"` or `"resumed"`.
+    resume_mode: &'static str,
+    /// The armed crash-injection site, if any.
+    crash_site: Option<String>,
 }
 
 /// The process's peak resident set size (`VmHWM`) in bytes, or 0 where
@@ -132,6 +142,8 @@ struct BenchLog {
     armed_rss: u64,
     /// Whether `/proc/self/clear_refs` resets worked at arm time.
     armed_reset: bool,
+    /// The labels of the experiments that were abandoned (see [`guarded`]).
+    failed: Vec<String>,
 }
 
 impl BenchLog {
@@ -145,19 +157,17 @@ impl BenchLog {
         self.armed_rss = peak_rss_bytes();
     }
 
-    /// Records one experiment's wall-clock, the aggregate single-thread
-    /// compute it fanned out (their ratio is the parallel speedup), the
-    /// heap traffic its gate observed, and the peak RSS of its own window.
-    /// Stderr, to keep stdout diffable.
+    /// Records one experiment: its wall-clock against the single-thread
+    /// compute its sweeps fanned out (their ratio is the parallel speedup),
+    /// the heap traffic its gate observed, the peak RSS of its own window,
+    /// and the sweep-point failures. Stderr, to keep stdout diffable.
     fn record(
         &mut self,
-        label: &str,
+        name: String,
         wall: Duration,
-        compute: Duration,
         heap: alloc::AllocReport,
-        ckpt: (u64, u64),
+        tally: SweepTally,
     ) {
-        let (points_loaded, points_computed) = ckpt;
         let hwm = peak_rss_bytes();
         // With a working reset, `hwm` is this experiment's own peak; without
         // one it is process-monotone, so report how much it grew instead.
@@ -170,32 +180,41 @@ impl BenchLog {
         let peak_rss_cumulative = self.cumulative_rss;
         let mb = heap.bytes_allocated / 1_000_000;
         let rss_mb = peak_rss / 1_000_000;
-        if compute.is_zero() {
-            eprintln!(
-                "  [{label}] wall {wall:.1?}; heap {} alloc(s), {mb} MB; peak rss {rss_mb} MB",
-                heap.allocs
-            );
+        // An experiment that simulated also reports the single-thread compute
+        // it fanned out against its wall-clock: the parallel speedup.
+        let compute = tally.compute;
+        let sim = if compute.is_zero() {
+            String::new()
         } else {
             let speedup = compute.as_secs_f64() / wall.as_secs_f64().max(1e-9);
+            format!(", sim compute {compute:.1?}, speedup {speedup:.2}x")
+        };
+        eprintln!(
+            "  [{name}] wall {wall:.1?}{sim}; heap {} alloc(s), {mb} MB; peak rss {rss_mb} MB",
+            heap.allocs
+        );
+        if tally.points_loaded > 0 {
             eprintln!(
-                "  [{label}] wall {wall:.1?}, sim compute {compute:.1?}, speedup {speedup:.2}x; \
-                 heap {} alloc(s), {mb} MB; peak rss {rss_mb} MB",
-                heap.allocs
+                "  [{name}] {} point(s) served from the checkpoint journal",
+                tally.points_loaded
             );
         }
-        if points_loaded > 0 {
-            eprintln!("  [{label}] {points_loaded} point(s) served from the checkpoint journal");
+        for err in &tally.errors {
+            eprintln!("  point error: {err}");
         }
         self.entries.push(BenchEntry {
-            name: label.to_string(),
+            name,
             wall,
-            compute,
             heap,
             peak_rss,
             peak_rss_cumulative,
-            points_loaded,
-            points_computed,
+            tally,
         });
+    }
+
+    /// Every sweep-point failure of the run, in experiment then sweep order.
+    fn point_errors(&self) -> impl Iterator<Item = &PointError> {
+        self.entries.iter().flat_map(|e| &e.tally.errors)
     }
 
     /// The recorded timings as a self-describing JSON document. Labels are
@@ -214,21 +233,8 @@ impl BenchLog {
     /// delta-from-start) and added the monotone `peak_rss_cumulative`.
     /// Schema v3 added the degradation record:
     /// `point_errors` and `failed_experiments`, both empty on a healthy run.
-    // The report serializes every top-level measurement as its own scalar;
-    // the arity is the schema's, not an API anyone else calls.
-    #[allow(clippy::too_many_arguments)]
-    fn to_json(
-        &self,
-        jobs: usize,
-        trace_mode: TraceMode,
-        scale: f64,
-        total_wall: Duration,
-        point_errors: &[PointError],
-        failed: &[String],
-        resume_mode: &str,
-        crash_site: Option<&str>,
-    ) -> String {
-        let resumed = resume_mode == "resumed";
+    fn to_json(&self, run: &RunHeader) -> String {
+        let resumed = run.resume_mode == "resumed";
         let experiments: Vec<String> = self
             .entries
             .iter()
@@ -240,29 +246,29 @@ impl BenchLog {
                      \"points_computed\": {}, \"retries\": {}}}",
                     e.name,
                     e.wall.as_nanos(),
-                    e.compute.as_nanos(),
+                    e.tally.compute.as_nanos(),
                     e.heap.allocs,
                     e.heap.bytes_allocated,
                     e.peak_rss,
                     e.peak_rss_cumulative,
-                    e.points_loaded,
-                    e.points_computed,
-                    if resumed { e.points_computed } else { 0 }
+                    e.tally.points_loaded,
+                    e.tally.points_computed,
+                    if resumed { e.tally.points_computed } else { 0 }
                 )
             })
             .collect();
-        let errors: Vec<String> = point_errors
-            .iter()
+        let errors: Vec<String> = self
+            .point_errors()
             .map(|e| format!("    {}", e.to_json()))
             .collect();
-        let abandoned: Vec<String> = failed.iter().map(|f| format!("\"{f}\"")).collect();
-        let mode = match trace_mode {
+        let abandoned: Vec<String> = self.failed.iter().map(|f| format!("\"{f}\"")).collect();
+        let mode = match run.trace_mode {
             TraceMode::Materialized => "materialized",
             TraceMode::Streamed => "streamed",
         };
-        let loaded: u64 = self.entries.iter().map(|e| e.points_loaded).sum();
-        let computed: u64 = self.entries.iter().map(|e| e.points_computed).sum();
-        let site = match crash_site {
+        let loaded: u64 = self.entries.iter().map(|e| e.tally.points_loaded).sum();
+        let computed: u64 = self.entries.iter().map(|e| e.tally.points_computed).sum();
+        let site = match &run.crash_site {
             Some(s) => format!("\"{s}\""),
             None => "null".to_string(),
         };
@@ -273,14 +279,14 @@ impl BenchLog {
              \"points_loaded\": {}, \"points_computed\": {}}},\n  \
              \"total_wall_ns\": {},\n  \"point_errors\": [{}],\n  \
              \"failed_experiments\": [{}],\n  \"experiments\": [\n{}\n  ]\n}}\n",
-            jobs,
+            run.jobs,
             mode,
-            scale,
-            resume_mode,
+            run.scale,
+            run.resume_mode,
             site,
             loaded,
             computed,
-            total_wall.as_nanos(),
+            run.total_wall.as_nanos(),
             if errors.is_empty() {
                 String::new()
             } else {
@@ -292,7 +298,7 @@ impl BenchLog {
     }
 }
 
-/// Runs one experiment block under `catch_unwind`, so a failure that escapes
+/// Runs one experiment body under `catch_unwind`, so a failure that escapes
 /// the fail-soft sweeps (a paired experiment that lost its partner point, a
 /// renderer handed an impossible shape) abandons that one experiment instead
 /// of the whole run. The abandonment is recorded for the exit code and the
@@ -304,49 +310,273 @@ fn guarded(label: &str, failed: &mut Vec<String>, f: impl FnOnce()) {
     }
 }
 
-/// Drains the sweep-point failures the workbench accumulated during one
-/// experiment, reporting each next to the experiment's timing line.
-fn drain_point_errors(wb: &mut Workbench, sink: &mut Vec<PointError>) {
-    for err in wb.take_point_errors() {
-        eprintln!("  point error: {err}");
-        sink.push(err);
+/// An experiment's body: runs it and prints its charts and shape checks.
+/// `want` says which of its row's names the command line asked for.
+type Run = fn(&mut Workbench, want: &dyn Fn(&str) -> bool);
+
+/// The group of the paper's own tables and figures; the default.
+const ALL: &str = "all";
+/// The group of the extensions beyond the paper.
+const EXT: &str = "ext";
+
+// The names of the rows that render several figures from one sweep: their
+// bodies ask which of them to print.
+const FIG6: &str = "fig6";
+const FIG7: &str = "fig7";
+const RATES: &str = "rates";
+const FIG8: &str = "fig8";
+const FIG9: &str = "fig9";
+const FIG10: &str = "fig10";
+const FIG11: &str = "fig11";
+
+/// Every experiment `repro` can run, in the order it runs them. A row —
+/// replay a trace set at some configurations, render, check the shape — is
+/// the command-line words that select it (joined by `/` they are its label
+/// on stderr and in the benchmark report), the group word that also selects
+/// it ([`ALL`] or [`EXT`]), and its body.
+const EXPERIMENTS: [(&[&str], &str, Run); 12] = [
+    (&["table1"], ALL, |wb, _| {
+        let rows = experiments::table1(&wb.db);
+        println!("{}", report::render_table1(&rows));
+    }),
+    (&[FIG6, FIG7, RATES], ALL, baselines),
+    (&[FIG8, FIG9], ALL, line_sizes),
+    (&[FIG10, FIG11], ALL, cache_sizes),
+    (&["fig12"], ALL, |wb, _| {
+        let q3 = wb.reuse_experiment(3, 12);
+        let q12 = wb.reuse_experiment(12, 3);
+        println!("{}", report::render_fig12(&q3));
+        println!("{}", report::render_fig12(&q12));
+        println!("{}", paper::render_checks(&paper::check_fig12(&q3, &q12)));
+    }),
+    (&["fig13"], ALL, |wb, _| {
+        let pairs: Vec<_> = STUDIED_QUERIES
+            .iter()
+            .map(|q| wb.prefetch_experiment(*q))
+            .collect();
+        println!("{}", report::render_fig13(&pairs));
+        println!("{}", paper::render_checks(&paper::check_fig13(&pairs)));
+    }),
+    (&["ext-protocol"], EXT, |wb, _| {
+        let ablations: Vec<_> = STUDIED_QUERIES
+            .iter()
+            .map(|q| wb.protocol_ablation(*q))
+            .collect();
+        println!("{}", report::render_ext_protocol(&ablations));
+    }),
+    (&["ext-prefetch"], EXT, |wb, _| {
+        for q in [6u8, 12] {
+            let points = wb.prefetch_degree_sweep(q);
+            println!("{}", report::render_ext_prefetch(q, &points));
+        }
+    }),
+    (&["ext-updates"], EXT, |_, _| {
+        let runs = experiments::update_experiment(dss_tpcd::PAPER_SCALE);
+        println!("{}", report::render_ext_updates(&runs));
+    }),
+    (&["ext-intra"], EXT, |wb, _| {
+        let runs = experiments::intra_query_experiment(wb);
+        println!("{}", report::render_ext_intra(&runs));
+    }),
+    (&["ext-streams"], EXT, |wb, _| {
+        let baselines = wb.baseline_suite(&STUDIED_QUERIES);
+        let runs = experiments::stream_experiment(wb, &[3, 6, 12]);
+        println!("{}", report::render_ext_streams(&runs, &baselines));
+    }),
+    (&["ext-procs"], EXT, |wb, _| {
+        for q in STUDIED_QUERIES {
+            let points = wb.processor_sweep(q);
+            println!("{}", report::render_ext_procs(q, &points));
+        }
+    }),
+];
+
+/// Figures 6 and 7 and the quoted miss rates, from one baseline suite.
+fn baselines(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
+    let baselines = wb.baseline_suite(&STUDIED_QUERIES);
+    let degraded = baselines.len() < STUDIED_QUERIES.len();
+    if want(FIG6) {
+        println!("{}", report::render_fig6a(&baselines));
+        println!("{}", report::render_fig6b(&baselines));
+        if degraded {
+            println!("  ({FIG6} shape checks skipped: suite degraded, see point errors)");
+        } else {
+            println!("{}", paper::render_checks(&paper::check_fig6(&baselines)));
+        }
+    }
+    if want(FIG7) {
+        for b in &baselines {
+            println!("{}", report::render_fig7(b));
+        }
+        if degraded {
+            println!("  ({FIG7} shape checks skipped: suite degraded, see point errors)");
+        } else {
+            println!("{}", paper::render_checks(&paper::check_fig7(&baselines)));
+        }
+    }
+    if want(RATES) {
+        let rates: Vec<_> = baselines.iter().map(experiments::miss_rates).collect();
+        println!("{}", report::render_miss_rates(&rates));
     }
 }
 
-/// Every experiment name the command line accepts: the paper's tables and
-/// figures, the extensions, and the two groups.
-const EXPERIMENTS: [&str; 18] = [
-    "all",
-    "table1",
-    "fig6",
-    "fig7",
-    "rates",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "ext",
-    "ext-protocol",
-    "ext-prefetch",
-    "ext-updates",
-    "ext-intra",
-    "ext-streams",
-    "ext-procs",
+/// Figures 8 and 9, from one line-size sweep per studied query.
+fn line_sizes(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
+    for q in STUDIED_QUERIES {
+        let points = wb.line_size_sweep(q);
+        if points.len() < LINE_SIZES.len() {
+            println!(
+                "Figure 8/9 ({}): skipped — sweep degraded, see point errors",
+                query_label(q)
+            );
+            continue;
+        }
+        if want(FIG8) {
+            println!("{}", report::render_fig8(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig8(q, &points)));
+        }
+        if want(FIG9) {
+            println!("{}", report::render_fig9(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig9(q, &points)));
+        }
+    }
+}
+
+/// Figures 10 and 11, from one cache-size sweep per studied query.
+fn cache_sizes(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
+    for q in STUDIED_QUERIES {
+        let points = wb.cache_size_sweep(q);
+        if points.len() < CACHE_SIZES_KB.len() {
+            println!(
+                "Figure 10/11 ({}): skipped — sweep degraded, see point errors",
+                query_label(q)
+            );
+            continue;
+        }
+        if want(FIG10) {
+            println!("{}", report::render_fig10(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig10(q, &points)));
+        }
+        if want(FIG11) {
+            println!("{}", report::render_fig11(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig11(q, &points)));
+        }
+    }
+}
+
+/// Every word the command line accepts as an experiment: each group,
+/// followed by the names of its rows.
+fn accepted_names() -> Vec<&'static str> {
+    let mut words = Vec::new();
+    for (names, group, _) in EXPERIMENTS {
+        if !words.contains(&group) {
+            words.push(group);
+        }
+        words.extend(names);
+    }
+    words
+}
+
+/// The identity of a command-line option, for the parser in `main`.
+#[derive(Clone, Copy)]
+enum Flag {
+    Jobs,
+    Sf,
+    TraceMode,
+    BenchJson,
+    StateDir,
+    Resume,
+    Inject,
+    PointDeadlineMs,
+}
+
+/// Every option the command line accepts: its identity, its spelling,
+/// whether it takes a value (`--x V` or `--x=V`), and its usage-error line.
+const OPTIONS: [(Flag, &str, bool, &str); 8] = [
+    (
+        Flag::Jobs,
+        "--jobs",
+        true,
+        "--jobs needs a number (e.g. --jobs 4)",
+    ),
+    (
+        Flag::Sf,
+        "--sf",
+        true,
+        "--sf needs a positive scale factor (e.g. --sf 0.05)",
+    ),
+    (
+        Flag::TraceMode,
+        "--trace-mode",
+        true,
+        "--trace-mode must be `streamed` or `materialized`",
+    ),
+    (
+        Flag::BenchJson,
+        "--bench-json",
+        true,
+        "--bench-json needs a path",
+    ),
+    (
+        Flag::StateDir,
+        "--state-dir",
+        true,
+        "--state-dir needs a path",
+    ),
+    (
+        Flag::Resume,
+        "--resume",
+        false,
+        "--resume needs --state-dir (the journal and trace files to resume from)",
+    ),
+    (
+        Flag::Inject,
+        "--inject",
+        true,
+        "--inject needs a sweep-point label",
+    ),
+    (
+        Flag::PointDeadlineMs,
+        "--point-deadline-ms",
+        true,
+        "--point-deadline-ms needs a number of milliseconds",
+    ),
 ];
 
-/// Every option the command line accepts.
-const OPTIONS: [&str; 8] = [
-    "--jobs",
-    "--sf",
-    "--trace-mode",
-    "--bench-json",
-    "--state-dir",
-    "--resume",
-    "--inject",
-    "--point-deadline-ms",
-];
+/// Prints one usage-error line and exits 2.
+fn usage_error(line: &str) -> ! {
+    eprintln!("error: {line}");
+    std::process::exit(2)
+}
+
+/// Matches `arg` (`--x` or `--x=V`) against [`OPTIONS`] and returns its flag,
+/// its value — the inline `V`, else the next argument, or nothing for an
+/// option that takes none — and its error line. An unknown option or a
+/// missing value is a usage error.
+fn option_value(
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> (Flag, String, &'static str) {
+    let (name, inline) = match arg.split_once('=') {
+        Some((name, value)) => (name, Some(value.to_string())),
+        None => (arg, None),
+    };
+    for &(flag, spelling, takes_value, error) in &OPTIONS {
+        if spelling == name && (takes_value || inline.is_none()) {
+            let value = if takes_value {
+                inline.or_else(|| rest.next())
+            } else {
+                Some(String::new())
+            };
+            return (flag, value.unwrap_or_else(|| usage_error(error)), error);
+        }
+    }
+    let spellings: Vec<&str> = OPTIONS.iter().map(|&(_, spelling, ..)| spelling).collect();
+    usage_error(&format!(
+        "unknown option `{arg}` (options: {})",
+        spellings.join(", ")
+    ))
+}
 
 fn main() {
     let mut jobs: Option<usize> = None;
@@ -355,138 +585,48 @@ fn main() {
     let mut deadline_ms: Option<u64> = None;
     let mut sf: Option<f64> = None;
     let mut trace_mode = TraceMode::Materialized;
-    let mut resume = false;
+    // `--resume`'s error line, owed until `--state-dir` is known to be given.
+    let mut resume = None;
     let mut state_dir: Option<String> = None;
-    let mut names = BTreeSet::new();
+    let mut words = BTreeSet::new();
+    let accepted = accepted_names();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        if arg == "--resume" {
-            resume = true;
-            continue;
-        }
-        if arg == "--state-dir" {
-            match argv.next() {
-                Some(path) => state_dir = Some(path),
-                None => {
-                    eprintln!("error: --state-dir needs a path");
-                    std::process::exit(2);
-                }
+        if !arg.starts_with('-') {
+            if !accepted.contains(&arg.as_str()) {
+                usage_error(&format!(
+                    "unknown experiment `{arg}` (experiments: {})",
+                    accepted.join(", ")
+                ));
             }
+            words.insert(arg);
             continue;
         }
-        if let Some(path) = arg.strip_prefix("--state-dir=") {
-            state_dir = Some(path.to_string());
-            continue;
-        }
-        if arg == "--sf" || arg.starts_with("--sf=") {
-            let value = arg
-                .strip_prefix("--sf=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref().map(str::parse::<f64>) {
-                Some(Ok(s)) if s > 0.0 => sf = Some(s),
-                _ => {
-                    eprintln!("error: --sf needs a positive scale factor (e.g. --sf 0.05)");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if arg == "--trace-mode" || arg.starts_with("--trace-mode=") {
-            let value = arg
-                .strip_prefix("--trace-mode=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref() {
-                Some("materialized") => trace_mode = TraceMode::Materialized,
-                Some("streamed") => trace_mode = TraceMode::Streamed,
-                _ => {
-                    eprintln!("error: --trace-mode must be `streamed` or `materialized`");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if arg == "--bench-json" {
-            match argv.next() {
-                Some(path) => bench_json = Some(path),
-                None => {
-                    eprintln!("error: --bench-json needs a path");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if let Some(path) = arg.strip_prefix("--bench-json=") {
-            bench_json = Some(path.to_string());
-            continue;
-        }
-        if arg == "--inject" {
-            match argv.next() {
-                Some(label) => inject = Some(label),
-                None => {
-                    eprintln!("error: --inject needs a sweep-point label");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if let Some(label) = arg.strip_prefix("--inject=") {
-            inject = Some(label.to_string());
-            continue;
-        }
-        if arg == "--point-deadline-ms" || arg.starts_with("--point-deadline-ms=") {
-            let value = arg
-                .strip_prefix("--point-deadline-ms=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref().map(str::parse) {
-                Some(Ok(ms)) => deadline_ms = Some(ms),
-                _ => {
-                    eprintln!("error: --point-deadline-ms needs a number of milliseconds");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        let value = if arg == "--jobs" {
-            argv.next()
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v.to_string())
-        } else if arg.starts_with('-') {
-            eprintln!(
-                "error: unknown option `{arg}` (options: {})",
-                OPTIONS.join(", ")
-            );
-            std::process::exit(2);
-        } else if !EXPERIMENTS.contains(&arg.as_str()) {
-            eprintln!(
-                "error: unknown experiment `{arg}` (experiments: {})",
-                EXPERIMENTS.join(", ")
-            );
-            std::process::exit(2);
-        } else {
-            names.insert(arg);
-            continue;
-        };
-        match value.as_deref().map(str::parse) {
-            Some(Ok(n)) => jobs = Some(n),
-            _ => {
-                eprintln!("error: --jobs needs a number (e.g. --jobs 4)");
-                std::process::exit(2);
+        let (flag, value, error) = option_value(&arg, &mut argv);
+        match flag {
+            Flag::Jobs => jobs = Some(value.parse().unwrap_or_else(|_| usage_error(error))),
+            Flag::Sf => match value.parse() {
+                Ok(s) if f64::is_finite(s) && s > 0.0 => sf = Some(s),
+                _ => usage_error(error),
+            },
+            Flag::TraceMode => match value.as_str() {
+                "materialized" => trace_mode = TraceMode::Materialized,
+                "streamed" => trace_mode = TraceMode::Streamed,
+                _ => usage_error(error),
+            },
+            Flag::BenchJson => bench_json = Some(value),
+            Flag::StateDir => state_dir = Some(value),
+            Flag::Resume => resume = Some(error),
+            Flag::Inject => inject = Some(value),
+            Flag::PointDeadlineMs => {
+                deadline_ms = Some(value.parse().unwrap_or_else(|_| usage_error(error)));
             }
         }
     }
-    if resume && state_dir.is_none() {
-        eprintln!("error: --resume needs --state-dir (the journal and trace files to resume from)");
-        std::process::exit(2);
+    if let (Some(error), None) = (resume, &state_dir) {
+        usage_error(error);
     }
-    let args = names;
     let mut log = BenchLog::default();
-    let mut point_errors: Vec<PointError> = Vec::new();
-    let mut failed: Vec<String> = Vec::new();
-    let want = |name: &str| args.is_empty() || args.contains("all") || args.contains(name);
-    let want_ext = |name: &str| args.contains("ext") || args.contains(name);
 
     let start = Instant::now();
     let mut config = DbConfig::default();
@@ -525,7 +665,7 @@ fn main() {
         let manifest = dir.join("manifest.ckpt");
         let traces = dir.join("traces");
         let fingerprint = config_fingerprint(&config, wb.nprocs());
-        let journal = if resume {
+        let journal = if resume.is_some() {
             match CheckpointJournal::resume(&manifest, fingerprint) {
                 Ok(j) => {
                     if let Some(reason) = j.fresh_reason() {
@@ -588,289 +728,19 @@ fn main() {
         wb.jobs(),
     );
 
-    if want("table1") {
+    for (names, group, run) in EXPERIMENTS {
+        // No word at all asks for the paper's group.
+        let whole = words.contains(group) || (words.is_empty() && group == ALL);
+        let want = |name: &str| whole || words.contains(name);
+        if !names.iter().any(|name| want(name)) {
+            continue;
+        }
+        let label = names.join("/");
         let t = Instant::now();
-        let g = alloc::AllocGate::begin();
+        let gate = alloc::AllocGate::begin();
         log.arm();
-        guarded("table1", &mut failed, || {
-            let rows = experiments::table1(&wb.db);
-            println!("{}", report::render_table1(&rows));
-        });
-        log.record(
-            "table1",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig6") || want("fig7") || want("rates") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig6/fig7/rates", &mut failed, || {
-            let before = wb.point_error_count();
-            let baselines = wb.baseline_suite(&STUDIED_QUERIES);
-            let degraded = wb.point_error_count() > before;
-            if want("fig6") {
-                println!("{}", report::render_fig6a(&baselines));
-                println!("{}", report::render_fig6b(&baselines));
-                if degraded {
-                    println!("  (fig6 shape checks skipped: suite degraded, see point errors)");
-                } else {
-                    println!("{}", paper::render_checks(&paper::check_fig6(&baselines)));
-                }
-            }
-            if want("fig7") {
-                for b in &baselines {
-                    println!("{}", report::render_fig7(b));
-                }
-                if degraded {
-                    println!("  (fig7 shape checks skipped: suite degraded, see point errors)");
-                } else {
-                    println!("{}", paper::render_checks(&paper::check_fig7(&baselines)));
-                }
-            }
-            if want("rates") {
-                let rates: Vec<_> = baselines.iter().map(experiments::miss_rates).collect();
-                println!("{}", report::render_miss_rates(&rates));
-            }
-        });
-        log.record(
-            "fig6/fig7/rates",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig8") || want("fig9") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig8/fig9", &mut failed, || {
-            for q in STUDIED_QUERIES {
-                let before = wb.point_error_count();
-                let points = wb.line_size_sweep(q);
-                if wb.point_error_count() > before {
-                    println!(
-                        "Figure 8/9 ({}): skipped — sweep degraded, see point errors",
-                        query_label(q)
-                    );
-                    continue;
-                }
-                if want("fig8") {
-                    println!("{}", report::render_fig8(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig8(q, &points)));
-                }
-                if want("fig9") {
-                    println!("{}", report::render_fig9(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig9(q, &points)));
-                }
-            }
-        });
-        log.record(
-            "fig8/fig9",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig10") || want("fig11") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig10/fig11", &mut failed, || {
-            for q in STUDIED_QUERIES {
-                let before = wb.point_error_count();
-                let points = wb.cache_size_sweep(q);
-                if wb.point_error_count() > before {
-                    println!(
-                        "Figure 10/11 ({}): skipped — sweep degraded, see point errors",
-                        query_label(q)
-                    );
-                    continue;
-                }
-                if want("fig10") {
-                    println!("{}", report::render_fig10(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig10(q, &points)));
-                }
-                if want("fig11") {
-                    println!("{}", report::render_fig11(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig11(q, &points)));
-                }
-            }
-        });
-        log.record(
-            "fig10/fig11",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig12") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig12", &mut failed, || {
-            let q3 = wb.reuse_experiment(3, 12);
-            let q12 = wb.reuse_experiment(12, 3);
-            println!("{}", report::render_fig12(&q3));
-            println!("{}", report::render_fig12(&q12));
-            println!("{}", paper::render_checks(&paper::check_fig12(&q3, &q12)));
-        });
-        log.record(
-            "fig12",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig13") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig13", &mut failed, || {
-            let pairs: Vec<_> = STUDIED_QUERIES
-                .iter()
-                .map(|q| wb.prefetch_experiment(*q))
-                .collect();
-            println!("{}", report::render_fig13(&pairs));
-            println!("{}", paper::render_checks(&paper::check_fig13(&pairs)));
-        });
-        log.record(
-            "fig13",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    // Extension experiments (not in the paper): run with `ext` or by name.
-    if want_ext("ext-protocol") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-protocol", &mut failed, || {
-            let ablations: Vec<_> = STUDIED_QUERIES
-                .iter()
-                .map(|q| wb.protocol_ablation(*q))
-                .collect();
-            println!("{}", report::render_ext_protocol(&ablations));
-        });
-        log.record(
-            "ext-protocol",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-prefetch") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-prefetch", &mut failed, || {
-            for q in [6u8, 12] {
-                let points = wb.prefetch_degree_sweep(q);
-                println!("{}", report::render_ext_prefetch(q, &points));
-            }
-        });
-        log.record(
-            "ext-prefetch",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-updates") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-updates", &mut failed, || {
-            let runs = experiments::update_experiment(dss_tpcd::PAPER_SCALE);
-            println!("{}", report::render_ext_updates(&runs));
-        });
-        log.record(
-            "ext-updates",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-intra") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-intra", &mut failed, || {
-            let runs = experiments::intra_query_experiment(&mut wb);
-            println!("{}", report::render_ext_intra(&runs));
-        });
-        log.record(
-            "ext-intra",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-streams") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-streams", &mut failed, || {
-            let baselines = wb.baseline_suite(&STUDIED_QUERIES);
-            let runs = experiments::stream_experiment(&mut wb, &[3, 6, 12]);
-            println!("{}", report::render_ext_streams(&runs, &baselines));
-        });
-        log.record(
-            "ext-streams",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-procs") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-procs", &mut failed, || {
-            for q in STUDIED_QUERIES {
-                let points = wb.processor_sweep(q);
-                println!("{}", report::render_ext_procs(q, &points));
-            }
-        });
-        log.record(
-            "ext-procs",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
+        guarded(&label, &mut log.failed, || run(&mut wb, &want));
+        log.record(label, t.elapsed(), gate.end(), wb.take_tally());
     }
 
     let total = start.elapsed();
@@ -879,32 +749,28 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     if let Some(path) = bench_json {
-        // Provenance for the crash campaign: which site (if any) was armed
-        // to kill this very process partway through.
-        let crash_site = std::env::var(dss_faultkit::crash::ENV_SITE)
-            .ok()
-            .filter(|s| !s.is_empty());
-        let json = log.to_json(
-            wb.jobs(),
+        let json = log.to_json(&RunHeader {
+            jobs: wb.jobs(),
             trace_mode,
             scale,
-            total,
-            &point_errors,
-            &failed,
+            total_wall: total,
             resume_mode,
-            crash_site.as_deref(),
-        );
+            // Provenance for the crash campaign: which site (if any) was
+            // armed to kill this very process partway through.
+            crash_site: std::env::var(dss_faultkit::crash::ENV_SITE)
+                .ok()
+                .filter(|s| !s.is_empty()),
+        });
         if let Err(e) = dss_core::write_atomic(Path::new(&path), json.as_bytes()) {
             eprintln!("error: could not write {path}: {e}");
             std::process::exit(1);
         }
         eprintln!("benchmark timings written to {path}");
     }
-    if !point_errors.is_empty() || !failed.is_empty() {
+    let (errors, abandoned) = (log.point_errors().count(), log.failed.len());
+    if errors + abandoned > 0 {
         eprintln!(
-            "repro: partial results — {} point error(s), {} abandoned experiment(s)",
-            point_errors.len(),
-            failed.len()
+            "repro: partial results — {errors} point error(s), {abandoned} abandoned experiment(s)"
         );
         std::process::exit(3);
     }

@@ -56,18 +56,33 @@ impl fmt::Display for PointError {
 }
 
 impl PointError {
-    /// Renders the error as a JSON object for the bench report (labels and
-    /// causes contain no characters needing escape beyond quotes, which are
-    /// replaced defensively).
+    /// Renders the error as a JSON object for the bench report. A cause is a
+    /// panic message — `assert_eq!` ones span lines — so strings are escaped
+    /// in full: `"` and `\`, and every control character.
     pub fn to_json(&self) -> String {
-        let clean = |s: &str| s.replace('\\', "\\\\").replace('"', "'");
         format!(
-            "{{\"site\": \"{}\", \"cause\": \"{}\", \"seed\": {}}}",
-            clean(&self.site),
-            clean(&self.cause.to_string()),
+            "{{\"site\": {}, \"cause\": {}, \"seed\": {}}}",
+            json_string(&self.site),
+            json_string(&self.cause.to_string()),
             self.seed
         )
     }
+}
+
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
 }
 
 #[cfg(test)]
@@ -94,7 +109,7 @@ mod tests {
             cause: PointCause::TimedOut { limit_ms: 250 },
             seed: 0,
         };
-        assert!(e.to_json().contains("a'b"));
+        assert!(e.to_json().contains(r#"a\"b"#));
         assert!(e.to_string().contains("250 ms"));
     }
 }

@@ -13,13 +13,12 @@
 //! experiment code runs over materialized sets or streamed block files
 //! (see [`crate::TraceMode`]) with bit-identical results.
 
+use std::fmt;
 use std::panic::resume_unwind;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use dss_faultkit::crash::crash_point;
-use dss_memsim::{Machine, MachineConfig, SimStats};
+use dss_memsim::{Machine, MachineConfig, Protocol, SimStats};
 use dss_query::{Database, PlanFeatures};
 use dss_tpcd::params;
 use dss_trace::{ProcPrefix, TraceSource};
@@ -162,9 +161,10 @@ impl PointTask {
 
 impl Workbench {
     /// The point runner: fans labeled points across this workbench's worker
-    /// threads, recording compute time for [`Workbench::take_sim_compute`].
-    /// `tasks` builds the points (typically generating their traces) and is
-    /// only called when at least one of them has to be simulated.
+    /// threads and is the one writer of the [`crate::SweepTally`] that
+    /// [`Workbench::take_tally`] drains. `tasks` builds the points (typically
+    /// generating their traces) and is only called when at least one of them
+    /// has to be simulated.
     ///
     /// Fail-hard (the default): a panicking point propagates and every slot
     /// is `Some`. Fail-soft ([`Workbench::set_fail_soft`]): each point runs
@@ -200,35 +200,32 @@ impl Workbench {
                 })
             })
             .collect();
-        let nloaded = preloaded.iter().filter(|p| p.is_some()).count() as u64;
-        self.ckpt_loaded.fetch_add(nloaded, Ordering::Relaxed);
-        if nloaded as usize == labels.len() {
+        let nloaded = preloaded.iter().filter(|p| p.is_some()).count();
+        self.tally.points_loaded += nloaded as u64;
+        if nloaded == labels.len() {
             return preloaded;
         }
         let tasks = tasks(self);
         debug_assert_eq!(labels.len(), tasks.len());
-        let sabotage = self.sabotage.clone();
-        let clock = Arc::clone(&self.sim_nanos);
-        let computed_ctr = Arc::clone(&self.ckpt_computed);
+        let sabotage = self.sabotage.as_deref();
+        // Each point yields its stats and how long simulating them took
+        // (`None` when the journal served them).
         let points: Vec<_> = tasks
             .iter()
             .zip(labels)
             .zip(&preloaded)
             .map(|((task, label), pre)| {
-                let sabotage = sabotage.as_deref();
-                let clock = &clock;
                 let checkpoint = checkpoint.as_ref();
-                let computed_ctr = &computed_ctr;
                 move || {
                     if let Some(stats) = pre {
-                        return stats.clone();
+                        return (stats.clone(), None);
                     }
                     if sabotage == Some(label.as_str()) {
                         panic!("injected: sweep point {label} sabotaged");
                     }
                     let start = Instant::now();
                     let stats = task.run();
-                    clock.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    let elapsed = start.elapsed();
                     if let Some(journal) = checkpoint {
                         crash_point("crash.point.pre-journal");
                         let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
@@ -240,8 +237,7 @@ impl Workbench {
                         drop(journal);
                         crash_point("crash.point.post-journal");
                     }
-                    computed_ctr.fetch_add(1, Ordering::Relaxed);
-                    stats
+                    (stats, Some(elapsed))
                 }
             })
             .collect();
@@ -256,9 +252,15 @@ impl Workbench {
             .into_iter()
             .zip(labels)
             .map(|(outcome, label)| match outcome {
-                Ok(stats) => Some(stats),
+                Ok((stats, elapsed)) => {
+                    if let Some(elapsed) = elapsed {
+                        self.tally.compute += elapsed;
+                        self.tally.points_computed += 1;
+                    }
+                    Some(stats)
+                }
                 Err(failure) if self.fail_soft => {
-                    self.point_errors.push(PointError {
+                    self.tally.errors.push(PointError {
                         site: label.clone(),
                         cause: failure.cause,
                         seed,
@@ -274,38 +276,34 @@ impl Workbench {
             .collect()
     }
 
-    /// Fans `configs` over one shared trace source (the common sweep shape).
-    fn fan_out(
+    /// The common sweep shape: one point per entry of `params`, all over
+    /// `query`'s trace source, each labeled and configured from its entry.
+    /// Failed points are dropped from the list (fail-soft mode has recorded
+    /// them).
+    fn sweep<P: Copy>(
         &mut self,
-        source: &SimSource,
-        configs: &[MachineConfig],
-        labels: &[String],
-    ) -> Vec<Option<SimStats>> {
-        self.fan_out_labeled(labels, 0, |_| {
-            configs
+        query: u8,
+        params: &[P],
+        label: impl Fn(P) -> String,
+        config: impl Fn(P) -> MachineConfig,
+    ) -> Vec<(P, SimStats)> {
+        let source = self.source(query, 0);
+        let labels: Vec<String> = params.iter().map(|&p| label(p)).collect();
+        let stats = self.fan_out_labeled(&labels, 0, |_| {
+            params
                 .iter()
-                .map(|cfg| PointTask {
-                    cfg: cfg.clone(),
+                .map(|&p| PointTask {
+                    cfg: config(p),
                     warm: None,
                     source: source.clone(),
                 })
                 .collect()
-        })
-    }
-
-    /// Runs the baseline architecture for one query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point fails — even in fail-soft mode, since there is no
-    /// partial result to return (the failure is still recorded first).
-    pub fn baseline_run(&mut self, query: u8) -> QueryBaseline {
-        let mut suite = self.baseline_suite(&[query]);
-        assert!(
-            !suite.is_empty(),
-            "baseline point for Q{query} failed (see point errors)"
-        );
-        suite.remove(0)
+        });
+        params
+            .iter()
+            .zip(stats)
+            .filter_map(|(&p, stats)| Some((p, stats?)))
+            .collect()
     }
 
     /// Runs the baseline for a set of queries (default: the three studied
@@ -336,45 +334,33 @@ impl Workbench {
     /// Figures 8 and 9: sweep the cache line size for one query. In
     /// fail-soft mode, failed points are skipped (and recorded).
     pub fn line_size_sweep(&mut self, query: u8) -> Vec<LinePoint> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = LINE_SIZES
-            .iter()
-            .map(|&l| MachineConfig::baseline().with_line_size(l))
-            .collect();
-        let labels: Vec<String> = LINE_SIZES
-            .iter()
-            .map(|&l| format!("fig8/Q{query}/l2_line={l}"))
-            .collect();
-        let stats = self.fan_out(&traces, &configs, &labels);
-        LINE_SIZES
-            .iter()
-            .zip(stats)
-            .filter_map(|(&l2_line, stats)| stats.map(|stats| LinePoint { l2_line, stats }))
+        let points = self.sweep(
+            query,
+            &LINE_SIZES,
+            |l| format!("fig8/Q{query}/l2_line={l}"),
+            |l| MachineConfig::baseline().with_line_size(l),
+        );
+        points
+            .into_iter()
+            .map(|(l2_line, stats)| LinePoint { l2_line, stats })
             .collect()
     }
 
     /// Figures 10 and 11: sweep the cache sizes for one query (64-byte L2
     /// lines, as the paper uses for its temporal-locality studies).
     pub fn cache_size_sweep(&mut self, query: u8) -> Vec<CachePoint> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = CACHE_SIZES_KB
-            .iter()
-            .map(|&(l1, l2)| MachineConfig::baseline().with_cache_sizes(l1 * 1024, l2 * 1024))
-            .collect();
-        let labels: Vec<String> = CACHE_SIZES_KB
-            .iter()
-            .map(|&(l1, l2)| format!("fig10/Q{query}/l1_kb={l1}_l2_kb={l2}"))
-            .collect();
-        let stats = self.fan_out(&traces, &configs, &labels);
-        CACHE_SIZES_KB
-            .iter()
-            .zip(stats)
-            .filter_map(|(&(l1_kb, l2_kb), stats)| {
-                stats.map(|stats| CachePoint {
-                    l1_kb,
-                    l2_kb,
-                    stats,
-                })
+        let points = self.sweep(
+            query,
+            &CACHE_SIZES_KB,
+            |(l1, l2)| format!("fig10/Q{query}/l1_kb={l1}_l2_kb={l2}"),
+            |(l1, l2)| MachineConfig::baseline().with_cache_sizes(l1 * 1024, l2 * 1024),
+        );
+        points
+            .into_iter()
+            .map(|((l1_kb, l2_kb), stats)| CachePoint {
+                l1_kb,
+                l2_kb,
+                stats,
             })
             .collect()
     }
@@ -386,40 +372,25 @@ impl Workbench {
     /// Panics if either point fails — the pair is meaningless without both
     /// (in fail-soft mode the failure is still recorded first).
     pub fn prefetch_experiment(&mut self, query: u8) -> PrefetchPair {
-        let traces = self.source(query, 0);
-        let configs = [
-            MachineConfig::baseline(),
-            MachineConfig::baseline().with_data_prefetch(PREFETCH_LINES),
-        ];
-        let labels = vec![
-            format!("fig13/Q{query}/prefetch=0"),
-            format!("fig13/Q{query}/prefetch={PREFETCH_LINES}"),
-        ];
-        let mut stats = self.fan_out(&traces, &configs, &labels);
-        let lost = || panic!("fig13/Q{query} lost a sweep point (see point errors)");
-        let opt = stats.pop().flatten().unwrap_or_else(lost);
-        let base = stats.pop().flatten().unwrap_or_else(lost);
+        let points = self.sweep(
+            query,
+            &[0, PREFETCH_LINES],
+            |d| format!("fig13/Q{query}/prefetch={d}"),
+            |d| MachineConfig::baseline().with_data_prefetch(d),
+        );
+        let stats = points.into_iter().map(|(_, stats)| stats);
+        let [base, opt] = all_points(stats, format_args!("fig13/Q{query}"));
         PrefetchPair { query, base, opt }
     }
 
     /// Sweeps the sequential-prefetch degree (the paper fixes it at 4).
     pub fn prefetch_degree_sweep(&mut self, query: u8) -> Vec<(u32, SimStats)> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = PREFETCH_DEGREES
-            .iter()
-            .map(|&d| MachineConfig::baseline().with_data_prefetch(d))
-            .collect();
-        let labels: Vec<String> = PREFETCH_DEGREES
-            .iter()
-            .map(|&d| format!("prefetch-depth/Q{query}/degree={d}"))
-            .collect();
-        let stats = self.fan_out(&traces, &configs, &labels);
-        PREFETCH_DEGREES
-            .iter()
-            .copied()
-            .zip(stats)
-            .filter_map(|(d, stats)| stats.map(|stats| (d, stats)))
-            .collect()
+        self.sweep(
+            query,
+            &PREFETCH_DEGREES,
+            |d| format!("prefetch-depth/Q{query}/degree={d}"),
+            |d| MachineConfig::baseline().with_data_prefetch(d),
+        )
     }
 
     /// Runs the MSI-vs-MESI ablation.
@@ -429,19 +400,14 @@ impl Workbench {
     /// Panics if either point fails — the ablation is meaningless without
     /// both (in fail-soft mode the failure is still recorded first).
     pub fn protocol_ablation(&mut self, query: u8) -> ProtocolAblation {
-        let traces = self.source(query, 0);
-        let configs = [
-            MachineConfig::baseline(),
-            MachineConfig::baseline().with_protocol(dss_memsim::Protocol::Mesi),
-        ];
-        let labels = vec![
-            format!("protocol/Q{query}/msi"),
-            format!("protocol/Q{query}/mesi"),
-        ];
-        let mut stats = self.fan_out(&traces, &configs, &labels);
-        let lost = || panic!("protocol/Q{query} lost a sweep point (see point errors)");
-        let mesi = stats.pop().flatten().unwrap_or_else(lost);
-        let msi = stats.pop().flatten().unwrap_or_else(lost);
+        let points = self.sweep(
+            query,
+            &[("msi", Protocol::Msi), ("mesi", Protocol::Mesi)],
+            |(name, _)| format!("protocol/Q{query}/{name}"),
+            |(_, protocol)| MachineConfig::baseline().with_protocol(protocol),
+        );
+        let stats = points.into_iter().map(|(_, stats)| stats);
+        let [msi, mesi] = all_points(stats, format_args!("protocol/Q{query}"));
         ProtocolAblation { query, msi, mesi }
     }
 
@@ -449,24 +415,14 @@ impl Workbench {
     /// instance per processor (the paper's inter-query parallelism model).
     /// Each point reports how metalock spinning and coherence misses grow.
     pub fn processor_sweep(&mut self, query: u8) -> Vec<(usize, SimStats)> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = PROC_COUNTS
-            .iter()
-            .map(|&n| MachineConfig::baseline().with_processors(n))
-            .collect();
-        let labels: Vec<String> = PROC_COUNTS
-            .iter()
-            .map(|&n| format!("scaling/Q{query}/nprocs={n}"))
-            .collect();
         // Each point runs its config over the leading `nprocs` traces, which
         // is exactly the scaling subset.
-        let stats = self.fan_out(&traces, &configs, &labels);
-        PROC_COUNTS
-            .iter()
-            .copied()
-            .zip(stats)
-            .filter_map(|(n, stats)| stats.map(|stats| (n, stats)))
-            .collect()
+        self.sweep(
+            query,
+            &PROC_COUNTS,
+            |n| format!("scaling/Q{query}/nprocs={n}"),
+            |n| MachineConfig::baseline().with_processors(n),
+        )
     }
 
     /// Figure 12: inter-query temporal locality with very large caches.
@@ -493,7 +449,7 @@ impl Workbench {
         ];
         let (l1_kb, l2_kb) = REUSE_CACHES_KB;
         let cfg = MachineConfig::baseline().with_cache_sizes(l1_kb * 1024, l2_kb * 1024);
-        let mut stats = self.fan_out_labeled(&labels, 0, |wb| {
+        let stats = self.fan_out_labeled(&labels, 0, |wb| {
             let measured = wb.source(query, 0);
             let warm_same = wb.source(query, 1000);
             let warm_other = wb.source(other, 1000);
@@ -506,10 +462,10 @@ impl Workbench {
                 })
                 .collect()
         });
-        let lost = || panic!("fig12/Q{query}v{other} lost a sweep point (see point errors)");
-        let warm_other = stats.pop().flatten().unwrap_or_else(lost);
-        let warm_same = stats.pop().flatten().unwrap_or_else(lost);
-        let cold = stats.pop().flatten().unwrap_or_else(lost);
+        let [cold, warm_same, warm_other] = all_points(
+            stats.into_iter().flatten(),
+            format_args!("fig12/Q{query}v{other}"),
+        );
         ReuseSet {
             query,
             other,
@@ -518,6 +474,22 @@ impl Workbench {
             warm_other,
         }
     }
+}
+
+/// The all-or-nothing shape: the `N` results of a comparison, in sweep order.
+///
+/// # Panics
+///
+/// Panics naming `what` if a point is missing — a comparison without one of
+/// its arms is not a result.
+fn all_points<const N: usize>(
+    stats: impl Iterator<Item = SimStats>,
+    what: fmt::Arguments,
+) -> [SimStats; N] {
+    let stats: Vec<SimStats> = stats.collect();
+    stats
+        .try_into()
+        .unwrap_or_else(|_| panic!("{what} lost a sweep point (see point errors)"))
 }
 
 /// Table 1: the operator matrix of all seventeen read-only queries.

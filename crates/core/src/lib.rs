@@ -54,4 +54,6 @@ mod workload;
 pub use checkpoint::{config_fingerprint, CheckpointJournal};
 pub use degrade::{PointCause, PointError};
 pub use persist::{fsync_dir, write_atomic};
-pub use workload::{query_label, SimSource, TraceMode, TraceSet, Workbench, STUDIED_QUERIES};
+pub use workload::{
+    query_label, SimSource, SweepTally, TraceMode, TraceSet, Workbench, STUDIED_QUERIES,
+};

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::io::{BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -82,6 +81,29 @@ impl TraceSource for SimSource {
     }
 }
 
+/// What the sweeps have done since the last [`Workbench::take_tally`]. The
+/// one point runner is its only writer, on the calling thread, after the
+/// workers have joined.
+///
+/// A point counts in `points_computed` and `compute` when its simulation
+/// finished *and its value was returned*. A point that outran the point
+/// deadline was simulated (and journaled, when a journal is attached) but
+/// its value was discarded, so like a panicking point it appears in `errors`
+/// only; a resumed run serves it from the journal as `points_loaded`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SweepTally {
+    /// Per-point simulation time summed over the worker threads: the
+    /// wall-clock a serial harness would have spent simulating. Against the
+    /// observed wall-clock it gives the parallel speedup.
+    pub compute: Duration,
+    /// Sweep points served from the checkpoint journal.
+    pub points_loaded: u64,
+    /// Sweep points simulated.
+    pub points_computed: u64,
+    /// Points that failed under fail-soft mode, in sweep order.
+    pub errors: Vec<PointError>,
+}
+
 /// Label of a query ("Q3").
 pub fn query_label(q: u8) -> String {
     format!("Q{q}")
@@ -130,9 +152,8 @@ pub struct Workbench {
     /// Block files already recorded this run. Files cost no memory, so
     /// unlike the materialized cache this one never evicts.
     stream_cache: HashMap<(u8, u64), FileTraceSource>,
-    /// Cumulative per-point simulation compute time (nanoseconds), summed
-    /// across worker threads; lets callers report parallel speedup.
-    pub(crate) sim_nanos: Arc<AtomicU64>,
+    /// What the sweeps have done since the last [`Workbench::take_tally`].
+    pub(crate) tally: SweepTally,
     /// Fail-soft mode: sweep points run under `catch_unwind`, failures become
     /// [`PointError`]s instead of aborting the sweep. Off by default (a
     /// failing point panics the caller, exactly as before).
@@ -143,8 +164,6 @@ pub struct Workbench {
     /// Fault-injection hook: the label of one sweep point to sabotage (it
     /// panics instead of simulating), for exercising the degradation path.
     pub(crate) sabotage: Option<String>,
-    /// Point failures accumulated by fail-soft sweeps since the last drain.
-    pub(crate) point_errors: Vec<PointError>,
     /// The crash-safety journal: completed sweep points are served from it
     /// and newly computed points are appended (durably) as they finish.
     pub(crate) checkpoint: Option<Arc<Mutex<CheckpointJournal>>>,
@@ -153,10 +172,6 @@ pub struct Workbench {
     /// when the caller has verified (via the journal fingerprint) that the
     /// files on disk belong to this exact configuration.
     pub(crate) resume: bool,
-    /// Sweep points served from the journal since the last drain.
-    pub(crate) ckpt_loaded: Arc<AtomicU64>,
-    /// Sweep points actually simulated since the last drain.
-    pub(crate) ckpt_computed: Arc<AtomicU64>,
 }
 
 impl Workbench {
@@ -178,15 +193,12 @@ impl Workbench {
             trace_mode: TraceMode::default(),
             trace_dir: None,
             stream_cache: HashMap::new(),
-            sim_nanos: Arc::new(AtomicU64::new(0)),
+            tally: SweepTally::default(),
             fail_soft: false,
             point_deadline: None,
             sabotage: None,
-            point_errors: Vec::new(),
             checkpoint: None,
             resume: false,
-            ckpt_loaded: Arc::new(AtomicU64::new(0)),
-            ckpt_computed: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -233,7 +245,7 @@ impl Workbench {
     /// Enables (or disables) fail-soft sweeps. In fail-soft mode each sweep
     /// point runs under `catch_unwind` with the optional
     /// [`Workbench::set_point_deadline`] watchdog; a failed point becomes a
-    /// [`PointError`] (drained with [`Workbench::take_point_errors`]) and the
+    /// [`PointError`] (drained with [`Workbench::take_tally`]) and the
     /// remaining points still run. Off (the default) reproduces the original
     /// fail-hard behavior: the first panicking point propagates.
     ///
@@ -260,29 +272,16 @@ impl Workbench {
         self.sabotage = label;
     }
 
-    /// Drains the point failures accumulated by fail-soft sweeps since the
-    /// last call, in sweep order.
-    pub fn take_point_errors(&mut self) -> Vec<PointError> {
-        std::mem::take(&mut self.point_errors)
-    }
-
-    /// Number of point failures accumulated and not yet drained.
-    pub fn point_error_count(&self) -> usize {
-        self.point_errors.len()
+    /// Drains what the experiment sweeps did since the last call: compute
+    /// time, journal provenance and point failures, together.
+    pub fn take_tally(&mut self) -> SweepTally {
+        std::mem::take(&mut self.tally)
     }
 
     /// Number of trace sets currently cached (bounded by the cache's slot
     /// count regardless of how many sets were requested).
     pub fn cached_trace_sets(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Drains the cumulative simulation compute time recorded by the
-    /// experiment sweeps since the last call: the wall-clock a serial harness
-    /// would have spent simulating. Comparing it against observed wall-clock
-    /// gives the parallel speedup.
-    pub fn take_sim_compute(&self) -> Duration {
-        Duration::from_nanos(self.sim_nanos.swap(0, Ordering::Relaxed))
     }
 
     /// Returns (generating and caching on demand) the per-processor traces
@@ -333,11 +332,6 @@ impl Workbench {
         self.order.clear();
     }
 
-    /// How this workbench hands traces to the simulator.
-    pub fn trace_mode(&self) -> TraceMode {
-        self.trace_mode
-    }
-
     /// Selects materialized or streamed trace delivery (see [`TraceMode`]).
     /// Results are identical either way; only peak memory and wall-clock
     /// differ.
@@ -367,15 +361,6 @@ impl Workbench {
     /// fingerprint ([`crate::config_fingerprint`]) is the proof.
     pub fn set_resume(&mut self, resume: bool) {
         self.resume = resume;
-    }
-
-    /// Drains the checkpoint counters: `(loaded, computed)` — sweep points
-    /// served from the journal vs. actually simulated since the last call.
-    pub fn take_checkpoint_counts(&self) -> (u64, u64) {
-        (
-            self.ckpt_loaded.swap(0, Ordering::Relaxed),
-            self.ckpt_computed.swap(0, Ordering::Relaxed),
-        )
     }
 
     /// Returns the trace population for `query` in this workbench's

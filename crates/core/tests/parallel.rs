@@ -84,20 +84,20 @@ fn trace_cache_stays_bounded_under_method_sweeps() {
 #[test]
 fn parallel_sweeps_record_compute_time() {
     let mut wb = Workbench::small().with_jobs(2);
-    let _ = wb.take_sim_compute();
+    let _ = wb.take_tally();
     let _ = wb.line_size_sweep(6);
-    assert!(wb.take_sim_compute().as_nanos() > 0);
-    // Taking the clock resets it.
-    assert_eq!(wb.take_sim_compute().as_nanos(), 0);
+    assert!(wb.take_tally().compute.as_nanos() > 0);
+    // Taking the tally resets it.
+    assert_eq!(wb.take_tally().compute.as_nanos(), 0);
 }
 
 #[test]
 fn reuse_experiment_records_compute_time() {
     let mut wb = Workbench::small().with_jobs(2);
-    let _ = wb.take_sim_compute();
+    let _ = wb.take_tally();
     let _ = wb.reuse_experiment(6, 3);
     assert!(
-        wb.take_sim_compute().as_nanos() > 0,
+        wb.take_tally().compute.as_nanos() > 0,
         "fig12's arms run through the instrumented point runner"
     );
 }

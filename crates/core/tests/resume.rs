@@ -16,6 +16,12 @@ fn config() -> DbConfig {
     }
 }
 
+/// Drains `wb`'s tally down to its `(loaded, computed)` point counts.
+fn counts(wb: &mut Workbench) -> (u64, u64) {
+    let tally = wb.take_tally();
+    (tally.points_loaded, tally.points_computed)
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dss-resume-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -32,11 +38,7 @@ fn journaled_sweep_resumes_without_recomputation() {
     let mut wb = Workbench::new(&config(), 2).with_jobs(2);
     wb.set_checkpoint(CheckpointJournal::create(&manifest, fp).unwrap());
     let fresh = wb.line_size_sweep(6);
-    assert_eq!(
-        wb.take_checkpoint_counts(),
-        (0, 5),
-        "all five points computed"
-    );
+    assert_eq!(counts(&mut wb), (0, 5), "all five points computed");
 
     let journal = CheckpointJournal::resume(&manifest, fp).unwrap();
     assert_eq!(journal.fresh_reason(), None);
@@ -44,11 +46,7 @@ fn journaled_sweep_resumes_without_recomputation() {
     let mut wb2 = Workbench::new(&config(), 2).with_jobs(2);
     wb2.set_checkpoint(journal);
     let resumed = wb2.line_size_sweep(6);
-    assert_eq!(
-        wb2.take_checkpoint_counts(),
-        (5, 0),
-        "all five points loaded"
-    );
+    assert_eq!(counts(&mut wb2), (5, 0), "all five points loaded");
 
     assert_eq!(fresh.len(), resumed.len());
     for (a, b) in fresh.iter().zip(&resumed) {
@@ -78,11 +76,7 @@ fn partial_journal_recomputes_only_whats_missing() {
     let mut wb2 = Workbench::new(&config(), 2).with_jobs(2);
     wb2.set_checkpoint(journal);
     let resumed = wb2.line_size_sweep(6);
-    assert_eq!(
-        wb2.take_checkpoint_counts(),
-        (3, 2),
-        "two points recomputed"
-    );
+    assert_eq!(counts(&mut wb2), (3, 2), "two points recomputed");
     for (a, b) in fresh.iter().zip(&resumed) {
         assert_eq!(a.stats, b.stats);
     }
@@ -103,12 +97,12 @@ fn reuse_experiment_is_served_from_the_journal() {
     let mut wb = Workbench::new(&config(), 2).with_jobs(2);
     wb.set_checkpoint(CheckpointJournal::create(&manifest, fp).unwrap());
     let fresh = wb.reuse_experiment(6, 3);
-    assert_eq!(wb.take_checkpoint_counts(), (0, 3));
+    assert_eq!(counts(&mut wb), (0, 3));
 
     let mut wb2 = Workbench::new(&config(), 2).with_jobs(2);
     wb2.set_checkpoint(CheckpointJournal::resume(&manifest, fp).unwrap());
     let resumed = wb2.reuse_experiment(6, 3);
-    assert_eq!(wb2.take_checkpoint_counts(), (3, 0));
+    assert_eq!(counts(&mut wb2), (3, 0));
     assert_eq!(fresh.cold, resumed.cold);
     assert_eq!(fresh.warm_same, resumed.warm_same);
     assert_eq!(fresh.warm_other, resumed.warm_other);
@@ -133,6 +127,6 @@ fn mismatched_fingerprint_recomputes_everything() {
     let mut wb2 = Workbench::new(&config(), 2).with_jobs(2);
     wb2.set_checkpoint(journal);
     let _ = wb2.line_size_sweep(6);
-    assert_eq!(wb2.take_checkpoint_counts(), (0, 5));
+    assert_eq!(counts(&mut wb2), (0, 5));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -103,8 +103,8 @@ fn fig13_prefetch_shapes() {
 #[test]
 fn simulation_is_deterministic() {
     with_workbench(|wb| {
-        let a = wb.baseline_run(6);
-        let b = wb.baseline_run(6);
+        let a = wb.baseline_suite(&[6]).remove(0);
+        let b = wb.baseline_suite(&[6]).remove(0);
         assert_eq!(a.stats.exec_cycles(), b.stats.exec_cycles());
         assert_eq!(a.stats.l1.read_misses, b.stats.l1.read_misses);
         assert_eq!(a.stats.l2.read_misses, b.stats.l2.read_misses);

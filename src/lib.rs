@@ -51,10 +51,10 @@
 #![warn(missing_docs)]
 
 pub use dss_btree as btree;
-// The shared-trace handle, re-exported at the top level so downstream users
-// can name it without reaching into `core`.
 pub use dss_bufcache as bufcache;
 pub use dss_core as core;
+// The shared-trace handle, re-exported at the top level so downstream users
+// can name it without reaching into `core`.
 pub use dss_core::TraceSet;
 pub use dss_lockmgr as lockmgr;
 pub use dss_memsim as memsim;
