@@ -7,7 +7,7 @@ use dss_bufcache::BufferPool;
 use dss_memsim::{Machine, MachineConfig};
 use dss_shmem::{AddressSpace, PrivateHeap};
 use dss_tpcd::{params, Generator};
-use dss_trace::{DataClass, Tracer};
+use dss_trace::{DataClass, LockClass, LockToken, TraceStats, Tracer};
 
 fn bench_dbgen(c: &mut Criterion) {
     let mut g = c.benchmark_group("tpcd-dbgen");
@@ -165,10 +165,52 @@ fn bench_analyze(c: &mut Criterion) {
     g.finish();
 }
 
+/// What `tracer/record` records and `trace-stats/accumulate` then counts:
+/// per iteration a shared load, a private load and store, a busy charge, and
+/// every 16th iteration a metalock critical section — roughly what a scan
+/// operator emits.
+fn record_mix(t: &Tracer, iterations: u64) {
+    let lock = LockToken::new(dss_shmem::SHARED_BASE, LockClass::BufMgr);
+    let pbase = dss_shmem::private_base(0);
+    for i in 0..iterations {
+        t.read(dss_shmem::SHARED_BASE + 64 + i * 48, 8, DataClass::Data);
+        t.read(pbase + (i * 136) % 8192, 8, DataClass::PrivHeap);
+        t.write(pbase + (i * 88) % 4096, 8, DataClass::PrivHeap);
+        t.busy(12);
+        if i % 16 == 0 {
+            t.lock_acquire(lock);
+            t.write(dss_shmem::SHARED_BASE + 8, 4, DataClass::BufDesc);
+            t.lock_release(lock);
+        }
+    }
+}
+
+fn bench_tracer(c: &mut Criterion) {
+    const ITERATIONS: u64 = 100_000;
+    let t = Tracer::new(0);
+    record_mix(&t, ITERATIONS);
+    let trace = t.take();
+
+    let mut g = c.benchmark_group("tracer");
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    g.bench_function("record", |b| {
+        b.iter(|| {
+            record_mix(&t, ITERATIONS);
+            t.take()
+        })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("trace-stats");
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    g.bench_function("accumulate", |b| b.iter(|| TraceStats::from_trace(&trace)));
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_dbgen, bench_btree, bench_sql, bench_memsim, bench_lockmgr,
-        bench_bufcache, bench_analyze
+        bench_bufcache, bench_analyze, bench_tracer
 }
 criterion_main!(benches);

@@ -378,7 +378,7 @@ pub mod lock_order_drill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_trace::{Event, TraceStats};
+    use dss_trace::{EventKind, TraceStats};
 
     fn pool_with_space() -> (AddressSpace, BufferPool) {
         let mut space = AddressSpace::new();
@@ -415,8 +415,14 @@ mod tests {
         assert_eq!(stats.reads(DataClass::BufDesc), 1);
         assert_eq!(stats.writes(DataClass::BufDesc), 1);
         // Lock ordering: acquire first, release last.
-        assert!(matches!(trace.events.first(), Some(Event::LockAcquire(_))));
-        assert!(matches!(trace.events.last(), Some(Event::LockRelease(_))));
+        assert!(matches!(
+            trace.events.first().map(|e| e.kind()),
+            Some(EventKind::LockAcquire(_))
+        ));
+        assert!(matches!(
+            trace.events.last().map(|e| e.kind()),
+            Some(EventKind::LockRelease(_))
+        ));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dss_trace::{Event, Trace};
+use dss_trace::{EventKind, Trace};
 
 use crate::callgraph::{load_workspace, CallGraph, SourceFile};
 use crate::lexer::{Token, TokenKind};
@@ -584,8 +584,8 @@ pub fn dynamic_nesting(traces: &[Trace]) -> BTreeSet<(String, String)> {
     for t in traces {
         let mut held: Vec<String> = Vec::new();
         for ev in &t.events {
-            match ev {
-                Event::LockAcquire(tok) => {
+            match ev.kind() {
+                EventKind::LockAcquire(tok) => {
                     let id = format!("LockClass::{:?}", tok.class);
                     for h in &held {
                         if *h != id {
@@ -594,7 +594,7 @@ pub fn dynamic_nesting(traces: &[Trace]) -> BTreeSet<(String, String)> {
                     }
                     held.push(id);
                 }
-                Event::LockRelease(tok) => {
+                EventKind::LockRelease(tok) => {
                     let id = format!("LockClass::{:?}", tok.class);
                     if let Some(at) = held.iter().rposition(|h| *h == id) {
                         held.remove(at);

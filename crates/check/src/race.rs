@@ -5,7 +5,7 @@
 //! are serialized by the `LockMgrLock` / `BufMgrLock` spinlocks. This module
 //! machine-checks that premise: it replays a [`TraceSet`]-shaped slice of
 //! traces under the same deterministic interleaving the simulator uses,
-//! treats [`Event::LockAcquire`] / [`Event::LockRelease`] as acquire/release
+//! treats [`EventKind::LockAcquire`] / [`EventKind::LockRelease`] as acquire/release
 //! synchronization edges, and reports any pair of conflicting accesses (two
 //! accesses to the same word, at least one a write, from different
 //! processors) that are not ordered by the resulting happens-before relation.
@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use dss_trace::{
-    DataClass, Event, EventStream, LockDisciplineError, Trace, TraceError, TraceSource,
+    DataClass, Event, EventKind, EventStream, LockDisciplineError, Trace, TraceError, TraceSource,
 };
 
 /// Access granularity of the detector: 8-byte words, matching the engine's
@@ -325,12 +325,12 @@ where
             break;
         };
         let index = cursors[p].index();
-        match event {
-            Event::Busy(cycles) => {
+        match event.kind() {
+            EventKind::Busy(cycles) => {
                 time[p] += cycles as u64;
                 cursors[p].pos += 1;
             }
-            Event::Ref(r) => {
+            EventKind::Ref(r) => {
                 if r.class.is_shared() {
                     check_ref(p, index, &r, &clocks[p], &mut words, &mut report);
                     *report.checked.entry(r.class).or_insert(0) += 1;
@@ -338,7 +338,7 @@ where
                 time[p] += 1;
                 cursors[p].pos += 1;
             }
-            Event::LockAcquire(tok) => {
+            EventKind::LockAcquire(tok) => {
                 if cursors[p].held.iter().any(|&(a, _)| a == tok.addr) {
                     return Err(discipline(
                         &cursors[p],
@@ -366,7 +366,7 @@ where
                     }
                 }
             }
-            Event::LockRelease(tok) => {
+            EventKind::LockRelease(tok) => {
                 match cursors[p].held.last().copied() {
                     Some((innermost, _)) if innermost == tok.addr => {
                         cursors[p].held.pop();

@@ -7,7 +7,7 @@
 use dss_check::{check_machine, detect_races};
 use dss_core::{Workbench, STUDIED_QUERIES};
 use dss_memsim::{Machine, MachineConfig};
-use dss_trace::{DataClass, Event, MemRef, Trace};
+use dss_trace::{DataClass, Event, EventKind, MemRef, Trace};
 
 #[cfg(feature = "alloc-probe")]
 #[path = "../src/alloc.rs"]
@@ -62,14 +62,14 @@ fn unlocked_shared_store_is_caught() {
     let victim = traces[0]
         .events
         .iter()
-        .find_map(|e| match e {
-            Event::Ref(r) if r.class == DataClass::LockHash && r.write => Some(r.addr),
+        .find_map(|e| match e.kind() {
+            EventKind::Ref(r) if r.class == DataClass::LockHash && r.write => Some(r.addr),
             _ => None,
         })
         .expect("Q6 writes lock-manager metadata");
     traces[1].events.insert(
         0,
-        Event::Ref(MemRef {
+        Event::reference(MemRef {
             addr: victim,
             size: 8,
             write: true,
@@ -155,7 +155,7 @@ fn truncated_trace_with_held_lock_is_rejected() {
     let acquire_at = traces[1]
         .events
         .iter()
-        .position(|e| matches!(e, Event::LockAcquire(_)))
+        .position(|e| matches!(e.kind(), EventKind::LockAcquire(_)))
         .expect("Q6 takes locks");
     traces[1].events.truncate(acquire_at + 1);
 

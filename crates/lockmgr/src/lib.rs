@@ -414,7 +414,7 @@ impl LockMgr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_trace::{Event, TraceStats};
+    use dss_trace::{Event, EventKind, TraceStats};
 
     fn mgr() -> LockMgr {
         LockMgr::new(&mut AddressSpace::new(), 64)
@@ -501,13 +501,13 @@ mod tests {
         fn shape(events: &[Event]) -> Vec<String> {
             events
                 .iter()
-                .map(|e| match e {
-                    Event::Ref(r) => {
+                .map(|e| match e.kind() {
+                    EventKind::Ref(r) => {
                         format!("ref {:?} size={} write={}", r.class, r.size, r.write)
                     }
-                    Event::Busy(c) => format!("busy {c}"),
-                    Event::LockAcquire(tok) => format!("acq {:?}", tok.class),
-                    Event::LockRelease(tok) => format!("rel {:?}", tok.class),
+                    EventKind::Busy(c) => format!("busy {c}"),
+                    EventKind::LockAcquire(tok) => format!("acq {:?}", tok.class),
+                    EventKind::LockRelease(tok) => format!("rel {:?}", tok.class),
                 })
                 .collect()
         }

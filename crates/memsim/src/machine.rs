@@ -19,13 +19,13 @@ use std::collections::VecDeque;
 use std::convert::Infallible;
 
 use dss_shmem::MAX_PROCS;
-use dss_trace::{DataClass, Event, EventStream, Trace, TraceError, TraceSource};
+use dss_trace::{DataClass, Event, EventKind, EventStream, Trace, TraceError, TraceSource};
 
 use crate::cache::{Cache, LineState};
 use crate::config::MachineConfig;
 use crate::directory::{home_of, Directory};
 use crate::protocol::Kernel;
-use crate::stats::{class_index, LevelStats, ProcStats, SimStats};
+use crate::stats::{LevelStats, ProcStats, SimStats};
 
 pub(crate) struct Node {
     pub(crate) l1: Cache,
@@ -129,7 +129,7 @@ impl ProcScratch {
 
     fn charge_mem(&mut self, class: DataClass, cycles: u64) {
         self.stats.mem_stall += cycles;
-        self.stats.stall_by_class[class_index(class)] += cycles;
+        self.stats.stall_by_class[class.index()] += cycles;
     }
 }
 
@@ -500,13 +500,13 @@ impl Machine {
             std::hint::black_box(&probe);
         }
         let event = block[rp.pos];
-        match event {
-            Event::Busy(n) => {
+        match event.kind() {
+            EventKind::Busy(n) => {
                 rp.clock += n as u64;
                 rp.stats.busy += n as u64;
                 rp.pos += 1;
             }
-            Event::Ref(r) if !r.write => {
+            EventKind::Ref(r) if !r.write => {
                 if !rp.wb.is_empty() {
                     self.wait_for_pending_write(rp, r.addr, r.class);
                 }
@@ -521,7 +521,7 @@ impl Machine {
                 }
                 rp.pos += 1;
             }
-            Event::Ref(r) => {
+            EventKind::Ref(r) => {
                 let service = self.write_service(p, r.addr, l1s, l2s);
                 if service > 0 {
                     self.push_wb(rp, r.addr, service, r.class);
@@ -533,7 +533,7 @@ impl Machine {
                 }
                 rp.pos += 1;
             }
-            Event::LockAcquire(tok) => {
+            EventKind::LockAcquire(tok) => {
                 let class = tok.class.data_class();
                 match self.lock_holder(tok.addr) {
                     Some(holder) if holder != p => {
@@ -560,7 +560,7 @@ impl Machine {
                     }
                 }
             }
-            Event::LockRelease(tok) => {
+            EventKind::LockRelease(tok) => {
                 let class = tok.class.data_class();
                 let holder = self
                     .locks
@@ -591,10 +591,10 @@ impl Machine {
         if self.violation.is_some() {
             return;
         }
-        let addr = match event {
-            Event::Ref(r) => r.addr,
-            Event::LockAcquire(tok) | Event::LockRelease(tok) => tok.addr,
-            Event::Busy(_) => return,
+        let addr = match event.kind() {
+            EventKind::Ref(r) => r.addr,
+            EventKind::LockAcquire(tok) | EventKind::LockRelease(tok) => tok.addr,
+            EventKind::Busy(_) => return,
         };
         if let Err(mut v) = self.verify_line(addr & self.l2_line_mask) {
             v.clock = clock;
@@ -1356,7 +1356,7 @@ mod tests {
                         event: None,
                     });
                 }
-                buf.extend([Event::Busy(5); 3]);
+                buf.extend([Event::busy(5); 3]);
                 Ok(3)
             }
         }

@@ -6,24 +6,8 @@ use dss_trace::{DataClass, DataGroup};
 
 use crate::cache::MissKind;
 
-/// Index of a [`DataClass`] into fixed-size counter arrays.
-pub(crate) fn class_index(c: DataClass) -> usize {
-    match c {
-        DataClass::PrivHeap => 0,
-        DataClass::Data => 1,
-        DataClass::Index => 2,
-        DataClass::BufDesc => 3,
-        DataClass::BufLookup => 4,
-        DataClass::LockHash => 5,
-        DataClass::XidHash => 6,
-        DataClass::LockMgrLock => 7,
-        DataClass::BufMgrLock => 8,
-        DataClass::SharedMisc => 9,
-    }
-}
-
 /// Number of data classes.
-pub(crate) const NCLASSES: usize = 10;
+pub(crate) const NCLASSES: usize = DataClass::ALL.len();
 
 fn kind_index(k: MissKind) -> usize {
     match k {
@@ -46,17 +30,17 @@ pub struct MissMatrix {
 
 impl MissMatrix {
     pub(crate) fn add(&mut self, class: DataClass, kind: MissKind) {
-        self.counts[class_index(class)][kind_index(kind)] += 1;
+        self.counts[class.index()][kind_index(kind)] += 1;
     }
 
     /// Misses of `class` and `kind`.
     pub fn get(&self, class: DataClass, kind: MissKind) -> u64 {
-        self.counts[class_index(class)][kind_index(kind)]
+        self.counts[class.index()][kind_index(kind)]
     }
 
     /// All misses of `class`.
     pub fn by_class(&self, class: DataClass) -> u64 {
-        self.counts[class_index(class)].iter().sum()
+        self.counts[class.index()].iter().sum()
     }
 
     /// All misses of classes in `group`.
@@ -144,7 +128,7 @@ pub struct ProcStats {
 impl ProcStats {
     /// Memory stall attributed to `class`.
     pub fn stall_of(&self, class: DataClass) -> u64 {
-        self.stall_by_class[class_index(class)]
+        self.stall_by_class[class.index()]
     }
 
     /// Memory stall attributed to `group`.
@@ -337,9 +321,9 @@ mod tests {
     #[test]
     fn proc_stats_split_pmem_smem() {
         let mut p = ProcStats::default();
-        p.stall_by_class[class_index(DataClass::PrivHeap)] = 30;
-        p.stall_by_class[class_index(DataClass::Data)] = 50;
-        p.stall_by_class[class_index(DataClass::Index)] = 20;
+        p.stall_by_class[DataClass::PrivHeap.index()] = 30;
+        p.stall_by_class[DataClass::Data.index()] = 50;
+        p.stall_by_class[DataClass::Index.index()] = 20;
         p.mem_stall = 100;
         assert_eq!(p.pmem(), 30);
         assert_eq!(p.smem(), 70);

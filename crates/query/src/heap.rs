@@ -409,12 +409,12 @@ mod tests {
         let trace = t.take();
         let stats = TraceStats::from_trace(&trace);
         assert_eq!(stats.reads(DataClass::Data), 1);
-        match trace.events[0] {
-            dss_trace::Event::Ref(r) => {
+        match trace.events[0].kind() {
+            dss_trace::EventKind::Ref(r) => {
                 assert_eq!(r.addr, heap.attr_addr(&pool, buf, 0, 0));
                 assert_eq!(r.size, 8);
             }
-            ref other => panic!("expected ref, got {other:?}"),
+            other => panic!("expected ref, got {other:?}"),
         }
     }
 

@@ -45,7 +45,7 @@ mod space;
 pub use heap::PrivateHeap;
 pub use space::{AddressSpace, Vma};
 
-use dss_trace::DataClass;
+use dss_trace::{DataClass, Event};
 
 /// Base of the emulated shared segment.
 pub const SHARED_BASE: u64 = 0x0001_0000_0000;
@@ -58,6 +58,10 @@ pub const PRIVATE_STRIDE: u64 = 0x0010_0000_0000;
 
 /// Maximum number of simulated processes with private segments.
 pub const MAX_PROCS: usize = 64;
+
+// Every emulated address must fit a trace event's address field: widening the
+// address space cannot silently outgrow the packed word.
+const _: () = assert!(PRIVATE_BASE + MAX_PROCS as u64 * PRIVATE_STRIDE <= Event::ADDR_LIMIT);
 
 /// Returns the private segment base for simulated process `proc_id`.
 ///

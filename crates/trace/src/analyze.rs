@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::{DataClass, Event, Trace};
+use crate::{DataClass, EventKind, Trace};
 
 /// Reuse-distance histogram buckets (upper bounds in distinct lines); the
 /// last bucket counts cold (first-touch) references.
@@ -139,7 +139,10 @@ pub fn analyze(trace: &Trace, line_size: u64) -> TraceAnalysis {
     let mask = !(line_size - 1);
 
     // Pass 1: count line-granularity references to size the Fenwick tree.
-    let nrefs = trace.iter().filter(|e| matches!(e, Event::Ref(_))).count();
+    let nrefs = trace
+        .iter()
+        .filter(|e| matches!(e.kind(), EventKind::Ref(_)))
+        .count();
     let mut fenwick = Fenwick::new(nrefs + 1);
     let mut last_access: HashMap<u64, usize> = HashMap::new();
     let mut last_line_by_class: HashMap<DataClass, u64> = HashMap::new();
@@ -150,7 +153,9 @@ pub fn analyze(trace: &Trace, line_size: u64) -> TraceAnalysis {
 
     let mut t = 0usize;
     for event in trace {
-        let Event::Ref(r) = event else { continue };
+        let EventKind::Ref(r) = event.kind() else {
+            continue;
+        };
         t += 1;
         let line = r.addr & mask;
         let entry = analysis.classes.entry(r.class).or_default();
@@ -191,7 +196,9 @@ pub fn analyze(trace: &Trace, line_size: u64) -> TraceAnalysis {
     // that touches it).
     let mut seen: HashMap<(DataClass, u64), ()> = HashMap::new();
     for event in trace {
-        let Event::Ref(r) = event else { continue };
+        let EventKind::Ref(r) = event.kind() else {
+            continue;
+        };
         let line = r.addr & mask;
         if seen.insert((r.class, line), ()).is_none() {
             // The entry exists: the counting pass above visited this event.

@@ -61,6 +61,24 @@ impl DataClass {
         DataClass::SharedMisc,
     ];
 
+    /// Position of this class in [`DataClass::ALL`]: its slot in per-class
+    /// counter arrays, its code in a packed [`crate::Event`] and on the wire.
+    /// An exhaustive match, so the compiler guarantees every class has one.
+    pub const fn index(self) -> usize {
+        match self {
+            DataClass::PrivHeap => 0,
+            DataClass::Data => 1,
+            DataClass::Index => 2,
+            DataClass::BufDesc => 3,
+            DataClass::BufLookup => 4,
+            DataClass::LockHash => 5,
+            DataClass::XidHash => 6,
+            DataClass::LockMgrLock => 7,
+            DataClass::BufMgrLock => 8,
+            DataClass::SharedMisc => 9,
+        }
+    }
+
     /// The coarse group this class belongs to.
     pub fn group(self) -> DataGroup {
         match self {
@@ -142,6 +160,13 @@ mod tests {
             assert!(seen.insert(class), "{class:?} listed twice");
         }
         assert_eq!(seen.len(), 10);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, class) in DataClass::ALL.iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The engine's spinlocks are non-reentrant and the simulator's deterministic
 //! interleaver parks waiters until the holder releases, so a well-formed
 //! per-processor trace must use its locks in a strict stack discipline: every
-//! [`crate::Event::LockRelease`] matches the most recent unreleased
-//! [`crate::Event::LockAcquire`] of the same address, no held lock is
+//! [`crate::EventKind::LockRelease`] matches the most recent unreleased
+//! [`crate::EventKind::LockAcquire`] of the same address, no held lock is
 //! acquired again, and nothing is still held when the trace ends. This is
 //! also the soundness precondition of the happens-before race detector in
 //! `dss-check` — its vector clocks assume acquire/release pairs bracket
@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use crate::{Event, Trace};
+use crate::{EventKind, Trace};
 
 /// A breach of the per-processor lock stack discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,8 +105,8 @@ pub fn check_lock_discipline(trace: &Trace) -> Result<(), LockDisciplineError> {
     // most a couple of locks at once, so a linear scan beats any map.
     let mut held: Vec<(u64, usize)> = Vec::new();
     for (index, event) in trace.events.iter().enumerate() {
-        match event {
-            Event::LockAcquire(tok) => {
+        match event.kind() {
+            EventKind::LockAcquire(tok) => {
                 if held.iter().any(|&(a, _)| a == tok.addr) {
                     return Err(LockDisciplineError::Reacquired {
                         index,
@@ -115,7 +115,7 @@ pub fn check_lock_discipline(trace: &Trace) -> Result<(), LockDisciplineError> {
                 }
                 held.push((tok.addr, index));
             }
-            Event::LockRelease(tok) => match held.last().copied() {
+            EventKind::LockRelease(tok) => match held.last().copied() {
                 Some((innermost, _)) if innermost == tok.addr => {
                     held.pop();
                 }
@@ -140,7 +140,7 @@ pub fn check_lock_discipline(trace: &Trace) -> Result<(), LockDisciplineError> {
                     });
                 }
             },
-            Event::Busy(_) | Event::Ref(_) => {}
+            EventKind::Busy(_) | EventKind::Ref(_) => {}
         }
     }
     if let Some(&(addr, index)) = held.first() {

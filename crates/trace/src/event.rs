@@ -54,6 +54,25 @@ pub enum LockClass {
 }
 
 impl LockClass {
+    /// The class's 2-bit code, in a packed [`Event`] and on the wire.
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            LockClass::LockMgr => 0,
+            LockClass::BufMgr => 1,
+            LockClass::Other => 2,
+        }
+    }
+
+    /// The class `code` names, if any.
+    pub(crate) fn from_code(code: u8) -> Option<LockClass> {
+        match code {
+            0 => Some(LockClass::LockMgr),
+            1 => Some(LockClass::BufMgr),
+            2 => Some(LockClass::Other),
+            _ => None,
+        }
+    }
+
     /// The data class of references to this lock's word.
     pub fn data_class(self) -> DataClass {
         match self {
@@ -80,14 +99,15 @@ impl LockToken {
     }
 }
 
-/// One entry of a processor's reference trace.
+/// One entry of a processor's reference trace, decoded: the *view* of an
+/// [`Event`]. Match on [`Event::kind`]; store and move [`Event`]s.
 ///
 /// Spinlock acquisition is represented as an event rather than as raw
 /// references because the *number* of spin reads depends on contention, which
 /// is only known at simulation time when the four processors' clocks are
 /// interleaved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Event {
+pub enum EventKind {
     /// A classified memory reference.
     Ref(MemRef),
     /// Non-memory work: the processor advances this many cycles.
@@ -99,9 +119,156 @@ pub enum Event {
     LockRelease(LockToken),
 }
 
+/// One entry of a processor's reference trace, packed into one word — the
+/// stored type of every trace buffer, block and replay loop.
+///
+/// ```text
+/// bits 0..2    tag: 0 Busy, 1 Ref, 2 LockAcquire, 3 LockRelease
+/// Ref:         bit 2 write · bits 3..7 class · bits 7..11 size · bits 16..64 address
+/// Lock*:       bits 3..5 lock class · bits 16..64 address
+/// Busy:        bits 16..48 cycles
+/// ```
+///
+/// Unused bits are zero, so word equality is event equality. [`Event::kind`]
+/// decodes to the [`EventKind`] view; `Debug` prints that view.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Event(u64);
+
+const TAG_BUSY: u64 = 0;
+const TAG_REF: u64 = 1;
+const TAG_ACQUIRE: u64 = 2;
+const TAG_RELEASE: u64 = 3;
+const TAG_MASK: u64 = 0b11;
+const WRITE_BIT: u64 = 1 << 2;
+const CLASS_SHIFT: u32 = 3;
+const SIZE_SHIFT: u32 = 7;
+const FIELD_MASK: u64 = 0xf;
+const LOCK_CLASS_MASK: u64 = 0b11;
+const PAYLOAD_SHIFT: u32 = 16;
+
+/// Class of each 4-bit code. Codes past [`DataClass::ALL`] are never stored
+/// (the constructors take a `DataClass`); padding the table to the field's
+/// width keeps the decode free of a bounds check.
+const CLASS_OF: [DataClass; 16] = {
+    let mut table = [DataClass::SharedMisc; 16];
+    let mut i = 0;
+    while i < DataClass::ALL.len() {
+        table[i] = DataClass::ALL[i];
+        i += 1;
+    }
+    table
+};
+
+impl Event {
+    /// One past the largest address an event can carry (48 bits).
+    pub const ADDR_LIMIT: u64 = 1 << 48;
+    /// The widest reference an event can carry (a 4-bit field; the tracer
+    /// splits accesses into at most 8 bytes).
+    pub const MAX_REF_SIZE: u16 = FIELD_MASK as u16;
+
+    /// A busy event of `cycles` cycles.
+    #[inline]
+    pub fn busy(cycles: u32) -> Event {
+        Event((cycles as u64) << PAYLOAD_SHIFT | TAG_BUSY)
+    }
+
+    /// A memory-reference event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r.addr` is not below [`Event::ADDR_LIMIT`] or `r.size`
+    /// exceeds [`Event::MAX_REF_SIZE`].
+    #[inline]
+    pub fn reference(r: MemRef) -> Event {
+        assert!(
+            r.addr < Event::ADDR_LIMIT && r.size <= Event::MAX_REF_SIZE,
+            "reference does not fit an Event: {r:?}"
+        );
+        Event(
+            r.addr << PAYLOAD_SHIFT
+                | (r.size as u64) << SIZE_SHIFT
+                | (r.class.index() as u64) << CLASS_SHIFT
+                | if r.write { WRITE_BIT } else { 0 }
+                | TAG_REF,
+        )
+    }
+
+    /// A metalock-acquire event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token.addr` is not below [`Event::ADDR_LIMIT`].
+    #[inline]
+    pub fn lock_acquire(token: LockToken) -> Event {
+        Event::lock(TAG_ACQUIRE, token)
+    }
+
+    /// A metalock-release event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token.addr` is not below [`Event::ADDR_LIMIT`].
+    #[inline]
+    pub fn lock_release(token: LockToken) -> Event {
+        Event::lock(TAG_RELEASE, token)
+    }
+
+    #[inline]
+    fn lock(tag: u64, token: LockToken) -> Event {
+        assert!(
+            token.addr < Event::ADDR_LIMIT,
+            "lock address does not fit an Event: {token:?}"
+        );
+        Event(token.addr << PAYLOAD_SHIFT | (token.class.code() as u64) << CLASS_SHIFT | tag)
+    }
+
+    /// Decodes the word.
+    #[inline]
+    pub fn kind(self) -> EventKind {
+        let w = self.0;
+        let payload = w >> PAYLOAD_SHIFT;
+        // Code 3 is never stored: the constructors take a `LockClass`.
+        let token = || LockToken {
+            addr: payload,
+            class: LockClass::from_code(((w >> CLASS_SHIFT) & LOCK_CLASS_MASK) as u8)
+                .unwrap_or(LockClass::Other),
+        };
+        match w & TAG_MASK {
+            TAG_BUSY => EventKind::Busy(payload as u32),
+            TAG_REF => EventKind::Ref(MemRef {
+                addr: payload,
+                size: ((w >> SIZE_SHIFT) & FIELD_MASK) as u16,
+                write: w & WRITE_BIT != 0,
+                class: CLASS_OF[((w >> CLASS_SHIFT) & FIELD_MASK) as usize],
+            }),
+            TAG_ACQUIRE => EventKind::LockAcquire(token()),
+            _ => EventKind::LockRelease(token()),
+        }
+    }
+}
+
+impl From<EventKind> for Event {
+    #[inline]
+    fn from(kind: EventKind) -> Event {
+        match kind {
+            EventKind::Ref(r) => Event::reference(r),
+            EventKind::Busy(n) => Event::busy(n),
+            EventKind::LockAcquire(token) => Event::lock_acquire(token),
+            EventKind::LockRelease(token) => Event::lock_release(token),
+        }
+    }
+}
+
+impl std::fmt::Debug for Event {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.kind().fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn load_and_store_set_direction() {
@@ -121,7 +288,100 @@ mod tests {
 
     #[test]
     fn event_is_compact() {
-        // Traces hold millions of events; keep the representation small.
-        assert!(std::mem::size_of::<Event>() <= 24);
+        // Traces hold millions of events; every layer moves this many bytes
+        // per event.
+        assert_eq!(std::mem::size_of::<Event>(), 8);
+    }
+
+    #[test]
+    fn debug_prints_the_decoded_view() {
+        let kind = EventKind::Ref(MemRef::store(0x1040, 4, DataClass::Index));
+        assert_eq!(format!("{:?}", Event::from(kind)), format!("{kind:?}"));
+        assert_eq!(format!("{:?}", Event::busy(7)), "Busy(7)");
+    }
+
+    fn addr_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            1 => Just(0u64),
+            1 => Just(Event::ADDR_LIMIT - 1),
+            6 => 0u64..Event::ADDR_LIMIT,
+        ]
+    }
+
+    fn token_strategy() -> impl Strategy<Value = LockToken> {
+        (addr_strategy(), 0u8..3).prop_map(|(addr, code)| {
+            LockToken::new(
+                addr,
+                LockClass::from_code(code).expect("codes 0..3 are classes"),
+            )
+        })
+    }
+
+    fn kind_strategy() -> impl Strategy<Value = EventKind> {
+        prop_oneof![
+            1 => Just(EventKind::Busy(0)),
+            1 => Just(EventKind::Busy(u32::MAX)),
+            2 => any::<u32>().prop_map(EventKind::Busy),
+            8 => (
+                addr_strategy(),
+                1u16..=8,
+                any::<bool>(),
+                0usize..DataClass::ALL.len()
+            )
+                .prop_map(|(addr, size, write, class)| {
+                    EventKind::Ref(MemRef {
+                        addr,
+                        size,
+                        write,
+                        class: DataClass::ALL[class],
+                    })
+                }),
+            2 => token_strategy().prop_map(EventKind::LockAcquire),
+            2 => token_strategy().prop_map(EventKind::LockRelease),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn packing_round_trips(kind in kind_strategy()) {
+            prop_assert_eq!(Event::from(kind).kind(), kind);
+        }
+
+        /// Equal words are equal events and nothing else is: packing
+        /// leaves no don't-care bits behind.
+        #[test]
+        fn word_equality_is_event_equality(a in kind_strategy(), b in kind_strategy()) {
+            prop_assert_eq!(Event::from(a) == Event::from(b), a == b);
+        }
+    }
+
+    #[test]
+    fn the_field_limits_themselves_fit() {
+        let widest = MemRef::load(Event::ADDR_LIMIT - 1, Event::MAX_REF_SIZE, DataClass::Data);
+        assert_eq!(Event::reference(widest).kind(), EventKind::Ref(widest));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an Event")]
+    fn a_reference_past_the_address_limit_panics() {
+        Event::reference(MemRef::load(Event::ADDR_LIMIT, 8, DataClass::Data));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an Event")]
+    fn a_reference_past_the_size_limit_panics() {
+        Event::reference(MemRef::load(
+            0x1000,
+            Event::MAX_REF_SIZE + 1,
+            DataClass::Data,
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an Event")]
+    fn a_lock_past_the_address_limit_panics() {
+        Event::lock_release(LockToken::new(Event::ADDR_LIMIT, LockClass::Other));
     }
 }

@@ -24,7 +24,7 @@ use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::{DataClass, Event, LockClass, LockToken, MemRef, Trace};
+use crate::{DataClass, Event, EventKind, LockClass, LockToken, MemRef, Trace};
 
 /// Format magic: a stream header followed by independently checksummed event
 /// blocks, so a trace can be produced and consumed incrementally with bounded
@@ -193,16 +193,18 @@ impl From<TraceError> for io::Error {
     }
 }
 
-/// Encodes one event as its 17-byte wire record.
-fn encode_event(event: &Event) -> [u8; 17] {
-    let (tag, a, b): (u8, u64, u64) = match event {
-        Event::Busy(n) => (0, *n as u64, 0),
-        Event::Ref(r) => {
-            let meta = (r.size as u64) << 8 | (r.write as u64) << 7 | class_code(r.class) as u64;
+/// Encodes one event as its 17-byte wire record. The record is wider than
+/// the in-memory word and laid out differently; this and [`decode_event`]
+/// are the only translation between the two.
+fn encode_event(event: Event) -> [u8; 17] {
+    let (tag, a, b): (u8, u64, u64) = match event.kind() {
+        EventKind::Busy(n) => (0, n as u64, 0),
+        EventKind::Ref(r) => {
+            let meta = (r.size as u64) << 8 | (r.write as u64) << 7 | r.class.index() as u64;
             (1, r.addr, meta)
         }
-        Event::LockAcquire(tok) => (2, tok.addr, lock_code(tok.class) as u64),
-        Event::LockRelease(tok) => (3, tok.addr, lock_code(tok.class) as u64),
+        EventKind::LockAcquire(tok) => (2, tok.addr, tok.class.code() as u64),
+        EventKind::LockRelease(tok) => (3, tok.addr, tok.class.code() as u64),
     };
     let mut record = [0u8; 17];
     record[0] = tag;
@@ -273,7 +275,7 @@ impl<W: Write> BlockWriter<W> {
         };
         put(&mut self.w, &(events.len() as u64).to_le_bytes())?;
         put(&mut self.w, &self.next_chunk.to_le_bytes())?;
-        for event in events {
+        for &event in events {
             put(&mut self.w, &encode_event(event))?;
         }
         self.w.write_all(&hash.to_le_bytes())?;
@@ -605,7 +607,11 @@ impl<R: Read> CountingReader<R> {
     }
 }
 
-/// Decodes one 17-byte event record beginning at byte `offset`.
+/// Decodes one 17-byte event record beginning at byte `offset`. A record
+/// the packed [`Event`] cannot hold — an address at or past
+/// [`Event::ADDR_LIMIT`], a size past [`Event::MAX_REF_SIZE`], an unknown
+/// class — is [`TraceError::Corrupt`] here, so a file can never reach the
+/// constructors' assertions.
 fn decode_event(
     record: &[u8; 17],
     offset: u64,
@@ -623,39 +629,38 @@ fn decode_event(
         record[9], record[10], record[11], record[12], record[13], record[14], record[15],
         record[16],
     ]);
+    let addr = || {
+        if a < Event::ADDR_LIMIT {
+            Ok(a)
+        } else {
+            Err(corrupt(format!("address {a:#x} beyond the 48-bit space")))
+        }
+    };
+    let lock = || {
+        Ok(LockToken::new(
+            addr()?,
+            lock_from(b as u8).map_err(corrupt)?,
+        ))
+    };
     Ok(match record[0] {
-        0 => Event::Busy(a as u32),
+        0 => Event::busy(a as u32),
         1 => {
             let class = class_from(b as u8 & 0x7f).map_err(corrupt)?;
-            Event::Ref(MemRef {
-                addr: a,
-                size: (b >> 8) as u16,
+            let size = (b >> 8) as u16;
+            if size > Event::MAX_REF_SIZE {
+                return Err(corrupt(format!("bad reference size {size}")));
+            }
+            Event::reference(MemRef {
+                addr: addr()?,
+                size,
                 write: b & 0x80 != 0,
                 class,
             })
         }
-        2 => Event::LockAcquire(LockToken::new(a, lock_from(b as u8).map_err(corrupt)?)),
-        3 => Event::LockRelease(LockToken::new(a, lock_from(b as u8).map_err(corrupt)?)),
+        2 => Event::lock_acquire(lock()?),
+        3 => Event::lock_release(lock()?),
         other => return Err(corrupt(format!("unknown event tag {other}"))),
     })
-}
-
-/// Wire code of a class: its position in [`DataClass::ALL`], spelled as an
-/// exhaustive match so the compiler — not a runtime `expect` — guarantees
-/// every class encodes.
-fn class_code(c: DataClass) -> u8 {
-    match c {
-        DataClass::PrivHeap => 0,
-        DataClass::Data => 1,
-        DataClass::Index => 2,
-        DataClass::BufDesc => 3,
-        DataClass::BufLookup => 4,
-        DataClass::LockHash => 5,
-        DataClass::XidHash => 6,
-        DataClass::LockMgrLock => 7,
-        DataClass::BufMgrLock => 8,
-        DataClass::SharedMisc => 9,
-    }
 }
 
 fn class_from(code: u8) -> Result<DataClass, String> {
@@ -665,21 +670,8 @@ fn class_from(code: u8) -> Result<DataClass, String> {
         .ok_or_else(|| format!("bad class {code}"))
 }
 
-fn lock_code(c: LockClass) -> u8 {
-    match c {
-        LockClass::LockMgr => 0,
-        LockClass::BufMgr => 1,
-        LockClass::Other => 2,
-    }
-}
-
 fn lock_from(code: u8) -> Result<LockClass, String> {
-    Ok(match code {
-        0 => LockClass::LockMgr,
-        1 => LockClass::BufMgr,
-        2 => LockClass::Other,
-        other => return Err(format!("bad lock class {other}")),
-    })
+    LockClass::from_code(code).ok_or_else(|| format!("bad lock class {code}"))
 }
 
 #[cfg(test)]
@@ -709,13 +701,6 @@ mod tests {
         let mut buf = Vec::new();
         write_trace_blocks(&trace, &mut buf, 4).unwrap();
         assert_eq!(read_trace_blocks(buf.as_slice()).unwrap(), trace);
-    }
-
-    #[test]
-    fn class_codes_match_declaration_order() {
-        for (i, class) in DataClass::ALL.iter().enumerate() {
-            assert_eq!(class_code(*class) as usize, i, "{class:?}");
-        }
     }
 
     #[test]
@@ -947,5 +932,32 @@ mod tests {
         bw.finish().unwrap();
         assert_eq!(buf, whole, "salvage + resume reproduces the whole stream");
         assert_eq!(read_trace_blocks(buf.as_slice()).unwrap(), trace);
+    }
+
+    /// The in-memory representation is free to change; the bytes of a
+    /// `DSSTRB01` file are not. The value was captured on the commit before
+    /// `Event` became a packed word.
+    #[test]
+    fn wire_format_golden() {
+        // Every variant, every lock class, both directions, the extremes of
+        // `Busy`, in blocks of 4.
+        let t = Tracer::new(2);
+        t.busy(1);
+        t.read(0x1_0000_0040, 8, DataClass::Data);
+        t.write(0x100_0000_0010, 4, DataClass::PrivHeap);
+        t.lock_acquire(LockToken::new(0x1_0000_0000, LockClass::LockMgr));
+        t.read(0x1_0000_2001, 1, DataClass::LockHash);
+        t.lock_release(LockToken::new(0x1_0000_0000, LockClass::LockMgr));
+        t.busy(u32::MAX);
+        t.lock_acquire(LockToken::new(0x1_0000_0008, LockClass::BufMgr));
+        t.write(0x1_0000_3000, 8, DataClass::BufDesc);
+        t.lock_release(LockToken::new(0x1_0000_0008, LockClass::BufMgr));
+        t.lock_acquire(LockToken::new(0x1_0000_0010, LockClass::Other));
+        t.read(0x1_0000_4000, 2, DataClass::SharedMisc);
+        t.lock_release(LockToken::new(0x1_0000_0010, LockClass::Other));
+        let mut buf = Vec::new();
+        write_trace_blocks(&t.take(), &mut buf, 4).unwrap();
+        assert_eq!(buf.len(), 365);
+        assert_eq!(fnv1a(FNV_OFFSET, &buf), 0x4ed4_0e52_4648_c220);
     }
 }

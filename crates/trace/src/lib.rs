@@ -8,7 +8,9 @@
 //!   categories of the HPCA'97 paper (database `Data`, `Index`, the buffer- and
 //!   lock-manager metadata structures, and private heap data).
 //! * [`MemRef`] / [`Event`] — a single classified memory reference, plus the
-//!   busy-cycle and spinlock events interleaved with references.
+//!   busy-cycle and spinlock events interleaved with references. An
+//!   [`Event`] is one packed 8-byte word, the only stored form;
+//!   [`Event::kind`] decodes it to the [`EventKind`] enum to match on.
 //! * [`Tracer`] — a cheaply clonable recording handle threaded through the
 //!   engine; one per simulated processor.
 //! * [`CostModel`] — the per-operation busy-cycle charges that stand in for
@@ -30,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use dss_trace::{DataClass, Event, Tracer};
+//! use dss_trace::{DataClass, EventKind, Tracer};
 //!
 //! let tracer = Tracer::new(0);
 //! tracer.busy(12);
@@ -38,7 +40,7 @@
 //! tracer.write(0x4000_0000, 8, DataClass::PrivHeap);
 //! let trace = tracer.take();
 //! assert_eq!(trace.events.len(), 3);
-//! assert!(matches!(trace.events[0], Event::Busy(12)));
+//! assert!(matches!(trace.events[0].kind(), EventKind::Busy(12)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +60,7 @@ pub use analyze::{analyze, ClassLocality, ReuseHistogram, TraceAnalysis, REUSE_B
 pub use class::{DataClass, DataGroup};
 pub use cost::CostModel;
 pub use discipline::{check_lock_discipline, LockDisciplineError};
-pub use event::{Event, LockClass, LockToken, MemRef};
+pub use event::{Event, EventKind, LockClass, LockToken, MemRef};
 pub use io::{
     read_trace_blocks, salvage_scan, salvage_scan_file, write_trace_blocks, BlockReader,
     BlockWriter, SalvageScan, TraceError,

@@ -1,8 +1,6 @@
 //! Summary statistics over recorded traces.
 
-use std::collections::BTreeMap;
-
-use crate::{DataClass, Event, Trace};
+use crate::{DataClass, Event, EventKind, Trace};
 
 /// Counters summarizing one trace: reference counts by class and direction,
 /// busy cycles, and lock activity.
@@ -25,8 +23,9 @@ use crate::{DataClass, Event, Trace};
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    reads: BTreeMap<DataClass, u64>,
-    writes: BTreeMap<DataClass, u64>,
+    /// Loads and stores per class, indexed by [`DataClass::index`].
+    reads: [u64; DataClass::ALL.len()],
+    writes: [u64; DataClass::ALL.len()],
     /// Total busy cycles charged in the trace.
     pub busy_cycles: u64,
     /// Number of lock acquisitions.
@@ -49,18 +48,18 @@ impl TraceStats {
     /// equals [`TraceStats::from_trace`] over the materialized trace.
     pub fn accumulate(&mut self, events: &[Event]) {
         for event in events {
-            match event {
-                Event::Ref(r) => {
-                    let map = if r.write {
+            match event.kind() {
+                EventKind::Ref(r) => {
+                    let counts = if r.write {
                         &mut self.writes
                     } else {
                         &mut self.reads
                     };
-                    *map.entry(r.class).or_insert(0) += 1;
+                    counts[r.class.index()] += 1;
                 }
-                Event::Busy(c) => self.busy_cycles += *c as u64,
-                Event::LockAcquire(_) => self.lock_acquires += 1,
-                Event::LockRelease(_) => self.lock_releases += 1,
+                EventKind::Busy(c) => self.busy_cycles += c as u64,
+                EventKind::LockAcquire(_) => self.lock_acquires += 1,
+                EventKind::LockRelease(_) => self.lock_releases += 1,
             }
         }
     }
@@ -76,11 +75,11 @@ impl TraceStats {
 
     /// Adds another set of counters into this one.
     pub fn merge(&mut self, other: &TraceStats) {
-        for (class, n) in &other.reads {
-            *self.reads.entry(*class).or_insert(0) += n;
+        for (mine, theirs) in self.reads.iter_mut().zip(&other.reads) {
+            *mine += theirs;
         }
-        for (class, n) in &other.writes {
-            *self.writes.entry(*class).or_insert(0) += n;
+        for (mine, theirs) in self.writes.iter_mut().zip(&other.writes) {
+            *mine += theirs;
         }
         self.busy_cycles += other.busy_cycles;
         self.lock_acquires += other.lock_acquires;
@@ -89,12 +88,12 @@ impl TraceStats {
 
     /// Load references of `class`.
     pub fn reads(&self, class: DataClass) -> u64 {
-        self.reads.get(&class).copied().unwrap_or(0)
+        self.reads[class.index()]
     }
 
     /// Store references of `class`.
     pub fn writes(&self, class: DataClass) -> u64 {
-        self.writes.get(&class).copied().unwrap_or(0)
+        self.writes[class.index()]
     }
 
     /// All references (loads + stores) of `class`.
@@ -104,7 +103,7 @@ impl TraceStats {
 
     /// All references in the trace.
     pub fn total_refs(&self) -> u64 {
-        DataClass::ALL.iter().map(|c| self.refs(*c)).sum()
+        self.reads.iter().chain(&self.writes).sum()
     }
 
     /// References to private data.

@@ -56,7 +56,6 @@ impl<'a> IntoIterator for &'a Trace {
 /// streaming tracer holds at most one block of events in memory.
 struct Sink {
     writer: BlockWriter<Box<dyn Write>>,
-    block_events: usize,
     events_emitted: u64,
     /// Blocks still to *discard* instead of write: a resumed recording
     /// ([`Tracer::with_sink_resume`]) replays generation from the start, and
@@ -71,7 +70,6 @@ struct Sink {
 impl std::fmt::Debug for Sink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sink")
-            .field("block_events", &self.block_events)
             .field("events_emitted", &self.events_emitted)
             .field("skip_blocks", &self.skip_blocks)
             .field("error", &self.error)
@@ -79,42 +77,62 @@ impl std::fmt::Debug for Sink {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TraceBuffer {
     events: Vec<Event>,
     /// Busy cycles accumulated since the last non-busy event, coalesced to
     /// keep traces compact.
     pending_busy: u64,
     enabled: bool,
+    /// Buffered events at which a block drains to the sink; `usize::MAX`
+    /// without one, so recording tests one length whether it streams or not.
+    block_events: usize,
     sink: Option<Sink>,
 }
 
 impl TraceBuffer {
+    /// Emits the pending busy cycles ahead of a non-busy event. Every
+    /// recording call comes through here, so the test is inline and the
+    /// work is not.
+    #[inline]
     fn flush_busy(&mut self) {
+        if self.pending_busy != 0 {
+            self.emit_pending_busy();
+        }
+    }
+
+    #[inline(never)]
+    fn emit_pending_busy(&mut self) {
         while self.pending_busy > 0 {
             let chunk = self.pending_busy.min(u32::MAX as u64) as u32;
-            self.push(Event::Busy(chunk));
+            self.push(Event::busy(chunk));
             self.pending_busy -= chunk as u64;
         }
     }
 
     /// Appends one event, draining a full block to the sink when streaming.
+    #[inline]
     fn push(&mut self, event: Event) {
         self.events.push(event);
-        if let Some(sink) = &mut self.sink {
-            if self.events.len() >= sink.block_events {
-                if sink.skip_blocks > 0 {
-                    // Already durable in the salvaged prefix; discard.
-                    sink.skip_blocks -= 1;
-                } else if sink.error.is_none() {
-                    if let Err(e) = sink.writer.write_block(&self.events) {
-                        sink.error = Some(e);
-                    }
-                }
-                sink.events_emitted += self.events.len() as u64;
-                self.events.clear();
+        if self.events.len() >= self.block_events {
+            self.drain_block();
+        }
+    }
+
+    #[inline(never)]
+    fn drain_block(&mut self) {
+        // `block_events` is finite only while a sink is attached.
+        let Some(sink) = &mut self.sink else { return };
+        if sink.skip_blocks > 0 {
+            // Already durable in the salvaged prefix; discard.
+            sink.skip_blocks -= 1;
+        } else if sink.error.is_none() {
+            if let Err(e) = sink.writer.write_block(&self.events) {
+                sink.error = Some(e);
             }
         }
+        sink.events_emitted += self.events.len() as u64;
+        self.events.clear();
     }
 }
 
@@ -153,6 +171,7 @@ impl Tracer {
                 events: Vec::new(),
                 pending_busy: 0,
                 enabled: true,
+                block_events: usize::MAX,
                 sink: None,
             })),
         }
@@ -184,13 +203,15 @@ impl Tracer {
         assert!(block_events > 0, "block_events must be positive");
         let writer = BlockWriter::new(w, proc_id)?;
         let t = Tracer::new(proc_id);
-        t.buf.borrow_mut().sink = Some(Sink {
-            writer,
+        t.attach(
             block_events,
-            events_emitted: 0,
-            skip_blocks: 0,
-            error: None,
-        });
+            Sink {
+                writer,
+                events_emitted: 0,
+                skip_blocks: 0,
+                error: None,
+            },
+        );
         Ok(t)
     }
 
@@ -217,14 +238,22 @@ impl Tracer {
     ) -> Self {
         assert!(block_events > 0, "block_events must be positive");
         let t = Tracer::new(proc_id);
-        t.buf.borrow_mut().sink = Some(Sink {
-            writer: BlockWriter::resume(w, salvaged_blocks),
+        t.attach(
             block_events,
-            events_emitted: 0,
-            skip_blocks: salvaged_blocks,
-            error: None,
-        });
+            Sink {
+                writer: BlockWriter::resume(w, salvaged_blocks),
+                events_emitted: 0,
+                skip_blocks: salvaged_blocks,
+                error: None,
+            },
+        );
         t
+    }
+
+    fn attach(&self, block_events: usize, sink: Sink) {
+        let mut buf = self.buf.borrow_mut();
+        buf.block_events = block_events;
+        buf.sink = Some(sink);
     }
 
     /// Ends a streaming recording: flushes pending busy cycles, the final
@@ -245,6 +274,7 @@ impl Tracer {
         let mut buf = self.buf.borrow_mut();
         buf.flush_busy();
         let mut sink = buf.sink.take().expect("finish_sink on a sinkless tracer");
+        buf.block_events = usize::MAX;
         if let Some(e) = sink.error.take() {
             return Err(e);
         }
@@ -338,7 +368,7 @@ impl Tracer {
         let mut buf = self.buf.borrow_mut();
         if buf.enabled {
             buf.flush_busy();
-            buf.push(Event::LockAcquire(token));
+            buf.push(Event::lock_acquire(token));
         }
     }
 
@@ -347,7 +377,7 @@ impl Tracer {
         let mut buf = self.buf.borrow_mut();
         if buf.enabled {
             buf.flush_busy();
-            buf.push(Event::LockRelease(token));
+            buf.push(Event::lock_release(token));
         }
     }
 
@@ -371,7 +401,7 @@ impl Tracer {
         let mut off = 0;
         while off < size {
             let chunk = (size - off).min(MAX_REF_BYTES);
-            buf.push(Event::Ref(MemRef {
+            buf.push(Event::reference(MemRef {
                 addr: addr + off,
                 size: chunk as u16,
                 write,
@@ -385,7 +415,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LockClass;
+    use crate::{EventKind, LockClass};
 
     #[test]
     fn busy_cycles_coalesce() {
@@ -398,9 +428,9 @@ mod tests {
         assert_eq!(
             trace.events,
             vec![
-                Event::Busy(15),
-                Event::Ref(MemRef::load(0x100, 4, DataClass::Data)),
-                Event::Busy(3),
+                Event::busy(15),
+                Event::reference(MemRef::load(0x100, 4, DataClass::Data)),
+                Event::busy(3),
             ]
         );
     }
@@ -413,15 +443,15 @@ mod tests {
         assert_eq!(trace.events.len(), 3);
         assert_eq!(
             trace.events[0],
-            Event::Ref(MemRef::load(0x100, 8, DataClass::Index))
+            Event::reference(MemRef::load(0x100, 8, DataClass::Index))
         );
         assert_eq!(
             trace.events[1],
-            Event::Ref(MemRef::load(0x108, 8, DataClass::Index))
+            Event::reference(MemRef::load(0x108, 8, DataClass::Index))
         );
         assert_eq!(
             trace.events[2],
-            Event::Ref(MemRef::load(0x110, 4, DataClass::Index))
+            Event::reference(MemRef::load(0x110, 4, DataClass::Index))
         );
     }
 
@@ -433,12 +463,12 @@ mod tests {
         assert_eq!(trace.proc_id, 1);
         assert_eq!(trace.events.len(), 4);
         assert!(matches!(
-            trace.events[0],
-            Event::Ref(MemRef { write: false, .. })
+            trace.events[0].kind(),
+            EventKind::Ref(MemRef { write: false, .. })
         ));
         assert!(matches!(
-            trace.events[1],
-            Event::Ref(MemRef {
+            trace.events[1].kind(),
+            EventKind::Ref(MemRef {
                 write: true,
                 class: DataClass::PrivHeap,
                 ..
@@ -466,7 +496,7 @@ mod tests {
         assert_eq!(trace.events.len(), 1);
         assert_eq!(
             trace.events[0],
-            Event::Ref(MemRef::load(0x200, 8, DataClass::Data))
+            Event::reference(MemRef::load(0x200, 8, DataClass::Data))
         );
     }
 
@@ -594,6 +624,6 @@ mod tests {
         t.lock_release(LockToken::new(0x40, LockClass::BufMgr));
         let trace = t.take();
         assert_eq!(trace.events.len(), 3);
-        assert_eq!(trace.events[0], Event::Busy(7));
+        assert_eq!(trace.events[0], Event::busy(7));
     }
 }

@@ -4,7 +4,7 @@
 //! unbalancing mutation of such a trace is caught by
 //! [`check_lock_discipline`].
 
-use dss_trace::{check_lock_discipline, DataClass, Event, LockClass, LockToken, Tracer};
+use dss_trace::{check_lock_discipline, DataClass, Event, EventKind, LockClass, LockToken, Tracer};
 use proptest::prelude::*;
 
 /// One step of a generated program. `Open`/`Close` drive a lock stack: an
@@ -96,7 +96,7 @@ proptest! {
         pick in any::<usize>(),
     ) {
         let mut trace = render(&cmds);
-        let releases = positions(&trace, |e| matches!(e, Event::LockRelease(_)));
+        let releases = positions(&trace, |e| matches!(e.kind(), EventKind::LockRelease(_)));
         if !releases.is_empty() {
             trace.events.remove(releases[pick % releases.len()]);
             prop_assert!(check_lock_discipline(&trace).is_err());
@@ -110,7 +110,7 @@ proptest! {
         pick in any::<usize>(),
     ) {
         let mut trace = render(&cmds);
-        let acquires = positions(&trace, |e| matches!(e, Event::LockAcquire(_)));
+        let acquires = positions(&trace, |e| matches!(e.kind(), EventKind::LockAcquire(_)));
         if !acquires.is_empty() {
             let i = acquires[pick % acquires.len()];
             let dup = trace.events[i];
@@ -127,7 +127,7 @@ proptest! {
         let mut trace = render(&cmds);
         trace
             .events
-            .push(Event::LockRelease(LockToken::new(0xdead_0000, LockClass::Other)));
+            .push(Event::lock_release(LockToken::new(0xdead_0000, LockClass::Other)));
         prop_assert!(check_lock_discipline(&trace).is_err());
     }
 }
