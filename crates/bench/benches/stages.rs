@@ -1,5 +1,5 @@
-//! Criterion benchmarks of the end-to-end pipeline: database build, query
-//! tracing, and trace simulation — one per experiment stage.
+//! Criterion benchmarks of an experiment's stages end to end: database
+//! build, query tracing, and trace simulation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -8,7 +8,7 @@ use dss_memsim::{Machine, MachineConfig};
 use dss_query::{Database, DbConfig};
 
 fn bench_build(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pipeline");
+    let mut g = c.benchmark_group("stages");
     g.sample_size(10);
     g.bench_function("database-build-scale-0.002", |b| {
         b.iter(|| {
@@ -24,7 +24,7 @@ fn bench_build(c: &mut Criterion) {
 
 fn bench_trace_generation(c: &mut Criterion) {
     let mut db = bench_database();
-    let mut g = c.benchmark_group("pipeline");
+    let mut g = c.benchmark_group("stages");
     g.sample_size(10);
     for q in [3u8, 6, 12] {
         let events = trace_query(&mut db, q, 0).len() as u64;
@@ -42,7 +42,7 @@ fn bench_trace_generation(c: &mut Criterion) {
 
 fn bench_simulation(c: &mut Criterion) {
     let mut db = bench_database();
-    let mut g = c.benchmark_group("pipeline");
+    let mut g = c.benchmark_group("stages");
     g.sample_size(10);
     for q in [3u8, 6, 12] {
         let traces: Vec<_> = (0..4)

@@ -154,12 +154,41 @@ fn bench_analyze(c: &mut Criterion) {
     g.bench_function("analyze-reuse-distances", |b| {
         b.iter(|| dss_trace::analyze(&trace, 64))
     });
-    g.bench_function("serialize-roundtrip", |b| {
+    g.finish();
+}
+
+/// The block codec as `streamed` drives it: a writer fed
+/// `DEFAULT_BLOCK_EVENTS`-sized blocks, a reader drained through
+/// `next_block` into one reused buffer. In memory, so the time is the
+/// codec's own.
+fn bench_block_codec(c: &mut Criterion) {
+    let t = Tracer::new(0);
+    record_mix(&t, 100_000);
+    let trace = t.take();
+    let mut encoded = Vec::new();
+    dss_trace::write_trace_blocks(&trace, &mut encoded, dss_trace::DEFAULT_BLOCK_EVENTS)
+        .expect("in-memory");
+
+    let mut g = c.benchmark_group("trace");
+    g.throughput(Throughput::Bytes(encoded.len() as u64));
+    g.bench_function("encode-blocks", |b| {
+        let mut buf = Vec::with_capacity(encoded.len());
         b.iter(|| {
-            let mut buf = Vec::with_capacity(trace.len() * 17 + 24);
+            buf.clear();
             dss_trace::write_trace_blocks(&trace, &mut buf, dss_trace::DEFAULT_BLOCK_EVENTS)
                 .expect("in-memory");
-            dss_trace::read_trace_blocks(buf.as_slice()).expect("roundtrip")
+            buf.len()
+        })
+    });
+    g.bench_function("decode-blocks", |b| {
+        let mut block = Vec::new();
+        b.iter(|| {
+            let mut reader = dss_trace::BlockReader::new(encoded.as_slice()).expect("header");
+            let mut events = 0;
+            while reader.next_block(&mut block).expect("valid stream") > 0 {
+                events += block.len();
+            }
+            events
         })
     });
     g.finish();
@@ -211,6 +240,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_dbgen, bench_btree, bench_sql, bench_memsim, bench_lockmgr,
-        bench_bufcache, bench_analyze, bench_tracer
+        bench_bufcache, bench_analyze, bench_block_codec, bench_tracer
 }
 criterion_main!(benches);

@@ -5,9 +5,10 @@
 //! * the `repro` binary (`cargo run -p dss-bench --release --bin repro`)
 //!   regenerates every table and figure of the paper and verifies the
 //!   qualitative shape checks,
-//! * `benches/substrates.rs` and `benches/pipeline.rs` are Criterion
-//!   microbenchmarks of the substrates (b-tree, generator, SQL front end,
-//!   simulator) and the end-to-end trace/simulate pipeline.
+//! * `benches/substrates.rs`, `benches/machine.rs` and `benches/stages.rs`
+//!   are Criterion microbenchmarks of the substrates (b-tree, generator,
+//!   SQL front end, block codec), the simulator, and an experiment's stages
+//!   end to end.
 //!
 //! This library only hosts small helpers shared by both.
 

@@ -45,10 +45,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Fingerprints the configuration a journal's results are valid for: the
 /// database parameters and the processor count, plus the journal format
-/// version. Resuming under a different fingerprint discards the journal —
-/// its results answer a different experiment.
+/// version and the format of the trace files the journal sits beside.
+/// Resuming under a different fingerprint discards the journal — its
+/// results answer a different experiment, or its block files are ones this
+/// build cannot read.
 pub fn config_fingerprint(config: &DbConfig, nprocs: usize) -> u64 {
-    let mut h = fnv1a(JOURNAL_MAGIC.as_bytes());
+    let mut h = fnv1a(JOURNAL_MAGIC.as_bytes()) ^ fnv1a(dss_trace::BLOCK_MAGIC).rotate_left(32);
     for word in [
         config.scale.to_bits(),
         config.seed,

@@ -664,7 +664,7 @@ mod tests {
         };
         let dir = std::env::temp_dir().join(format!("dss-wb-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut wb = Workbench::new(&config, 2);
+        let mut wb = Workbench::new(&config, 3);
         wb.set_trace_dir(dir.clone());
         wb.set_trace_mode(TraceMode::Streamed);
         let files = wb.trace_files(6, 0);
@@ -672,7 +672,9 @@ mod tests {
         let whole: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
         // Tear proc 0's file mid-block, as a crash inside a block write
         // would; tag proc 1's (complete) file past its end marker, where no
-        // reader looks — if resume rewrote the file the tag would vanish.
+        // reader looks — if resume rewrote the file the tag would vanish;
+        // leave proc 2 a complete file of the previous block format, which
+        // has no reader and so nothing to salvage.
         std::fs::write(&paths[0], &whole[0][..whole[0].len() - 9]).unwrap();
         let mut p1 = std::fs::OpenOptions::new()
             .append(true)
@@ -680,8 +682,11 @@ mod tests {
             .unwrap();
         p1.write_all(b"JUNK").unwrap();
         drop(p1);
+        let mut old_format = whole[2].clone();
+        old_format[..8].copy_from_slice(b"DSSTRB01");
+        std::fs::write(&paths[2], old_format).unwrap();
 
-        let mut wb2 = Workbench::new(&config, 2);
+        let mut wb2 = Workbench::new(&config, 3);
         wb2.set_trace_dir(dir.clone());
         wb2.set_trace_mode(TraceMode::Streamed);
         wb2.set_resume(true);
@@ -696,6 +701,11 @@ mod tests {
         assert!(
             back.ends_with(b"JUNK"),
             "complete file reused, not rewritten"
+        );
+        assert_eq!(
+            std::fs::read(&paths[2]).unwrap(),
+            whole[2],
+            "old-format file regenerated from scratch"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -130,3 +130,22 @@ fn mismatched_fingerprint_recomputes_everything() {
     assert_eq!(counts(&mut wb2), (0, 5));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_state_dir_from_before_the_packed_block_format_is_refused() {
+    // What `config_fingerprint(&config(), 2)` was while block files were
+    // `DSSTRB01`: the journal such a run left behind vouches for trace
+    // files this build reads as `BadMagic`.
+    const FP_WITH_DSSTRB01: u64 = 0x3760_426c_3379_75ff;
+    let dir = temp_dir("oldfmt");
+    let manifest = dir.join("manifest.ckpt");
+    drop(CheckpointJournal::create(&manifest, FP_WITH_DSSTRB01).unwrap());
+
+    let fp = config_fingerprint(&config(), 2);
+    assert_ne!(fp, FP_WITH_DSSTRB01);
+    let journal = CheckpointJournal::resume(&manifest, fp).unwrap();
+    let reason = journal.fresh_reason().expect("starts fresh");
+    assert!(reason.contains("fingerprint mismatch"), "{reason}");
+    assert_eq!(journal.replayed(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

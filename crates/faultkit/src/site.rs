@@ -188,12 +188,13 @@ const BLOCK_EVENTS: usize = 16;
 const BLOCKS: usize = 4;
 /// Stream header size: magic, processor id, header checksum.
 const BLOCK_HEADER: usize = 24;
+/// Byte size of one event record: the packed word, little-endian.
+const RECORD: usize = 8;
 /// Byte offset of the first block's first event record (past its count and
 /// chunk index).
 const FIRST_RECORD: usize = BLOCK_HEADER + 16;
-/// Byte size of one full block: count, chunk index, 17-byte records,
-/// checksum.
-const BLOCK_SIZE: usize = 8 + 8 + BLOCK_EVENTS * 17 + 8;
+/// Byte size of one full block: count, chunk index, records, checksum.
+const BLOCK_SIZE: usize = 8 + 8 + BLOCK_EVENTS * RECORD + 8;
 /// Byte size of the end-of-stream marker: a zero count, the next chunk
 /// index, checksum.
 const END_MARKER: usize = 24;
@@ -213,8 +214,8 @@ fn sample_trace(rng: &mut StdRng) -> Trace {
 
 /// A trace of exactly [`BLOCKS`]` × `[`BLOCK_EVENTS`] uniform events, so its
 /// encoding is [`BLOCKS`] byte-interchangeable full blocks (every record is
-/// 17 bytes; only the chunk index distinguishes equal-count blocks) plus the
-/// end marker.
+/// [`RECORD`] bytes; only the chunk index distinguishes equal-count blocks)
+/// plus the end marker.
 fn block_trace(rng: &mut StdRng) -> Trace {
     let t = Tracer::new(rng.gen_range(0..4usize));
     let base = dss_shmem::SHARED_BASE + rng.gen_range(0..1024u64) * 64;
@@ -302,20 +303,21 @@ fn truncated_event(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&trace) else {
         return skipped("trace fixture failed to encode");
     };
-    let records_end = FIRST_RECORD + trace.events.len() * 17;
+    let records_end = FIRST_RECORD + trace.events.len() * RECORD;
     buf.truncate(rng.gen_range(FIRST_RECORD..records_end));
     classify_read(&buf, "truncated")
 }
 
 /// A block header promises more events than the stream carries: the end
 /// marker's zero count is bumped, so the reader looks for records where only
-/// the marker's checksum remains.
+/// the marker's checksum remains. (From 2: a count of 1 would find exactly
+/// that one word and judge it as an event instead.)
 fn count_overrun(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
     let count = buf.len() - END_MARKER;
-    let bumped = rng.gen_range(1..1000u64);
+    let bumped = rng.gen_range(2..1000u64);
     buf[count..count + 8].copy_from_slice(&bumped.to_le_bytes());
     classify_read(&buf, "truncated")
 }
@@ -332,34 +334,36 @@ fn bit_flip(rng: &mut StdRng) -> Outcome {
     classify_read_any(&buf)
 }
 
-/// An impossible event tag in the first record. Records are validated as
-/// they decode, ahead of the block checksum, so this is `corrupt`, not a
-/// checksum mismatch.
+/// An impossible tag byte in the first record: all four 2-bit tags are
+/// events, so what makes the word impossible is one of the reserved bits
+/// 11–15 beside them. Words are validated as they decode, ahead of the
+/// block checksum, so this is `corrupt`, not a checksum mismatch.
 fn bad_tag(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
-    buf[FIRST_RECORD] = rng.gen_range(4..=255u8);
+    buf[FIRST_RECORD + 1] |= 1u8 << rng.gen_range(3..8u32);
     classify_read(&buf, "corrupt")
 }
 
-/// An out-of-range data class in the first Ref record (the write bit is
-/// preserved so only the class is impossible).
+/// An out-of-range data class in the first Ref record (bits 3–6 of its
+/// word; every other bit is preserved so only the class is impossible).
 fn bad_class(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
-    let class_byte = FIRST_RECORD + 9;
-    buf[class_byte] = (buf[class_byte] & 0x80) | rng.gen_range(10..=127u8);
+    let class = rng.gen_range(10..16u8);
+    buf[FIRST_RECORD] = (buf[FIRST_RECORD] & !0x78) | class << 3;
     classify_read(&buf, "corrupt")
 }
 
-/// An out-of-range lock class in the LockAcquire record (event 1).
+/// The one out-of-range lock class (3, in bits 3–4) in the LockAcquire
+/// record (event 1).
 fn bad_lock_class(rng: &mut StdRng) -> Outcome {
     let Some(mut buf) = encode(&sample_trace(rng)) else {
         return skipped("trace fixture failed to encode");
     };
-    buf[FIRST_RECORD + 17 + 9] = rng.gen_range(3..=255u8);
+    buf[FIRST_RECORD + RECORD] |= 0x18;
     classify_read(&buf, "corrupt")
 }
 

@@ -130,7 +130,10 @@ pub enum EventKind {
 /// ```
 ///
 /// Unused bits are zero, so word equality is event equality. [`Event::kind`]
-/// decodes to the [`EventKind`] view; `Debug` prints that view.
+/// decodes to the [`EventKind`] view; `Debug` prints that view. The same
+/// word, little-endian, is the record of the on-disk block format:
+/// [`Event::to_bits`] writes it and [`Event::from_bits`] is the only way a
+/// word from outside becomes an `Event`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Event(u64);
 
@@ -146,9 +149,28 @@ const FIELD_MASK: u64 = 0xf;
 const LOCK_CLASS_MASK: u64 = 0b11;
 const PAYLOAD_SHIFT: u32 = 16;
 
+/// Per tag (Busy, Ref, LockAcquire, LockRelease): the bits the variant
+/// leaves unused, zero in every valid word, and one past the largest value
+/// of the 4-bit field at [`CLASS_SHIFT`]. A lock's 2-bit class sits in that
+/// field's low half and its high half is unused, so one comparison serves
+/// both.
+const UNUSED_BITS: [u64; 4] = {
+    let low = (1 << PAYLOAD_SHIFT) - 1;
+    let reference = TAG_MASK | WRITE_BIT | FIELD_MASK << CLASS_SHIFT | FIELD_MASK << SIZE_SHIFT;
+    let lock = TAG_MASK | LOCK_CLASS_MASK << CLASS_SHIFT;
+    [
+        !((u32::MAX as u64) << PAYLOAD_SHIFT),
+        low & !reference,
+        low & !lock,
+        low & !lock,
+    ]
+};
+const CLASS_LIMIT: [u64; 4] = [1, DataClass::ALL.len() as u64, 3, 3];
+
 /// Class of each 4-bit code. Codes past [`DataClass::ALL`] are never stored
-/// (the constructors take a `DataClass`); padding the table to the field's
-/// width keeps the decode free of a bounds check.
+/// (the constructors take a `DataClass`, [`Event::from_bits`] refuses them);
+/// padding the table to the field's width keeps the decode free of a bounds
+/// check.
 const CLASS_OF: [DataClass; 16] = {
     let mut table = [DataClass::SharedMisc; 16];
     let mut i = 0;
@@ -222,12 +244,31 @@ impl Event {
         Event(token.addr << PAYLOAD_SHIFT | (token.class.code() as u64) << CLASS_SHIFT | tag)
     }
 
+    /// The packed word.
+    #[inline]
+    pub fn to_bits(self) -> u64 {
+        self.0
+    }
+
+    /// The event whose packed word is `w`, or `None` when no constructor
+    /// produces `w`: a data-class code past [`DataClass::ALL`], lock class
+    /// 3, or any bit set that the tagged variant does not use. This is the
+    /// check at the file boundary that lets [`Event::kind`] decode without
+    /// one.
+    #[inline]
+    pub fn from_bits(w: u64) -> Option<Event> {
+        let tag = (w & TAG_MASK) as usize;
+        let valid = w & UNUSED_BITS[tag] == 0 && (w >> CLASS_SHIFT) & FIELD_MASK < CLASS_LIMIT[tag];
+        valid.then_some(Event(w))
+    }
+
     /// Decodes the word.
     #[inline]
     pub fn kind(self) -> EventKind {
         let w = self.0;
         let payload = w >> PAYLOAD_SHIFT;
-        // Code 3 is never stored: the constructors take a `LockClass`.
+        // Code 3 is never stored: the constructors take a `LockClass` and
+        // `from_bits` refuses it.
         let token = || LockToken {
             addr: payload,
             class: LockClass::from_code(((w >> CLASS_SHIFT) & LOCK_CLASS_MASK) as u8)
@@ -355,6 +396,65 @@ mod tests {
         fn word_equality_is_event_equality(a in kind_strategy(), b in kind_strategy()) {
             prop_assert_eq!(Event::from(a) == Event::from(b), a == b);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn bits_round_trip(kind in kind_strategy()) {
+            let e = Event::from(kind);
+            prop_assert_eq!(Event::from_bits(e.to_bits()), Some(e));
+        }
+
+        /// Setting any bit the variant does not use makes the word
+        /// impossible, whatever else it holds.
+        #[test]
+        fn any_unused_bit_is_refused(kind in kind_strategy(), bit in 0u32..64) {
+            let w = Event::from(kind).to_bits();
+            let unused = match kind {
+                EventKind::Busy(_) => (2..16).contains(&bit) || bit >= 48,
+                EventKind::Ref(_) => (11..16).contains(&bit),
+                _ => bit == 2 || (5..16).contains(&bit),
+            };
+            if unused {
+                prop_assert_eq!(Event::from_bits(w | 1 << bit), None);
+            }
+        }
+
+        #[test]
+        fn class_codes_past_the_last_are_refused(
+            kind in kind_strategy(),
+            class in DataClass::ALL.len() as u64..16,
+        ) {
+            let w = Event::from(kind).to_bits();
+            match kind {
+                EventKind::Ref(_) => {
+                    let w = w & !(FIELD_MASK << CLASS_SHIFT) | class << CLASS_SHIFT;
+                    prop_assert_eq!(Event::from_bits(w), None);
+                }
+                EventKind::LockAcquire(_) | EventKind::LockRelease(_) => {
+                    let w = w | LOCK_CLASS_MASK << CLASS_SHIFT; // lock class 3
+                    prop_assert_eq!(Event::from_bits(w), None);
+                }
+                EventKind::Busy(_) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn from_bits_accepts_exactly_the_constructors_range() {
+        // Every word of the low 16 bits, over a zero payload: valid exactly
+        // when a constructor can produce it.
+        let accepted = (0..1u64 << 16)
+            .filter(|&w| Event::from_bits(w).is_some())
+            .count();
+        // Busy; Ref: 2 directions x 10 classes x 16 sizes; 2 lock tags x 3.
+        assert_eq!(accepted, 1 + 2 * 10 * 16 + 2 * 3);
+        // A busy payload is 32 bits, an address 48.
+        assert_eq!(Event::from_bits(1 << 48), None);
+        assert!(Event::from_bits(1 << 47).is_some());
+        assert!(Event::from_bits(1 << 63 | TAG_REF).is_some());
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! workflow as saving an execution-driven simulator's address trace), a
 //! block at a time in bounded memory. No external dependencies: a stream is
 //! eight bytes of magic and a checksummed sixteen-byte header, then blocks of
-//! 17-byte event records, each block carrying its sequential chunk index and
-//! an FNV-1a checksum — so a single flipped bit anywhere in the file, or a
-//! block out of order, is *detected* instead of silently replayed as a
-//! different workload.
+//! packed 8-byte [`Event`] words — the in-memory word, little-endian — each
+//! block carrying its sequential chunk index and a word-wise checksum, so a
+//! single flipped bit anywhere in the file, or a block out of order, is
+//! *detected* instead of silently replayed as a different workload.
 //!
 //! Failures never panic: malformed or truncated input comes back as a
 //! structured [`TraceError`] carrying the byte offset (and, for event-level
@@ -24,24 +24,36 @@ use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::{DataClass, Event, EventKind, LockClass, LockToken, MemRef, Trace};
+use crate::source::DEFAULT_BLOCK_EVENTS;
+use crate::{Event, Trace};
 
 /// Format magic: a stream header followed by independently checksummed event
 /// blocks, so a trace can be produced and consumed incrementally with bounded
-/// memory.
-const BLOCK_MAGIC: &[u8; 8] = b"DSSTRB01";
+/// memory. It names the one format there is a reader for (a file of the
+/// revision before it is a foreign file), so anything that vouches for block
+/// files on disk folds it into what it vouches for.
+pub const BLOCK_MAGIC: &[u8; 8] = b"DSSTRB02";
 
-/// FNV-1a 64-bit offset basis / prime, the checksum of header and blocks.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The most events one block may hold. A reader refuses a larger count
+/// before allocating anything for it; [`BlockWriter::write_block`] splits a
+/// longer slice.
+pub const MAX_BLOCK_EVENTS: usize = 16 * DEFAULT_BLOCK_EVENTS;
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Words moved per bulk read or write: the size of the one scratch buffer a
+/// reader or writer owns, whatever a block's count says.
+const SLICE_WORDS: usize = 4096;
+
+/// Seed and multiplier (the FNV-1a 64-bit constants) of the checksum over a
+/// header's or block's words.
+const MIX_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const MIX_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One checksum step. For a fixed `w` this is a bijection of `h` (xor, then
+/// multiplication by an odd number), and for a fixed `h` a bijection of `w`:
+/// a change confined to one word changes the final checksum, always.
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(MIX_PRIME)
 }
 
 /// A failure while decoding (or, for [`TraceError::Io`], transporting) a
@@ -193,46 +205,28 @@ impl From<TraceError> for io::Error {
     }
 }
 
-/// Encodes one event as its 17-byte wire record. The record is wider than
-/// the in-memory word and laid out differently; this and [`decode_event`]
-/// are the only translation between the two.
-fn encode_event(event: Event) -> [u8; 17] {
-    let (tag, a, b): (u8, u64, u64) = match event.kind() {
-        EventKind::Busy(n) => (0, n as u64, 0),
-        EventKind::Ref(r) => {
-            let meta = (r.size as u64) << 8 | (r.write as u64) << 7 | r.class.index() as u64;
-            (1, r.addr, meta)
-        }
-        EventKind::LockAcquire(tok) => (2, tok.addr, tok.class.code() as u64),
-        EventKind::LockRelease(tok) => (3, tok.addr, tok.class.code() as u64),
-    };
-    let mut record = [0u8; 17];
-    record[0] = tag;
-    record[1..9].copy_from_slice(&a.to_le_bytes());
-    record[9..17].copy_from_slice(&b.to_le_bytes());
-    record
-}
-
 /// An incremental writer for the chunked block format ([`BLOCK_MAGIC`]).
 ///
 /// The stream is a header (magic, processor id, header checksum) followed by
 /// any number of blocks, each independently checksummed:
 ///
 /// ```text
-/// count:u64  chunk:u64  count × 17-byte event records  fnv1a:u64
+/// count:u64  chunk:u64  count × packed event word:u64  checksum:u64
 /// ```
 ///
-/// `chunk` numbers the blocks sequentially from zero, so a reader detects
-/// reordered, duplicated, or mis-seeded chunks (e.g. from a buggy parallel
-/// producer) as corruption instead of replaying a scrambled workload. A
-/// zero-count block terminates the stream; a stream cut before that marker
-/// is reported as truncated. Nothing about the stream's total length is
-/// promised up front, so a producer can emit blocks as it generates them and
-/// never hold more than one block in memory.
+/// all little-endian; the checksum is [`mix`] folded over `count`, `chunk`
+/// and the event words. `chunk` numbers the blocks sequentially from zero,
+/// so a reader detects reordered, duplicated, or mis-seeded chunks (e.g.
+/// from a buggy parallel producer) as corruption instead of replaying a
+/// scrambled workload. A zero-count block terminates the stream; a stream
+/// cut before that marker is reported as truncated. Nothing about the
+/// stream's total length is promised up front, so a producer can emit blocks
+/// as it generates them and never hold more than one block in memory.
 pub struct BlockWriter<W: Write> {
     w: W,
     next_chunk: u64,
     finished: bool,
+    scratch: Vec<u8>,
 }
 
 impl<W: Write> BlockWriter<W> {
@@ -243,18 +237,15 @@ impl<W: Write> BlockWriter<W> {
     /// Propagates I/O errors from `w`.
     pub fn new(mut w: W, proc_id: usize) -> io::Result<Self> {
         w.write_all(BLOCK_MAGIC)?;
-        let id = (proc_id as u64).to_le_bytes();
-        w.write_all(&id)?;
-        w.write_all(&fnv1a(FNV_OFFSET, &id).to_le_bytes())?;
-        Ok(BlockWriter {
-            w,
-            next_chunk: 0,
-            finished: false,
-        })
+        let id = proc_id as u64;
+        w.write_all(&id.to_le_bytes())?;
+        w.write_all(&mix(MIX_SEED, id).to_le_bytes())?;
+        Ok(Self::resume(w, 0))
     }
 
-    /// Appends one block of events. Empty blocks are skipped (a zero count is
-    /// the end-of-stream marker).
+    /// Appends `events` as one block — or as several, when there are more
+    /// than [`MAX_BLOCK_EVENTS`]. An empty slice writes nothing (a zero
+    /// count is the end-of-stream marker).
     ///
     /// # Errors
     ///
@@ -265,22 +256,29 @@ impl<W: Write> BlockWriter<W> {
     /// Panics if called after [`BlockWriter::finish`].
     pub fn write_block(&mut self, events: &[Event]) -> io::Result<()> {
         assert!(!self.finished, "write_block after finish");
-        if events.is_empty() {
-            return Ok(());
+        for block in events.chunks(MAX_BLOCK_EVENTS) {
+            let mut hash = self.put_header(block.len() as u64)?;
+            for slice in block.chunks(SLICE_WORDS) {
+                let bytes = &mut self.scratch[..slice.len() * 8];
+                for (record, event) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(slice) {
+                    let w = event.to_bits();
+                    hash = mix(hash, w);
+                    *record = w.to_le_bytes();
+                }
+                self.w.write_all(bytes)?;
+            }
+            self.w.write_all(&hash.to_le_bytes())?;
+            self.next_chunk += 1;
         }
-        let mut hash = FNV_OFFSET;
-        let mut put = |w: &mut W, bytes: &[u8]| -> io::Result<()> {
-            hash = fnv1a(hash, bytes);
-            w.write_all(bytes)
-        };
-        put(&mut self.w, &(events.len() as u64).to_le_bytes())?;
-        put(&mut self.w, &self.next_chunk.to_le_bytes())?;
-        for &event in events {
-            put(&mut self.w, &encode_event(event))?;
-        }
-        self.w.write_all(&hash.to_le_bytes())?;
-        self.next_chunk += 1;
         Ok(())
+    }
+
+    /// Writes a block's `count` and chunk index, returning the checksum so
+    /// far.
+    fn put_header(&mut self, count: u64) -> io::Result<u64> {
+        self.w.write_all(&count.to_le_bytes())?;
+        self.w.write_all(&self.next_chunk.to_le_bytes())?;
+        Ok(mix(mix(MIX_SEED, count), self.next_chunk))
     }
 
     /// Writes the end-of-stream marker and flushes. Must be called exactly
@@ -292,13 +290,7 @@ impl<W: Write> BlockWriter<W> {
     pub fn finish(&mut self) -> io::Result<()> {
         assert!(!self.finished, "finish called twice");
         self.finished = true;
-        let mut hash = FNV_OFFSET;
-        let zero = 0u64.to_le_bytes();
-        let chunk = self.next_chunk.to_le_bytes();
-        hash = fnv1a(hash, &zero);
-        hash = fnv1a(hash, &chunk);
-        self.w.write_all(&zero)?;
-        self.w.write_all(&chunk)?;
+        let hash = self.put_header(0)?;
         self.w.write_all(&hash.to_le_bytes())?;
         self.w.flush()
     }
@@ -313,6 +305,7 @@ impl<W: Write> BlockWriter<W> {
             w,
             next_chunk,
             finished: false,
+            scratch: vec![0; SLICE_WORDS * 8],
         }
     }
 
@@ -331,10 +324,13 @@ impl<W: Write> BlockWriter<W> {
 /// time — the [`crate::EventStream`] counterpart of [`BlockWriter`].
 #[derive(Debug)]
 pub struct BlockReader<R> {
-    r: CountingReader<R>,
+    r: R,
+    /// Bytes consumed so far: where the next record begins.
+    offset: u64,
     proc_id: usize,
     next_chunk: u64,
     done: bool,
+    scratch: Vec<u8>,
 }
 
 impl<R: Read> BlockReader<R> {
@@ -346,35 +342,26 @@ impl<R: Read> BlockReader<R> {
     /// [`TraceError::Io`] when the header cannot be read, and
     /// [`TraceError::ChecksumMismatch`] when the header checksum fails.
     pub fn new(r: R) -> Result<Self, TraceError> {
-        let mut r = CountingReader {
-            inner: r,
+        let mut reader = BlockReader {
+            r,
             offset: 0,
-            hash: FNV_OFFSET,
-            hashing: false,
+            proc_id: 0,
+            next_chunk: 0,
+            done: false,
+            scratch: vec![0; SLICE_WORDS * 8],
         };
-        let mut magic = [0u8; 8];
-        r.fill(&mut magic, "block stream magic", None)?;
+        let magic = reader.word("block stream magic")?.to_le_bytes();
         if &magic != BLOCK_MAGIC {
             return Err(TraceError::BadMagic { found: magic });
         }
-        let mut word = [0u8; 8];
-        r.hashing = true;
-        r.hash = FNV_OFFSET;
-        r.fill(&mut word, "block stream header", None)?;
-        let proc_id = u64::from_le_bytes(word) as usize;
-        r.hashing = false;
-        let computed = r.hash;
-        r.fill(&mut word, "block stream header checksum", None)?;
-        let stored = u64::from_le_bytes(word);
+        let id = reader.word("block stream header")?;
+        let stored = reader.word("block stream header checksum")?;
+        let computed = mix(MIX_SEED, id);
         if stored != computed {
             return Err(TraceError::ChecksumMismatch { stored, computed });
         }
-        Ok(BlockReader {
-            r,
-            proc_id,
-            next_chunk: 0,
-            done: false,
-        })
+        reader.proc_id = id as usize;
+        Ok(reader)
     }
 
     /// The processor id from the stream header.
@@ -389,47 +376,89 @@ impl<R: Read> BlockReader<R> {
     /// # Errors
     ///
     /// [`TraceError::Truncated`] when the stream ends mid-block or before the
-    /// end marker, [`TraceError::Corrupt`] for impossible record values or a
-    /// block whose chunk index breaks the expected sequence (a chunk-seed or
-    /// chunk-order mismatch from a bad producer), and
-    /// [`TraceError::ChecksumMismatch`] when a block's bytes do not hash to
-    /// its stored checksum.
+    /// end marker, [`TraceError::Corrupt`] for a word no event packs to, a
+    /// count above [`MAX_BLOCK_EVENTS`], or a block whose chunk index breaks
+    /// the expected sequence (a chunk-seed or chunk-order mismatch from a bad
+    /// producer), and [`TraceError::ChecksumMismatch`] when a block's words
+    /// do not hash to its stored checksum.
     pub fn next_block(&mut self, buf: &mut Vec<Event>) -> Result<usize, TraceError> {
         buf.clear();
+        self.scan_block(Some(buf))
+    }
+
+    /// Reads and verifies the next block, appending its events to `keep` if
+    /// there is one — as they decode, before the block's checksum is known
+    /// to match; an error return disowns them.
+    fn scan_block(&mut self, mut keep: Option<&mut Vec<Event>>) -> Result<usize, TraceError> {
         if self.done {
             return Ok(0);
         }
-        let r = &mut self.r;
-        r.hashing = true;
-        r.hash = FNV_OFFSET;
-        let mut word = [0u8; 8];
-        let header_at = r.fill(&mut word, "block header", None)?;
-        let n = u64::from_le_bytes(word) as usize;
-        r.fill(&mut word, "block header", None)?;
-        let chunk = u64::from_le_bytes(word);
+        let header_at = self.offset;
+        let count = self.word("block header")?;
+        let chunk = self.word("block header")?;
+        let corrupt = |what: String| TraceError::Corrupt {
+            offset: header_at,
+            event: None,
+            what,
+        };
+        // `count` is whatever the file says: bound it before it sizes a read.
+        let n = match usize::try_from(count) {
+            Ok(n) if n <= MAX_BLOCK_EVENTS => n,
+            _ => {
+                return Err(corrupt(format!(
+                    "block claims {count} events, more than the {MAX_BLOCK_EVENTS} a block may hold"
+                )))
+            }
+        };
         if chunk != self.next_chunk {
-            return Err(TraceError::Corrupt {
-                offset: header_at,
-                event: None,
-                what: format!(
-                    "chunk-seed mismatch: block claims chunk {chunk} where chunk {} was \
-                     expected — the stream was produced or assembled out of order",
-                    self.next_chunk
-                ),
+            return Err(corrupt(format!(
+                "chunk-seed mismatch: block claims chunk {chunk} where chunk {} was \
+                 expected — the stream was produced or assembled out of order",
+                self.next_chunk
+            )));
+        }
+        if let Some(buf) = &mut keep {
+            // One allocation for an honest block; a lying count buys no more.
+            buf.reserve(n.min(DEFAULT_BLOCK_EVENTS));
+        }
+        let mut hash = mix(mix(MIX_SEED, count), chunk);
+        let mut first = 0;
+        while first < n {
+            let words = (n - first).min(SLICE_WORDS);
+            let at = self.offset;
+            let got = self.fill(words * 8)?;
+            if got < words * 8 {
+                return Err(TraceError::Truncated {
+                    offset: at + (got & !7) as u64,
+                    expected: "event record",
+                    event: Some((first + got / 8, n)),
+                });
+            }
+            // One pass hashes, validates and keeps. An impossible word is
+            // reported whatever the checksum would have said.
+            for (i, record) in self.scratch[..got].as_chunks::<8>().0.iter().enumerate() {
+                let w = u64::from_le_bytes(*record);
+                hash = mix(hash, w);
+                match (Event::from_bits(w), &mut keep) {
+                    (Some(event), Some(buf)) => buf.push(event),
+                    (Some(_), None) => {}
+                    (None, _) => {
+                        return Err(TraceError::Corrupt {
+                            offset: at + i as u64 * 8,
+                            event: Some((first + i, n)),
+                            what: format!("no event packs to the word {w:#018x}"),
+                        })
+                    }
+                }
+            }
+            first += words;
+        }
+        let stored = self.word("block checksum")?;
+        if stored != hash {
+            return Err(TraceError::ChecksumMismatch {
+                stored,
+                computed: hash,
             });
-        }
-        let mut record = [0u8; 17];
-        buf.reserve(n.min(1 << 24));
-        for i in 0..n {
-            let start = r.fill(&mut record, "event record", Some((i, n)))?;
-            buf.push(decode_event(&record, start, (i, n))?);
-        }
-        r.hashing = false;
-        let computed = r.hash;
-        r.fill(&mut word, "block checksum", None)?;
-        let stored = u64::from_le_bytes(word);
-        if stored != computed {
-            return Err(TraceError::ChecksumMismatch { stored, computed });
         }
         if n == 0 {
             self.done = true;
@@ -437,6 +466,42 @@ impl<R: Read> BlockReader<R> {
             self.next_chunk += 1;
         }
         Ok(n)
+    }
+
+    /// Reads one little-endian word, classifying a short read as
+    /// [`TraceError::Truncated`] over `expected` at the word's offset.
+    fn word(&mut self, expected: &'static str) -> Result<u64, TraceError> {
+        let offset = self.offset;
+        let got = self.fill(8)?;
+        match self.scratch[..got].as_chunks::<8>().0 {
+            [word] => Ok(u64::from_le_bytes(*word)),
+            _ => Err(TraceError::Truncated {
+                offset,
+                expected,
+                event: None,
+            }),
+        }
+    }
+
+    /// Reads into the head of the scratch buffer until `len` bytes are there
+    /// or the stream ends, returning how many arrived.
+    fn fill(&mut self, len: usize) -> Result<usize, TraceError> {
+        let mut filled = 0;
+        while filled < len {
+            match self.r.read(&mut self.scratch[filled..len]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(source) => {
+                    return Err(TraceError::Io {
+                        offset: self.offset + filled as u64,
+                        source,
+                    })
+                }
+            }
+        }
+        self.offset += filled as u64;
+        Ok(filled)
     }
 }
 
@@ -502,6 +567,7 @@ pub struct SalvageScan {
 /// instead of failing, reporting the longest valid prefix. A writer killed
 /// mid-stream leaves a file this scan salvages down to the last
 /// checksum-valid block; [`BlockWriter::resume`] can then append the rest.
+/// Blocks are verified and counted, never materialized.
 ///
 /// # Errors
 ///
@@ -516,21 +582,20 @@ pub fn salvage_scan<R: Read>(r: R) -> Result<SalvageScan, TraceError> {
         proc_id: br.proc_id(),
         blocks: 0,
         events: 0,
-        valid_len: br.r.offset,
+        valid_len: br.offset,
         complete: false,
     };
-    let mut buf = Vec::new();
     loop {
-        match br.next_block(&mut buf) {
+        match br.scan_block(None) {
             Ok(0) => {
                 scan.complete = true;
-                scan.valid_len = br.r.offset;
+                scan.valid_len = br.offset;
                 return Ok(scan);
             }
             Ok(n) => {
                 scan.blocks += 1;
                 scan.events += n as u64;
-                scan.valid_len = br.r.offset;
+                scan.valid_len = br.offset;
             }
             Err(e @ TraceError::Io { .. }) => return Err(e),
             Err(_) => return Ok(scan),
@@ -555,129 +620,21 @@ pub fn salvage_scan_file(path: &Path) -> Result<SalvageScan, TraceError> {
     })
 }
 
-/// A reader that remembers how many bytes it has yielded and hashes them, so
-/// decode errors can report where in the stream they happened and the
-/// trailing checksum can be verified.
-#[derive(Debug)]
-struct CountingReader<R> {
-    inner: R,
-    offset: u64,
-    hash: u64,
-    hashing: bool,
-}
-
-impl<R: Read> CountingReader<R> {
-    /// Reads exactly `buf.len()` bytes, classifying a short read as
-    /// [`TraceError::Truncated`] over `expected` at the offset where the
-    /// record began.
-    fn fill(
-        &mut self,
-        buf: &mut [u8],
-        expected: &'static str,
-        event: Option<(usize, usize)>,
-    ) -> Result<u64, TraceError> {
-        let start = self.offset;
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.inner.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    return Err(TraceError::Truncated {
-                        offset: start,
-                        expected,
-                        event,
-                    })
-                }
-                Ok(n) => {
-                    filled += n;
-                    self.offset += n as u64;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(source) => {
-                    return Err(TraceError::Io {
-                        offset: self.offset,
-                        source,
-                    })
-                }
-            }
-        }
-        if self.hashing {
-            self.hash = fnv1a(self.hash, buf);
-        }
-        Ok(start)
-    }
-}
-
-/// Decodes one 17-byte event record beginning at byte `offset`. A record
-/// the packed [`Event`] cannot hold — an address at or past
-/// [`Event::ADDR_LIMIT`], a size past [`Event::MAX_REF_SIZE`], an unknown
-/// class — is [`TraceError::Corrupt`] here, so a file can never reach the
-/// constructors' assertions.
-fn decode_event(
-    record: &[u8; 17],
-    offset: u64,
-    event: (usize, usize),
-) -> Result<Event, TraceError> {
-    let corrupt = |what: String| TraceError::Corrupt {
-        offset,
-        event: Some(event),
-        what,
-    };
-    let a = u64::from_le_bytes([
-        record[1], record[2], record[3], record[4], record[5], record[6], record[7], record[8],
-    ]);
-    let b = u64::from_le_bytes([
-        record[9], record[10], record[11], record[12], record[13], record[14], record[15],
-        record[16],
-    ]);
-    let addr = || {
-        if a < Event::ADDR_LIMIT {
-            Ok(a)
-        } else {
-            Err(corrupt(format!("address {a:#x} beyond the 48-bit space")))
-        }
-    };
-    let lock = || {
-        Ok(LockToken::new(
-            addr()?,
-            lock_from(b as u8).map_err(corrupt)?,
-        ))
-    };
-    Ok(match record[0] {
-        0 => Event::busy(a as u32),
-        1 => {
-            let class = class_from(b as u8 & 0x7f).map_err(corrupt)?;
-            let size = (b >> 8) as u16;
-            if size > Event::MAX_REF_SIZE {
-                return Err(corrupt(format!("bad reference size {size}")));
-            }
-            Event::reference(MemRef {
-                addr: addr()?,
-                size,
-                write: b & 0x80 != 0,
-                class,
-            })
-        }
-        2 => Event::lock_acquire(lock()?),
-        3 => Event::lock_release(lock()?),
-        other => return Err(corrupt(format!("unknown event tag {other}"))),
-    })
-}
-
-fn class_from(code: u8) -> Result<DataClass, String> {
-    DataClass::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| format!("bad class {code}"))
-}
-
-fn lock_from(code: u8) -> Result<LockClass, String> {
-    LockClass::from_code(code).ok_or_else(|| format!("bad lock class {code}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tracer;
+    use crate::{DataClass, LockClass, LockToken, Tracer};
+
+    /// Stream header: magic, processor id, header checksum.
+    const HEADER: usize = 24;
+    /// End marker: zero count, next chunk index, checksum.
+    const END: usize = 24;
+
+    /// Byte length of a block of `n` events: count, chunk index, `n` packed
+    /// words, checksum.
+    fn block(n: usize) -> usize {
+        16 + n * 8 + 8
+    }
 
     fn sample() -> Trace {
         let t = Tracer::new(3);
@@ -714,7 +671,7 @@ mod tests {
     fn missing_block_checksum_is_truncation() {
         let mut buf = Vec::new();
         write_trace_blocks(&sample(), &mut buf, 100).unwrap();
-        buf.truncate(buf.len() - 24 - 8); // end marker, then the block's checksum
+        buf.truncate(buf.len() - END - 8); // end marker, then the block's checksum
         let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         match err {
             TraceError::Truncated { expected, .. } => assert_eq!(expected, "block checksum"),
@@ -723,20 +680,99 @@ mod tests {
     }
 
     #[test]
-    fn bad_event_tag_is_rejected() {
+    fn impossible_word_is_rejected() {
         let mut buf = Vec::new();
         write_trace_blocks(&sample(), &mut buf, 3).unwrap();
-        // Corrupt the first event's tag byte (stream header, block header).
-        buf[24 + 16] = 9;
+        // Set a reserved bit in the second event's word (stream header,
+        // block header, one word).
+        let at = HEADER + 16 + 8;
+        buf[at + 1] |= 0x80;
         let err = read_trace_blocks(buf.as_slice()).unwrap_err();
-        // The tag error is reported before the block checksum is reached.
+        // The word is reported, not the block checksum it also breaks.
         match &err {
-            TraceError::Corrupt { what, event, .. } => {
-                assert!(what.contains("unknown event tag 9"), "{err}");
-                assert_eq!(*event, Some((0, 3)));
+            TraceError::Corrupt {
+                what,
+                event,
+                offset,
+            } => {
+                assert!(what.contains("no event packs to the word"), "{err}");
+                assert_eq!((*event, *offset), (Some((1, 3)), at as u64));
             }
             other => panic!("expected Corrupt, got {other}"),
         }
+    }
+
+    #[test]
+    fn old_format_is_refused() {
+        // A `DSSTRB01` stream is a foreign file, whatever follows the magic.
+        let mut buf = Vec::new();
+        write_trace_blocks(&sample(), &mut buf, 3).unwrap();
+        buf[..8].copy_from_slice(b"DSSTRB01");
+        for bytes in [&buf[..], &buf[..8]] {
+            match read_trace_blocks(bytes).unwrap_err() {
+                TraceError::BadMagic { found } => assert_eq!(&found, b"DSSTRB01"),
+                other => panic!("expected BadMagic, got {other}"),
+            }
+        }
+        assert_eq!(salvage_scan(&buf[..]).unwrap_err().kind(), "bad-magic");
+    }
+
+    /// A one-block stream whose header claims `count` events, followed by
+    /// `payload` zero bytes.
+    fn stream_claiming(count: u64, payload: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        BlockWriter::new(&mut buf, 0).unwrap();
+        buf.extend(count.to_le_bytes());
+        buf.extend(0u64.to_le_bytes());
+        buf.resize(buf.len() + payload, 0);
+        buf
+    }
+
+    #[test]
+    fn oversized_count_is_corrupt_before_anything_is_read_for_it() {
+        for count in [MAX_BLOCK_EVENTS as u64 + 1, 1 << 32, u64::MAX] {
+            let buf = stream_claiming(count, 64);
+            let mut reader = BlockReader::new(buf.as_slice()).unwrap();
+            let mut events = Vec::new();
+            match reader.next_block(&mut events).unwrap_err() {
+                TraceError::Corrupt {
+                    offset,
+                    event: None,
+                    what,
+                } => {
+                    assert_eq!(offset, HEADER as u64, "the block header's offset");
+                    assert!(what.contains(&count.to_string()), "{what}");
+                }
+                other => panic!("count {count}: expected Corrupt, got {other}"),
+            }
+            assert_eq!(events.capacity(), 0, "nothing allocated for the claim");
+            assert_eq!(reader.offset, HEADER as u64 + 16, "payload untouched");
+        }
+        // The largest legal claim over a short payload is an honest
+        // truncation, and memory follows the bytes that arrived, not the
+        // claim.
+        let buf = stream_claiming(MAX_BLOCK_EVENTS as u64, 64);
+        let mut reader = BlockReader::new(buf.as_slice()).unwrap();
+        let mut events = Vec::new();
+        let err = reader.next_block(&mut events).unwrap_err();
+        assert_eq!(err.kind(), "truncated", "{err}");
+        assert!(events.capacity() <= DEFAULT_BLOCK_EVENTS);
+        assert_eq!(reader.scratch.len(), SLICE_WORDS * 8);
+    }
+
+    #[test]
+    fn a_slice_longer_than_a_block_is_split() {
+        let events = vec![Event::busy(1); MAX_BLOCK_EVENTS + 5];
+        let mut buf = Vec::new();
+        let mut bw = BlockWriter::new(&mut buf, 0).unwrap();
+        bw.write_block(&events).unwrap();
+        assert_eq!(bw.blocks_written(), 2);
+        bw.finish().unwrap();
+        let mut reader = BlockReader::new(buf.as_slice()).unwrap();
+        let mut block = Vec::new();
+        assert_eq!(reader.next_block(&mut block).unwrap(), MAX_BLOCK_EVENTS);
+        assert_eq!(reader.next_block(&mut block).unwrap(), 5);
+        assert_eq!(reader.next_block(&mut block).unwrap(), 0);
     }
 
     #[test]
@@ -757,8 +793,8 @@ mod tests {
         let blocks = trace.events.len().div_ceil(3);
         assert_eq!(
             buf.len(),
-            24 + blocks * (16 + 8) + trace.events.len() * 17 + 24,
-            "header, per-block framing, 17 bytes an event, end marker"
+            HEADER + blocks * (16 + 8) + trace.events.len() * 8 + END,
+            "header, per-block framing, 8 bytes an event, end marker"
         );
     }
 
@@ -800,7 +836,7 @@ mod tests {
         let trace = sample();
         let mut buf = Vec::new();
         write_trace_blocks(&trace, &mut buf, 4).unwrap();
-        buf.truncate(buf.len() - 24); // drop the end marker
+        buf.truncate(buf.len() - END); // drop the end marker
         let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), "truncated", "{err}");
     }
@@ -810,14 +846,14 @@ mod tests {
         let trace = sample();
         let mut buf = Vec::new();
         write_trace_blocks(&trace, &mut buf, 4).unwrap();
-        // Cut inside the second block's first event record.
-        let second_block_events = 24 + (16 + 4 * 17 + 8) + 16;
-        buf.truncate(second_block_events + 9);
+        // Cut inside the second block's second event record.
+        let second_block_events = HEADER + block(4) + 16;
+        buf.truncate(second_block_events + 8 + 5);
         let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         match err {
             TraceError::Truncated { offset, event, .. } => {
-                assert_eq!(offset, second_block_events as u64);
-                assert_eq!(event, Some((0, 4)));
+                assert_eq!(offset, second_block_events as u64 + 8);
+                assert_eq!(event, Some((1, 4)));
             }
             other => panic!("expected Truncated, got {other}"),
         }
@@ -830,9 +866,8 @@ mod tests {
         write_trace_blocks(&trace, &mut buf, 2).unwrap();
         // Swap the first two (equal-sized) blocks: each is internally
         // consistent, so only the chunk sequence can reveal the damage.
-        let block = 16 + 2 * 17 + 8;
-        let (start, mid) = (24, 24 + block);
-        for i in 0..block {
+        let (start, mid) = (HEADER, HEADER + block(2));
+        for i in 0..block(2) {
             buf.swap(start + i, mid + i);
         }
         let err = read_trace_blocks(buf.as_slice()).unwrap_err();
@@ -845,12 +880,14 @@ mod tests {
         let trace = sample();
         let mut clean = Vec::new();
         write_trace_blocks(&trace, &mut clean, 3).unwrap();
-        for pos in 0..clean.len() {
+        for bit in 0..clean.len() * 8 {
             let mut buf = clean.clone();
-            buf[pos] ^= 1 << (pos % 8);
+            buf[bit / 8] ^= 1 << (bit % 8);
             assert!(
                 read_trace_blocks(buf.as_slice()).is_err(),
-                "flip at byte {pos} went undetected"
+                "flip of bit {} of byte {} went undetected",
+                bit % 8,
+                bit / 8
             );
         }
     }
@@ -873,9 +910,8 @@ mod tests {
         let trace = sample();
         let mut buf = Vec::new();
         write_trace_blocks(&trace, &mut buf, 3).unwrap();
-        let block = |n: usize| 16 + n * 17 + 8;
         // Cut inside the second block: only the first survives.
-        let first_end = 24 + block(3);
+        let first_end = HEADER + block(3);
         let mut torn = buf.clone();
         torn.truncate(first_end + 20);
         let scan = salvage_scan(torn.as_slice()).unwrap();
@@ -891,10 +927,10 @@ mod tests {
         // A stream cut right before the end marker keeps every block but is
         // not complete.
         let mut unfinished = buf.clone();
-        unfinished.truncate(buf.len() - 24);
+        unfinished.truncate(buf.len() - END);
         let scan = salvage_scan(unfinished.as_slice()).unwrap();
         assert_eq!((scan.blocks, scan.complete), (3, false));
-        assert_eq!(scan.valid_len, (buf.len() - 24) as u64);
+        assert_eq!(scan.valid_len, (buf.len() - END) as u64);
     }
 
     #[test]
@@ -922,7 +958,7 @@ mod tests {
         // Crash after two blocks: keep the valid prefix, then append the
         // remaining blocks through a resumed writer.
         let mut torn = whole.clone();
-        torn.truncate(24 + 2 * (16 + 3 * 17 + 8) + 5);
+        torn.truncate(HEADER + 2 * block(3) + 5);
         let scan = salvage_scan(torn.as_slice()).unwrap();
         assert_eq!(scan.blocks, 2);
         let mut buf = torn[..scan.valid_len as usize].to_vec();
@@ -934,9 +970,8 @@ mod tests {
         assert_eq!(read_trace_blocks(buf.as_slice()).unwrap(), trace);
     }
 
-    /// The in-memory representation is free to change; the bytes of a
-    /// `DSSTRB01` file are not. The value was captured on the commit before
-    /// `Event` became a packed word.
+    /// The bytes of a `DSSTRB02` file are a format, not an implementation
+    /// detail: this digest changes only with the magic.
     #[test]
     fn wire_format_golden() {
         // Every variant, every lock class, both directions, the extremes of
@@ -957,7 +992,15 @@ mod tests {
         t.lock_release(LockToken::new(0x1_0000_0010, LockClass::Other));
         let mut buf = Vec::new();
         write_trace_blocks(&t.take(), &mut buf, 4).unwrap();
-        assert_eq!(buf.len(), 365);
-        assert_eq!(fnv1a(FNV_OFFSET, &buf), 0x4ed4_0e52_4648_c220);
+        assert_eq!(buf.len(), HEADER + 3 * block(4) + block(1) + END);
+        // Byte-wise FNV-1a of the file: independent of the format's own
+        // word-wise checksum.
+        let digest = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0x62cf_dd55_4d4a_f66d);
+        // And the payload is what the module says it is: the first event,
+        // `Busy(1)`, as its little-endian packed word.
+        assert_eq!(buf[HEADER + 16..][..8], [0, 0, 1, 0, 0, 0, 0, 0]);
     }
 }

@@ -20,7 +20,8 @@
 //!   checksummed event chunks consumed one at a time, so trace generation
 //!   can fuse with simulation in bounded memory at any scale factor (see
 //!   [`BlockWriter`], [`BlockReader`], [`FileTraceSource`]). The block
-//!   stream (`DSSTRB01`) is the one on-disk trace format; a slice of
+//!   stream (`DSSTRB02`: the same packed words, little-endian, in
+//!   checksummed blocks) is the one on-disk trace format; a slice of
 //!   materialized [`Trace`]s is a source too, so every consumer is written
 //!   once, against the streaming contract.
 //!
@@ -63,7 +64,7 @@ pub use discipline::{check_lock_discipline, LockDisciplineError};
 pub use event::{Event, EventKind, LockClass, LockToken, MemRef};
 pub use io::{
     read_trace_blocks, salvage_scan, salvage_scan_file, write_trace_blocks, BlockReader,
-    BlockWriter, SalvageScan, TraceError,
+    BlockWriter, SalvageScan, TraceError, BLOCK_MAGIC, MAX_BLOCK_EVENTS,
 };
 pub use source::{
     materialize, EventStream, FileTraceSource, ProcPrefix, TraceSource, DEFAULT_BLOCK_EVENTS,

@@ -30,7 +30,7 @@ use crate::io::BlockReader;
 use crate::{Event, Trace, TraceError};
 
 /// Default number of events per block when slicing a materialized trace:
-/// large enough to amortize per-block overhead, small enough (~1.5 MB of
+/// large enough to amortize per-block overhead, small enough (512 KB of
 /// events) that per-processor buffers stay trivially bounded.
 pub const DEFAULT_BLOCK_EVENTS: usize = 1 << 16;
 

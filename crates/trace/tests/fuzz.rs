@@ -2,8 +2,8 @@
 //! single-byte corruptions of a valid trace must all come back as structured
 //! [`TraceError`]s — never a panic, and never garbage silently accepted as a
 //! healthy trace. (Truncation at every byte offset is `tests/salvage.rs`.)
-//! Records the file format can spell but the packed in-memory `Event`
-//! cannot hold are part of that: they are `Corrupt`, not a constructor panic.
+//! Words no `Event` constructor produces, and block counts no writer emits,
+//! are part of that: they are `Corrupt`, not a misread and not an allocation.
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -11,7 +11,7 @@ use proptest::TestCaseError;
 
 use dss_trace::{
     read_trace_blocks, write_trace_blocks, DataClass, Event, LockClass, LockToken, TraceError,
-    Tracer,
+    Tracer, MAX_BLOCK_EVENTS,
 };
 
 /// Encodes a small valid trace with every event kind represented, in two
@@ -36,7 +36,7 @@ proptest! {
     #[test]
     fn byte_soup_never_panics(bytes in collection::vec(any::<u8>(), 0..512)) {
         match read_trace_blocks(&bytes[..]) {
-            Ok(_) => prop_assert!(bytes.len() >= 8 && &bytes[..8] == b"DSSTRB01"),
+            Ok(_) => prop_assert!(bytes.len() >= 8 && &bytes[..8] == b"DSSTRB02"),
             Err(e) => prop_assert!(!e.kind().is_empty()),
         }
     }
@@ -63,6 +63,43 @@ proptest! {
     }
 }
 
+/// A stream whose blocks each span several of the reader's bulk reads, so
+/// flips land in every position a word can have within one.
+fn large_trace_bytes() -> Vec<u8> {
+    let t = Tracer::new(3);
+    for i in 0..20_000u64 {
+        match i % 5 {
+            0 => t.lock_acquire(LockToken::new(0x40, LockClass::BufMgr)),
+            1 => t.write(0x1_0000 + i * 8, 8, DataClass::BufDesc),
+            2 => t.lock_release(LockToken::new(0x40, LockClass::BufMgr)),
+            3 => t.read(0x2_0000 + i * 4, 4, DataClass::Data),
+            _ => t.busy(i as u32),
+        }
+    }
+    let mut bytes = Vec::new();
+    write_trace_blocks(&t.take(), &mut bytes, 9_000).expect("in-memory write cannot fail");
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One flipped bit anywhere in a large stream is a classified error.
+    #[test]
+    fn single_bit_flip_in_a_large_stream_is_detected(pos in any::<usize>(), bit in 0u32..8) {
+        let mut bytes = large_trace_bytes();
+        let pos = pos % bytes.len();
+        bytes[pos] ^= 1 << bit;
+        match read_trace_blocks(&bytes[..]) {
+            Ok(_) => prop_assert!(false, "flip of bit {} of byte {} was absorbed", bit, pos),
+            Err(e) => prop_assert!(
+                matches!(e.kind(), "bad-magic" | "truncated" | "corrupt" | "checksum-mismatch"),
+                "unexpected classification {} for flip at byte {}", e.kind(), pos
+            ),
+        }
+    }
+}
+
 /// The unmutated fixture itself must decode — otherwise the proptests above
 /// would be vacuously rejecting everything.
 #[test]
@@ -70,85 +107,100 @@ fn the_fixture_is_actually_valid() {
     let bytes = valid_trace_bytes();
     let trace = read_trace_blocks(&bytes[..]).expect("fixture decodes");
     assert_eq!(trace.len(), 5);
+    let large = read_trace_blocks(&large_trace_bytes()[..]).expect("large fixture decodes");
+    assert_eq!(large.len(), 20_000);
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// One step of the format's word-wise checksum, spelled out again here so
+/// the hand-built streams below do not borrow the writer's arithmetic.
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// A one-block `DSSTRB01` stream holding the raw record `tag, a, b`, every
-/// checksum valid — so only the record's own values can be wrong.
-fn stream_with_record(tag: u8, a: u64, b: u64) -> Vec<u8> {
-    let mut bytes = b"DSSTRB01".to_vec();
-    let proc_id = 0u64.to_le_bytes();
-    bytes.extend(proc_id);
-    bytes.extend(fnv1a(&proc_id).to_le_bytes());
-    let mut block = Vec::new();
-    block.extend(1u64.to_le_bytes()); // count
-    block.extend(0u64.to_le_bytes()); // chunk
-    block.push(tag);
-    block.extend(a.to_le_bytes());
-    block.extend(b.to_le_bytes());
-    bytes.extend(&block);
-    bytes.extend(fnv1a(&block).to_le_bytes());
-    let mut end = Vec::new();
-    end.extend(0u64.to_le_bytes());
-    end.extend(1u64.to_le_bytes());
-    bytes.extend(&end);
-    bytes.extend(fnv1a(&end).to_le_bytes());
+const MIX_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A `DSSTRB02` stream whose one block claims `count` events and carries
+/// `words` as its payload, every checksum valid — so only the count or the
+/// words' own values can be wrong.
+fn stream_with_block(count: u64, words: &[u64]) -> Vec<u8> {
+    let mut bytes = b"DSSTRB02".to_vec();
+    let mut put = |ws: &[u64]| {
+        let mut h = MIX_SEED;
+        for &w in ws {
+            bytes.extend(w.to_le_bytes());
+            h = mix(h, w);
+        }
+        bytes.extend(h.to_le_bytes());
+    };
+    put(&[0]); // processor id
+    put(&[&[count, 0], words].concat()); // count, chunk, payload
+    put(&[0, 1]); // end marker
     bytes
 }
 
-/// Wire `b` word of a reference record.
-fn ref_meta(size: u64, write: bool, class: u64) -> u64 {
-    size << 8 | (write as u64) << 7 | class
+/// The packed word of a reference, field by field (DESIGN.md §6).
+fn ref_word(addr: u64, size: u64, class: u64, write: bool) -> u64 {
+    addr << 16 | size << 7 | class << 3 | (write as u64) << 2 | 1
 }
 
 #[test]
 fn the_hand_built_stream_is_the_real_format() {
     // Otherwise the rejections below could be framing errors in disguise.
-    let bytes = stream_with_record(1, 0x1000, ref_meta(8, true, 2));
-    let trace = read_trace_blocks(&bytes[..]).expect("a valid record decodes");
+    let bytes = stream_with_block(1, &[ref_word(0x1000, 8, 2, true)]);
+    let trace = read_trace_blocks(&bytes[..]).expect("a valid word decodes");
     let t = Tracer::new(0);
     t.write(0x1000, 8, DataClass::Index);
     assert_eq!(trace, t.take());
+    let mut written = Vec::new();
+    write_trace_blocks(&trace, &mut written, 8).expect("in-memory write cannot fail");
+    assert_eq!(written, bytes, "and it is what the writer emits");
 }
 
 #[test]
-fn records_the_packed_event_cannot_hold_are_corrupt_not_panics() {
-    let past = Event::ADDR_LIMIT;
-    let oversize = Event::MAX_REF_SIZE as u64 + 1;
-    let cases: [(&str, u8, u64, u64); 8] = [
-        ("ref address at the limit", 1, past, ref_meta(8, false, 1)),
-        ("ref address all ones", 1, u64::MAX, ref_meta(8, false, 1)),
-        ("acquire address at the limit", 2, past, 0),
-        ("release address at the limit", 3, past, 0),
-        (
-            "oversize reference",
-            1,
-            0x1000,
-            ref_meta(oversize, false, 1),
-        ),
-        (
-            "largest encodable size",
-            1,
-            0x1000,
-            ref_meta(0xffff, true, 1),
-        ),
-        ("class past the last", 1, 0x1000, ref_meta(8, false, 10)),
-        ("lock class past the last", 2, 0x40, 3),
+fn words_no_event_packs_to_are_corrupt_not_panics() {
+    let lock = |tag: u64, class: u64| 0x40 << 16 | class << 3 | tag;
+    let cases: [(&str, u64); 9] = [
+        ("class past the last", ref_word(0x1000, 8, 10, false)),
+        ("class all ones", ref_word(0x1000, 8, 15, true)),
+        ("reserved bit 11", ref_word(0x1000, 8, 1, false) | 1 << 11),
+        ("reserved bit 15", ref_word(0x1000, 8, 1, false) | 1 << 15),
+        ("acquire of lock class 3", lock(2, 3)),
+        ("release of lock class 3", lock(3, 3)),
+        ("write bit on a lock", lock(2, 0) | 1 << 2),
+        ("busy with a flag bit", 123 << 16 | 1 << 5),
+        ("busy past 32 bits", 1 << 48),
     ];
-    for (name, tag, a, b) in cases {
-        let bytes = stream_with_record(tag, a, b);
+    for (name, word) in cases {
+        assert_eq!(Event::from_bits(word), None, "{name}");
+        // Second of two, so the offset and index are not trivially zero.
+        let bytes = stream_with_block(2, &[Event::busy(7).to_bits(), word]);
         match read_trace_blocks(&bytes[..]) {
             Err(TraceError::Corrupt {
                 offset,
-                event: Some((0, 1)),
+                event: Some((1, 2)),
                 ..
-            }) => assert_eq!(offset, 24 + 16, "{name}: offset of the record"),
+            }) => assert_eq!(offset, 24 + 16 + 8, "{name}: offset of the word"),
             other => panic!("{name}: expected Corrupt, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn a_count_past_the_block_limit_is_corrupt_at_the_header() {
+    for count in [MAX_BLOCK_EVENTS as u64 + 1, u64::MAX] {
+        // Checksummed as if honest: only the bound can refuse it.
+        let bytes = stream_with_block(count, &[Event::busy(7).to_bits()]);
+        match read_trace_blocks(&bytes[..]) {
+            Err(TraceError::Corrupt {
+                offset: 24,
+                event: None,
+                what,
+            }) => assert!(what.contains(&count.to_string()), "{what}"),
+            other => panic!("count {count}: expected Corrupt, got {other:?}"),
+        }
+    }
+    // A small overstatement runs into the end of the stream instead.
+    let bytes = stream_with_block(40, &[Event::busy(7).to_bits()]);
+    let err = read_trace_blocks(&bytes[..]).expect_err("39 events are missing");
+    assert_eq!(err.kind(), "truncated", "{err}");
 }

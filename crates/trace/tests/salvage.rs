@@ -39,7 +39,7 @@ fn block_boundaries(nevents: usize, block_events: usize) -> Vec<(usize, u64)> {
     let mut remaining = nevents;
     while remaining > 0 {
         let n = remaining.min(block_events);
-        offset += 16 + n * 17 + 8;
+        offset += 16 + n * 8 + 8;
         events += n as u64;
         out.push((offset, events));
         remaining -= n;

@@ -48,8 +48,8 @@ fn cut_streams_are_truncated_where_the_bytes_ran_out() {
     assert_truncated_at(&bytes[..40], 40, "event record", Some((0, 5)));
     // Cut inside the critical section: past the acquire (event 1), before
     // the release (event 3).
-    let cut = 40 + 2 * 17 + 9;
-    assert_truncated_at(&bytes[..cut], 40 + 2 * 17, "event record", Some((2, 5)));
+    let cut = 40 + 2 * 8 + 5;
+    assert_truncated_at(&bytes[..cut], 40 + 2 * 8, "event record", Some((2, 5)));
 }
 
 #[test]

@@ -41,9 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.run(&sql_for(6, &params(6, p as u64)), &mut session)?;
         let events = session.tracer.finish_sink()?;
         let bytes = std::fs::metadata(&path)?.len();
+        // The file holds the packed 8-byte event word itself, plus 24 bytes
+        // of framing and checksum per block.
         println!(
-            "proc {p}: {events} events streamed to disk ({:.1} MB, {} blocks)",
+            "proc {p}: {events} events streamed to disk ({:.1} MB, {:.2} B/event, {} blocks)",
             bytes as f64 / 1e6,
+            bytes as f64 / events as f64,
             events as usize / BLOCK_EVENTS + 1,
         );
         paths.push(path);
