@@ -86,7 +86,9 @@ struct BenchEntry {
     peak_rss: u64,
     peak_rss_cumulative: u64,
     /// Fanned-out compute time, points served from the checkpoint journal
-    /// (resume provenance) vs. simulated, and the points that failed.
+    /// (resume provenance) or from the workbench's memory (a cold point
+    /// another figure already simulated) vs. simulated, and the points that
+    /// failed.
     tally: SweepTally,
 }
 
@@ -199,6 +201,12 @@ impl BenchLog {
                 tally.points_loaded
             );
         }
+        if tally.points_reused > 0 {
+            eprintln!(
+                "  [{name}] {} point(s) reused from an earlier figure",
+                tally.points_reused
+            );
+        }
         for err in &tally.errors {
             eprintln!("  point error: {err}");
         }
@@ -218,7 +226,11 @@ impl BenchLog {
     }
 
     /// The recorded timings as a self-describing JSON document. Labels are
-    /// experiment names from this binary (no escaping needed). Schema v7
+    /// experiment names from this binary (no escaping needed). Schema v8
+    /// adds `points_reused` — cold points served from the workbench's memory
+    /// because another figure had simulated the same traces on the same
+    /// machine — next to `points_loaded` and `points_computed`, per
+    /// experiment and in the `resume` totals. Schema v7
     /// drops the pipeline fields (the producer-thread count and the two
     /// per-experiment stall times) with the pipeline itself. Schema v6 added the
     /// crash-safety provenance: a top-level `resume` object
@@ -243,7 +255,7 @@ impl BenchLog {
                     "    {{\"name\": \"{}\", \"wall_ns\": {}, \"sim_compute_ns\": {}, \
                      \"allocs\": {}, \"alloc_bytes\": {}, \"peak_rss\": {}, \
                      \"peak_rss_cumulative\": {}, \"points_loaded\": {}, \
-                     \"points_computed\": {}, \"retries\": {}}}",
+                     \"points_reused\": {}, \"points_computed\": {}, \"retries\": {}}}",
                     e.name,
                     e.wall.as_nanos(),
                     e.tally.compute.as_nanos(),
@@ -252,6 +264,7 @@ impl BenchLog {
                     e.peak_rss,
                     e.peak_rss_cumulative,
                     e.tally.points_loaded,
+                    e.tally.points_reused,
                     e.tally.points_computed,
                     if resumed { e.tally.points_computed } else { 0 }
                 )
@@ -266,17 +279,19 @@ impl BenchLog {
             TraceMode::Materialized => "materialized",
             TraceMode::Streamed => "streamed",
         };
-        let loaded: u64 = self.entries.iter().map(|e| e.tally.points_loaded).sum();
-        let computed: u64 = self.entries.iter().map(|e| e.tally.points_computed).sum();
+        let total = |count: fn(&SweepTally) -> u64| -> u64 {
+            self.entries.iter().map(|e| count(&e.tally)).sum()
+        };
         let site = match &run.crash_site {
             Some(s) => format!("\"{s}\""),
             None => "null".to_string(),
         };
         format!(
-            "{{\n  \"schema\": \"dss-bench-repro/v7\",\n  \"jobs\": {},\n  \
+            "{{\n  \"schema\": \"dss-bench-repro/v8\",\n  \"jobs\": {},\n  \
              \"trace_mode\": \"{}\",\n  \"scale\": {},\n  \
              \"resume\": {{\"mode\": \"{}\", \"crash_site\": {}, \
-             \"points_loaded\": {}, \"points_computed\": {}}},\n  \
+             \"points_loaded\": {}, \"points_reused\": {}, \
+             \"points_computed\": {}}},\n  \
              \"total_wall_ns\": {},\n  \"point_errors\": [{}],\n  \
              \"failed_experiments\": [{}],\n  \"experiments\": [\n{}\n  ]\n}}\n",
             run.jobs,
@@ -284,8 +299,9 @@ impl BenchLog {
             run.scale,
             run.resume_mode,
             site,
-            loaded,
-            computed,
+            total(|t| t.points_loaded),
+            total(|t| t.points_reused),
+            total(|t| t.points_computed),
             run.total_wall.as_nanos(),
             if errors.is_empty() {
                 String::new()

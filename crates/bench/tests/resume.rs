@@ -81,7 +81,7 @@ fn crashed_sweep_resumes_to_identical_stdout() {
     );
 
     let bench = std::fs::read_to_string(&json).unwrap();
-    assert!(bench.contains("\"schema\": \"dss-bench-repro/v7\""));
+    assert!(bench.contains("\"schema\": \"dss-bench-repro/v8\""));
     assert!(
         bench.contains("\"mode\": \"resumed\""),
         "provenance must record the resume: {bench}"

@@ -24,7 +24,9 @@
 //! stdout byte — is a finding. Hit counts are drawn from the campaign
 //! seed via [`dss_faultkit::FaultPlan::rng_for`], so `--seed N` replays the
 //! exact kill schedule and different seeds kill at different block writes,
-//! manifest appends, and point boundaries.
+//! manifest appends, and point boundaries. One schedule can hide a site —
+//! the default seed never left a complete trace file before a partial one —
+//! so without `--seed` the campaign runs every seed of [`DEFAULT_SEEDS`].
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -46,9 +48,16 @@ const REPRO_ARGS: &[&str] = &[
     "streamed",
 ];
 
-/// One site's verdict.
+/// The kill schedules a campaign runs when none is named: the one every
+/// earlier campaign ran, the one that found the skipped-processor resume bug
+/// (`crash.trace.pre-finish` at hit 2), and one more.
+pub const DEFAULT_SEEDS: [u64; 3] = [1, 5, 11];
+
+/// One site's verdict under one seed.
 #[derive(Clone, Debug)]
 pub struct CrashOutcome {
+    /// The campaign seed that chose the hit.
+    pub seed: u64,
     /// The crash site that was armed.
     pub site: &'static str,
     /// The durability mechanism under test.
@@ -189,10 +198,11 @@ fn stderr_tail(out: &Output) -> String {
     lines.into_iter().rev().collect::<Vec<_>>().join(" | ")
 }
 
-/// Runs the campaign: every crash site (or just `only`) killed at a
-/// seed-chosen hit, resumed, and compared against one shared uninterrupted
-/// baseline. Work directories live under `work`; directories of failed
-/// sites are kept for post-mortem, everything else is removed.
+/// Runs the campaign: under each of `seeds`, every crash site (or just
+/// `only`) killed at a seed-chosen hit, resumed, and compared against one
+/// shared uninterrupted baseline. Work directories live under `work`;
+/// directories of failed sites are kept for post-mortem, everything else is
+/// removed.
 ///
 /// # Errors
 ///
@@ -202,7 +212,7 @@ fn stderr_tail(out: &Output) -> String {
 pub fn run_crash_campaign(
     repro: &Path,
     work: &Path,
-    seed: u64,
+    seeds: &[u64],
     only: Option<&str>,
 ) -> Result<CrashReport, String> {
     let sites: Vec<&CrashSite> = match only {
@@ -239,14 +249,16 @@ pub fn run_crash_campaign(
             .map_err(|e| format!("reading {}: {e}", base_json.display()))?,
     );
 
-    let plan = FaultPlan::new(seed);
     let mut report = CrashReport::default();
-    for site in sites {
+    let schedule = seeds
+        .iter()
+        .flat_map(|&seed| sites.iter().map(move |site| (seed, site)));
+    for (seed, site) in schedule {
         // Early hits exist at every site (the sweep has 15 points and many
         // more block writes/manifest appends), so the schedule stays valid
         // for all of them while still varying with the seed.
-        let hit = plan.rng_for(site.name).gen_range(1..=3u64);
-        let dir = work.join(site.name.replace('.', "-"));
+        let hit = FaultPlan::new(seed).rng_for(site.name).gen_range(1..=3u64);
+        let dir = work.join(format!("seed{seed}-{}", site.name.replace('.', "-")));
         let _ = std::fs::remove_dir_all(&dir);
         let state = dir.join("state");
         let bench = dir.join("resumed.json");
@@ -254,6 +266,7 @@ pub fn run_crash_campaign(
         let crashed = run_repro(repro, &state, &[], Some((site.name, hit)))?;
         if !died_of_abort(&crashed) {
             report.outcomes.push(CrashOutcome {
+                seed,
                 site: site.name,
                 layer: site.layer,
                 hit,
@@ -305,6 +318,7 @@ pub fn run_crash_campaign(
             report.kept.push(dir);
         }
         report.outcomes.push(CrashOutcome {
+            seed,
             site: site.name,
             layer: site.layer,
             hit,
@@ -324,7 +338,7 @@ mod tests {
 
     #[test]
     fn normalization_keeps_only_the_deterministic_fields() {
-        let json = "{\n  \"schema\": \"dss-bench-repro/v7\",\n  \"jobs\": 2,\n  \
+        let json = "{\n  \"schema\": \"dss-bench-repro/v8\",\n  \"jobs\": 2,\n  \
                     \"trace_mode\": \"streamed\",\n  \"scale\": 0.003,\n  \
                     \"resume\": {\"mode\": \"fresh\", \"crash_site\": null, \
                     \"points_loaded\": 0, \"points_computed\": 15},\n  \
@@ -332,7 +346,7 @@ mod tests {
                     \"failed_experiments\": [],\n  \"experiments\": [\n    \
                     {\"name\": \"fig8/fig9\", \"wall_ns\": 999, \"points_loaded\": 0}\n  ]\n}\n";
         let norm = normalize_bench(json);
-        assert!(norm.contains("\"schema\": \"dss-bench-repro/v7\","));
+        assert!(norm.contains("\"schema\": \"dss-bench-repro/v8\","));
         assert!(norm.contains("\"scale\": 0.003,"));
         assert!(norm.contains("fig8/fig9"));
         assert!(!norm.contains("wall_ns"), "timings must be stripped");

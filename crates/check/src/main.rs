@@ -23,7 +23,9 @@
 //! `fault` options: `--seed N` replays the campaign's exact corruption
 //! schedule under seed `N` (default 1); same seed, same schedule, on any
 //! machine. `--site NAME` runs (and gates on) a single site — CI's
-//! standalone drill steps use it.
+//! standalone drill steps use it. `crash` takes the same two options;
+//! without `--seed` it runs every kill schedule of
+//! `dss_check::crash::DEFAULT_SEEDS`.
 //!
 //! `--json` emits one machine-readable document (schema `dss-check/v1`)
 //! covering every pass that ran — per-site fault outcomes, lint findings,
@@ -100,7 +102,7 @@ fn main() -> ExitCode {
     let mut report_path: Option<String> = None;
     let mut update = false;
     let mut prune = false;
-    let mut seed = 1u64;
+    let mut seed: Option<u64> = None;
     let mut site: Option<String> = None;
     let mut json = false;
     let mut rest = args[1..].iter();
@@ -116,7 +118,7 @@ fn main() -> ExitCode {
             "--update" => update = true,
             "--prune" => prune = true,
             "--seed" => match rest.next().map(|s| s.parse::<u64>()) {
-                Some(Ok(n)) => seed = n,
+                Some(Ok(n)) => seed = Some(n),
                 _ => {
                     eprintln!("--seed requires an unsigned integer");
                     return ExitCode::from(2);
@@ -142,7 +144,7 @@ fn main() -> ExitCode {
     let mut findings = 0usize;
     let mut sections: Vec<(&'static str, String)> = Vec::new();
     if run_fault {
-        match fault_campaign(seed, site.as_deref()) {
+        match fault_campaign(seed.unwrap_or(1), site.as_deref()) {
             Ok((n, frag)) => {
                 findings += n;
                 sections.push(("fault", frag));
@@ -154,7 +156,8 @@ fn main() -> ExitCode {
         }
     }
     if run_crash {
-        match crash_campaign(seed, site.as_deref()) {
+        let seeds = seed.map_or(dss_check::crash::DEFAULT_SEEDS.to_vec(), |s| vec![s]);
+        match crash_campaign(&seeds, site.as_deref()) {
             Ok((n, frag)) => {
                 findings += n;
                 sections.push(("crash", frag));
@@ -348,10 +351,10 @@ fn fault_campaign(seed: u64, only: Option<&str>) -> Result<(usize, String), Stri
     Ok((findings, frag))
 }
 
-/// Runs the crash-recovery campaign (`dss-check crash`): kills a child
-/// `repro` sweep at each registered crash site at a seed-chosen hit, resumes
-/// it, and requires stdout byte-identical to an uninterrupted baseline plus
-/// an equal normalized benchmark report. `only` (from `--site`) restricts
+/// Runs the crash-recovery campaign (`dss-check crash`): under each of
+/// `seeds`, kills a child `repro` sweep at each registered crash site at a
+/// seed-chosen hit, resumes it, and requires stdout byte-identical to an
+/// uninterrupted baseline plus an equal normalized benchmark report. `only` (from `--site`) restricts
 /// the run to one site. Work directories of failed sites are kept under the
 /// reported path for post-mortem (CI uploads them as artifacts).
 ///
@@ -359,25 +362,32 @@ fn fault_campaign(seed: u64, only: Option<&str>) -> Result<(usize, String), Stri
 ///
 /// A missing `repro` binary, a failing baseline run, or an unknown `only`
 /// site is an environment error; a site that fails to recover is a finding.
-fn crash_campaign(seed: u64, only: Option<&str>) -> Result<(usize, String), String> {
+fn crash_campaign(seeds: &[u64], only: Option<&str>) -> Result<(usize, String), String> {
     let repro = dss_check::crash::find_repro()?;
     let work = std::env::temp_dir().join(format!("dss-crash-campaign-{}", std::process::id()));
     println!(
-        "crash: driving {} under seed {seed} (work dir {})",
+        "crash: driving {} under seed(s) {seeds:?} (work dir {})",
         repro.display(),
         work.display()
     );
-    let report = dss_check::crash::run_crash_campaign(&repro, &work, seed, only)?;
+    let report = dss_check::crash::run_crash_campaign(&repro, &work, seeds, only)?;
     let mut sites = Vec::new();
     for o in &report.outcomes {
         if o.recovered {
-            println!("crash: {}: recovered — {}", o.site, o.detail);
+            println!(
+                "crash: seed {}: {}: recovered — {}",
+                o.seed, o.site, o.detail
+            );
         } else {
-            eprintln!("crash: {}: NOT RECOVERED — {}", o.site, o.detail);
+            eprintln!(
+                "crash: seed {}: {}: NOT RECOVERED — {}",
+                o.seed, o.site, o.detail
+            );
         }
         sites.push(format!(
-            "{{\"site\": \"{}\", \"layer\": \"{}\", \"hit\": {}, \"outcome\": \"{}\", \
-             \"detail\": \"{}\"}}",
+            "{{\"seed\": {}, \"site\": \"{}\", \"layer\": \"{}\", \"hit\": {}, \
+             \"outcome\": \"{}\", \"detail\": \"{}\"}}",
+            o.seed,
             esc(o.site),
             esc(o.layer),
             o.hit,
@@ -391,7 +401,7 @@ fn crash_campaign(seed: u64, only: Option<&str>) -> Result<(usize, String), Stri
     }
     let findings = report.findings();
     println!(
-        "crash: {} site(s) killed and resumed under seed {seed}, {} finding(s)",
+        "crash: {} kill(s) resumed under seed(s) {seeds:?}, {} finding(s)",
         report.outcomes.len(),
         findings
     );
@@ -399,7 +409,7 @@ fn crash_campaign(seed: u64, only: Option<&str>) -> Result<(usize, String), Stri
         eprintln!("crash: evidence kept at {}", kept.display());
     }
     let frag = format!(
-        "{{\"seed\": {seed}, \"findings\": {findings}, \"sites\": [{}]}}",
+        "{{\"seeds\": {seeds:?}, \"findings\": {findings}, \"sites\": [{}]}}",
         sites.join(", ")
     );
     Ok((findings, frag))

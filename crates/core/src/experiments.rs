@@ -15,6 +15,7 @@
 
 use std::fmt;
 use std::panic::resume_unwind;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use dss_faultkit::crash::crash_point;
@@ -23,6 +24,7 @@ use dss_query::{Database, PlanFeatures};
 use dss_tpcd::params;
 use dss_trace::{ProcPrefix, TraceSource};
 
+use crate::checkpoint::CheckpointJournal;
 use crate::degrade::PointError;
 use crate::sim::{run_soft, SoftFailure};
 use crate::workload::{SimSource, Workbench};
@@ -128,8 +130,18 @@ pub struct ProtocolAblation {
     pub mesi: SimStats,
 }
 
-/// One sweep point: a fresh machine of `cfg`, optionally warmed by replaying
-/// `warm` first, then measured over `source`.
+/// One sweep point by value: a fresh machine of `cfg`, optionally warmed by
+/// replaying the `warm` trace set first, then measured over the `measured`
+/// one. Sets are named by `(query, seed_base)` and only generated if the
+/// point has to be simulated.
+struct Point {
+    label: String,
+    cfg: MachineConfig,
+    warm: Option<(u8, u64)>,
+    measured: (u8, u64),
+}
+
+/// A [`Point`] with its trace sources in hand, ready for a worker.
 struct PointTask {
     cfg: MachineConfig,
     warm: Option<SimSource>,
@@ -159,12 +171,33 @@ impl PointTask {
     }
 }
 
+/// Durably appends a finished point to the journal. A journal that stops
+/// persisting degrades resume, not correctness: the sweep carries on.
+fn journal_point(journal: &Mutex<CheckpointJournal>, label: &str, seed: u64, stats: &SimStats) {
+    let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
+    if let Err(e) = journal.append(label, seed, stats) {
+        eprintln!("checkpoint append failed for {label}: {e}");
+    }
+}
+
 impl Workbench {
+    /// The stats this workbench already holds for `point`, if it is a cold
+    /// point it has simulated (or loaded) before under any label.
+    fn known_cold(&self, point: &Point) -> Option<&SimStats> {
+        let (query, seed_base) = point.measured;
+        if point.warm.is_some() {
+            return None;
+        }
+        self.cold_points
+            .iter()
+            .find(|(q, s, cfg, _)| (*q, *s) == (query, seed_base) && *cfg == point.cfg)
+            .map(|(.., stats)| stats)
+    }
+
     /// The point runner: fans labeled points across this workbench's worker
     /// threads and is the one writer of the [`crate::SweepTally`] that
-    /// [`Workbench::take_tally`] drains. `tasks` builds the points (typically
-    /// generating their traces) and is only called when at least one of them
-    /// has to be simulated.
+    /// [`Workbench::take_tally`] drains. A point's traces are generated only
+    /// if it has to be simulated.
     ///
     /// Fail-hard (the default): a panicking point propagates and every slot
     /// is `Some`. Fail-soft ([`Workbench::set_fail_soft`]): each point runs
@@ -180,47 +213,63 @@ impl Workbench {
     /// durably appended the moment its worker finishes it, so an interrupted
     /// sweep resumes from the last completed point, not the last completed
     /// experiment.
-    fn fan_out_labeled(
-        &mut self,
-        labels: &[String],
-        seed: u64,
-        tasks: impl FnOnce(&mut Self) -> Vec<PointTask>,
-    ) -> Vec<Option<SimStats>> {
+    ///
+    /// A cold point is a pure function of its trace set and its
+    /// [`MachineConfig`], so one this workbench has already simulated under
+    /// another figure's label (the baseline machine is a point of Figures 6,
+    /// 8, 10 and 13) is served from memory the same way: looked up on this
+    /// thread before the fan-out, counted as `points_reused`, journaled
+    /// under its own label. The sabotaged label is never served from memory.
+    fn fan_out_labeled(&mut self, points: Vec<Point>) -> Vec<Option<SimStats>> {
         let checkpoint = self.checkpoint.clone();
-        // Journal lookups happen up front on this thread; workers then see a
-        // plain preloaded slot and skip the simulation entirely.
-        let preloaded: Vec<Option<SimStats>> = labels
+        let sabotage = self.sabotage.clone();
+        // Lookups happen up front on this thread: a point the journal or this
+        // workbench's memory already holds never reaches a worker.
+        let mut results: Vec<Option<SimStats>> = Vec::with_capacity(points.len());
+        for point in &points {
+            let seed = point.measured.1;
+            let journaled = checkpoint.as_ref().and_then(|j| {
+                let journal = j.lock().unwrap_or_else(|p| p.into_inner());
+                journal.lookup(&point.label, seed).cloned()
+            });
+            let sabotaged = sabotage.as_deref() == Some(point.label.as_str());
+            results.push(if journaled.is_some() {
+                self.tally.points_loaded += 1;
+                journaled
+            } else if let Some(stats) = self.known_cold(point).filter(|_| !sabotaged) {
+                let stats = stats.clone();
+                self.tally.points_reused += 1;
+                if let Some(journal) = &checkpoint {
+                    journal_point(journal, &point.label, seed, &stats);
+                }
+                Some(stats)
+            } else {
+                None
+            });
+        }
+        let todo: Vec<usize> = (0..points.len())
+            .filter(|&i| results[i].is_none())
+            .collect();
+        let tasks: Vec<PointTask> = todo
             .iter()
-            .map(|label| {
-                checkpoint.as_ref().and_then(|j| {
-                    j.lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .lookup(label, seed)
-                        .cloned()
-                })
+            .map(|&i| PointTask {
+                cfg: points[i].cfg.clone(),
+                warm: points[i]
+                    .warm
+                    .map(|(q, seed_base)| self.source(q, seed_base)),
+                source: self.source(points[i].measured.0, points[i].measured.1),
             })
             .collect();
-        let nloaded = preloaded.iter().filter(|p| p.is_some()).count();
-        self.tally.points_loaded += nloaded as u64;
-        if nloaded == labels.len() {
-            return preloaded;
-        }
-        let tasks = tasks(self);
-        debug_assert_eq!(labels.len(), tasks.len());
-        let sabotage = self.sabotage.as_deref();
-        // Each point yields its stats and how long simulating them took
-        // (`None` when the journal served them).
-        let points: Vec<_> = tasks
+        // Each run yields its stats and how long simulating them took.
+        let runs: Vec<_> = todo
             .iter()
-            .zip(labels)
-            .zip(&preloaded)
-            .map(|((task, label), pre)| {
-                let checkpoint = checkpoint.as_ref();
+            .zip(&tasks)
+            .map(|(&i, task)| {
+                let (checkpoint, sabotage) = (checkpoint.as_deref(), sabotage.as_deref());
+                let point = &points[i];
+                let label = point.label.as_str();
                 move || {
-                    if let Some(stats) = pre {
-                        return (stats.clone(), None);
-                    }
-                    if sabotage == Some(label.as_str()) {
+                    if sabotage == Some(label) {
                         panic!("injected: sweep point {label} sabotaged");
                     }
                     let start = Instant::now();
@@ -228,16 +277,10 @@ impl Workbench {
                     let elapsed = start.elapsed();
                     if let Some(journal) = checkpoint {
                         crash_point("crash.point.pre-journal");
-                        let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                        if let Err(e) = journal.append(label, seed, &stats) {
-                            // A journal that stops persisting degrades resume,
-                            // not correctness: the sweep carries on.
-                            eprintln!("checkpoint append failed for {label}: {e}");
-                        }
-                        drop(journal);
+                        journal_point(journal, label, point.measured.1, &stats);
                         crash_point("crash.point.post-journal");
                     }
-                    (stats, Some(elapsed))
+                    (stats, elapsed)
                 }
             })
             .collect();
@@ -246,34 +289,36 @@ impl Workbench {
         } else {
             None
         };
-        let outcomes = run_soft(self.jobs(), &points, deadline);
-        drop(points);
-        outcomes
-            .into_iter()
-            .zip(labels)
-            .map(|(outcome, label)| match outcome {
+        let outcomes = run_soft(self.jobs(), &runs, deadline);
+        drop(runs);
+        for (outcome, i) in outcomes.into_iter().zip(todo) {
+            let point = &points[i];
+            match outcome {
                 Ok((stats, elapsed)) => {
-                    if let Some(elapsed) = elapsed {
-                        self.tally.compute += elapsed;
-                        self.tally.points_computed += 1;
-                    }
-                    Some(stats)
+                    self.tally.compute += elapsed;
+                    self.tally.points_computed += 1;
+                    results[i] = Some(stats);
                 }
-                Err(failure) if self.fail_soft => {
-                    self.tally.errors.push(PointError {
-                        site: label.clone(),
-                        cause: failure.cause,
-                        seed,
-                    });
-                    None
-                }
+                Err(failure) if self.fail_soft => self.tally.errors.push(PointError {
+                    site: point.label.clone(),
+                    cause: failure.cause,
+                    seed: point.measured.1,
+                }),
                 Err(SoftFailure {
                     payload: Some(payload),
                     ..
                 }) => resume_unwind(payload),
-                Err(failure) => panic!("sweep point {label} failed: {}", failure.cause),
-            })
-            .collect()
+                Err(failure) => panic!("sweep point {} failed: {}", point.label, failure.cause),
+            }
+        }
+        for (point, stats) in points.into_iter().zip(&results) {
+            if let (None, Some(stats), None) = (point.warm, stats, self.known_cold(&point)) {
+                let (query, seed_base) = point.measured;
+                self.cold_points
+                    .push((query, seed_base, point.cfg, stats.clone()));
+            }
+        }
+        results
     }
 
     /// The common sweep shape: one point per entry of `params`, all over
@@ -287,18 +332,16 @@ impl Workbench {
         label: impl Fn(P) -> String,
         config: impl Fn(P) -> MachineConfig,
     ) -> Vec<(P, SimStats)> {
-        let source = self.source(query, 0);
-        let labels: Vec<String> = params.iter().map(|&p| label(p)).collect();
-        let stats = self.fan_out_labeled(&labels, 0, |_| {
-            params
-                .iter()
-                .map(|&p| PointTask {
-                    cfg: config(p),
-                    warm: None,
-                    source: source.clone(),
-                })
-                .collect()
-        });
+        let points = params
+            .iter()
+            .map(|&p| Point {
+                label: label(p),
+                cfg: config(p),
+                warm: None,
+                measured: (query, 0),
+            })
+            .collect();
+        let stats = self.fan_out_labeled(points);
         params
             .iter()
             .zip(stats)
@@ -310,20 +353,16 @@ impl Workbench {
     /// ones), one sweep point per query. In fail-soft mode, failed points
     /// are skipped (and recorded as [`PointError`]s).
     pub fn baseline_suite(&mut self, queries: &[u8]) -> Vec<QueryBaseline> {
-        let labels: Vec<String> = queries
+        let points = queries
             .iter()
-            .map(|&q| format!("fig6/Q{q}/baseline"))
+            .map(|&q| Point {
+                label: format!("fig6/Q{q}/baseline"),
+                cfg: MachineConfig::baseline(),
+                warm: None,
+                measured: (q, 0),
+            })
             .collect();
-        let stats = self.fan_out_labeled(&labels, 0, |wb| {
-            queries
-                .iter()
-                .map(|&q| PointTask {
-                    cfg: MachineConfig::baseline(),
-                    warm: None,
-                    source: wb.source(q, 0),
-                })
-                .collect()
-        });
+        let stats = self.fan_out_labeled(points);
         queries
             .iter()
             .zip(stats)
@@ -442,26 +481,22 @@ impl Workbench {
     /// three (in fail-soft mode the failure is still recorded first, and the
     /// surviving arms are journaled).
     pub fn reuse_experiment(&mut self, query: u8, other: u8) -> ReuseSet {
-        let labels = [
-            format!("fig12/Q{query}v{other}/cold"),
-            format!("fig12/Q{query}v{other}/warm_same"),
-            format!("fig12/Q{query}v{other}/warm_other"),
-        ];
         let (l1_kb, l2_kb) = REUSE_CACHES_KB;
         let cfg = MachineConfig::baseline().with_cache_sizes(l1_kb * 1024, l2_kb * 1024);
-        let stats = self.fan_out_labeled(&labels, 0, |wb| {
-            let measured = wb.source(query, 0);
-            let warm_same = wb.source(query, 1000);
-            let warm_other = wb.source(other, 1000);
-            [None, Some(warm_same), Some(warm_other)]
-                .into_iter()
-                .map(|warm| PointTask {
-                    cfg: cfg.clone(),
-                    warm,
-                    source: measured.clone(),
-                })
-                .collect()
-        });
+        let points = [
+            ("cold", None),
+            ("warm_same", Some((query, 1000))),
+            ("warm_other", Some((other, 1000))),
+        ]
+        .into_iter()
+        .map(|(arm, warm)| Point {
+            label: format!("fig12/Q{query}v{other}/{arm}"),
+            cfg: cfg.clone(),
+            warm,
+            measured: (query, 0),
+        })
+        .collect();
+        let stats = self.fan_out_labeled(points);
         let [cold, warm_same, warm_other] = all_points(
             stats.into_iter().flatten(),
             format_args!("fig12/Q{query}v{other}"),

@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dss_faultkit::crash::crash_point;
+use dss_memsim::{MachineConfig, SimStats};
 use dss_query::{Database, DbConfig, Session};
 use dss_tpcd::params;
 use dss_trace::{
@@ -89,7 +90,9 @@ impl TraceSource for SimSource {
 /// finished *and its value was returned*. A point that outran the point
 /// deadline was simulated (and journaled, when a journal is attached) but
 /// its value was discarded, so like a panicking point it appears in `errors`
-/// only; a resumed run serves it from the journal as `points_loaded`.
+/// only; a resumed run serves it from the journal as `points_loaded`. A
+/// point is counted under exactly one of `points_loaded`, `points_reused`
+/// and `points_computed`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepTally {
     /// Per-point simulation time summed over the worker threads: the
@@ -98,6 +101,9 @@ pub struct SweepTally {
     pub compute: Duration,
     /// Sweep points served from the checkpoint journal.
     pub points_loaded: u64,
+    /// Cold sweep points served from this workbench's memory: the same
+    /// trace set on the same machine, already simulated under another label.
+    pub points_reused: u64,
     /// Sweep points simulated.
     pub points_computed: u64,
     /// Points that failed under fail-soft mode, in sweep order.
@@ -137,7 +143,10 @@ pub fn query_label(q: u8) -> String {
 /// assert_eq!(points.len(), 5);
 /// ```
 pub struct Workbench {
-    /// The shared database image.
+    /// The shared database image. Traces are cached by `(query, seed_base)`
+    /// and cold sweep points by `(query, seed_base, machine)`, both on the
+    /// premise that the image only ever runs the read-only query templates:
+    /// a caller that changes it through this field has invalidated both.
     pub db: Database,
     nprocs: usize,
     jobs: usize,
@@ -152,6 +161,11 @@ pub struct Workbench {
     /// Block files already recorded this run. Files cost no memory, so
     /// unlike the materialized cache this one never evicts.
     stream_cache: HashMap<(u8, u64), FileTraceSource>,
+    /// Every cold sweep point simulated (or journal-loaded) so far, by value:
+    /// `(query, seed_base, machine, stats)`. A few dozen small records that
+    /// outlive [`Workbench::clear_traces`]; a `Vec` searched by equality, so
+    /// no iteration order exists to leak.
+    pub(crate) cold_points: Vec<(u8, u64, MachineConfig, SimStats)>,
     /// What the sweeps have done since the last [`Workbench::take_tally`].
     pub(crate) tally: SweepTally,
     /// Fail-soft mode: sweep points run under `catch_unwind`, failures become
@@ -193,6 +207,7 @@ impl Workbench {
             trace_mode: TraceMode::default(),
             trace_dir: None,
             stream_cache: HashMap::new(),
+            cold_points: Vec::new(),
             tally: SweepTally::default(),
             fail_soft: false,
             point_deadline: None,
@@ -326,7 +341,7 @@ impl Workbench {
 
     /// Drops all cached traces (frees memory between experiment suites).
     /// Streamed-mode block files stay on disk and stay cached — they hold no
-    /// memory.
+    /// memory — and so do the cold sweep points already simulated.
     pub fn clear_traces(&mut self) {
         self.cache.clear();
         self.order.clear();
@@ -392,7 +407,9 @@ impl Workbench {
     /// complete files are reused outright, partial ones are truncated to
     /// their last checksum-valid block and completed in place by replaying
     /// the (deterministic) generation and discarding the already-written
-    /// blocks.
+    /// blocks. Generation is history-independent across sets but not across
+    /// the processors of one set, so a reused file's query still runs,
+    /// untraced, when a later processor's file has to be generated.
     ///
     /// # Panics
     ///
@@ -411,18 +428,29 @@ impl Workbench {
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("create trace dir {}: {e}", dir.display()));
         let stem = format!("q{query}.s{seed_base}");
-        let mut paths = Vec::with_capacity(self.nprocs);
-        for p in 0..self.nprocs {
+        let paths: Vec<PathBuf> = (0..self.nprocs)
+            .map(|p| FileTraceSource::proc_path(&dir, &stem, p))
+            .collect();
+        let salvaged: Vec<_> = paths
+            .iter()
+            .enumerate()
+            .map(|(p, path)| self.resume.then(|| salvage_state(path, p)).flatten())
+            .collect();
+        // The last processor whose file has to be written: every query before
+        // it runs, so it meets the database an uninterrupted run would have.
+        let last_generated = salvaged.iter().rposition(|s| !matches!(s, Some((_, true))));
+        for (p, (path, salvage)) in paths.iter().zip(salvaged).enumerate() {
             let seed = seed_base + p as u64;
-            let path = FileTraceSource::proc_path(&dir, &stem, p);
-            let salvage = if self.resume {
-                salvage_state(&path, p)
-            } else {
-                None
-            };
+            let sql = dss_query::sql_for(query, &params(query, seed));
+            let mut session = Session::new(p);
             if matches!(salvage, Some((_, true))) {
                 // A complete stream from the interrupted run: reuse as-is.
-                paths.push(path);
+                if Some(p) < last_generated {
+                    session.tracer = Tracer::disabled();
+                    self.db
+                        .run(&sql, &mut session)
+                        .unwrap_or_else(|e| panic!("Q{query} (seed {seed}) failed: {e}"));
+                }
                 continue;
             }
             let (file, tracer) = match salvage {
@@ -435,7 +463,7 @@ impl Workbench {
                     let mut file = std::fs::OpenOptions::new()
                         .read(true)
                         .write(true)
-                        .open(&path)
+                        .open(path)
                         .unwrap_or_else(|e| panic!("reopen {}: {e}", path.display()));
                     file.set_len(scan.valid_len)
                         .unwrap_or_else(|e| panic!("truncate {}: {e}", path.display()));
@@ -450,7 +478,7 @@ impl Workbench {
                     (sync, tracer)
                 }
                 None => {
-                    let file = std::fs::File::create(&path)
+                    let file = std::fs::File::create(path)
                         .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
                     let sync = file
                         .try_clone()
@@ -461,9 +489,7 @@ impl Workbench {
                     (sync, tracer)
                 }
             };
-            let mut session = Session::new(p);
             session.tracer = tracer.clone();
-            let sql = dss_query::sql_for(query, &params(query, seed));
             self.db
                 .run(&sql, &mut session)
                 .unwrap_or_else(|e| panic!("Q{query} (seed {seed}) failed: {e}"));
@@ -476,7 +502,6 @@ impl Workbench {
             // file as usable.
             file.sync_all()
                 .unwrap_or_else(|e| panic!("fsync {}: {e}", path.display()));
-            paths.push(path);
         }
         fsync_dir(Some(&dir)).unwrap_or_else(|e| panic!("fsync dir {}: {e}", dir.display()));
         let src = FileTraceSource::new(paths);

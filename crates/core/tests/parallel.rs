@@ -1,18 +1,15 @@
 //! Determinism regression tests for the parallel experiment harness: any
 //! `--jobs` value must reproduce the serial results bit for bit, and the
-//! shared-trace cache must stay bounded while handles circulate.
+//! shared-trace cache must stay bounded while handles circulate. Each side
+//! of a comparison gets its own workbench: a second identical sweep on one
+//! workbench is served from memory (`tests/point_reuse.rs`), not simulated.
 
 use dss_core::{TraceMode, Workbench};
 
 #[test]
 fn q6_line_size_sweep_is_job_count_invariant() {
-    let mut wb = Workbench::small();
-
-    wb.set_jobs(1);
-    let serial = wb.line_size_sweep(6);
-
-    wb.set_jobs(4);
-    let parallel = wb.line_size_sweep(6);
+    let serial = Workbench::small().with_jobs(1).line_size_sweep(6);
+    let parallel = Workbench::small().with_jobs(4).line_size_sweep(6);
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -23,9 +20,7 @@ fn q6_line_size_sweep_is_job_count_invariant() {
 
 #[test]
 fn processor_sweep_runs_each_prefix_at_any_job_count() {
-    let mut wb = Workbench::small();
-    wb.set_jobs(1);
-    let serial = wb.processor_sweep(6);
+    let serial = Workbench::small().with_jobs(1).processor_sweep(6);
     for (n, stats) in &serial {
         let active = stats.procs.iter().filter(|p| p.cycles > 0).count();
         assert_eq!(
@@ -34,22 +29,21 @@ fn processor_sweep_runs_each_prefix_at_any_job_count() {
             "the {n}-processor point replays the leading {n} traces"
         );
     }
-    wb.set_jobs(3);
-    assert_eq!(serial, wb.processor_sweep(6), "jobs=3 diverged");
+    let parallel = Workbench::small().with_jobs(3).processor_sweep(6);
+    assert_eq!(serial, parallel, "jobs=3 diverged");
 }
 
 #[test]
 fn block_file_sweep_matches_the_materialized_one_at_any_job_count() {
-    let mut wb = Workbench::small();
-    wb.set_jobs(1);
-    let materialized = wb.line_size_sweep(6);
+    let materialized = Workbench::small().with_jobs(1).line_size_sweep(6);
 
     let dir = std::env::temp_dir().join(format!("dss-parallel-trb-{}", std::process::id()));
-    wb.set_trace_dir(dir.clone());
-    wb.set_trace_mode(TraceMode::Streamed);
     for jobs in [1, 4] {
-        wb.set_jobs(jobs);
+        let mut wb = Workbench::small().with_jobs(jobs);
+        wb.set_trace_dir(dir.join(jobs.to_string()));
+        wb.set_trace_mode(TraceMode::Streamed);
         let streamed = wb.line_size_sweep(6);
+        assert_eq!(wb.take_tally().points_computed, 5);
         assert_eq!(materialized.len(), streamed.len());
         for (m, s) in materialized.iter().zip(&streamed) {
             assert_eq!(m.l2_line, s.l2_line);

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use dss_core::{config_fingerprint, CheckpointJournal, Workbench};
+use dss_core::{config_fingerprint, CheckpointJournal, TraceMode, Workbench};
 use dss_query::DbConfig;
 
 fn config() -> DbConfig {
@@ -147,5 +147,34 @@ fn a_state_dir_from_before_the_packed_block_format_is_refused() {
     let reason = journal.fresh_reason().expect("starts fresh");
     assert!(reason.contains("fingerprint mismatch"), "{reason}");
     assert_eq!(journal.replayed(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_partial_file_after_a_complete_one_regenerates_the_uninterrupted_bytes() {
+    // Q3's trace depends on what the processors before it left in the
+    // buffer pool and lock tables, so reusing processor 0's complete file
+    // must not mean skipping processor 0's query.
+    let dir = temp_dir("skipped-proc");
+    let streamed = |resume: bool| {
+        let mut wb = Workbench::new(&config(), 2);
+        wb.set_trace_dir(dir.clone());
+        wb.set_trace_mode(TraceMode::Streamed);
+        wb.set_resume(resume);
+        wb
+    };
+    let paths = streamed(false).trace_files(3, 0).paths().to_vec();
+    let whole: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    // Processor 1 died inside a block write; processor 0 had finished.
+    std::fs::write(&paths[1], &whole[1][..whole[1].len() / 2]).unwrap();
+
+    let _ = streamed(true).trace_files(3, 0);
+    for (path, bytes) in paths.iter().zip(&whole) {
+        assert!(
+            std::fs::read(path).unwrap() == *bytes,
+            "{} differs from the uninterrupted run's",
+            path.display()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,9 +4,10 @@
 //! The geometry math is pure shift/mask — [`CacheConfig::validate`] rejects
 //! non-power-of-two line sizes and set counts at construction, so `line_of`
 //! and `set_of` never divide. Classification state is a per-line history code
-//! in a paged flat table ([`crate::paged::PagedMap`]) rather than a
-//! `HashSet`/`HashMap` pair: a miss costs one indexed probe
-//! ([`Cache::record_miss`]) instead of up to three hash lookups.
+//! in a paged flat table ([`crate::paged::PagedMap`]), and [`Cache::fill`] is
+//! the only way a non-resident line becomes resident: it classifies the miss
+//! and marks the line seen in one probe of that table and picks the victim in
+//! one scan of the set.
 
 use crate::config::CacheConfig;
 use crate::paged::PagedMap;
@@ -58,14 +59,13 @@ pub enum MissKind {
     Coherence,
 }
 
-/// Per-line classification history, one code per line the cache ever held.
-/// The four values encode exactly the old `ever_seen`/`removal_cause` pair:
-/// never seen, seen (resident or no recorded removal), removed by
-/// replacement, removed by invalidation.
+/// Per-line classification history, one code per line the cache ever held:
+/// never filled, seen (resident, or gone by replacement — the next miss is a
+/// conflict either way, so replacement and inclusion eviction write nothing),
+/// removed by invalidation. A resident line is always `HIST_SEEN`.
 const HIST_NEVER: u8 = 0;
 const HIST_SEEN: u8 = 1;
-const HIST_REPLACED: u8 = 2;
-const HIST_INVALIDATED: u8 = 3;
+const HIST_INVALIDATED: u8 = 2;
 
 #[inline]
 fn classify_code(code: u8) -> MissKind {
@@ -203,37 +203,23 @@ impl Cache {
         Some(state_of(self.ways[at]))
     }
 
-    /// Classifies a miss on `addr` without recording anything (pure query;
-    /// the simulator's hot path uses [`Cache::record_miss`] instead).
+    /// Classifies a miss on `addr` without recording anything (a pure query,
+    /// for tests and invariant checks; the simulator classifies in
+    /// [`Cache::fill`]).
     pub fn classify_miss(&self, addr: u64) -> MissKind {
         classify_code(self.history.get(addr))
     }
 
-    /// Classifies a miss on `addr` and marks the line as referenced, in a
-    /// single table probe. Call it exactly when a lookup missed and the line
-    /// is about to be filled: it is the only place a line becomes "seen", so
-    /// [`Cache::insert`] of a non-resident line relies on it having run.
-    pub fn record_miss(&mut self, addr: u64) -> MissKind {
-        let slot = self.history.get_mut(addr);
-        let kind = classify_code(*slot);
-        *slot = HIST_SEEN;
-        kind
-    }
-
-    /// Inserts the line containing `addr` in `state`, returning the evicted
-    /// line (address, was-dirty) if a valid victim was replaced. The victim
-    /// is the set's first invalid way, else its least recently used one.
-    ///
-    /// The line's own classification history is not touched: a resident line
-    /// is already marked seen, and a non-resident one was marked by the
-    /// [`Cache::record_miss`] that precedes its fill.
-    pub fn insert(&mut self, addr: u64, state: LineState) -> Option<(u64, bool)> {
+    /// Makes the non-resident line containing `addr` resident in `state`:
+    /// classifies the miss and marks the line seen (one history probe), and
+    /// replaces the set's first invalid way, else its least recently used
+    /// one (one scan; a direct-mapped set has no choice to make). Returns
+    /// the classification and the evicted line (address, was-dirty) if a
+    /// valid victim was replaced. Call it exactly when a lookup missed.
+    pub fn fill(&mut self, addr: u64, state: LineState) -> (MissKind, Option<(u64, bool)>) {
         let line = self.line_of(addr);
-        if let Some(at) = self.find(line) {
-            self.ways[at] = pack(line, state);
-            self.touch(at);
-            return None;
-        }
+        debug_assert!(self.find(line).is_none(), "fill of resident {line:#x}");
+        let kind = classify_code(std::mem::replace(self.history.get_mut(line), HIST_SEEN));
         let start = self.set_start(line);
         let mut at = start;
         if self.assoc > 1 {
@@ -250,11 +236,8 @@ impl Cache {
         let victim = self.ways[at];
         self.ways[at] = pack(line, state);
         self.touch(at);
-        if victim == 0 {
-            return None;
-        }
-        self.history.set(line_in(victim), HIST_REPLACED);
-        Some((line_in(victim), state_of(victim).dirty()))
+        let evicted = (victim != 0).then(|| (line_in(victim), state_of(victim).dirty()));
+        (kind, evicted)
     }
 
     /// Sets the state of a resident line (no-op if absent).
@@ -265,31 +248,26 @@ impl Cache {
         }
     }
 
-    /// Removes a resident line, recording why for the next miss on it;
-    /// returns whether it was dirty.
-    fn remove(&mut self, line: u64, cause: u8) -> Option<bool> {
+    /// Removes a resident line; returns whether it was dirty.
+    fn remove(&mut self, line: u64) -> Option<bool> {
         let at = self.find(line)?;
         let dirty = state_of(self.ways[at]).dirty();
         self.ways[at] = 0;
-        self.history.set(line, cause);
         Some(dirty)
     }
 
-    /// Removes a line due to coherence activity; returns whether it was
-    /// present (and dirty).
+    /// Removes a line due to coherence activity, so its next miss is a
+    /// coherence miss; returns whether it was present (and dirty).
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        self.remove(line, HIST_INVALIDATED)
+        let dirty = self.remove(line)?;
+        self.history.set(line, HIST_INVALIDATED);
+        Some(dirty)
     }
 
-    /// Removes a line due to an inclusion victim in the other level;
-    /// classified as replacement.
+    /// Removes a line due to an inclusion victim in the other level. Like
+    /// replacement it leaves the history alone: the next miss is a conflict.
     pub fn evict_for_inclusion(&mut self, line: u64) {
-        self.remove(line, HIST_REPLACED);
-    }
-
-    /// Downgrades a Modified line to Shared (no-op if absent or clean).
-    pub fn downgrade(&mut self, line: u64) {
-        self.set_state(line, LineState::Shared);
+        self.remove(line);
     }
 
     /// Every resident line with its state (for invariant checks).
@@ -327,11 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_insert() {
+    fn hit_after_fill() {
         let mut c = tiny();
         assert_eq!(c.lookup(0x1000), None);
         assert_eq!(c.classify_miss(0x1000), MissKind::Cold);
-        c.insert(0x1000, LineState::Shared);
+        c.fill(0x1000, LineState::Shared);
         assert_eq!(c.lookup(0x1010), Some(LineState::Shared), "same line");
         assert_eq!(c.lookup(0x1020), None, "next line");
     }
@@ -340,10 +318,10 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = tiny();
         // Three lines mapping to set 0 (line addr multiples of 4*32=128).
-        c.insert(0x0000, LineState::Shared);
-        c.insert(0x0080, LineState::Shared);
+        c.fill(0x0000, LineState::Shared);
+        c.fill(0x0080, LineState::Shared);
         c.lookup(0x0000); // refresh
-        let evicted = c.insert(0x0100, LineState::Shared);
+        let (_, evicted) = c.fill(0x0100, LineState::Shared);
         assert_eq!(evicted, Some((0x0080, false)), "LRU way evicted");
         assert!(c.contains(0x0000));
         assert!(!c.contains(0x0080));
@@ -352,53 +330,52 @@ mod tests {
     #[test]
     fn conflict_miss_after_replacement() {
         let mut c = tiny();
-        c.insert(0x0000, LineState::Shared);
-        c.insert(0x0080, LineState::Shared);
-        c.insert(0x0100, LineState::Shared); // evicts 0x0000
+        c.fill(0x0000, LineState::Shared);
+        c.fill(0x0080, LineState::Shared);
+        c.fill(0x0100, LineState::Shared); // evicts 0x0000
         assert_eq!(c.classify_miss(0x0000), MissKind::Conflict);
     }
 
     #[test]
     fn coherence_miss_after_invalidation() {
         let mut c = tiny();
-        c.insert(0x0000, LineState::Modified);
+        c.fill(0x0000, LineState::Modified);
         assert_eq!(c.invalidate(0x0000), Some(true));
         assert_eq!(c.classify_miss(0x0000), MissKind::Coherence);
-        // After re-insertion the next removal decides again.
-        c.insert(0x0000, LineState::Shared);
+        // After the refill the next removal decides again.
+        c.fill(0x0000, LineState::Shared);
         assert_eq!(c.lookup(0x0000), Some(LineState::Shared));
     }
 
     #[test]
-    fn record_miss_matches_classify_then_marks_seen() {
+    fn fill_classifies_then_marks_seen() {
         let mut c = tiny();
         assert_eq!(c.classify_miss(0x0000), MissKind::Cold);
-        assert_eq!(c.record_miss(0x0000), MissKind::Cold);
-        // The merged probe marked the line referenced: a re-classification
-        // before the fill now reads Seen (= Conflict), exactly as the old
-        // `ever_seen.insert` at fill time would have produced after insert.
+        assert_eq!(c.fill(0x0000, LineState::Modified), (MissKind::Cold, None));
+        // The same probe marked the line seen: while it is resident, and
+        // after a replacement, its next miss is a conflict.
         assert_eq!(c.classify_miss(0x0000), MissKind::Conflict);
-        c.insert(0x0000, LineState::Modified);
         c.invalidate(0x0000);
-        assert_eq!(c.record_miss(0x0000), MissKind::Coherence);
+        assert_eq!(c.fill(0x0000, LineState::Shared).0, MissKind::Coherence);
+        assert_eq!(c.classify_miss(0x0000), MissKind::Conflict);
     }
 
     #[test]
     fn eviction_reports_dirtiness() {
         let mut c = tiny();
-        c.insert(0x0000, LineState::Modified);
-        c.insert(0x0080, LineState::Shared);
-        let evicted = c.insert(0x0100, LineState::Shared);
+        c.fill(0x0000, LineState::Modified);
+        c.fill(0x0080, LineState::Shared);
+        let (_, evicted) = c.fill(0x0100, LineState::Shared);
         assert_eq!(evicted, Some((0x0000, true)));
     }
 
     #[test]
     fn state_transitions() {
         let mut c = tiny();
-        c.insert(0x40, LineState::Shared);
+        c.fill(0x40, LineState::Shared);
         c.set_state(0x40, LineState::Modified);
         assert_eq!(c.lookup(0x40), Some(LineState::Modified));
-        c.downgrade(0x40);
+        c.set_state(0x40, LineState::Shared);
         assert_eq!(c.lookup(0x40), Some(LineState::Shared));
     }
 
@@ -409,8 +386,8 @@ mod tests {
             line: 32,
             assoc: 1,
         });
-        c.insert(0x0000, LineState::Shared);
-        c.insert(0x0080, LineState::Shared); // same set, 4 sets
+        c.fill(0x0000, LineState::Shared);
+        c.fill(0x0080, LineState::Shared); // same set, 4 sets
         assert!(!c.contains(0x0000));
         assert_eq!(c.classify_miss(0x0000), MissKind::Conflict);
     }
@@ -425,10 +402,9 @@ mod tests {
     fn classification_spans_shared_and_private_segments() {
         use dss_shmem::{private_base, SHARED_BASE};
         let mut c = tiny();
-        assert_eq!(c.record_miss(SHARED_BASE), MissKind::Cold);
-        c.insert(SHARED_BASE, LineState::Shared);
-        assert_eq!(c.record_miss(private_base(1) + 0x40), MissKind::Cold);
-        c.insert(private_base(1) + 0x40, LineState::Modified);
+        assert_eq!(c.fill(SHARED_BASE, LineState::Shared).0, MissKind::Cold);
+        let private = private_base(1) + 0x40;
+        assert_eq!(c.fill(private, LineState::Modified).0, MissKind::Cold);
         assert_eq!(c.classify_miss(SHARED_BASE + 8), MissKind::Conflict);
         assert_eq!(c.classify_miss(private_base(1) + 0x48), MissKind::Conflict);
         assert_eq!(c.classify_miss(private_base(1)), MissKind::Cold);
@@ -439,39 +415,38 @@ mod tests {
         // Line 0 in `Shared` packs to the bare valid bit — still not the
         // empty way's 0.
         let mut c = tiny();
-        c.insert(0x0000, LineState::Shared);
+        c.fill(0x0000, LineState::Shared);
         assert_eq!(c.lookup(0x0008), Some(LineState::Shared));
         assert_eq!(c.resident_lines(), vec![(0x0000, LineState::Shared)]);
         // It is a victim like any other: two more lines of set 0 evict it.
-        c.insert(0x0080, LineState::Shared);
-        assert_eq!(c.insert(0x0100, LineState::Modified), Some((0x0000, false)));
+        c.fill(0x0080, LineState::Shared);
+        assert_eq!(c.fill(0x0100, LineState::Modified).1, Some((0x0000, false)));
         assert_eq!(c.classify_miss(0x0000), MissKind::Conflict);
     }
 
     #[test]
     fn invalidated_hole_is_refilled_before_any_eviction() {
         let mut c = tiny();
-        c.insert(0x0000, LineState::Shared);
-        c.insert(0x0080, LineState::Modified);
+        c.fill(0x0000, LineState::Shared);
+        c.fill(0x0080, LineState::Modified);
         // The hole is the *more* recently used way: LRU alone would evict
         // 0x0000 instead.
         assert_eq!(c.invalidate(0x0080), Some(true));
-        assert_eq!(c.insert(0x0100, LineState::Shared), None);
+        assert_eq!(c.fill(0x0100, LineState::Shared).1, None);
         assert!(c.contains(0x0000) && c.contains(0x0100));
         // Full again: now the least recently used valid line goes.
-        assert_eq!(c.insert(0x0180, LineState::Shared), Some((0x0000, false)));
+        assert_eq!(c.fill(0x0180, LineState::Shared).1, Some((0x0000, false)));
     }
 
     #[test]
-    fn removal_causes_keep_their_history_codes() {
+    fn removal_causes_decide_the_next_classification() {
         let mut c = tiny();
-        c.insert(0x0000, LineState::Exclusive);
+        c.fill(0x0000, LineState::Exclusive);
         c.evict_for_inclusion(0x0000);
         assert!(!c.contains(0x0000));
-        assert_eq!(c.record_miss(0x0000), MissKind::Conflict);
-        c.insert(0x0000, LineState::Exclusive);
+        assert_eq!(c.fill(0x0000, LineState::Exclusive).0, MissKind::Conflict);
         assert_eq!(c.invalidate(0x0000), Some(false), "Exclusive is clean");
-        assert_eq!(c.record_miss(0x0000), MissKind::Coherence);
+        assert_eq!(c.classify_miss(0x0000), MissKind::Coherence);
         // Removing an absent line records nothing.
         c.evict_for_inclusion(0x0080);
         assert_eq!(c.invalidate(0x0080), None);
@@ -490,7 +465,7 @@ mod tests {
         for (i, &state) in states.iter().enumerate() {
             // Adjacent lines: every address bit above the low three is used.
             let addr = 0x1000 + 8 * i as u64;
-            c.insert(addr, state);
+            c.fill(addr, state);
             assert_eq!(c.lookup(addr + 7), Some(state));
             assert_eq!(c.peek_state(addr), Some(state));
         }

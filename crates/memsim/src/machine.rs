@@ -11,9 +11,10 @@
 //!
 //! The hot loop is hash-free and allocation-free: the processor with the
 //! smallest `(clock, index)` runs ahead until that key passes the runner-up's
-//! — one scan of the live clocks per switch, nothing per event — miss
-//! classification is one paged-table probe inside [`Cache::record_miss`], and
-//! invalidation targets arrive as a node bitmask from the directory.
+//! — one scan of the live clocks per switch, nothing per event — a miss is
+//! classified and filled by one [`Cache::fill`] per level (one history probe,
+//! one set scan), and invalidation targets arrive as a node bitmask from the
+//! directory.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -21,7 +22,7 @@ use std::convert::Infallible;
 use dss_shmem::MAX_PROCS;
 use dss_trace::{DataClass, Event, EventKind, EventStream, Trace, TraceError, TraceSource};
 
-use crate::cache::{Cache, LineState};
+use crate::cache::{Cache, LineState, MissKind};
 use crate::config::MachineConfig;
 use crate::directory::{home_of, Directory};
 use crate::protocol::Kernel;
@@ -676,20 +677,18 @@ impl Machine {
         if self.nodes[p].l1.lookup(addr).is_some() {
             return 0;
         }
-        // `record_miss` classifies and marks the line seen in one probe; the
-        // fill below makes it resident, so the mark is never observed early.
-        let kind1 = self.nodes[p].l1.record_miss(addr);
-        l1s.read_misses.add(class, kind1);
         l2s.read_accesses += 1;
-        if let Some(state) = self.nodes[p].l2.lookup(addr) {
-            self.fill_l1(p, addr, state);
-            return self.cfg.lat.l2;
-        }
-        let kind2 = self.nodes[p].l2.record_miss(addr);
-        l2s.read_misses.add(class, kind2);
-        let (stall, state) = self.remote_read(p, addr);
-        self.fill_l2(p, addr, state);
-        self.fill_l1(p, addr, state);
+        let (stall, state) = match self.nodes[p].l2.lookup(addr) {
+            Some(state) => (self.cfg.lat.l2, state),
+            None => {
+                let (stall, state) = self.remote_read(p, addr);
+                l2s.read_misses.add(class, self.fill_l2(p, addr, state));
+                (stall, state)
+            }
+        };
+        // L1 victims stay resident in L2, so no directory action.
+        l1s.read_misses
+            .add(class, self.nodes[p].l1.fill(addr, state).0);
         stall
     }
 
@@ -744,7 +743,7 @@ impl Machine {
         l2s: &mut LevelStats,
     ) -> u64 {
         l1s.write_accesses += 1;
-        match self.nodes[p].l1.lookup(addr) {
+        let in_l1 = match self.nodes[p].l1.lookup(addr) {
             Some(state) if state.writable() => {
                 // MESI: the first write to an Exclusive line completes
                 // silently; promote both levels to Modified.
@@ -755,12 +754,8 @@ impl Machine {
                 }
                 return 0;
             }
-            Some(_) => {}
-            None => {
-                l1s.write_misses += 1;
-                self.nodes[p].l1.record_miss(addr);
-            }
-        }
+            hit => hit.is_some(),
+        };
         l2s.write_accesses += 1;
         let line = addr & self.l2_line_mask;
         let home = home_of(addr, self.cfg.nprocs);
@@ -775,6 +770,7 @@ impl Machine {
                 // Upgrade: invalidate the other sharers through the home.
                 let inv = self.dir.record_write(line, p);
                 self.invalidate_nodes(inv, line);
+                self.nodes[p].l2.set_state(line, LineState::Modified);
                 if home == p {
                     self.cfg.lat.local
                 } else {
@@ -783,12 +779,12 @@ impl Machine {
             }
             None => {
                 l2s.write_misses += 1;
-                self.nodes[p].l2.record_miss(addr);
                 let entry = self.dir.entry(line);
                 let wt = self.kernel.write_transaction(entry, p);
                 let inv = self.dir.record_write(line, p);
                 debug_assert_eq!(inv, wt.invalidate, "directory and kernel disagree");
                 self.invalidate_nodes(inv, line);
+                self.fill_l2(p, addr, LineState::Modified);
                 if wt.remote_owner {
                     if home == p {
                         self.cfg.lat.remote2
@@ -802,8 +798,12 @@ impl Machine {
                 }
             }
         };
-        self.fill_l2(p, addr, LineState::Modified);
-        self.fill_l1(p, addr, LineState::Modified);
+        if in_l1 {
+            self.nodes[p].l1.set_state(addr, LineState::Modified);
+        } else {
+            l1s.write_misses += 1;
+            self.nodes[p].l1.fill(addr, LineState::Modified);
+        }
         service
     }
 
@@ -825,16 +825,19 @@ impl Machine {
     }
 
     fn downgrade(&mut self, owner: usize, line: u64) {
-        self.nodes[owner].l2.downgrade(line);
+        self.nodes[owner].l2.set_state(line, LineState::Shared);
         let mut a = line;
         while a < line + self.l2_line {
-            self.nodes[owner].l1.downgrade(a);
+            self.nodes[owner].l1.set_state(a, LineState::Shared);
             a += self.l1_line;
         }
     }
 
-    fn fill_l2(&mut self, p: usize, addr: u64, state: LineState) {
-        if let Some((victim, _dirty)) = self.nodes[p].l2.insert(addr, state) {
+    /// Fills `p`'s L2 after a miss on `addr` and returns the miss's
+    /// classification.
+    fn fill_l2(&mut self, p: usize, addr: u64, state: LineState) -> MissKind {
+        let (kind, evicted) = self.nodes[p].l2.fill(addr, state);
+        if let Some((victim, _dirty)) = evicted {
             // Inclusion: the victim's L1 lines leave too; the directory
             // forgets this node (dirty victims write back at no charged cost).
             self.dir.record_drop(victim, p);
@@ -844,11 +847,7 @@ impl Machine {
                 a += self.l1_line;
             }
         }
-    }
-
-    fn fill_l1(&mut self, p: usize, addr: u64, state: LineState) {
-        // L1 victims stay resident in L2, so no directory action.
-        let _ = self.nodes[p].l1.insert(addr, state);
+        kind
     }
 
     /// The paper's Section 6 prefetcher: on an access to database data,
@@ -873,13 +872,11 @@ impl Machine {
                     continue;
                 }
                 self.dir.record_read(line, p);
-                self.nodes[p].l2.record_miss(pf);
                 self.fill_l2(p, pf, LineState::Shared);
             }
-            // Marked seen only now that the fill is certain: a skipped line
-            // keeps its history for the demand miss that follows.
-            self.nodes[p].l1.record_miss(pf);
-            self.fill_l1(p, pf, LineState::Shared);
+            // A skipped line was never filled, so it keeps its history for
+            // the demand miss that follows.
+            self.nodes[p].l1.fill(pf, LineState::Shared);
             self.prefetches_filled += 1;
         }
     }
@@ -888,7 +885,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::MissKind;
     use dss_shmem::SHARED_BASE;
     use dss_trace::{LockClass, LockToken, Tracer};
 

@@ -5,24 +5,33 @@
 //! hash-based (`HashSet`/`HashMap` keyed by line address), which put one to
 //! three hash probes on every simulated miss. [`PagedMap`] replaces the
 //! hashing with pure array indexing by exploiting the known layout of the
-//! emulated address space (see `dss_shmem`): everything below `PRIVATE_BASE`
-//! is one dense-from-the-bottom shared segment, and above it live at most
-//! [`MAX_PROCS`] private segments at a fixed power-of-two stride. An address
-//! therefore splits into `(segment, offset)` with two branch-free shifts, the
-//! offset shifts down by the map's granularity to a line index, and the index
-//! selects a slot inside a lazily allocated fixed-size page.
+//! emulated address space (see `dss_shmem`): the shared segment is dense from
+//! `SHARED_BASE` up, and above `PRIVATE_BASE` live at most [`MAX_PROCS`]
+//! private segments at a fixed power-of-two stride, each dense from its own
+//! base. An address therefore splits into `(segment, offset from the
+//! segment's base)` with a compare or two and a shift — page tables start
+//! where the data does — the offset shifts down by the map's granularity to a
+//! line index, and the index selects a slot inside a lazily allocated
+//! fixed-size page.
 //!
 //! Reads of untouched pages return `T::default()` without allocating; writes
 //! allocate at page granularity, so sparse traces stay cheap while hot lines
 //! cost exactly one indexed load or store.
 
-use dss_shmem::{MAX_PROCS, PRIVATE_BASE, PRIVATE_STRIDE};
+use dss_shmem::{MAX_PROCS, PRIVATE_BASE, PRIVATE_STRIDE, SHARED_BASE};
 
 /// log2 of the slots per page (4096 slots).
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SLOTS: usize = 1 << PAGE_SHIFT;
 const STRIDE_SHIFT: u32 = PRIVATE_STRIDE.trailing_zeros();
 const _: () = assert!(PRIVATE_STRIDE.is_power_of_two());
+/// Page-table slots a segment reserves at its first write (4 KB of them), so
+/// a table that grows page by page from its base does not reallocate until
+/// the segment spans 32 MB of 32-byte lines.
+const INITIAL_PAGES: usize = 256;
+/// Segments below the private ones: the range below `SHARED_BASE` (outside
+/// every allocator; unit tests put lock words there), then the shared segment.
+const LOW_SEGMENTS: usize = 2;
 
 /// One segment's lazily allocated pages.
 #[derive(Clone, Debug)]
@@ -41,8 +50,9 @@ impl<T> Default for Segment<T> {
 pub(crate) struct PagedMap<T> {
     /// Granularity shift: slot index = segment offset >> `gran`.
     gran: u32,
-    /// Segment 0 is everything below `PRIVATE_BASE`; segment 1 + p is
-    /// process p's private segment.
+    /// Segment 0 is everything below `SHARED_BASE`, segment 1 the shared
+    /// segment, segment 2 + p process p's private segment — ascending by
+    /// address, each indexed from its own base.
     segments: Vec<Segment<T>>,
 }
 
@@ -54,8 +64,10 @@ pub(crate) struct PagedMap<T> {
 /// cannot come from the emulated allocators, so indexing it indicates a bug.
 #[inline]
 fn split(addr: u64) -> (usize, u64) {
-    if addr < PRIVATE_BASE {
+    if addr < SHARED_BASE {
         (0, addr)
+    } else if addr < PRIVATE_BASE {
+        (1, addr - SHARED_BASE)
     } else {
         let d = addr - PRIVATE_BASE;
         let seg = (d >> STRIDE_SHIFT) as usize;
@@ -63,7 +75,7 @@ fn split(addr: u64) -> (usize, u64) {
             seg < MAX_PROCS,
             "address {addr:#x} beyond the emulated address space"
         );
-        (1 + seg, d & (PRIVATE_STRIDE - 1))
+        (LOW_SEGMENTS + seg, d & (PRIVATE_STRIDE - 1))
     }
 }
 
@@ -112,6 +124,9 @@ impl<T: Copy + Default> PagedMap<T> {
         }
         let pages = &mut self.segments[seg].pages;
         if page >= pages.len() {
+            if pages.capacity() == 0 {
+                pages.reserve(INITIAL_PAGES.max(page + 1));
+            }
             pages.resize_with(page + 1, || None);
         }
         let p =
@@ -146,10 +161,10 @@ impl<T: Copy + Default> PagedMap<T> {
     /// not for per-event paths.
     pub(crate) fn for_each(&self, mut f: impl FnMut(u64, T)) {
         for (seg_idx, seg) in self.segments.iter().enumerate() {
-            let base = if seg_idx == 0 {
-                0
-            } else {
-                PRIVATE_BASE + (seg_idx as u64 - 1) * PRIVATE_STRIDE
+            let base = match seg_idx {
+                0 => 0,
+                1 => SHARED_BASE,
+                _ => PRIVATE_BASE + (seg_idx - LOW_SEGMENTS) as u64 * PRIVATE_STRIDE,
             };
             for (page_idx, page) in seg.pages.iter().enumerate() {
                 let Some(slots) = page.as_deref() else {
@@ -167,7 +182,7 @@ impl<T: Copy + Default> PagedMap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_shmem::{private_base, SHARED_BASE};
+    use dss_shmem::private_base;
 
     #[test]
     fn default_until_written() {
@@ -209,6 +224,7 @@ mod tests {
     #[test]
     fn for_each_visits_touched_pages_with_reconstructed_addresses() {
         let mut m: PagedMap<u32> = PagedMap::new(6);
+        m.set(0x40, 3);
         m.set(SHARED_BASE + 128, 7);
         m.set(private_base(2) + 64, 9);
         let mut live = Vec::new();
@@ -220,8 +236,21 @@ mod tests {
         live.sort_unstable();
         assert_eq!(
             live,
-            vec![(SHARED_BASE + 128, 7), (private_base(2) + 64, 9)]
+            vec![(0x40, 3), (SHARED_BASE + 128, 7), (private_base(2) + 64, 9)]
         );
+    }
+
+    #[test]
+    fn page_tables_start_at_their_segment_base() {
+        // The first shared touch sizes the table for the data, not for the
+        // 4 GiB below `SHARED_BASE`.
+        let mut m: PagedMap<u8> = PagedMap::new(3);
+        m.set(SHARED_BASE, 1);
+        m.set(private_base(1), 1);
+        m.set(0x40, 1);
+        for seg in &m.segments {
+            assert!(seg.pages.len() <= 1, "{} page slots", seg.pages.len());
+        }
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub const RULE_NO_QUIESCENCE: &str =
 pub const RULE_INCLUSION_MISSING: &str = "L1 holds a line its L2 does not (inclusion)";
 /// Inclusion: an L1 copy is never more privileged than the L2 line holding it.
 pub const RULE_INCLUSION_PRIVILEGE: &str = "L1 copy is more privileged than its L2 line";
+/// History: a resident line is marked seen — what lets replacement and
+/// inclusion eviction leave the classification history alone.
+pub const RULE_RESIDENT_UNSEEN: &str = "a resident line's miss history is not `seen`";
 
 /// Every rule string, for exhaustive cross-checks (the lint dedup rule scans
 /// memsim source for stray copies of any entry here).
@@ -50,4 +53,5 @@ pub const ALL: &[&str] = &[
     RULE_NO_QUIESCENCE,
     RULE_INCLUSION_MISSING,
     RULE_INCLUSION_PRIVILEGE,
+    RULE_RESIDENT_UNSEEN,
 ];

@@ -14,7 +14,10 @@
 //!   recorded as the directory owner, and a recorded owner actually holds the
 //!   line writable;
 //! * **inclusion** — every resident L1 line is backed by its L2 line, and an
-//!   L1 copy is never more privileged than the L2 line containing it.
+//!   L1 copy is never more privileged than the L2 line containing it;
+//! * **resident ⇒ seen** — a resident line's classification history reads
+//!   *seen* at both levels, which is what lets replacement and inclusion
+//!   eviction write no history ([`crate::Cache::fill`]).
 //!
 //! The directory-protocol rules themselves (everything except inclusion,
 //! which concerns the machine's two physical cache levels) are defined once,
@@ -33,7 +36,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::cache::LineState;
+use crate::cache::{LineState, MissKind};
 use crate::machine::Machine;
 
 /// A detected breach of the directory protocol's invariants.
@@ -120,12 +123,21 @@ impl Machine {
         }
         // Inclusion is a property of the machine's two physical cache levels,
         // not of the protocol, so its rules stay here: every resident L1
-        // sub-line is backed by the L2 line and never more privileged.
+        // sub-line is backed by the L2 line and never more privileged. So
+        // does the classifier's: a resident line's history reads seen (whose
+        // next miss is a conflict).
+        let seen = |cache: &crate::Cache, a| cache.classify_miss(a) == MissKind::Conflict;
         for (id, node) in self.nodes.iter().enumerate() {
             let l2 = caches[id];
+            if l2.is_some() && !seen(&node.l2, line) {
+                return Err(self.violation(line, crate::rules::RULE_RESIDENT_UNSEEN));
+            }
             let mut a = line;
             while a < line + self.l2_line {
                 if let Some(l1) = node.l1.peek_state(a) {
+                    if !seen(&node.l1, a) {
+                        return Err(self.violation(line, crate::rules::RULE_RESIDENT_UNSEEN));
+                    }
                     match l2 {
                         None => {
                             return Err(self.violation(line, crate::rules::RULE_INCLUSION_MISSING))

@@ -2,12 +2,15 @@
 //! hash-based reference model.
 //!
 //! The production `Cache` packs per-line classification history into a paged
-//! flat table ([`Cache::record_miss`] and friends); the original
-//! implementation kept an `ever_seen: HashSet` plus a
-//! `removal_cause: HashMap<_, RemovalCause>`. This test drives both through
-//! arbitrary operation sequences over a tiny cache — with addresses spanning
-//! the shared segment, two private segments, and the low (unallocated) range
-//! — and checks after every operation that they classify every pool address
+//! flat table with three codes — never / seen / invalidated — written only by
+//! [`Cache::fill`] and [`Cache::invalidate`]; the original implementation
+//! kept an `ever_seen: HashSet` plus a
+//! `removal_cause: HashMap<_, RemovalCause>` and recorded `Replaced` on every
+//! eviction. The model below still does, which is the proof that write was
+//! dead. This test drives both through arbitrary operation sequences over a
+//! tiny cache — 2-way and direct-mapped, with addresses spanning the shared
+//! segment, two private segments, and the low (unallocated) range — and
+//! checks after every operation that they classify every pool address
 //! identically.
 
 use std::collections::{HashMap, HashSet};
@@ -16,13 +19,14 @@ use dss_memsim::{Cache, CacheConfig, LineState, MissKind, RemovalCause};
 use dss_shmem::{private_base, SHARED_BASE};
 use proptest::prelude::*;
 
-/// A 256-byte 2-way cache with 32-byte lines: 4 sets, so any region's pool
-/// lines below collide constantly and every history transition gets hit.
-fn tiny_cache() -> Cache {
+/// A cache of four sets of 32-byte lines, 2-way (256 bytes) or
+/// direct-mapped (128 bytes): any region's pool lines below collide
+/// constantly and every history transition gets hit.
+fn tiny_cache(assoc: u32) -> Cache {
     Cache::new(CacheConfig {
-        size: 256,
+        size: 128 * assoc as u64,
         line: 32,
-        assoc: 2,
+        assoc,
     })
 }
 
@@ -64,21 +68,29 @@ impl Model {
 
 #[derive(Clone, Debug)]
 enum Op {
-    Insert { idx: usize, modified: bool },
-    RecordMiss { idx: usize },
+    Fill { idx: usize, modified: bool },
     Lookup { idx: usize },
     Invalidate { idx: usize },
     EvictForInclusion { idx: usize },
+    SetState { idx: usize, modified: bool },
 }
 
 fn op_strategy(pool: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0..pool, any::<bool>()).prop_map(|(idx, modified)| Op::Insert { idx, modified }),
-        2 => (0..pool).prop_map(|idx| Op::RecordMiss { idx }),
+        4 => (0..pool, any::<bool>()).prop_map(|(idx, modified)| Op::Fill { idx, modified }),
         2 => (0..pool).prop_map(|idx| Op::Lookup { idx }),
         1 => (0..pool).prop_map(|idx| Op::Invalidate { idx }),
         1 => (0..pool).prop_map(|idx| Op::EvictForInclusion { idx }),
+        1 => (0..pool, any::<bool>()).prop_map(|(idx, modified)| Op::SetState { idx, modified }),
     ]
+}
+
+fn state(modified: bool) -> LineState {
+    if modified {
+        LineState::Modified
+    } else {
+        LineState::Shared
+    }
 }
 
 proptest! {
@@ -86,33 +98,29 @@ proptest! {
 
     #[test]
     fn paged_classifier_matches_hash_model(
-        ops in proptest::collection::vec(op_strategy(32), 1..120)
+        ops in proptest::collection::vec(op_strategy(32), 1..120),
+        direct_mapped in any::<bool>(),
     ) {
         let pool = address_pool();
-        let mut cache = tiny_cache();
+        let mut cache = tiny_cache(if direct_mapped { 1 } else { 2 });
         let mut model = Model::default();
 
         for op in ops {
             match op {
-                Op::Insert { idx, modified } => {
+                Op::Fill { idx, modified } => {
+                    // The machine's miss path: a lookup that misses is
+                    // followed by the fill, which classifies as it marks.
                     let line = pool[idx];
-                    let state = if modified { LineState::Modified } else { LineState::Shared };
-                    // The fill contract: a non-resident line is classified
-                    // (and thereby marked seen) before it is inserted.
-                    if !cache.contains(line) {
-                        prop_assert_eq!(cache.record_miss(line), model.classify(line));
+                    if cache.lookup(line).is_none() {
+                        let (kind, evicted) = cache.fill(line, state(modified));
+                        prop_assert_eq!(kind, model.classify(line), "fill at {:#x}", line);
+                        model.mark_seen(line);
+                        if let Some((victim, _dirty)) = evicted {
+                            prop_assert!(!cache.contains(victim));
+                            model.removal_cause.insert(victim, RemovalCause::Replaced);
+                        }
                     }
-                    let evicted = cache.insert(line, state);
-                    model.mark_seen(line);
-                    if let Some((victim, _dirty)) = evicted {
-                        model.removal_cause.insert(victim, RemovalCause::Replaced);
-                    }
-                }
-                Op::RecordMiss { idx } => {
-                    let line = pool[idx];
-                    let got = cache.record_miss(line);
-                    prop_assert_eq!(got, model.classify(line), "record_miss at {:#x}", line);
-                    model.mark_seen(line);
+                    prop_assert!(cache.contains(line));
                 }
                 Op::Lookup { idx } => {
                     // LRU churn only; classification must be unaffected.
@@ -131,6 +139,13 @@ proptest! {
                     if present {
                         model.removal_cause.insert(line, RemovalCause::Replaced);
                     }
+                }
+                Op::SetState { idx, modified } => {
+                    // A state change touches neither residency nor history.
+                    let line = pool[idx];
+                    let present = cache.contains(line);
+                    cache.set_state(line, state(modified));
+                    prop_assert_eq!(cache.peek_state(line), present.then(|| state(modified)));
                 }
             }
             for &line in &pool {
