@@ -1,5 +1,7 @@
 //! Criterion microbenchmarks of the individual substrates.
 
+#![expect(clippy::expect_used, reason = "fixtures must build")]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use dss_btree::{BTree, Key, TupleId};

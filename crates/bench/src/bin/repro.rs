@@ -51,6 +51,8 @@
 //! Tables and checks go to stdout; progress and timing go to stderr, so
 //! stdout is byte-identical at every `--jobs` value and safe to diff.
 
+#![deny(clippy::disallowed_methods)]
+
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -64,9 +66,8 @@ use dss_core::{
 use dss_query::DbConfig;
 
 // The counting allocator is a single shared source file (see its module doc
-// for why it is not a library export); this binary only reads the alloc-side
-// counters, so the unused dealloc-side ones are allowed to be dead here.
-#[allow(dead_code)]
+// for why it is not a library export).
+#[allow(dead_code, reason = "this binary reads only the alloc-side counters")]
 #[path = "../../../check/src/alloc.rs"]
 mod alloc;
 
@@ -644,6 +645,10 @@ fn main() {
     }
     let mut log = BenchLog::default();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "whole-run wall time, for stderr and the bench JSON; never stdout"
+    )]
     let start = Instant::now();
     let mut config = DbConfig::default();
     if let Some(s) = sf {
@@ -662,6 +667,10 @@ fn main() {
     // are durable resume state instead and live under the state dir.
     let mut trace_dir = None;
     if trace_mode == TraceMode::Streamed && state_dir.is_none() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "names a scratch directory; the diffed artifact is the files' contents"
+        )]
         let dir = std::env::temp_dir().join(format!("dss-repro-traces-{}", std::process::id()));
         eprintln!(
             "trace mode: streamed (block files under {}, replayed from disk)",
@@ -752,6 +761,10 @@ fn main() {
             continue;
         }
         let label = names.join("/");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times one experiment, for its stderr line and the bench JSON; never stdout"
+        )]
         let t = Instant::now();
         let gate = alloc::AllocGate::begin();
         log.arm();
@@ -765,6 +778,10 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     if let Some(path) = bench_json {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "records which crash site was armed: provenance every byte comparison normalizes away"
+        )]
         let json = log.to_json(&RunHeader {
             jobs: wb.jobs(),
             trace_mode,

@@ -13,7 +13,7 @@
 //! This library only hosts small helpers shared by both.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use dss_query::{Database, DbConfig, Session};
 use dss_tpcd::params;
@@ -29,6 +29,7 @@ pub fn bench_database() -> Database {
 }
 
 /// Traces one query instance on one simulated processor.
+#[expect(clippy::expect_used, reason = "a fixture that fails is a bug")]
 pub fn trace_query(db: &mut Database, query: u8, seed: u64) -> Trace {
     let mut session = Session::new(0);
     let sql = dss_query::sql_for(query, &params(query, seed));

@@ -28,6 +28,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+#[expect(clippy::expect_used, reason = "spawning `repro` is the test")]
 fn repro(state: &Path, extra: &[&str], arm: Option<(&str, u64)>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(ARGS)

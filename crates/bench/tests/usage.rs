@@ -4,6 +4,7 @@
 
 use std::process::{Command, Output};
 
+#[expect(clippy::expect_used, reason = "spawning `repro` is the test")]
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -56,6 +57,7 @@ fn non_finite_scale_is_rejected() {
 
 /// The words the usage error says are accepted: the experiment table's
 /// `names` with each group word ahead of its rows.
+#[expect(clippy::expect_used, reason = "the usage line carries the list")]
 fn accepted_names() -> Vec<String> {
     let stderr = usage_error(&repro(&["fig99"]));
     let (_, list) = stderr.split_once("(experiments: ").expect("a name list");

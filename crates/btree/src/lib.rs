@@ -18,7 +18,8 @@
 //! See [`BTree`] for a complete example.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![expect(clippy::expect_used, reason = "not yet converted to `Result` paths")]
 
 mod key;
 mod node;

@@ -282,9 +282,10 @@ impl BTree {
 
     /// Splits the full node `block` (found via `path`) and inserts
     /// `(key, payload)` into the appropriate half, propagating upward.
-    // The split carries pool, tracer, path, separators, and both halves'
-    // coordinates; they are one operation's state, not a reusable bundle.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one operation's state, not a reusable bundle"
+    )]
     fn split_and_insert(
         &mut self,
         pool: &mut BufferPool,

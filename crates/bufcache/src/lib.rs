@@ -39,7 +39,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![expect(clippy::expect_used, reason = "not yet converted to `Result` paths")]
 
 use std::collections::HashMap;
 
@@ -340,38 +341,6 @@ impl BufferPool {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((page.block as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
         (h % self.nbuckets) as usize
-    }
-}
-
-/// Deliberate lock-order bug behind the `lock-order-drill` feature gate.
-///
-/// The two fns below bracket `BufMgrLock` and `LockMgrLock` in *opposite*
-/// orders — the canonical AB/BA deadlock. The feature is never enabled by a
-/// build; the site exists so the fault campaign's
-/// `check.locks.inverted-pair` drill can arm the gate *statically* (the
-/// lock pass analyzes feature-gated source with the gate open) and prove
-/// `dss-check locks` reports the cycle with its exact rule string.
-#[cfg(feature = "lock-order-drill")]
-pub mod lock_order_drill {
-    use dss_trace::{LockClass, LockToken, Tracer};
-
-    const BUF_LOCK: u64 = 0x100;
-    const LCK_LOCK: u64 = 0x140;
-
-    /// Takes `BufMgrLock` then `LockMgrLock` — one half of the inversion.
-    pub fn pin_then_lock(t: &Tracer) {
-        t.lock_acquire(LockToken::new(BUF_LOCK, LockClass::BufMgr));
-        t.lock_acquire(LockToken::new(LCK_LOCK, LockClass::LockMgr));
-        t.lock_release(LockToken::new(LCK_LOCK, LockClass::LockMgr));
-        t.lock_release(LockToken::new(BUF_LOCK, LockClass::BufMgr));
-    }
-
-    /// Takes `LockMgrLock` then `BufMgrLock` — the inverted half.
-    pub fn lock_then_pin(t: &Tracer) {
-        t.lock_acquire(LockToken::new(LCK_LOCK, LockClass::LockMgr));
-        t.lock_acquire(LockToken::new(BUF_LOCK, LockClass::BufMgr));
-        t.lock_release(LockToken::new(BUF_LOCK, LockClass::BufMgr));
-        t.lock_release(LockToken::new(LCK_LOCK, LockClass::LockMgr));
     }
 }
 

@@ -53,6 +53,7 @@ proptest! {
             pool.put_u64(buf, off, value);
             shadow.insert((page, off), value);
         }
+        #[expect(clippy::iter_over_hash_type, reason = "each entry is checked on its own")]
         for ((page, off), value) in shadow {
             let buf = pool.lookup(pages[page as usize]).unwrap();
             prop_assert_eq!(pool.get_u64(buf, off), value);

@@ -8,8 +8,8 @@
 //! the delta on exit.
 //!
 //! The module is deliberately *not* part of the `dss-check` library: the
-//! library root keeps `#![forbid(unsafe_code)]` (its own lint requires the
-//! header), while a `GlobalAlloc` impl is irreducibly unsafe. Instead the
+//! library root keeps `#![forbid(unsafe_code)]`, while a `GlobalAlloc` impl is
+//! irreducibly unsafe. Instead the
 //! binary and the test crates that need it include this file directly with
 //! `mod alloc;` / `#[path = ...]` and install their own
 //! `#[global_allocator]` instance:
@@ -25,9 +25,10 @@
 //! single-threaded code: `dss-check alloc` generates traces (the parallel
 //! part) before opening its gates, and the zero-assert integration test
 //! lives alone in its own test binary.
-// GlobalAlloc is an unsafe trait; a counting allocator cannot exist without
-// it. This module is the audited exception to the workspace-wide forbid.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "`GlobalAlloc` is an unsafe trait; this module is the workspace's one audited exception"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -94,6 +94,10 @@ impl CrashReport {
 /// # Errors
 ///
 /// When no binary exists at either location.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "locates the child binary to drive; its output is what the campaign compares"
+)]
 pub fn find_repro() -> Result<PathBuf, String> {
     if let Ok(path) = std::env::var("DSS_CHECK_REPRO") {
         let path = PathBuf::from(path);

@@ -4,19 +4,18 @@
 //! (paged tables, packed directory entries, bitmask invalidations) and rest
 //! on an assumed property of the traced engine — that shared metadata is
 //! serialized by the `LockMgrLock`/`BufMgrLock` spinlocks. This crate makes
-//! both machine-checked, and adds a workspace lint so the optimizations and
-//! conventions the codebase relies on cannot silently regress:
+//! both machine-checked. (The project's *source* rules — no hashing in the
+//! simulator's hot modules, panic-free converted crates, no clock or
+//! hash-order reads in library code — are clippy's: the root `clippy.toml`
+//! and the `[lints]` tables, with every exception an `#[expect]` at its site.)
 //!
 //! * [`invariants`] — runs the baseline suite and sweeps the directory
 //!   protocol's invariants over every touched line (with the
 //!   `check-invariants` feature, also after every transaction mid-run).
 //! * [`race`] — a vector-clock happens-before race detector over the query
-//!   traces, treating `LockAcquire`/`LockRelease` as release/acquire edges.
-//! * [`lint`] — source analysis for the project's own rules, built on the
-//!   hand-written Rust lexer in [`lexer`]: no hashing or per-event
-//!   allocation in the simulator hot loop, required library headers,
-//!   panic-free converted crates, a panic-surface and truncating-cast audit
-//!   of the per-event modules, and `cfg`-hygiene for feature-gated hooks.
+//!   traces, treating `LockAcquire`/`LockRelease` as release/acquire edges;
+//!   the same replay records which lock classes each processor nests and
+//!   reports a cycle among them.
 //! * [`budget`] — the allocation-budget report `dss-check alloc` emits:
 //!   per-run warm-up and steady-state heap counters with ratchet-diff
 //!   semantics (the counting allocator itself lives in the binary, which may
@@ -27,19 +26,6 @@
 //!   data-value invariant, and quiescence at every reachable state, plus a
 //!   litmus suite of pinned transaction shapes; violations come back as
 //!   minimal replayable event sequences.
-//! * [`parse`] + [`callgraph`] — a lightweight syntactic Rust parser over
-//!   [`lexer`] (items, fn signatures, call/method expressions — no full
-//!   expression grammar) feeding a workspace call graph, the substrate for
-//!   the two whole-program passes:
-//! * [`determinism`] — source→sink taint: classifies nondeterminism sources
-//!   (wall-clock reads, hash-order iteration, thread identity, env reads,
-//!   address casts) and reports any that sit inside the call tree of a
-//!   byte-diffable sink (`repro` stdout/bench-json, trace codec writers),
-//!   ratcheted by `determinism-allow.txt`.
-//! * [`locks`] — static lock-order analysis: which fns acquire which
-//!   `LockClass` while holding which, cycle detection over the order graph,
-//!   cross-checked against the nesting the race detector's Q3/Q6/Q12
-//!   replays actually observe.
 //! * [`crash`] — the crash-recovery campaign (`dss-check crash`): spawns
 //!   `repro` as a child with each `dss_faultkit::crash` site armed, requires
 //!   the abort to kill it, resumes with `--resume`, and requires stdout
@@ -50,28 +36,15 @@
 //! first finding; CI gates on `dss-check all`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod budget;
-pub mod callgraph;
 pub mod crash;
-pub mod determinism;
-pub mod drill;
 pub mod invariants;
-pub mod lexer;
-pub mod lint;
-pub mod locks;
 pub mod model;
-pub mod parse;
 pub mod race;
 
 pub use budget::{AllocBudget, Counts, RunBudget};
-pub use callgraph::{load_workspace, CallGraph, FnNode, SourceFile};
-pub use determinism::{analyze_determinism, check_determinism, DetFinding, DetReport};
 pub use invariants::{check_baseline_suite, check_machine, InvariantFailure, RunSummary};
-pub use lexer::{lex, Token, TokenKind};
-pub use lint::{find_workspace_root, lint_workspace, Allowlist, Finding};
-pub use locks::{analyze_locks, check_locks, LockFinding, LockReport};
 pub use model::{check_model, render_counterexample, LitmusOutcome, ModelReport, ModelRun};
-pub use parse::{parse_file, Call, CallKind, FnDef, ParseError, ParsedFile};
 pub use race::{detect_races, detect_races_source, Access, Race, RaceAnalysisError, RaceReport};

@@ -33,7 +33,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use dss_trace::{
-    DataClass, Event, EventKind, EventStream, LockDisciplineError, Trace, TraceError, TraceSource,
+    DataClass, Event, EventKind, EventStream, LockClass, LockDisciplineError, LockToken, Trace,
+    TraceError, TraceSource,
 };
 
 /// Access granularity of the detector: 8-byte words, matching the engine's
@@ -116,7 +117,8 @@ impl fmt::Display for RaceAnalysisError {
     }
 }
 
-/// Result of a race analysis: the races found plus per-class coverage.
+/// Result of a race analysis: the races found, per-class coverage, and the
+/// lock nesting the replay performed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RaceReport {
     /// All unordered conflicting pairs, in replay order (first per word pair).
@@ -124,12 +126,46 @@ pub struct RaceReport {
     /// Shared accesses checked, per data class — evidence of what the
     /// "zero races" verdict actually covered.
     pub checked: BTreeMap<DataClass, u64>,
+    /// Every `(held, acquired)` pair of distinct [`LockClass`]es some
+    /// processor nested, in first-seen order. The engine's lock-order
+    /// contract is that these never form a cycle (today it nests nothing).
+    pub nesting: Vec<(LockClass, LockClass)>,
 }
 
 impl RaceReport {
-    /// Whether the analysis found no races.
+    /// Whether the analysis found no races and no lock-order cycle.
     pub fn is_clean(&self) -> bool {
-        self.races.is_empty()
+        self.races.is_empty() && self.lock_order_cycle().is_none()
+    }
+
+    /// A cycle in the nesting order, if the replay's processors took lock
+    /// classes in conflicting orders — a deadlock some other interleaving
+    /// can reach even though this one completed. The cycle is returned as
+    /// the classes along it, starting and ending at the same class.
+    pub fn lock_order_cycle(&self) -> Option<Vec<LockClass>> {
+        // Depth-first over a graph of at most three classes.
+        fn extend(
+            edges: &[(LockClass, LockClass)],
+            path: &mut Vec<LockClass>,
+        ) -> Option<Vec<LockClass>> {
+            let tip = *path.last()?;
+            for &(_, next) in edges.iter().filter(|(held, _)| *held == tip) {
+                if let Some(at) = path.iter().position(|c| *c == next) {
+                    let mut cycle = path[at..].to_vec();
+                    cycle.push(next);
+                    return Some(cycle);
+                }
+                path.push(next);
+                if let Some(cycle) = extend(edges, path) {
+                    return Some(cycle);
+                }
+                path.pop();
+            }
+            None
+        }
+        self.nesting
+            .iter()
+            .find_map(|&(held, _)| extend(&self.nesting, &mut vec![held]))
     }
 
     /// Total shared accesses checked across all classes.
@@ -203,10 +239,10 @@ struct Cursor<'a> {
     base: usize,
     /// The stream returned its zero-count end-of-stream block.
     done: bool,
-    /// Locks currently held: `(addr, trace-wide acquire index)`, innermost
+    /// Locks currently held: `(token, trace-wide acquire index)`, innermost
     /// last — the streaming equivalent of
     /// [`dss_trace::check_lock_discipline`]'s stack.
-    held: Vec<(u64, usize)>,
+    held: Vec<(LockToken, usize)>,
 }
 
 impl Cursor<'_> {
@@ -312,10 +348,13 @@ where
             // report — also when it left every other processor parked on
             // that lock, which would otherwise read as a deadlock.
             for c in cursors.iter().filter(|c| c.done) {
-                if let Some(&(addr, index)) = c.held.first() {
+                if let Some(&(tok, index)) = c.held.first() {
                     return Err(discipline(
                         c,
-                        LockDisciplineError::HeldAtEnd { index, addr },
+                        LockDisciplineError::HeldAtEnd {
+                            index,
+                            addr: tok.addr,
+                        },
                     ));
                 }
             }
@@ -339,7 +378,7 @@ where
                 cursors[p].pos += 1;
             }
             EventKind::LockAcquire(tok) => {
-                if cursors[p].held.iter().any(|&(a, _)| a == tok.addr) {
+                if cursors[p].held.iter().any(|&(h, _)| h.addr == tok.addr) {
                     return Err(discipline(
                         &cursors[p],
                         LockDisciplineError::Reacquired {
@@ -360,7 +399,13 @@ where
                         // happened before this critical section.
                         let released = lock.released.clone();
                         clocks[p].join(&released);
-                        cursors[p].held.push((tok.addr, index));
+                        for &(h, _) in &cursors[p].held {
+                            let pair = (h.class, tok.class);
+                            if h.class != tok.class && !report.nesting.contains(&pair) {
+                                report.nesting.push(pair);
+                            }
+                        }
+                        cursors[p].held.push((tok, index));
                         time[p] += 1;
                         cursors[p].pos += 1;
                     }
@@ -368,15 +413,15 @@ where
             }
             EventKind::LockRelease(tok) => {
                 match cursors[p].held.last().copied() {
-                    Some((innermost, _)) if innermost == tok.addr => {
+                    Some((innermost, _)) if innermost.addr == tok.addr => {
                         cursors[p].held.pop();
                     }
                     Some((innermost, _)) => {
-                        let error = if cursors[p].held.iter().any(|&(a, _)| a == tok.addr) {
+                        let error = if cursors[p].held.iter().any(|&(h, _)| h.addr == tok.addr) {
                             LockDisciplineError::NotNested {
                                 index,
                                 addr: tok.addr,
-                                innermost,
+                                innermost: innermost.addr,
                             }
                         } else {
                             LockDisciplineError::ReleaseUnheld {
@@ -487,7 +532,7 @@ fn check_ref(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_trace::{write_trace_blocks, FileTraceSource, LockClass, LockToken, Tracer};
+    use dss_trace::{write_trace_blocks, FileTraceSource, Tracer};
 
     const ADDR: u64 = 0x1_0000_0000;
 

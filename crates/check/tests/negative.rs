@@ -2,7 +2,9 @@
 //! guard is deliberately broken — an unlocked store into shared metadata for
 //! the race detector, a corrupted directory sharer mask for the coherence
 //! invariant checker, an injected per-event allocation for the allocation
-//! audit (`--features alloc-probe`) — and the real workload must pass all.
+//! audit (`--features alloc-probe`), two processors taking the engine's
+//! spinlocks in opposite orders for the lock-order contract — and the real
+//! workload must pass all.
 
 use dss_check::{check_machine, detect_races};
 use dss_core::{Workbench, STUDIED_QUERIES};
@@ -36,6 +38,7 @@ fn studied_queries_have_no_races() {
             report.races.len(),
             report.races[0]
         );
+        assert_eq!(report.nesting, [], "Q{query} nests its spinlocks");
         // The zero-races verdict must actually cover the metadata classes the
         // paper's premise concerns.
         for class in [
@@ -169,4 +172,38 @@ fn truncated_trace_with_held_lock_is_rejected() {
         }
         other => panic!("truncated trace not rejected as held-at-end: {other:?}"),
     }
+}
+
+/// Sabotage for the lock-order contract: processor 0 takes `BufMgrLock` then
+/// `LockMgrLock`, processor 1 — late enough that this interleaving never
+/// contends — takes them the other way round. The replay completes, and the
+/// nesting it observed must still be reported as a cycle.
+#[test]
+fn inverted_lock_pair_is_caught() {
+    use dss_trace::{LockClass, LockToken, Tracer};
+
+    let buf = LockToken::new(0x100, LockClass::BufMgr);
+    let lck = LockToken::new(0x140, LockClass::LockMgr);
+    let nest = |proc_id, delay, outer, inner| {
+        let t = Tracer::new(proc_id);
+        t.busy(delay);
+        t.lock_acquire(outer);
+        t.lock_acquire(inner);
+        t.lock_release(inner);
+        t.lock_release(outer);
+        t.take()
+    };
+
+    let consistent = [nest(0, 1, buf, lck), nest(1, 1000, buf, lck)];
+    let report = detect_races(&consistent).expect("well-formed");
+    assert_eq!(report.nesting, [(LockClass::BufMgr, LockClass::LockMgr)]);
+    assert!(report.is_clean(), "one order is no cycle");
+
+    let inverted = [nest(0, 1, buf, lck), nest(1, 1000, lck, buf)];
+    let report = detect_races(&inverted).expect("well-formed, and never contended");
+    assert!(report.races.is_empty());
+    let cycle = report.lock_order_cycle().expect("AB/BA must be a cycle");
+    assert_eq!(cycle.first(), cycle.last());
+    assert_eq!(cycle.len(), 3, "{cycle:?}");
+    assert!(!report.is_clean());
 }

@@ -306,9 +306,10 @@ mod tests {
         dir.join("manifest.ckpt")
     }
 
-    // `ProcStats` keeps its breakdown fields private to this crate's
-    // dependents, so the fixture mutates a default instead.
-    #[allow(clippy::field_reassign_with_default)]
+    #[allow(
+        clippy::field_reassign_with_default,
+        reason = "`ProcStats` keeps its breakdown fields private, so the fixture mutates a default"
+    )]
     fn stats(cycles: u64) -> SimStats {
         let mut s = SimStats::default();
         let mut p = ProcStats::default();

@@ -70,7 +70,7 @@ impl PointError {
 }
 
 /// `s` as a quoted JSON string.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::from("\"");
     for c in s.chars() {
         match c {

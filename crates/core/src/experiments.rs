@@ -272,6 +272,7 @@ impl Workbench {
                     if sabotage == Some(label) {
                         panic!("injected: sweep point {label} sabotaged");
                     }
+                    #[expect(clippy::disallowed_methods, reason = "times the point for `SweepTally::compute`: stderr and bench-JSON timing only")]
                     let start = Instant::now();
                     let stats = task.run();
                     let elapsed = start.elapsed();

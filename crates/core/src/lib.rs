@@ -40,7 +40,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![expect(clippy::expect_used, reason = "not yet converted to `Result` paths")]
 
 mod checkpoint;
 mod degrade;
@@ -52,7 +53,7 @@ mod sim;
 mod workload;
 
 pub use checkpoint::{config_fingerprint, CheckpointJournal};
-pub use degrade::{PointCause, PointError};
+pub use degrade::{json_string, PointCause, PointError};
 pub use persist::{fsync_dir, write_atomic};
 pub use workload::{
     query_label, SimSource, SweepTally, TraceMode, TraceSet, Workbench, STUDIED_QUERIES,

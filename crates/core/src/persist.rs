@@ -27,6 +27,10 @@ use std::path::{Path, PathBuf};
 
 /// Names a temporary sibling of `path` in the same directory. The process id
 /// keeps concurrent writers from clobbering each other's temp files.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "names the atomic-rename sibling; the rename target's bytes are the artifact"
+)]
 fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()

@@ -60,6 +60,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 ///
 /// With no deadline and no panics the results are bit-identical at any job
 /// count.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the watchdog samples wall-clock only to decide whether a point is abandoned"
+)]
 pub(crate) fn run_soft<T, F>(
     jobs: usize,
     points: &[F],

@@ -195,6 +195,10 @@ impl Workbench {
     /// [`available_parallelism`](std::thread::available_parallelism) worker
     /// threads by default; tune with [`Workbench::set_jobs`].
     pub fn new(config: &DbConfig, nprocs: usize) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sizes the worker pool; results merge in point order at any job count"
+        )]
         let jobs = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -419,6 +423,10 @@ impl Workbench {
         if let Some(src) = self.stream_cache.get(&key) {
             return src.clone();
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "picks a scratch directory; the diffed artifact is the files' contents"
+        )]
         let dir = self
             .trace_dir
             .get_or_insert_with(|| {

@@ -18,6 +18,7 @@ fn config() -> DbConfig {
     }
 }
 
+#[expect(clippy::unwrap_used, reason = "scratch directories must exist")]
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dss-reuse-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -22,6 +22,7 @@ fn counts(wb: &mut Workbench) -> (u64, u64) {
     (tally.points_loaded, tally.points_computed)
 }
 
+#[expect(clippy::unwrap_used, reason = "scratch directories must exist")]
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dss-resume-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

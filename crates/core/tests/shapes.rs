@@ -5,23 +5,17 @@
 //! four simulated processors, and run the simulator — so they are the slow
 //! tests of the workspace (tens of seconds in debug builds).
 
-use std::sync::Once;
+use std::sync::{Mutex, OnceLock};
 
 use dss_core::{experiments, paper, Workbench};
 use dss_memsim::{Machine, MachineConfig};
 
-// The workbench is expensive; share one across tests via a leaky singleton
-// (tests only read trace sets from it, and each test regenerates the sets it
-// needs through the bounded cache).
+// The workbench is expensive; share one across tests (tests only read trace
+// sets from it, and each test regenerates the sets it needs through the
+// bounded cache).
 fn with_workbench<R>(f: impl FnOnce(&mut Workbench) -> R) -> R {
-    use std::sync::Mutex;
-    static INIT: Once = Once::new();
-    static mut WB: Option<Mutex<Workbench>> = None;
-    INIT.call_once(|| unsafe {
-        WB = Some(Mutex::new(Workbench::paper()));
-    });
-    #[allow(static_mut_refs)]
-    let m = unsafe { WB.as_ref().expect("initialized") };
+    static WB: OnceLock<Mutex<Workbench>> = OnceLock::new();
+    let m = WB.get_or_init(|| Mutex::new(Workbench::paper()));
     let mut wb = m.lock().unwrap_or_else(|e| e.into_inner());
     f(&mut wb)
 }

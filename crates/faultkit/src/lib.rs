@@ -36,7 +36,7 @@
 //!   invariant rule they break.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -146,25 +146,6 @@ impl FaultPlan {
 /// Runs the full campaign under `seed` (see [`FaultPlan`]).
 pub fn run_campaign(seed: u64) -> Vec<SiteReport> {
     FaultPlan::new(seed).run()
-}
-
-/// Runs the full campaign plus caller-supplied extra sites. Passes that
-/// live *above* faultkit in the crate graph (dss-check's static-analysis
-/// drills) cannot be rows of the static table without a dependency cycle;
-/// they register here instead, drawing per-site RNG streams from the same
-/// plan so outcomes stay independent of table order.
-pub fn run_campaign_with_extra(seed: u64, extra: &[Site]) -> Vec<SiteReport> {
-    let plan = FaultPlan::new(seed);
-    let mut reports = plan.run();
-    for s in extra {
-        let mut rng = plan.rng_for(s.name);
-        reports.push(SiteReport {
-            site: s.name,
-            layer: s.layer,
-            outcome: (s.run)(&mut rng),
-        });
-    }
-    reports
 }
 
 #[cfg(test)]

@@ -35,7 +35,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![expect(clippy::expect_used, reason = "not yet converted to `Result` paths")]
 
 use std::collections::BTreeMap;
 
@@ -318,8 +319,8 @@ impl LockMgr {
     /// `BTreeMap` keyed `(Xid, LockTag)`, so ranging over `xid` yields tags
     /// in sorted order — the trace (and therefore the simulation) stays a
     /// pure function of the workload without a collect-and-sort step whose
-    /// omission nothing would catch. `dss-check determinism` pins the
-    /// structure: a hash table here is a source→sink finding.
+    /// omission nothing would catch. The lint gate pins the structure: a
+    /// `HashMap` iterated here is a `clippy::disallowed_methods` error.
     pub fn release_all(&mut self, xid: Xid, t: &Tracer) {
         let mine: Vec<(LockTag, [u32; 2])> = self
             .xids
@@ -482,8 +483,8 @@ mod tests {
 
     #[test]
     fn release_all_trace_is_independent_of_acquisition_order() {
-        // Regression for the `dss-check determinism` finding that motivated
-        // the BTreeMap tables: release_all's trace events must be a pure
+        // Regression for the hash-iteration leak (PR 9) that motivated the
+        // BTreeMap tables: release_all's trace events must be a pure
         // function of the *set* of holds, never of hash-bucket placement.
         // Slot addresses legitimately depend on acquisition order (take_slot
         // hands them out as holds arrive), so across orders we compare the

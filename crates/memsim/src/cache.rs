@@ -9,6 +9,9 @@
 //! and marks the line seen in one probe of that table and picks the victim in
 //! one scan of the set.
 
+#![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use crate::config::CacheConfig;
 use crate::paged::PagedMap;
 
@@ -142,6 +145,7 @@ impl Cache {
         );
         let sets = cfg.sets();
         let assoc = cfg.assoc as usize;
+        #[expect(clippy::cast_possible_truncation, reason = "sizes a vector")]
         let nways = sets as usize * assoc;
         Cache {
             cfg,
@@ -168,6 +172,7 @@ impl Cache {
     }
 
     /// Index of the first way of `line`'s set.
+    #[expect(clippy::cast_possible_truncation, reason = "masked by `set_mask`")]
     #[inline]
     fn set_start(&self, line: u64) -> usize {
         ((line >> self.line_shift) & self.set_mask) as usize * self.assoc

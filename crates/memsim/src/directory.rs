@@ -7,6 +7,9 @@
 //! bitmask rather than an allocated `Vec`, keeping the coherence path
 //! allocation-free.
 
+#![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use dss_shmem::{segment_of, Segment};
 
 use crate::paged::PagedMap;
@@ -46,6 +49,7 @@ impl DirSlot {
         }
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "node < MAX_PROCS = 64")]
     #[inline]
     fn store(&mut self, e: DirEntry) {
         self.sharers = e.sharers;
@@ -188,6 +192,7 @@ impl Directory {
     }
 
     /// Number of lines that have ever held directory state.
+    #[expect(clippy::cast_possible_truncation, reason = "counts resident entries")]
     pub fn len(&self) -> usize {
         self.touched as usize
     }

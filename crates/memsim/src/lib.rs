@@ -25,7 +25,7 @@
 //! regardless of scheduling.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod cache;
 mod config;

@@ -16,6 +16,9 @@
 //! one set scan), and invalidation targets arrive as a node bitmask from the
 //! directory.
 
+#![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use std::collections::VecDeque;
 use std::convert::Infallible;
 
@@ -475,6 +478,7 @@ impl Machine {
     ///
     /// Panics if L1/L2 inclusion is violated, a line is writable in two
     /// nodes, or cache line states disagree with the directory.
+    #[expect(clippy::panic, reason = "the panicking form of `verify_coherence`")]
     pub fn check_invariants(&self) {
         if let Err(v) = self.verify_coherence() {
             panic!("{v}");
@@ -1254,6 +1258,7 @@ mod tests {
 
     /// Contended traces: everyone hammers the same lock and lines, so the
     /// interleave exercises parked processors across block refills.
+    #[expect(clippy::cast_possible_truncation, reason = "small test constants")]
     fn contended_traces(nprocs: usize) -> Vec<Trace> {
         let tok = LockToken::new(SHARED_BASE + 0x40, LockClass::LockMgr);
         (0..nprocs)

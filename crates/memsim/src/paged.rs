@@ -18,6 +18,9 @@
 //! allocate at page granularity, so sparse traces stay cheap while hot lines
 //! cost exactly one indexed load or store.
 
+#![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use dss_shmem::{MAX_PROCS, PRIVATE_BASE, PRIVATE_STRIDE, SHARED_BASE};
 
 /// log2 of the slots per page (4096 slots).
@@ -89,6 +92,7 @@ impl<T: Copy + Default> PagedMap<T> {
         }
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "page of a 48-bit offset")]
     #[inline]
     fn locate(&self, addr: u64) -> (usize, usize, usize) {
         let (seg, off) = split(addr);

@@ -4,9 +4,9 @@
 //! ([`crate::protocol::explore`]), the fault-injection campaign, and
 //! `dss-check model` all report violations by these exact strings, and the
 //! drill sites match on them verbatim — so a reworded copy in one place
-//! would silently break the cross-checks. `dss-check lint` enforces the
+//! would silently break the cross-checks. The unit test below enforces the
 //! dedup: any of these literals appearing in memsim source outside this
-//! module is a finding.
+//! module fails it.
 
 /// Invariant: at most one node holds a line writable.
 pub const RULE_TWO_WRITERS: &str = "two nodes hold the line writable";
@@ -39,8 +39,7 @@ pub const RULE_INCLUSION_PRIVILEGE: &str = "L1 copy is more privileged than its 
 /// inclusion eviction leave the classification history alone.
 pub const RULE_RESIDENT_UNSEEN: &str = "a resident line's miss history is not `seen`";
 
-/// Every rule string, for exhaustive cross-checks (the lint dedup rule scans
-/// memsim source for stray copies of any entry here).
+/// Every rule string, for exhaustive cross-checks.
 pub const ALL: &[&str] = &[
     RULE_TWO_WRITERS,
     RULE_WRITABLE_NOT_OWNER,
@@ -55,3 +54,24 @@ pub const ALL: &[&str] = &[
     RULE_INCLUSION_PRIVILEGE,
     RULE_RESIDENT_UNSEEN,
 ];
+
+#[cfg(test)]
+mod tests {
+    /// A rule literal re-typed in any other source file of this crate would
+    /// drift from the one the cross-checks match.
+    #[test]
+    fn rule_strings_live_only_here() {
+        let src = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        for entry in std::fs::read_dir(src).unwrap() {
+            let path = entry.unwrap().path();
+            if path.ends_with("rules.rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            for rule in super::ALL {
+                let literal = format!("\"{rule}\"");
+                assert!(!text.contains(&literal), "{path:?} re-types {literal}");
+            }
+        }
+    }
+}

@@ -46,9 +46,10 @@ impl SlotSource for HeapSrc<'_> {
 /// Projects the given attributes of a heap tuple into a private output slot,
 /// emitting the shared-to-private word copies (the paper: a selected tuple's
 /// attributes are "read again and copied to private storage").
-// The per-tuple path threads its context as scalars; bundling them into a
-// struct would add a construction per tuple on the hot path.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the per-tuple path threads its context as scalars; a struct would be built per tuple"
+)]
 fn project_tuple(
     heap: &Heap,
     pool: &dss_bufcache::BufferPool,
@@ -235,9 +236,10 @@ pub struct IndexScanExec {
 }
 
 impl IndexScanExec {
-    // The planner hands every scan parameter individually; a builder for the
-    // one caller would be churn without clarity.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one caller, the planner; no builder"
+    )]
     pub(crate) fn new(
         cat: &Catalog,
         table: &str,

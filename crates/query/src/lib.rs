@@ -21,7 +21,8 @@
 //! See [`Database`] for a complete example.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![expect(clippy::expect_used, reason = "invariants; each message says why")]
 
 mod catalog;
 mod datum;

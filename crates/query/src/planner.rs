@@ -429,9 +429,10 @@ impl<'a> Planner<'a> {
         }
     }
 
-    // Mirrors IndexScanExec::new's parameter list one-to-one; grouping them
-    // here would just move the argument count into a throwaway struct.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors `IndexScanExec::new` one-to-one"
+    )]
     fn index_scan(
         &self,
         table: &str,

@@ -1,6 +1,8 @@
 //! Write-statement tests: inserts, deletes, visibility, and index
 //! maintenance (TPC-D's update functions UF1/UF2).
 
+#![expect(clippy::expect_used, reason = "fixture statements must run")]
+
 use dss_query::{Database, Datum, DbConfig, Session, StatementOutput};
 use dss_tpcd::Generator;
 

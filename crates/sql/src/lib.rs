@@ -17,7 +17,7 @@
 //! See [`parse`] for an example.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod ast;
 mod parser;

@@ -78,9 +78,10 @@ impl fmt::Display for Token {
 
 /// Reserved words of the dialect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-// The variant names are the SQL keywords themselves; per-variant docs would
-// repeat each name with no added information.
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "the variant names are the SQL keywords themselves"
+)]
 pub enum Keyword {
     Select,
     From,

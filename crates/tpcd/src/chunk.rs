@@ -438,6 +438,7 @@ impl AtomicFile {
             .file_name()
             .map(|n| n.to_os_string())
             .unwrap_or_default();
+        #[expect(clippy::disallowed_methods, reason = "names a temp file only")]
         name.push(format!(".tmp.{}", std::process::id()));
         let tmp = dest.with_file_name(name);
         let file = File::create(&tmp)

@@ -32,7 +32,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![expect(clippy::expect_used, reason = "not yet converted to `Result` paths")]
 
 mod chunk;
 mod date;

@@ -45,7 +45,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod analyze;
 mod class;

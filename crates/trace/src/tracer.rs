@@ -273,6 +273,7 @@ impl Tracer {
     pub fn finish_sink(&self) -> io::Result<u64> {
         let mut buf = self.buf.borrow_mut();
         buf.flush_busy();
+        #[expect(clippy::expect_used, reason = "a sinkless tracer is a caller bug")]
         let mut sink = buf.sink.take().expect("finish_sink on a sinkless tracer");
         buf.block_events = usize::MAX;
         if let Some(e) = sink.error.take() {

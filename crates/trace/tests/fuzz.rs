@@ -5,6 +5,8 @@
 //! Words no `Event` constructor produces, and block counts no writer emits,
 //! are part of that: they are `Corrupt`, not a misread and not an allocation.
 
+#![expect(clippy::expect_used, reason = "in-memory writes cannot fail")]
+
 use proptest::collection;
 use proptest::prelude::*;
 use proptest::TestCaseError;

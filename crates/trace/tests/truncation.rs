@@ -4,6 +4,8 @@
 //! the lock-discipline checker must flag the in-memory shape a truncated
 //! trace would have (a lock acquired, the trace ending before its release).
 
+#![expect(clippy::expect_used, reason = "in-memory writes cannot fail")]
+
 use dss_trace::{
     check_lock_discipline, materialize, read_trace_blocks, write_trace_blocks, DataClass,
     FileTraceSource, LockClass, LockDisciplineError, LockToken, TraceError, Tracer,

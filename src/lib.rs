@@ -48,7 +48,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub use dss_btree as btree;
 pub use dss_bufcache as bufcache;
