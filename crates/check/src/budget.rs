@@ -4,7 +4,9 @@
 //! One [`RunBudget`] per audited run (query × protocol), split into the
 //! warm-up phase (machine construction plus the first, buffer-growing
 //! simulation) and the steady-state phase (an identical second simulation on
-//! the warmed machine, which must not touch the heap at all). The committed
+//! the warmed machine, which must not touch the heap at all). An untraced
+//! engine execution is a run with the first phase only: the whole of it is
+//! ratcheted, and it has no phase that must be silent. The committed
 //! copy lives at `crates/check/alloc-budget.json`; [`AllocBudget::diff`]
 //! compares a fresh measurement against it with ratchet semantics:
 //!
@@ -57,9 +59,11 @@ impl fmt::Display for Counts {
 pub struct RunBudget {
     /// Run label ("Q3 / MSI baseline").
     pub run: String,
-    /// Machine construction plus the first simulation (buffers grow here).
+    /// The ratcheted phase: machine construction plus the first simulation
+    /// (buffers grow here), or an engine run's whole execution.
     pub warmup: Counts,
     /// The second simulation on the warmed machine; must be heap-silent.
+    /// Zero for an engine run.
     pub steady: Counts,
 }
 
@@ -133,12 +137,12 @@ impl AllocBudget {
                 Some(b) => {
                     if worse(&m.warmup, &b.warmup) {
                         problems.push(format!(
-                            "{}: warm-up regressed: measured {} vs budget {}",
+                            "{}: heap use regressed: measured {} vs budget {}",
                             m.run, m.warmup, b.warmup
                         ));
                     } else if m.warmup != b.warmup {
                         problems.push(format!(
-                            "{}: warm-up improved ({} vs budget {}) — bank it: `dss-check alloc --update` and commit",
+                            "{}: heap use improved ({} vs budget {}) — bank it: `dss-check alloc --update` and commit",
                             m.run, m.warmup, b.warmup
                         ));
                     }

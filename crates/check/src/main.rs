@@ -6,7 +6,7 @@
 //! dss-check model        # exhaustive coherence-protocol model checking
 //! dss-check races        # happens-before races + lock-order over Q3/Q6/Q12
 //! dss-check invariants   # coherence invariants over the baseline suite
-//! dss-check alloc        # allocation audit of Machine::run (counting allocator)
+//! dss-check alloc        # allocation audit of Machine::run and two engine runs
 //! dss-check all          # every pass above except `crash`
 //! ```
 //!
@@ -55,6 +55,8 @@ use dss_check::budget::{AllocBudget, Counts, RunBudget};
 use dss_check::{check_baseline_suite, detect_races};
 use dss_core::{json_string, query_label, Workbench, STUDIED_QUERIES};
 use dss_memsim::{Machine, MachineConfig, Protocol, SimStats};
+use dss_query::{sql_for, Session};
+use dss_tpcd::params;
 use dss_trace::LockClass;
 
 use crate::alloc::{AllocGate, AllocReport, CountingAlloc};
@@ -523,7 +525,12 @@ fn to_counts(r: AllocReport) -> Counts {
 /// machine, which must be heap-silent). The measurement itself must stay
 /// single-threaded — the counters are process-global — so everything that
 /// parallelizes (trace generation) happens before the first gate opens.
-fn measure_suite(wb: &mut Workbench) -> AllocBudget {
+///
+/// Then the engine's host path: one untraced execution each of
+/// [`ENGINE_RUNS`], the whole of it ratcheted (the simulated machine never
+/// sees host allocation, so nothing else would notice a per-row clone coming
+/// back).
+fn measure_suite(wb: &mut Workbench) -> Result<AllocBudget, String> {
     let configs: [(&str, MachineConfig); 2] = [
         ("MSI baseline", MachineConfig::baseline()),
         (
@@ -554,8 +561,31 @@ fn measure_suite(wb: &mut Workbench) -> AllocBudget {
             });
         }
     }
-    measured
+    for (query, path) in ENGINE_RUNS {
+        let plan = wb
+            .db
+            .plan_sql(&sql_for(query, &params(query, 0)))
+            .map_err(|e| format!("{}: {e}", query_label(query)))?;
+        // Unmeasured first: whatever host-side tables the lock manager and
+        // the pool grow on first use are grown, so the count does not depend
+        // on which passes ran before this one.
+        wb.db.run_plan(&plan, &mut Session::untraced(0));
+        let mut session = Session::untraced(0);
+        let gate = AllocGate::begin();
+        wb.db.run_plan(&plan, &mut session);
+        let execution = gate.end();
+        measured.runs.push(RunBudget {
+            run: format!("{} / engine untraced ({path})", query_label(query)),
+            warmup: to_counts(execution),
+            steady: Counts::default(),
+        });
+    }
+    Ok(measured)
 }
+
+/// The engine executions the audit ratchets: a template and the operators
+/// its plan is made of.
+const ENGINE_RUNS: [(u8, &str); 2] = [(1, "scan, sort, group"), (9, "nested-loop and hash joins")];
 
 /// The workspace root: the first directory at or above the current one whose
 /// `Cargo.toml` declares `[workspace]` — where the committed budget lives.
@@ -580,7 +610,7 @@ fn alloc_audit(ctx: &mut Ctx) -> PassResult {
     let update = ctx.update;
     let budget_path = find_workspace_root()?.join("crates/check/alloc-budget.json");
 
-    let measured = measure_suite(ctx.workbench());
+    let measured = measure_suite(ctx.workbench())?;
     for r in &measured.runs {
         println!(
             "alloc: {}: warm-up {}; steady {}",

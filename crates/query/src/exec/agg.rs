@@ -9,7 +9,7 @@ use crate::plan::AggSpec;
 use crate::row::{Row, RowShape};
 use crate::Datum;
 
-use super::{eval_preds, Arena, ExecCtx, ExecNode, RowSrc, ARENA_SIZE};
+use super::{eval_preds, Arena, ExecCtx, ExecNode, RowSrc};
 
 /// Running state of one aggregate.
 #[derive(Clone, Debug)]
@@ -203,7 +203,7 @@ impl GroupExec {
 impl ExecNode for GroupExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.input.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
         self.core = Some(AggCore::new(self.specs.clone(), ctx));
     }
@@ -219,11 +219,10 @@ impl ExecNode for GroupExec {
             };
             match row {
                 Some(r) => {
-                    let input_shape = self.input.shape().clone();
                     // Read this row's group keys (private reads + compares).
                     let row_keys: Vec<Datum> = {
                         use crate::expr::SlotSource;
-                        let mut src = RowSrc::new(&r, &input_shape);
+                        let mut src = RowSrc::new(&r, self.input.shape());
                         self.keys
                             .iter()
                             .map(|&k| {
@@ -240,7 +239,7 @@ impl ExecNode for GroupExec {
                             self.core
                                 .as_mut()
                                 .expect("opened")
-                                .update(ctx, &r, &input_shape);
+                                .update(ctx, &r, self.input.shape());
                         }
                         Some(_) => {
                             // Boundary: emit the finished group, start anew.
@@ -249,7 +248,7 @@ impl ExecNode for GroupExec {
                             self.core
                                 .as_mut()
                                 .expect("opened")
-                                .update(ctx, &r, &input_shape);
+                                .update(ctx, &r, self.input.shape());
                             self.lookahead = None;
                             let _ = &out;
                             // The consumed row already updated the new group.
@@ -260,7 +259,7 @@ impl ExecNode for GroupExec {
                             self.core
                                 .as_mut()
                                 .expect("opened")
-                                .update(ctx, &r, &input_shape);
+                                .update(ctx, &r, self.input.shape());
                         }
                     }
                 }
@@ -317,7 +316,7 @@ impl AggregateExec {
 impl ExecNode for AggregateExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.input.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
         self.core = Some(AggCore::new(self.specs.clone(), ctx));
     }
@@ -326,13 +325,12 @@ impl ExecNode for AggregateExec {
         if self.done {
             return None;
         }
-        let input_shape = self.input.shape().clone();
         while let Some(r) = self.input.next(ctx) {
             self.arena.as_mut().expect("opened").touch(&ctx.t, 4);
             self.core
                 .as_mut()
                 .expect("opened")
-                .update(ctx, &r, &input_shape);
+                .update(ctx, &r, self.input.shape());
         }
         self.done = true;
         let vals = self.core.as_ref().expect("opened").finish();
@@ -382,7 +380,7 @@ impl FilterExec {
 impl ExecNode for FilterExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.input.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
     }
 
     fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Option<Row> {
@@ -435,18 +433,18 @@ impl ProjectExec {
 impl ExecNode for ProjectExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.input.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
     }
 
     fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Option<Row> {
         let row = self.input.next(ctx)?;
-        let input_shape = self.input.shape().clone();
+        let input_shape = self.input.shape();
         self.arena.as_mut().expect("opened").touch(&ctx.t, 1);
         let mut vals = Vec::with_capacity(self.exprs.len());
         for (i, e) in self.exprs.iter().enumerate() {
             let v = {
-                let mut src = RowSrc::new(&row, &input_shape);
+                let mut src = RowSrc::new(&row, input_shape);
                 e.eval_value(&mut src, &ctx.t, &ctx.cost)
             };
             let w = self.shape.field_width(i).clamp(1, 8);

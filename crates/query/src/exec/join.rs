@@ -5,7 +5,7 @@ use dss_trace::DataClass;
 use crate::row::{Row, RowShape};
 use crate::Datum;
 
-use super::{copy_row_to, Arena, ExecCtx, ExecNode, ARENA_SIZE};
+use super::{copy_row_to, Arena, ExecCtx, ExecNode};
 
 /// Forms the join output row: outer fields then inner fields, copied into the
 /// node's private slot (the paper: joins build result tuples in private
@@ -37,8 +37,7 @@ fn combine(
             inner_shape.width,
         );
     }
-    let mut vals = outer.vals.clone();
-    vals.extend(inner.vals.iter().cloned());
+    let vals = outer.vals.iter().chain(&inner.vals).cloned().collect();
     Row::new(slot_addr, vals)
 }
 
@@ -77,7 +76,7 @@ impl ExecNode for NestLoopExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.outer.open(ctx);
         self.inner.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
         self.cur_outer = None;
     }
@@ -86,22 +85,19 @@ impl ExecNode for NestLoopExec {
         loop {
             if self.cur_outer.is_none() {
                 let row = self.outer.next(ctx)?;
-                let key = row.vals[self.outer_key].clone();
-                self.inner.rescan(ctx, &key);
+                self.inner.rescan(ctx, &row.vals[self.outer_key]);
                 self.arena.as_mut().expect("opened").touch(&ctx.t, 8);
                 self.cur_outer = Some(row);
             }
             match self.inner.next(ctx) {
                 Some(inner_row) => {
-                    let outer_row = self.cur_outer.as_ref().expect("set above").clone();
-                    let (os, is) = (self.outer.shape().clone(), self.inner.shape().clone());
                     return Some(combine(
                         ctx,
                         self.slot_addr,
-                        &outer_row,
-                        &os,
+                        self.cur_outer.as_ref().expect("set above"),
+                        self.outer.shape(),
                         &inner_row,
-                        &is,
+                        self.inner.shape(),
                     ));
                 }
                 None => self.cur_outer = None,
@@ -165,12 +161,12 @@ impl MergeJoinExec {
             inner_done: false,
         }
     }
+}
 
-    fn free_group(&mut self, ctx: &mut ExecCtx<'_>) {
-        let width = self.inner.shape().width.max(8);
-        for (addr, _) in self.group.drain(..) {
-            ctx.mem.free(addr, width);
-        }
+/// Frees a merge join's buffered inner key group (`width` bytes per row).
+fn free_group(group: &mut Vec<(u64, Row)>, width: u64, ctx: &mut ExecCtx<'_>) {
+    for (addr, _) in group.drain(..) {
+        ctx.mem.free(addr, width);
     }
 }
 
@@ -178,7 +174,7 @@ impl ExecNode for MergeJoinExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.outer.open(ctx);
         self.inner.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
     }
 
@@ -188,32 +184,27 @@ impl ExecNode for MergeJoinExec {
                 self.cur_outer = Some(self.outer.next(ctx)?);
                 self.group_idx = 0;
             }
-            let okey = {
-                let row = self.cur_outer.as_ref().expect("set above");
-                row.vals[self.outer_key].clone()
-            };
+            let outer_row = self.cur_outer.as_ref().expect("set above");
+            let okey = &outer_row.vals[self.outer_key];
             self.arena.as_mut().expect("opened").touch(&ctx.t, 4);
             // Emit from the buffered group when it matches this outer key.
-            if self.group_key.as_ref().map(|k| k.compare(&okey).is_eq()) == Some(true) {
-                if self.group_idx < self.group.len() {
-                    let inner_row = self.group[self.group_idx].1.clone();
+            if self.group_key.as_ref().map(|k| k.compare(okey).is_eq()) == Some(true) {
+                if let Some((_, inner_row)) = self.group.get(self.group_idx) {
                     self.group_idx += 1;
-                    let outer_row = self.cur_outer.as_ref().expect("set").clone();
-                    let (os, is) = (self.outer.shape().clone(), self.inner.shape().clone());
                     return Some(combine(
                         ctx,
                         self.slot_addr,
-                        &outer_row,
-                        &os,
-                        &inner_row,
-                        &is,
+                        outer_row,
+                        self.outer.shape(),
+                        inner_row,
+                        self.inner.shape(),
                     ));
                 }
                 self.cur_outer = None;
                 continue;
             }
             // The group is behind this outer key: advance the inner side.
-            if self.group_key.as_ref().map(|k| k.compare(&okey).is_lt()) != Some(false) {
+            if self.group_key.as_ref().map(|k| k.compare(okey).is_lt()) != Some(false) {
                 // Skip inner rows below the outer key.
                 loop {
                     if self.inner_ahead.is_none() && !self.inner_done {
@@ -225,7 +216,7 @@ impl ExecNode for MergeJoinExec {
                     match &self.inner_ahead {
                         Some(r) => {
                             ctx.t.busy(ctx.cost.sort_compare);
-                            if r.vals[self.inner_key].compare(&okey).is_lt() {
+                            if r.vals[self.inner_key].compare(okey).is_lt() {
                                 self.inner_ahead = None;
                                 continue;
                             }
@@ -235,10 +226,10 @@ impl ExecNode for MergeJoinExec {
                     }
                 }
                 // Collect the group equal to the outer key.
-                self.free_group(ctx);
+                let inner_width = self.inner.shape().width.max(8);
+                free_group(&mut self.group, inner_width, ctx);
                 self.group_key = Some(okey.clone());
                 self.group_idx = 0;
-                let inner_width = self.inner.shape().width.max(8);
                 loop {
                     if self.inner_ahead.is_none() && !self.inner_done {
                         self.inner_ahead = self.inner.next(ctx);
@@ -249,10 +240,9 @@ impl ExecNode for MergeJoinExec {
                     match self.inner_ahead.take() {
                         Some(r) => {
                             ctx.t.busy(ctx.cost.sort_compare);
-                            if r.vals[self.inner_key].compare(&okey).is_eq() {
+                            if r.vals[self.inner_key].compare(okey).is_eq() {
                                 let addr = ctx.mem.alloc(inner_width);
-                                let shape = self.inner.shape().clone();
-                                let stored = copy_row_to(&ctx.t, &r, &shape, addr);
+                                let stored = copy_row_to(&ctx.t, &r, self.inner.shape(), addr);
                                 self.group.push((addr, stored));
                             } else {
                                 self.inner_ahead = Some(r);
@@ -274,7 +264,8 @@ impl ExecNode for MergeJoinExec {
     }
 
     fn close(&mut self, ctx: &mut ExecCtx<'_>) {
-        self.free_group(ctx);
+        let inner_width = self.inner.shape().width.max(8);
+        free_group(&mut self.group, inner_width, ctx);
         self.outer.close(ctx);
         self.inner.close(ctx);
         if let Some(arena) = self.arena.take() {
@@ -362,7 +353,7 @@ impl ExecNode for HashJoinExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.outer.open(ctx);
         self.inner.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
         self.build_table(ctx);
     }
@@ -380,8 +371,8 @@ impl ExecNode for HashJoinExec {
                 self.cur_outer = Some(row);
                 self.chain_idx = 0;
             }
-            let outer_row = self.cur_outer.as_ref().expect("set above").clone();
-            let okey = outer_row.vals[self.outer_key].clone();
+            let outer_row = self.cur_outer.as_ref().expect("set above");
+            let okey = &outer_row.vals[self.outer_key];
             let b = (okey.hash64() % self.nbuckets) as usize;
             let chain = &self.table[b];
             let mut matched = None;
@@ -391,21 +382,20 @@ impl ExecNode for HashJoinExec {
                 // Read the entry's key field for the comparison.
                 ctx.t.read(*addr + 16, 8, DataClass::PrivHeap);
                 ctx.t.busy(ctx.cost.predicate_eval);
-                if key.compare(&okey).is_eq() {
-                    matched = Some(row.clone());
+                if key.compare(okey).is_eq() {
+                    matched = Some(row);
                     break;
                 }
             }
             match matched {
                 Some(inner_row) => {
-                    let (os, is) = (self.outer.shape().clone(), self.inner.shape().clone());
                     return Some(combine(
                         ctx,
                         self.slot_addr,
-                        &outer_row,
-                        &os,
-                        &inner_row,
-                        &is,
+                        outer_row,
+                        self.outer.shape(),
+                        inner_row,
+                        self.inner.shape(),
                     ));
                 }
                 None => self.cur_outer = None,

@@ -17,7 +17,7 @@ mod sort;
 use dss_bufcache::BufferPool;
 use dss_lockmgr::{LockMgr, Xid};
 use dss_shmem::PrivateHeap;
-use dss_trace::{CostModel, DataClass, Tracer};
+use dss_trace::{CostModel, DataClass, MemRef, Tracer};
 
 use crate::catalog::Catalog;
 use crate::expr::{Scalar, SlotSource};
@@ -56,12 +56,11 @@ pub struct ExecCtx<'a> {
 #[derive(Clone, Debug)]
 pub struct Arena {
     base: u64,
-    size: u64,
     cursor: u64,
 }
 
-/// Default arena size per plan node (a few KB of executor state, so a plan
-/// tree's combined machinery overflows a 4 KB L1 but fits an L2).
+/// Arena size per plan node (a few KB of executor state, so a plan tree's
+/// combined machinery overflows a 4 KB L1 but fits an L2).
 pub const ARENA_SIZE: u64 = 8 * 1024;
 
 /// Span of the frequently revisited part of an arena (slot headers,
@@ -75,11 +74,10 @@ const ARENA_HOT_BYTES: u64 = 6528;
 const ARENA_HOT_STRIDE: u64 = 136;
 
 impl Arena {
-    /// Allocates an arena from the private heap.
-    pub fn new(mem: &mut PrivateHeap, size: u64) -> Self {
+    /// Allocates an arena of [`ARENA_SIZE`] bytes from the private heap.
+    pub fn new(mem: &mut PrivateHeap) -> Self {
         Arena {
-            base: mem.alloc(size),
-            size,
+            base: mem.alloc(ARENA_SIZE),
             cursor: 0,
         }
     }
@@ -90,31 +88,40 @@ impl Arena {
     /// whole arena. The resulting private working set has the paper's poor
     /// spatial locality: wider cache lines do not capture more useful state,
     /// they only shrink the number of lines a small L1 can hold.
+    ///
+    /// The cursor advances whether or not `t` is recording, so a session
+    /// that toggles recording resumes at the position it would have reached.
+    #[inline]
     pub fn touch(&mut self, t: &Tracer, n: u32) {
-        for _ in 0..n {
-            self.cursor += 1;
-            let off = if self.cursor.is_multiple_of(16) {
-                // Occasional visit to one of the colder structs further out.
-                ((self.cursor / 16).wrapping_mul(264) % (self.size - 8)) & !7
-            } else {
-                // One field of each of 48 hot structs, round robin: the spot
-                // set is fixed, one cache line apart or more, so line size
-                // buys nothing while cache capacity (in lines) decides.
-                ((self.cursor % 48).wrapping_mul(ARENA_HOT_STRIDE)
-                    % ARENA_HOT_BYTES.min(self.size - 8))
-                    & !7
-            };
-            if self.cursor % 3 == 2 {
-                t.write(self.base + off, 8, DataClass::PrivHeap);
-            } else {
-                t.read(self.base + off, 8, DataClass::PrivHeap);
-            }
+        let (base, first) = (self.base, self.cursor + 1);
+        self.cursor += n as u64;
+        t.refs((first..first + n as u64).map(|cursor| Arena::touch_at(base, cursor)));
+    }
+
+    /// The reference the touch numbered `cursor` makes.
+    #[inline]
+    fn touch_at(base: u64, cursor: u64) -> MemRef {
+        let off = if cursor.is_multiple_of(16) {
+            // Occasional visit to one of the colder structs further out.
+            ((cursor / 16).wrapping_mul(264) % (ARENA_SIZE - 8)) & !7
+        } else {
+            // One field of each of 48 hot structs, round robin: the spot
+            // set is fixed, one cache line apart or more, so line size
+            // buys nothing while cache capacity (in lines) decides.
+            ((cursor % 48).wrapping_mul(ARENA_HOT_STRIDE) % ARENA_HOT_BYTES.min(ARENA_SIZE - 8))
+                & !7
+        };
+        MemRef {
+            addr: base + off,
+            size: 8,
+            write: cursor % 3 == 2,
+            class: DataClass::PrivHeap,
         }
     }
 
     /// Releases the arena back to the heap.
     pub fn free(self, mem: &mut PrivateHeap) {
-        mem.free(self.base, self.size);
+        mem.free(self.base, ARENA_SIZE);
     }
 }
 
@@ -289,4 +296,69 @@ pub(crate) fn eval_preds(
 ) -> bool {
     let mut src = RowSrc::new(row, shape);
     preds.iter().all(|p| p.eval_bool(&mut src, t, cost))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The touch sequence as it was recorded one event at a time, before
+    /// [`Tracer::refs`]: the formula [`Arena::touch`] must keep.
+    fn touch_one_by_one(arena: &mut Arena, t: &Tracer, n: u32) {
+        for _ in 0..n {
+            arena.cursor += 1;
+            let off = if arena.cursor.is_multiple_of(16) {
+                ((arena.cursor / 16).wrapping_mul(264) % (ARENA_SIZE - 8)) & !7
+            } else {
+                ((arena.cursor % 48).wrapping_mul(ARENA_HOT_STRIDE)
+                    % ARENA_HOT_BYTES.min(ARENA_SIZE - 8))
+                    & !7
+            };
+            if arena.cursor % 3 == 2 {
+                t.write(arena.base + off, 8, DataClass::PrivHeap);
+            } else {
+                t.read(arena.base + off, 8, DataClass::PrivHeap);
+            }
+        }
+    }
+
+    /// Cursor positions around the every-16th cold touch, the `% 3` write
+    /// and the 48-touch hot round, plus one far into the cold walk.
+    const PHASES: [u64; 8] = [0, 1, 14, 15, 16, 46, 47, 16 * 8191 - 3];
+
+    #[test]
+    fn touch_records_the_per_event_sequence() {
+        let mut mem = PrivateHeap::new(0);
+        let base = Arena::new(&mut mem).base;
+        for cursor in PHASES {
+            for n in 0..=48 {
+                let (bulk, single) = (Tracer::new(0), Tracer::new(0));
+                let mut a = Arena { base, cursor };
+                let mut b = a.clone();
+                a.touch(&bulk, n);
+                touch_one_by_one(&mut b, &single, n);
+                assert_eq!(a.cursor, b.cursor);
+                assert_eq!(bulk.take(), single.take(), "{n} from cursor {cursor}");
+            }
+        }
+    }
+
+    #[test]
+    fn touch_advances_the_cursor_while_recording_is_off() {
+        let mut mem = PrivateHeap::new(0);
+        let base = Arena::new(&mut mem).base;
+        for cursor in PHASES {
+            let (toggled, throughout) = (Tracer::new(0), Tracer::new(0));
+            let mut a = Arena { base, cursor };
+            let mut b = a.clone();
+            toggled.set_enabled(false);
+            a.touch(&toggled, 21);
+            toggled.set_enabled(true);
+            a.touch(&toggled, 30);
+            b.touch(&throughout, 21);
+            throughout.take();
+            b.touch(&throughout, 30);
+            assert_eq!(toggled.take(), throughout.take(), "from cursor {cursor}");
+        }
+    }
 }

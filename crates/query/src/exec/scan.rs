@@ -11,7 +11,7 @@ use crate::heap::Heap;
 use crate::row::{Row, RowShape};
 use crate::Datum;
 
-use super::{Arena, ExecCtx, ExecNode, ARENA_SIZE};
+use super::{Arena, ExecCtx, ExecNode};
 
 /// A [`SlotSource`] over a heap tuple: loads emit `Data` reads with
 /// Postgres-style tuple deforming (see [`Heap::read_attr_walking`]). One
@@ -134,7 +134,7 @@ impl ExecNode for SeqScanExec {
             "read locks never conflict here"
         );
         ctx.t.busy(ctx.cost.scan_start);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
         self.block = self.range.0;
         self.slot = 0;
@@ -347,7 +347,7 @@ impl IndexScanExec {
 
 impl ExecNode for IndexScanExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
         if !self.parameterized {
             self.start_scan(ctx);

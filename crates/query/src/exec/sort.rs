@@ -2,7 +2,7 @@
 
 use crate::row::{Row, RowShape};
 
-use super::{copy_row_to, Arena, ExecCtx, ExecNode, ARENA_SIZE};
+use super::{copy_row_to, Arena, ExecCtx, ExecNode};
 
 /// Sorts its input by materializing every row into a private workspace — the
 /// paper's "temporary tables … to store the whole input data" — then
@@ -84,7 +84,7 @@ impl SortExec {
 impl ExecNode for SortExec {
     fn open(&mut self, ctx: &mut ExecCtx<'_>) {
         self.input.open(ctx);
-        self.arena = Some(Arena::new(ctx.mem, ARENA_SIZE));
+        self.arena = Some(Arena::new(ctx.mem));
         self.slot_addr = ctx.mem.alloc(self.shape.width.max(8));
         self.load_and_sort(ctx);
     }
@@ -98,8 +98,8 @@ impl ExecNode for SortExec {
         self.emit_pos += 1;
         ctx.t.busy(ctx.cost.tuple_overhead);
         self.arena.as_mut().expect("opened").touch(&ctx.t, 4);
-        let row = self.stored[idx].1.clone();
-        Some(copy_row_to(&ctx.t, &row, &self.shape, self.slot_addr))
+        let (_, row) = &self.stored[idx];
+        Some(copy_row_to(&ctx.t, row, &self.shape, self.slot_addr))
     }
 
     fn close(&mut self, ctx: &mut ExecCtx<'_>) {

@@ -192,8 +192,15 @@ impl Heap {
             ColType::Str(w) => {
                 let mut bytes = vec![0u8; w as usize];
                 pool.get_bytes(buf, off, &mut bytes);
-                let s = String::from_utf8_lossy(&bytes);
-                Datum::Str(s.trim_end_matches(' ').to_owned())
+                // Space padding is ASCII, so trimming bytes before decoding
+                // equals trimming the decoded text, and the buffer becomes
+                // the string.
+                let len = bytes.iter().rposition(|&b| b != b' ').map_or(0, |i| i + 1);
+                bytes.truncate(len);
+                Datum::Str(
+                    String::from_utf8(bytes)
+                        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+                )
             }
         }
     }

@@ -18,6 +18,7 @@ pub struct MemRef {
 
 impl MemRef {
     /// Creates a load reference.
+    #[inline]
     pub fn load(addr: u64, size: u16, class: DataClass) -> Self {
         MemRef {
             addr,
@@ -28,6 +29,7 @@ impl MemRef {
     }
 
     /// Creates a store reference.
+    #[inline]
     pub fn store(addr: u64, size: u16, class: DataClass) -> Self {
         MemRef {
             addr,
@@ -260,6 +262,25 @@ impl Event {
         let tag = (w & TAG_MASK) as usize;
         let valid = w & UNUSED_BITS[tag] == 0 && (w >> CLASS_SHIFT) & FIELD_MASK < CLASS_LIMIT[tag];
         valid.then_some(Event(w))
+    }
+
+    /// Words with distinct [`Event::counter_slot`]s at most.
+    pub(crate) const COUNTER_SLOTS: usize = 1 << SIZE_SHIFT;
+
+    /// The word's tag, write and class bits: everything a counter keyed by
+    /// event variant, direction and class needs, as one table index.
+    /// `Event::from_bits(slot)` is the slot's representative event.
+    #[inline]
+    pub(crate) fn counter_slot(self) -> usize {
+        (self.0 & (Event::COUNTER_SLOTS as u64 - 1)) as usize
+    }
+
+    /// The cycles of a busy event; zero for every other variant, without a
+    /// branch.
+    #[inline]
+    pub(crate) fn busy_cycles(self) -> u64 {
+        let is_busy = (self.0 & TAG_MASK == TAG_BUSY) as u64;
+        (self.0 >> PAYLOAD_SHIFT) * is_busy
     }
 
     /// Decodes the word.

@@ -1,6 +1,6 @@
 //! The recording handle threaded through the database engine.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::io::{self, Write};
 use std::rc::Rc;
 
@@ -333,30 +333,59 @@ impl Tracer {
 
     /// Records a load of `size` bytes at `addr`, split into at most 8-byte
     /// references.
+    #[inline]
     pub fn read(&self, addr: u64, size: u64, class: DataClass) {
         self.access(addr, size, false, class);
     }
 
     /// Records a store of `size` bytes at `addr`, split into at most 8-byte
     /// references.
+    #[inline]
     pub fn write(&self, addr: u64, size: u64, class: DataClass) {
         self.access(addr, size, true, class);
     }
 
+    /// Records a run of references as given (the caller has split them into
+    /// words of at most 8 bytes), in iteration order: the events one
+    /// [`Tracer::read`] or [`Tracer::write`] per reference would record, for
+    /// one buffer borrow and one enabled test. An empty run records nothing
+    /// and leaves pending busy cycles coalescing — only an event ends a busy
+    /// run.
+    #[inline]
+    pub fn refs(&self, refs: impl IntoIterator<Item = MemRef>) {
+        let mut buf = self.buf.borrow_mut();
+        if !buf.enabled {
+            return;
+        }
+        let mut refs = refs.into_iter();
+        let Some(first) = refs.next() else { return };
+        buf.flush_busy();
+        buf.push(Event::reference(first));
+        for r in refs {
+            buf.push(Event::reference(r));
+        }
+    }
+
     /// Records a memory-to-memory copy: paired loads from `src` and stores to
-    /// `dst` in 8-byte strides, as a word-copy loop would issue them.
+    /// `dst` in 8-byte strides, as a word-copy loop would issue them. A
+    /// zero-length copy records nothing.
+    #[inline]
     pub fn copy(&self, src: u64, src_class: DataClass, dst: u64, dst_class: DataClass, len: u64) {
-        let mut off = 0;
-        while off < len {
-            let chunk = (len - off).min(MAX_REF_BYTES);
-            self.access(src + off, chunk, false, src_class);
-            self.access(dst + off, chunk, true, dst_class);
-            off += chunk;
+        if len == 0 {
+            return;
+        }
+        let Some(mut buf) = self.recording() else {
+            return;
+        };
+        for (off, size) in words(len) {
+            buf.push(Event::reference(MemRef::load(src + off, size, src_class)));
+            buf.push(Event::reference(MemRef::store(dst + off, size, dst_class)));
         }
     }
 
     /// Records `cycles` of non-memory work. Consecutive busy charges are
     /// coalesced into a single event.
+    #[inline]
     pub fn busy(&self, cycles: u32) {
         let mut buf = self.buf.borrow_mut();
         if buf.enabled {
@@ -365,19 +394,17 @@ impl Tracer {
     }
 
     /// Records a metalock acquisition.
+    #[inline]
     pub fn lock_acquire(&self, token: LockToken) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.enabled {
-            buf.flush_busy();
+        if let Some(mut buf) = self.recording() {
             buf.push(Event::lock_acquire(token));
         }
     }
 
     /// Records a metalock release.
+    #[inline]
     pub fn lock_release(&self, token: LockToken) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.enabled {
-            buf.flush_busy();
+        if let Some(mut buf) = self.recording() {
             buf.push(Event::lock_release(token));
         }
     }
@@ -393,30 +420,61 @@ impl Tracer {
         }
     }
 
-    fn access(&self, addr: u64, size: u64, write: bool, class: DataClass) {
+    /// Borrows the buffer to append events, the pending busy cycles emitted
+    /// ahead of them; `None` while recording is disabled.
+    #[inline]
+    fn recording(&self) -> Option<RefMut<'_, TraceBuffer>> {
         let mut buf = self.buf.borrow_mut();
         if !buf.enabled {
-            return;
+            return None;
         }
         buf.flush_busy();
-        let mut off = 0;
-        while off < size {
-            let chunk = (size - off).min(MAX_REF_BYTES);
+        Some(buf)
+    }
+
+    #[inline]
+    fn access(&self, addr: u64, size: u64, write: bool, class: DataClass) {
+        let Some(mut buf) = self.recording() else {
+            return;
+        };
+        for (off, size) in words(size) {
             buf.push(Event::reference(MemRef {
                 addr: addr + off,
-                size: chunk as u16,
+                size,
                 write,
                 class,
             }));
-            off += chunk;
         }
     }
+}
+
+/// Splits `len` bytes into `(offset, width)` words of at most
+/// [`MAX_REF_BYTES`], the last one short when `len` is not a multiple.
+#[inline]
+fn words(len: u64) -> impl Iterator<Item = (u64, u16)> {
+    (0..len.div_ceil(MAX_REF_BYTES)).map(move |i| {
+        let off = i * MAX_REF_BYTES;
+        (off, (len - off).min(MAX_REF_BYTES) as u16)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{EventKind, LockClass};
+
+    /// A shared `Vec<u8>` sink (single-threaded, like the tracer itself).
+    #[derive(Clone, Default)]
+    struct Shared(Rc<RefCell<Vec<u8>>>);
+    impl std::io::Write for Shared {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     #[test]
     fn busy_cycles_coalesce() {
@@ -524,21 +582,6 @@ mod tests {
     #[test]
     fn sinked_tracer_streams_blocks_and_bounds_memory() {
         use crate::read_trace_blocks;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        // A shared Vec<u8> sink (single-threaded, like the tracer itself).
-        #[derive(Clone, Default)]
-        struct Shared(Rc<RefCell<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
 
         let out = Shared::default();
         let t = Tracer::with_sink(2, 4, Box::new(out.clone())).unwrap();
@@ -561,20 +604,6 @@ mod tests {
     #[test]
     fn resumed_sink_completes_a_salvaged_recording() {
         use crate::{read_trace_blocks, salvage_scan};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Clone, Default)]
-        struct Shared(Rc<RefCell<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
 
         // 11 refs + 11 busy events = 22: five full 4-event blocks plus a
         // final partial block, so the cut sweep exercises both the
@@ -626,5 +655,77 @@ mod tests {
         let trace = t.take();
         assert_eq!(trace.events.len(), 3);
         assert_eq!(trace.events[0], Event::busy(7));
+    }
+
+    #[test]
+    fn empty_runs_leave_busy_coalesced() {
+        let t = Tracer::new(0);
+        t.busy(10);
+        t.refs(std::iter::empty());
+        t.copy(0x100, DataClass::Data, 0x900, DataClass::PrivHeap, 0);
+        t.busy(5);
+        t.refs([MemRef::load(0x100, 8, DataClass::Data)]);
+        assert_eq!(
+            t.take().events,
+            vec![
+                Event::busy(15),
+                Event::reference(MemRef::load(0x100, 8, DataClass::Data)),
+            ]
+        );
+    }
+
+    #[test]
+    fn disabled_tracer_records_nothing_through_refs() {
+        let t = Tracer::disabled();
+        t.busy(100);
+        t.refs([MemRef::load(0x100, 8, DataClass::Data)]);
+        t.copy(0x100, DataClass::Data, 0x900, DataClass::PrivHeap, 16);
+        assert!(t.take().is_empty());
+    }
+
+    #[test]
+    fn runs_split_into_blocks_where_single_references_do() {
+        // 23 references with busy charges between them, as runs of 1, 7, 0,
+        // 9 and 6 that meet the 4-event block boundary at every phase, then
+        // a 20-byte copy (three word pairs) across one more.
+        let refs: Vec<MemRef> = (0..23u64)
+            .map(|i| MemRef {
+                addr: 0x1000 + i * 8,
+                size: 8,
+                write: i % 3 == 2,
+                class: DataClass::PrivHeap,
+            })
+            .collect();
+        let record = |bulk: bool| {
+            let out = Shared::default();
+            let t = Tracer::with_sink(0, 4, Box::new(out.clone())).unwrap();
+            let mut rest = refs.as_slice();
+            for n in [1, 7, 0, 9, 6] {
+                let (run, tail) = rest.split_at(n);
+                if bulk {
+                    t.refs(run.iter().copied());
+                } else {
+                    for r in run {
+                        t.access(r.addr, 8, r.write, r.class);
+                    }
+                }
+                t.busy(n as u32 + 1);
+                rest = tail;
+            }
+            if bulk {
+                t.copy(0x100, DataClass::Data, 0x900, DataClass::PrivHeap, 20);
+            } else {
+                for (off, size) in [(0, 8), (8, 8), (16, 4)] {
+                    t.read(0x100 + off, size, DataClass::Data);
+                    t.write(0x900 + off, size, DataClass::PrivHeap);
+                }
+            }
+            let events = t.finish_sink().unwrap();
+            let bytes = out.0.borrow().clone();
+            (events, bytes)
+        };
+        let (events, bytes) = record(true);
+        assert_eq!(events, 23 + 4 + 6, "the empty run splits no busy charge");
+        assert_eq!((events, bytes), record(false));
     }
 }
