@@ -6,13 +6,18 @@
 //! simulation) and the steady-state phase (an identical second simulation on
 //! the warmed machine, which must not touch the heap at all). An untraced
 //! engine execution is a run with the first phase only: the whole of it is
-//! ratcheted, and it has no phase that must be silent. The committed
+//! ratcheted, and it has no phase that must be silent. A traced engine
+//! execution recorded twice has both phases and both are ratcheted
+//! ([`RunBudget::steady_ratcheted`]): the engine allocates per row either
+//! time, and what the second recording must not do again is grow an event
+//! buffer. The committed
 //! copy lives at `crates/check/alloc-budget.json`; [`AllocBudget::diff`]
 //! compares a fresh measurement against it with ratchet semantics:
 //!
-//! * any steady-state heap activity is a hard failure (no allowlisting);
-//! * a warm-up count *above* the committed budget is a regression;
-//! * a warm-up count *below* it is an improvement that must be banked by
+//! * any steady-state heap activity of a simulation is a hard failure (no
+//!   allowlisting);
+//! * a ratcheted count *above* the committed budget is a regression;
+//! * a ratcheted count *below* it is an improvement that must be banked by
 //!   regenerating the file (`dss-check alloc --update`), so the budget only
 //!   ever tracks reality.
 //!
@@ -63,8 +68,11 @@ pub struct RunBudget {
     /// (buffers grow here), or an engine run's whole execution.
     pub warmup: Counts,
     /// The second simulation on the warmed machine; must be heap-silent.
-    /// Zero for an engine run.
+    /// Zero for an untraced engine run.
     pub steady: Counts,
+    /// The steady phase is a second traced execution, ratcheted like the
+    /// warm-up instead of held to silence.
+    pub steady_ratcheted: bool,
 }
 
 /// The whole budget file: one [`RunBudget`] per audited run.
@@ -86,8 +94,13 @@ impl AllocBudget {
         out.push_str("  \"runs\": [\n");
         for (i, r) in self.runs.iter().enumerate() {
             let sep = if i + 1 == self.runs.len() { "" } else { "," };
+            let ratcheted = if r.steady_ratcheted {
+                ", \"steady_ratcheted\": true"
+            } else {
+                ""
+            };
             out.push_str(&format!(
-                "    {{\"run\": \"{}\", {}, {}}}{sep}\n",
+                "    {{\"run\": \"{}\", {}, {}{ratcheted}}}{sep}\n",
                 r.run,
                 phase_json("warmup", &r.warmup),
                 phase_json("steady", &r.steady),
@@ -118,33 +131,35 @@ impl AllocBudget {
         Ok(AllocBudget { runs })
     }
 
+    /// The invariant no budget can bank away: one problem per simulation run
+    /// whose steady state touched the heap.
+    pub fn silence_violations(&self) -> Vec<String> {
+        self.runs
+            .iter()
+            .filter(|r| !r.steady_ratcheted && !r.steady.is_heap_silent())
+            .map(|r| {
+                format!(
+                    "{}: steady-state heap activity ({}) — Machine::run must not allocate once warmed",
+                    r.run, r.steady
+                )
+            })
+            .collect()
+    }
+
     /// Ratchet comparison of `measured` against this committed budget.
     /// Returns human-readable problems; empty means the gate passes.
     pub fn diff(&self, measured: &AllocBudget) -> Vec<String> {
-        let mut problems = Vec::new();
+        let mut problems = measured.silence_violations();
         for m in &measured.runs {
-            if !m.steady.is_heap_silent() {
-                problems.push(format!(
-                    "{}: steady-state heap activity ({}) — Machine::run must not allocate once warmed",
-                    m.run, m.steady
-                ));
-            }
             match self.runs.iter().find(|b| b.run == m.run) {
                 None => problems.push(format!(
                     "{}: not in the committed budget — run `dss-check alloc --update` and commit",
                     m.run
                 )),
                 Some(b) => {
-                    if worse(&m.warmup, &b.warmup) {
-                        problems.push(format!(
-                            "{}: heap use regressed: measured {} vs budget {}",
-                            m.run, m.warmup, b.warmup
-                        ));
-                    } else if m.warmup != b.warmup {
-                        problems.push(format!(
-                            "{}: heap use improved ({} vs budget {}) — bank it: `dss-check alloc --update` and commit",
-                            m.run, m.warmup, b.warmup
-                        ));
+                    problems.extend(ratchet(&m.run, "", &m.warmup, &b.warmup));
+                    if m.steady_ratcheted {
+                        problems.extend(ratchet(&m.run, "steady-state ", &m.steady, &b.steady));
                     }
                 }
             }
@@ -158,6 +173,22 @@ impl AllocBudget {
             }
         }
         problems
+    }
+}
+
+/// One ratcheted phase against its budget: worse is a regression, different
+/// and no worse an improvement to bank.
+fn ratchet(run: &str, phase: &str, measured: &Counts, budget: &Counts) -> Option<String> {
+    if worse(measured, budget) {
+        Some(format!(
+            "{run}: {phase}heap use regressed: measured {measured} vs budget {budget}"
+        ))
+    } else if measured != budget {
+        Some(format!(
+            "{run}: {phase}heap use improved ({measured} vs budget {budget}) — bank it: `dss-check alloc --update` and commit"
+        ))
+    } else {
+        None
     }
 }
 
@@ -224,6 +255,7 @@ fn parse_run(line: &str) -> Result<RunBudget, String> {
         run: str_field(line, "run")?.to_string(),
         warmup: parse_phase(line, 0)?,
         steady: parse_phase(line, 1)?,
+        steady_ratcheted: line.contains("\"steady_ratcheted\": true"),
     })
 }
 
@@ -244,6 +276,7 @@ mod tests {
                         peak_bytes: 900_000,
                     },
                     steady: Counts::default(),
+                    steady_ratcheted: false,
                 },
                 RunBudget {
                     run: "Q3 / MESI".into(),
@@ -255,6 +288,25 @@ mod tests {
                         peak_bytes: 400_000,
                     },
                     steady: Counts::default(),
+                    steady_ratcheted: false,
+                },
+                RunBudget {
+                    run: "Q6 / engine traced, recorded twice".into(),
+                    warmup: Counts {
+                        allocs: 500,
+                        deallocs: 499,
+                        reallocs: 30,
+                        bytes_allocated: 1 << 22,
+                        peak_bytes: 1 << 21,
+                    },
+                    steady: Counts {
+                        allocs: 500,
+                        deallocs: 499,
+                        reallocs: 9,
+                        bytes_allocated: 1 << 18,
+                        peak_bytes: 1 << 17,
+                    },
+                    steady_ratcheted: true,
                 },
             ],
         }
@@ -298,13 +350,27 @@ mod tests {
     }
 
     #[test]
+    fn a_ratcheted_steady_state_drifts_like_a_warmup() {
+        let mut worse = sample();
+        worse.runs[2].steady.reallocs += 1;
+        let problems = sample().diff(&worse);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("steady-state heap use regressed"));
+
+        let mut better = sample();
+        better.runs[2].steady.bytes_allocated -= 1;
+        assert!(sample().diff(&better)[0].contains("improved"));
+    }
+
+    #[test]
     fn run_set_mismatches_are_reported() {
         let mut m = sample();
-        m.runs.pop();
+        m.runs.remove(1);
         m.runs.push(RunBudget {
             run: "Q99 / MSI baseline".into(),
             warmup: Counts::default(),
             steady: Counts::default(),
+            steady_ratcheted: false,
         });
         let problems = sample().diff(&m);
         assert!(problems

@@ -55,6 +55,7 @@ fn replanted_per_row_shape_clone_breaks_the_engine_budget() {
                     peak_bytes: execution.peak_bytes,
                 },
                 steady: Counts::default(),
+                steady_ratcheted: false,
             }],
         }
     };

@@ -335,7 +335,11 @@ impl Workbench {
             self.db
                 .run(&sql, &mut session)
                 .unwrap_or_else(|e| panic!("Q{query} (seed {seed}) failed: {e}"));
-            traces.push(session.tracer.take());
+            let mut trace = session.tracer.take();
+            // A cached set lives long: hold the events, not whatever recycled
+            // buffer they were recorded into.
+            trace.events.shrink_to_fit();
+            traces.push(trace);
         }
         let set: TraceSet = traces.into();
         self.cache.insert(key, Arc::clone(&set));
@@ -591,6 +595,37 @@ mod tests {
         let _c = wb.traces(6, 100);
         let _d = wb.traces(3, 0); // evicts the oldest
         assert!(wb.cache.len() <= TRACE_CACHE_SLOTS);
+    }
+
+    #[test]
+    fn cached_sets_hold_exactly_their_events() {
+        // On a thread of its own: which buffers a recording finds parked is
+        // per-thread state, and here it must be this test's evicted set.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut wb = Workbench::new(
+                    &DbConfig {
+                        scale: 0.001,
+                        nbuffers: 1024,
+                        ..DbConfig::default()
+                    },
+                    2,
+                );
+                // One set more than the cache holds: the last is recorded
+                // into the buffers the evicted first set left behind.
+                for set in 0..=TRACE_CACHE_SLOTS as u64 {
+                    wb.traces(6, 100 * set);
+                }
+                assert_eq!(wb.cache.len(), TRACE_CACHE_SLOTS);
+                assert!(!wb.cache.contains_key(&(6, 0)));
+                for key in &wb.order {
+                    for t in wb.cache[key].iter() {
+                        assert!(!t.is_empty());
+                        assert_eq!(t.events.capacity(), t.len(), "{key:?}");
+                    }
+                }
+            });
+        });
     }
 
     #[test]

@@ -497,7 +497,7 @@ mod tests {
             }
             let _ = t.take();
             m.release_all(Xid(7), &t);
-            t.take().events
+            std::mem::take(&mut t.take().events)
         }
         fn shape(events: &[Event]) -> Vec<String> {
             events

@@ -10,13 +10,48 @@ use crate::{DataClass, Event, LockToken, MemRef};
 /// Maximum width of a single emitted reference; wider accesses are split.
 const MAX_REF_BYTES: u64 = 8;
 
+/// Event buffers a thread keeps for its next tracers: one trace set of the
+/// paper's four-node machine.
+const PARKED_BUFFERS: usize = 4;
+
+thread_local! {
+    /// The cleared allocations of traces dropped on this thread, most recent
+    /// last. A buffer of tens of megabytes that goes back to the allocator
+    /// goes back to the kernel, and the next tracer pays a page fault per
+    /// 4 KiB to grow the same buffer again; parked here, it is touched once.
+    static PARKED: RefCell<Vec<Vec<Event>>> = const { RefCell::new(Vec::new()) };
+}
+
 /// A recorded per-processor reference trace.
+///
+/// Dropping one parks its cleared event buffer (the thread keeps at most
+/// four) for the next in-memory [`Tracer`] on that thread to record into, so
+/// `events` may have more capacity than a recording needed; whoever keeps a
+/// trace for long can `shrink_to_fit` it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// The simulated processor that produced this trace.
     pub proc_id: usize,
     /// The events, in program order.
     pub events: Vec<Event>,
+}
+
+impl Drop for Trace {
+    fn drop(&mut self) {
+        if self.events.capacity() == 0 {
+            return;
+        }
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        // During thread teardown the list may be gone already, and a full
+        // list keeps what it has: either way the closure's buffer just frees.
+        let _ = PARKED.try_with(move |parked| {
+            let mut parked = parked.borrow_mut();
+            if parked.len() < PARKED_BUFFERS {
+                parked.push(events);
+            }
+        });
+    }
 }
 
 impl Trace {
@@ -113,9 +148,25 @@ impl TraceBuffer {
     /// Appends one event, draining a full block to the sink when streaming.
     #[inline]
     fn push(&mut self, event: Event) {
+        if self.events.capacity() == 0 {
+            self.adopt_parked();
+        }
         self.events.push(event);
         if self.events.len() >= self.block_events {
             self.drain_block();
+        }
+    }
+
+    /// The first event of an in-memory recording: record into the buffer the
+    /// thread's most recently dropped [`Trace`] left behind, if any. A
+    /// streaming tracer owns one block from the start and never gets here.
+    #[cold]
+    #[inline(never)]
+    fn adopt_parked(&mut self) {
+        if self.sink.is_none() {
+            if let Ok(Some(parked)) = PARKED.try_with(|parked| parked.borrow_mut().pop()) {
+                self.events = parked;
+            }
         }
     }
 
@@ -252,6 +303,8 @@ impl Tracer {
 
     fn attach(&self, block_events: usize, sink: Sink) {
         let mut buf = self.buf.borrow_mut();
+        // The one block a streaming tracer ever holds, so it never regrows.
+        buf.events.reserve_exact(block_events);
         buf.block_events = block_events;
         buf.sink = Some(sink);
     }
