@@ -623,7 +623,7 @@ fn main() {
         match flag {
             Flag::Jobs => jobs = Some(value.parse().unwrap_or_else(|_| usage_error(error))),
             Flag::Sf => match value.parse() {
-                Ok(s) if f64::is_finite(s) && s > 0.0 => sf = Some(s),
+                Ok(s) if dss_tpcd::valid_scale(s) => sf = Some(s),
                 _ => usage_error(error),
             },
             Flag::TraceMode => match value.as_str() {

@@ -1,0 +1,63 @@
+//! Seed ⇒ byte-identical stdout, across the two knobs that must not reach
+//! it: the worker count and where traces live. Three fresh `repro all ext`
+//! processes — one worker, four workers, four workers replaying block files
+//! from disk — must print the same bytes, with every paper shape check
+//! passing. A hash-order, scheduling or codec leak anywhere between the
+//! engine and the report shows up here as a differing byte.
+
+use std::process::{Child, Command, Stdio};
+
+/// The whole stdout surface at a small scale, so each run takes seconds.
+const ALL: &[&str] = &["all", "ext", "--sf", "0.003"];
+
+/// Shape checks `all ext` prints, each `PASS` or `FAIL`.
+const CHECKS: usize = 62;
+
+#[expect(clippy::expect_used, reason = "spawning `repro` is the test")]
+fn spawn(extra: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(ALL)
+        .args(extra)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning repro")
+}
+
+#[test]
+fn stdout_is_identical_across_jobs_and_trace_modes() {
+    let configs: [&[&str]; 3] = [
+        &["--jobs", "1"],
+        &["--jobs", "4"],
+        &["--jobs", "4", "--trace-mode", "streamed"],
+    ];
+    let children: Vec<Child> = configs.iter().map(|extra| spawn(extra)).collect();
+    let outs: Vec<Vec<u8>> = children
+        .into_iter()
+        .zip(configs)
+        .map(|(child, extra)| {
+            let out = child.wait_with_output().expect("repro ran");
+            assert!(out.status.success(), "{extra:?} failed: {:?}", out.status);
+            out.stdout
+        })
+        .collect();
+    let reference = String::from_utf8_lossy(&outs[0]);
+    let passed = reference.lines().filter(|l| l.contains("PASS")).count();
+    assert_eq!(passed, CHECKS, "{reference}");
+    assert!(!reference.contains("FAIL"), "{reference}");
+    for (out, extra) in outs[1..].iter().zip(&configs[1..]) {
+        let text = String::from_utf8_lossy(out);
+        if let Some((n, (a, b))) = reference
+            .lines()
+            .zip(text.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+        {
+            panic!(
+                "{extra:?} differs from --jobs 1 at line {}:\n  {a}\n  {b}",
+                n + 1
+            );
+        }
+        assert!(*out == outs[0], "{extra:?} differs from --jobs 1 in length");
+    }
+}

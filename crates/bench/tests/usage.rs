@@ -45,8 +45,9 @@ fn unknown_experiment_is_rejected() {
 
 #[test]
 fn non_finite_scale_is_rejected() {
-    // `inf` passed the old `> 0` guard and died sizing the buffer pool.
-    for sf in ["inf", "NaN", "-1", "0"] {
+    // `inf` passed the old `> 0` guard and died sizing the buffer pool;
+    // `1e300` passed the `is_finite` one and died sizing the tables.
+    for sf in ["inf", "NaN", "-1", "0", "1e300"] {
         let stderr = usage_error(&repro(&["--sf", sf]));
         assert!(
             stderr.contains("--sf needs a positive scale factor"),

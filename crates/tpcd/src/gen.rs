@@ -362,9 +362,13 @@ impl Generator {
     ///
     /// # Panics
     ///
-    /// Panics if `scale` is not strictly positive.
+    /// Panics unless [`crate::valid_scale`] accepts `scale`.
     pub fn new(scale: f64, seed: u64) -> Self {
-        assert!(scale > 0.0, "scale factor must be positive");
+        assert!(
+            crate::valid_scale(scale),
+            "scale factor must be positive and at most {}",
+            crate::MAX_SCALE
+        );
         Generator { scale, seed }
     }
 
@@ -660,12 +664,12 @@ fn gen_order(
 
 /// The spec's retail price formula: `(90000 + ((partkey/10) % 20001) +
 /// 100 * (partkey % 1000)) / 100` dollars, kept in hundredths.
-pub(crate) fn retail_price(partkey: i64) -> i64 {
+fn retail_price(partkey: i64) -> i64 {
     90_000 + (partkey / 10) % 20_001 + 100 * (partkey % 1000)
 }
 
 /// The spec's partsupp supplier spreading formula.
-pub(crate) fn partsupp_suppkey(partkey: i64, i: i64, suppliers: i64) -> i64 {
+fn partsupp_suppkey(partkey: i64, i: i64, suppliers: i64) -> i64 {
     let s = suppliers;
     (partkey + i * (s / 4 + (partkey - 1) / s)) % s + 1
 }
@@ -794,5 +798,11 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_scale_rejected() {
         Generator::new(0.0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1000")]
+    fn scale_beyond_tpcd_rejected() {
+        Generator::new(1e300, 1);
     }
 }

@@ -12,10 +12,6 @@
 //!   lineitem-per-order fan-out.
 //! * [`params`] — per-query substitution parameters (clause 2.4), used to
 //!   give each simulated processor a different instance of the same query.
-//! * [`ChunkedGenerator`] — the bounded-memory path: independently seeded
-//!   generation units rendered straight to `.tbl` text in reused buffers, in
-//!   parallel across tables, with output invariant to batch size and worker
-//!   count.
 //!
 //! # Example
 //!
@@ -35,7 +31,6 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![expect(clippy::expect_used, reason = "not yet converted to `Result` paths")]
 
-mod chunk;
 mod date;
 mod gen;
 mod params;
@@ -43,7 +38,6 @@ mod schema;
 mod tbl;
 pub mod text;
 
-pub use chunk::{ChunkedGenerator, GenReport, DEFAULT_BATCH_UNITS};
 pub use date::Date;
 pub use gen::{
     Customer, DbData, Generator, Lineitem, Nation, Order, Part, PartSupp, Region, Supplier,
@@ -54,3 +48,14 @@ pub use tbl::{from_tbl, to_tbl, TblError};
 
 /// The paper's scale factor: the standard 1.0 data set scaled down 100×.
 pub const PAPER_SCALE: f64 = 0.01;
+
+/// The largest scale factor TPC-D defines (a 1 TB data set).
+pub const MAX_SCALE: f64 = 1000.0;
+
+/// Whether `scale` is a scale factor the generator accepts: positive and at
+/// most [`MAX_SCALE`] (so neither NaN nor infinite). Every command line checks
+/// it before building anything, so an out-of-range value is a usage error
+/// rather than a panic sizing the tables.
+pub fn valid_scale(scale: f64) -> bool {
+    scale > 0.0 && scale <= MAX_SCALE
+}

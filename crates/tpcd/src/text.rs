@@ -153,33 +153,19 @@ const COMMENT_WORDS: [&str; 40] = [
 /// Produces comment filler of exactly `len` bytes from the TPC-D word pool.
 pub fn comment<R: Rng>(rng: &mut R, len: usize) -> String {
     let mut out = String::with_capacity(len + 16);
-    comment_into(rng, len, &mut out);
-    out
-}
-
-/// Appends comment filler of exactly `len` bytes to `out`, drawing the same
-/// word sequence as [`comment`] but reusing the caller's buffer.
-pub fn comment_into<R: Rng>(rng: &mut R, len: usize, out: &mut String) {
-    let start = out.len();
-    while out.len() - start < len {
-        if out.len() > start {
+    while out.len() < len {
+        if !out.is_empty() {
             out.push(' ');
         }
         out.push_str(COMMENT_WORDS[rng.gen_range(0..COMMENT_WORDS.len())]);
     }
-    out.truncate(start + len);
+    out.truncate(len);
+    out
 }
 
 /// Produces a phone number in the spec's `CC-NNN-NNN-NNNN` shape.
 pub fn phone<R: Rng>(rng: &mut R, nationkey: i64) -> String {
     let mut out = String::with_capacity(15);
-    phone_into(rng, nationkey, &mut out);
-    out
-}
-
-/// Appends a phone number to `out`, drawing like [`phone`] but without
-/// allocating.
-pub fn phone_into<R: Rng>(rng: &mut R, nationkey: i64, out: &mut String) {
     let _ = write!(
         out,
         "{:02}-{:03}-{:03}-{:04}",
@@ -188,6 +174,7 @@ pub fn phone_into<R: Rng>(rng: &mut R, nationkey: i64, out: &mut String) {
         rng.gen_range(100..1000),
         rng.gen_range(1000..10000)
     );
+    out
 }
 
 /// Picks a random element of `choices`.

@@ -3,28 +3,21 @@
 //!
 //! ```text
 //! cargo run --release --bin dbgen -- --scale 0.01 --seed 42 --dir /tmp/tpcd
-//! cargo run --release --bin dbgen -- --chunked --jobs 8 --scale 0.1 --dir /tmp/tpcd
 //! ```
 //!
-//! The default path materializes the whole population in memory (the legacy
-//! generator pinned by the golden artifacts). `--chunked` switches to the
-//! bounded-memory batch-parallel generator, which fans independently seeded
-//! unit batches across `--jobs` worker threads and merges them in canonical
-//! order — same bytes at any `--jobs`/`--batch`, a different population
-//! from the legacy generator (see `dss_tpcd::ChunkedGenerator`).
+//! It writes the population [`dss_workbench::tpcd::Generator`] builds for
+//! `Database::build` — the one the golden artifacts and every paper result
+//! pin — so a `.tbl` file here is exactly what the simulated engine loads.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dss_workbench::tpcd::{ChunkedGenerator, Generator};
+use dss_workbench::tpcd::{valid_scale, Generator, MAX_SCALE};
 
 fn main() -> ExitCode {
     let mut scale = dss_workbench::tpcd::PAPER_SCALE;
     let mut seed = 42u64;
     let mut dir = PathBuf::from("tpcd-data");
-    let mut chunked = false;
-    let mut jobs = 1usize;
-    let mut batch: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -36,9 +29,9 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--scale" => match value("--scale").parse() {
-                Ok(v) if v > 0.0 => scale = v,
+                Ok(v) if valid_scale(v) => scale = v,
                 _ => {
-                    eprintln!("--scale must be a positive number");
+                    eprintln!("--scale must be a positive number no larger than {MAX_SCALE}");
                     return ExitCode::from(2);
                 }
             },
@@ -50,26 +43,8 @@ fn main() -> ExitCode {
                 }
             },
             "--dir" => dir = PathBuf::from(value("--dir")),
-            "--chunked" => chunked = true,
-            "--jobs" => match value("--jobs").parse() {
-                Ok(v) if v >= 1 => jobs = v,
-                _ => {
-                    eprintln!("--jobs must be a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--batch" => match value("--batch").parse() {
-                Ok(v) if v >= 1 => batch = Some(v),
-                _ => {
-                    eprintln!("--batch must be a positive integer (units per batch)");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
-                println!(
-                    "usage: dbgen [--scale F] [--seed N] [--dir PATH] \
-                     [--chunked [--jobs N] [--batch UNITS]]"
-                );
+                println!("usage: dbgen [--scale F] [--seed N] [--dir PATH]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -78,34 +53,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if (jobs != 1 || batch.is_some()) && !chunked {
-        eprintln!("--jobs/--batch only apply to the --chunked generator");
-        return ExitCode::from(2);
-    }
 
     let started = std::time::Instant::now();
-    if chunked {
-        let mut g = ChunkedGenerator::new(scale, seed);
-        if let Some(units) = batch {
-            g = g.batch_units(units);
-        }
-        let report = match g.write_dir(&dir, jobs) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let total: u64 = report.rows.iter().map(|(_, n)| *n).sum();
-        println!(
-            "wrote {total} rows ({} bytes) across 8 tables to {} in {:.1?} \
-             (chunked, scale {scale}, seed {seed}, jobs {jobs})",
-            report.bytes,
-            dir.display(),
-            started.elapsed()
-        );
-        return ExitCode::SUCCESS;
-    }
     let data = Generator::new(scale, seed).generate();
     if let Err(e) = data.write_tbl(&dir) {
         eprintln!("failed to write {}: {e}", dir.display());

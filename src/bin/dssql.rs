@@ -20,15 +20,16 @@ use std::time::Instant;
 
 use dss_workbench::memsim::{Machine, MachineConfig};
 use dss_workbench::query::{Database, Datum, DbConfig, Session, StatementOutput};
+use dss_workbench::tpcd::{valid_scale, MAX_SCALE};
 use dss_workbench::trace::TraceStats;
 
 fn main() {
     let scale: f64 = match std::env::args().nth(1) {
         None => dss_workbench::tpcd::PAPER_SCALE,
         Some(a) => match a.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("dssql: `{a}` is not a scale factor (try 0.002)");
+            Ok(s) if valid_scale(s) => s,
+            _ => {
+                eprintln!("dssql: `{a}` is not a scale factor in (0, {MAX_SCALE}] (try 0.002)");
                 std::process::exit(2);
             }
         },
