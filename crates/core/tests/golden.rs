@@ -6,7 +6,9 @@
 //! test pins the `baseline_suite` miss matrices and per-class stall totals
 //! for the three studied queries against literals captured from the
 //! pre-rewrite simulator, so any future change that shifts a single count or
-//! cycle fails loudly.
+//! cycle fails loudly. A second test pins a digest of the whole `SimStats`
+//! of one point per other geometry the figures sweep (line sizes, cache
+//! sizes, warm caches, prefetching, MESI, fewer processors).
 //!
 //! If a change is *meant* to alter simulation results, regenerate the table
 //! with `cargo run -p dss-core --release --example golden_dump` and say so in
@@ -163,6 +165,31 @@ const SNAPSHOTS: [QuerySnapshot; 3] = [
     },
 ];
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 of a point's `format!("{stats:?}")`: every field of `SimStats`.
+fn digest(stats: &dss_memsim::SimStats) -> u64 {
+    format!("{stats:?}").bytes().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// One sweep point per geometry the simulator's specialized paths serve
+/// beyond the baseline machine: the smallest and largest lines, the largest
+/// caches, a warmed machine, prefetching, MESI and a two-processor machine.
+/// Captured on the parent of PR 26 before any hot-path edit,
+/// `Workbench::small()` with one job.
+const POINT_DIGESTS: [(&str, u64); 7] = [
+    ("fig8/Q6/l2_line=16", 0xaf57cf8e66d07797),
+    ("fig8/Q6/l2_line=256", 0x7a1e09aac9571589),
+    ("fig10/Q12/l1_kb=256_l2_kb=8192", 0xbd5ffe8850037f9a),
+    ("fig12/Q3v12/warm_same", 0xd0e9e8cf42d92133),
+    ("fig13/Q3/prefetch=4", 0x30c6468e09d470b1),
+    ("protocol/Q12/mesi", 0x92873effa6be56b7),
+    ("scaling/Q3/nprocs=2", 0x8f93f2b42978b679),
+];
+
 fn matrix(m: &dss_memsim::MissMatrix) -> [[u64; 3]; 10] {
     let mut out = [[0u64; 3]; 10];
     for (row, c) in out.iter_mut().zip(DataClass::ALL.iter()) {
@@ -207,4 +234,36 @@ fn baseline_suite_matches_pinned_snapshots() {
             b.query
         );
     }
+}
+
+#[test]
+fn geometry_points_match_pinned_digests() {
+    let mut wb = Workbench::small().with_jobs(1);
+    let line = |points: &[dss_core::experiments::LinePoint], l2_line| {
+        let p = points.iter().find(|p| p.l2_line == l2_line);
+        digest(&p.expect("line point").stats)
+    };
+    let fig8 = wb.line_size_sweep(6);
+    let fig10 = wb.cache_size_sweep(12);
+    let big = fig10.iter().find(|p| (p.l1_kb, p.l2_kb) == (256, 8192));
+    let scaling = wb.processor_sweep(3);
+    let two = scaling.iter().find(|(n, _)| *n == 2);
+    let actual = [
+        line(&fig8, 16),
+        line(&fig8, 256),
+        digest(&big.expect("256 K / 8 M point").stats),
+        digest(&wb.reuse_experiment(3, 12).warm_same),
+        digest(&wb.prefetch_experiment(3).opt),
+        digest(&wb.protocol_ablation(12).mesi),
+        digest(&two.expect("two-processor point").1),
+    ];
+    let table: String = POINT_DIGESTS
+        .iter()
+        .zip(actual)
+        .map(|((label, _), d)| format!("    ({label:?}, {d:#018x}),\n"))
+        .collect();
+    assert!(
+        POINT_DIGESTS.iter().map(|(_, d)| *d).eq(actual),
+        "a sweep point's stats moved; this tree simulates:\n{table}"
+    );
 }

@@ -161,7 +161,7 @@ impl Cache {
     }
 
     /// The line address containing `addr`.
-    #[inline]
+    #[inline(always)]
     pub fn line_of(&self, addr: u64) -> u64 {
         addr & self.line_mask
     }
@@ -173,17 +173,21 @@ impl Cache {
 
     /// Index of the first way of `line`'s set.
     #[expect(clippy::cast_possible_truncation, reason = "masked by `set_mask`")]
-    #[inline]
+    #[inline(always)]
     fn set_start(&self, line: u64) -> usize {
         ((line >> self.line_shift) & self.set_mask) as usize * self.assoc
     }
 
     /// Index of the way holding `line`, if it is resident: one load and one
-    /// compare per way, whatever the state.
-    #[inline]
+    /// compare per way, whatever the state. A direct-mapped set (every L1
+    /// the paper sweeps) is one load and one compare, with no iterator.
+    #[inline(always)]
     fn find(&self, line: u64) -> Option<usize> {
         let start = self.set_start(line);
         let want = line | VALID;
+        if self.assoc == 1 {
+            return (self.ways[start] & !STATE_BITS == want).then_some(start);
+        }
         self.ways[start..start + self.assoc]
             .iter()
             .position(|&key| key & !STATE_BITS == want)
@@ -191,7 +195,7 @@ impl Cache {
     }
 
     /// Stamps way `at` most recently used.
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, at: usize) {
         if self.assoc > 1 {
             self.tick += 1;
@@ -201,7 +205,7 @@ impl Cache {
 
     /// Looks up the line containing `addr`; on a hit, refreshes LRU and
     /// returns its state.
-    #[inline]
+    #[inline(always)]
     pub fn lookup(&mut self, addr: u64) -> Option<LineState> {
         let at = self.find(self.line_of(addr))?;
         self.touch(at);

@@ -738,7 +738,10 @@ impl Machine {
     }
 
     /// Resolves a store: returns the write-buffer service latency
-    /// (0 = completed immediately against an exclusive line).
+    /// (0 = completed immediately against an exclusive line). Inlined with
+    /// [`Machine::step`] for the common case, an L1 hit on a `Modified` line;
+    /// everything else is [`Machine::write_slow`], handed the one L1 probe.
+    #[inline(always)]
     fn write_service(
         &mut self,
         p: usize,
@@ -747,7 +750,25 @@ impl Machine {
         l2s: &mut LevelStats,
     ) -> u64 {
         l1s.write_accesses += 1;
-        let in_l1 = match self.nodes[p].l1.lookup(addr) {
+        let hit = self.nodes[p].l1.lookup(addr);
+        if hit == Some(LineState::Modified) {
+            return 0;
+        }
+        self.write_slow(p, addr, hit, l1s, l2s)
+    }
+
+    /// A store that [`Machine::write_service`] could not complete inline:
+    /// `hit` is its L1 lookup (already counted and LRU-touched).
+    #[inline(never)]
+    fn write_slow(
+        &mut self,
+        p: usize,
+        addr: u64,
+        hit: Option<LineState>,
+        l1s: &mut LevelStats,
+        l2s: &mut LevelStats,
+    ) -> u64 {
+        let in_l1 = match hit {
             Some(state) if state.writable() => {
                 // MESI: the first write to an Exclusive line completes
                 // silently; promote both levels to Modified.

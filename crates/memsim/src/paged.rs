@@ -16,7 +16,9 @@
 //!
 //! Reads of untouched pages return `T::default()` without allocating; writes
 //! allocate at page granularity, so sparse traces stay cheap while hot lines
-//! cost exactly one indexed load or store.
+//! cost exactly one indexed load or store. An untouched page is an empty
+//! slice, so a present slot is three bounds-checked indexings and growing the
+//! tables is one cold call on the first touch of a page.
 
 #![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
 #![deny(clippy::panic, clippy::unreachable)]
@@ -36,10 +38,11 @@ const INITIAL_PAGES: usize = 256;
 /// every allocator; unit tests put lock words there), then the shared segment.
 const LOW_SEGMENTS: usize = 2;
 
-/// One segment's lazily allocated pages.
+/// One segment's lazily allocated pages; an untouched page is empty (and
+/// owns no allocation).
 #[derive(Clone, Debug)]
 struct Segment<T> {
-    pages: Vec<Option<Box<[T]>>>,
+    pages: Vec<Box<[T]>>,
 }
 
 impl<T> Default for Segment<T> {
@@ -108,21 +111,35 @@ impl<T: Copy + Default> PagedMap<T> {
     #[inline]
     pub(crate) fn get(&self, addr: u64) -> T {
         let (page, slot, seg) = self.locate(addr);
-        match self
-            .segments
+        self.segments
             .get(seg)
             .and_then(|s| s.pages.get(page))
-            .and_then(Option::as_deref)
-        {
-            Some(p) => p[slot],
-            None => T::default(),
-        }
+            .and_then(|p| p.get(slot))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Mutable access to the slot for `addr`, allocating its page on demand.
-    #[inline]
+    /// Inlined for the page-present case; growth is [`PagedMap::grow`].
+    #[inline(always)]
     pub(crate) fn get_mut(&mut self, addr: u64) -> &mut T {
         let (page, slot, seg) = self.locate(addr);
+        let present = self
+            .segments
+            .get(seg)
+            .and_then(|s| s.pages.get(page))
+            .is_some_and(|p| !p.is_empty());
+        if !present {
+            self.grow(seg, page);
+        }
+        &mut self.segments[seg].pages[page][slot]
+    }
+
+    /// Allocates page `page` of segment `seg`, growing the tables to reach
+    /// it: once per page the map ever writes, so out of the per-event path.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, seg: usize, page: usize) {
         if seg >= self.segments.len() {
             self.segments.resize_with(seg + 1, Segment::default);
         }
@@ -131,11 +148,9 @@ impl<T: Copy + Default> PagedMap<T> {
             if pages.capacity() == 0 {
                 pages.reserve(INITIAL_PAGES.max(page + 1));
             }
-            pages.resize_with(page + 1, || None);
+            pages.resize_with(page + 1, Box::default);
         }
-        let p =
-            pages[page].get_or_insert_with(|| vec![T::default(); PAGE_SLOTS].into_boxed_slice());
-        &mut p[slot]
+        pages[page] = vec![T::default(); PAGE_SLOTS].into_boxed_slice();
     }
 
     /// Mutable access without allocating: `None` if the page was never
@@ -147,8 +162,7 @@ impl<T: Copy + Default> PagedMap<T> {
             .get_mut(seg)?
             .pages
             .get_mut(page)?
-            .as_deref_mut()
-            .map(|p| &mut p[slot])
+            .get_mut(slot)
     }
 
     /// Stores `value` at `addr`.
@@ -170,10 +184,7 @@ impl<T: Copy + Default> PagedMap<T> {
                 1 => SHARED_BASE,
                 _ => PRIVATE_BASE + (seg_idx - LOW_SEGMENTS) as u64 * PRIVATE_STRIDE,
             };
-            for (page_idx, page) in seg.pages.iter().enumerate() {
-                let Some(slots) = page.as_deref() else {
-                    continue;
-                };
+            for (page_idx, slots) in seg.pages.iter().enumerate() {
                 for (slot_idx, value) in slots.iter().enumerate() {
                     let line_idx = ((page_idx as u64) << PAGE_SHIFT) + slot_idx as u64;
                     f(base + (line_idx << self.gran), *value);
