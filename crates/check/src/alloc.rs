@@ -9,12 +9,12 @@
 //!
 //! The module is deliberately *not* part of the `dss-check` library: the
 //! library root keeps `#![forbid(unsafe_code)]`, while a `GlobalAlloc` impl is
-//! irreducibly unsafe. Instead the
-//! binary and the test crates that need it include this file directly with
-//! `mod alloc;` / `#[path = ...]` and install their own
-//! `#[global_allocator]` instance:
+//! irreducibly unsafe. Instead `repro` and the test crates that need it
+//! include this file directly with `#[path = ...] mod alloc;` and install
+//! their own `#[global_allocator]` instance:
 //!
 //! ```ignore
+//! #[path = "../src/alloc.rs"]
 //! mod alloc;
 //! #[global_allocator]
 //! static COUNTER: alloc::CountingAlloc = alloc::CountingAlloc;
@@ -22,9 +22,9 @@
 //!
 //! Counters are process-global, so concurrent threads pollute each other's
 //! deltas. Measurement scopes are therefore only meaningful around
-//! single-threaded code: `dss-check alloc` generates traces (the parallel
-//! part) before opening its gates, and the zero-assert integration test
-//! lives alone in its own test binary.
+//! single-threaded code: `tests/paper_scale.rs` generates traces (the
+//! parallel part) before opening its gates, and each exact-count test lives
+//! alone in its own test binary.
 #![allow(
     unsafe_code,
     reason = "`GlobalAlloc` is an unsafe trait; this module is the workspace's one audited exception"
@@ -37,7 +37,6 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static REALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static BYTES_FREED: AtomicU64 = AtomicU64::new(0);
 /// Live bytes right now (allocated minus freed).
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of `CURRENT` since the last [`AllocGate::begin`].
@@ -46,7 +45,7 @@ static PEAK: AtomicU64 = AtomicU64::new(0);
 /// A `#[global_allocator]` that counts every heap operation.
 ///
 /// Forwards all requests to [`System`]; the counting is a handful of relaxed
-/// atomic adds, cheap enough to leave installed for a whole audit binary.
+/// atomic adds, cheap enough to leave installed for a whole binary.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
@@ -59,7 +58,6 @@ impl CountingAlloc {
 
     fn note_dealloc(size: u64) {
         DEALLOCS.fetch_add(1, Relaxed);
-        BYTES_FREED.fetch_add(size, Relaxed);
         CURRENT.fetch_sub(size, Relaxed);
     }
 }
@@ -95,7 +93,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
             REALLOCS.fetch_add(1, Relaxed);
             let (old, new) = (layout.size() as u64, new_size as u64);
             BYTES_ALLOCATED.fetch_add(new, Relaxed);
-            BYTES_FREED.fetch_add(old, Relaxed);
             let live = CURRENT.fetch_add(new, Relaxed) + new;
             PEAK.fetch_max(live, Relaxed);
             CURRENT.fetch_sub(old, Relaxed);
@@ -115,8 +112,6 @@ pub struct AllocReport {
     pub reallocs: u64,
     /// Bytes requested by allocations inside the scope.
     pub bytes_allocated: u64,
-    /// Bytes returned by frees inside the scope.
-    pub bytes_freed: u64,
     /// Peak live heap bytes reached inside the scope, measured from the
     /// scope's entry level (0 when nothing grew past where it started).
     pub peak_bytes: u64,
@@ -133,7 +128,6 @@ pub struct AllocGate {
     deallocs: u64,
     reallocs: u64,
     bytes_allocated: u64,
-    bytes_freed: u64,
     start_live: u64,
 }
 
@@ -149,7 +143,6 @@ impl AllocGate {
             deallocs: DEALLOCS.load(Relaxed),
             reallocs: REALLOCS.load(Relaxed),
             bytes_allocated: BYTES_ALLOCATED.load(Relaxed),
-            bytes_freed: BYTES_FREED.load(Relaxed),
             start_live,
         }
     }
@@ -161,7 +154,6 @@ impl AllocGate {
             deallocs: DEALLOCS.load(Relaxed) - self.deallocs,
             reallocs: REALLOCS.load(Relaxed) - self.reallocs,
             bytes_allocated: BYTES_ALLOCATED.load(Relaxed) - self.bytes_allocated,
-            bytes_freed: BYTES_FREED.load(Relaxed) - self.bytes_freed,
             peak_bytes: PEAK.load(Relaxed).saturating_sub(self.start_live),
         }
     }

@@ -1,5 +1,5 @@
-//! The allocation budget: the machine-readable report `dss-check alloc`
-//! emits and CI ratchets.
+//! The allocation budget: the machine-readable counts `tests/paper_scale.rs`
+//! measures and ratchets.
 //!
 //! One [`RunBudget`] per audited run (query × protocol), split into the
 //! warm-up phase (machine construction plus the first, buffer-growing
@@ -18,8 +18,8 @@
 //!   allowlisting);
 //! * a ratcheted count *above* the committed budget is a regression;
 //! * a ratcheted count *below* it is an improvement that must be banked by
-//!   regenerating the file (`dss-check alloc --update`), so the budget only
-//!   ever tracks reality.
+//!   committing the budget the failing test prints, so the budget only ever
+//!   tracks reality.
 //!
 //! The format is JSON for toolability, but constrained — one run object per
 //! line — so this std-only parser can read it back line by line without a
@@ -153,7 +153,7 @@ impl AllocBudget {
         for m in &measured.runs {
             match self.runs.iter().find(|b| b.run == m.run) {
                 None => problems.push(format!(
-                    "{}: not in the committed budget — run `dss-check alloc --update` and commit",
+                    "{}: not in the committed budget — commit the measured budget",
                     m.run
                 )),
                 Some(b) => {
@@ -185,7 +185,7 @@ fn ratchet(run: &str, phase: &str, measured: &Counts, budget: &Counts) -> Option
         ))
     } else if measured != budget {
         Some(format!(
-            "{run}: {phase}heap use improved ({measured} vs budget {budget}) — bank it: `dss-check alloc --update` and commit"
+            "{run}: {phase}heap use improved ({measured} vs budget {budget}) — bank it: commit the measured budget"
         ))
     } else {
         None

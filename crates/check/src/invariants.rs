@@ -85,16 +85,3 @@ pub fn check_machine(machine: &Machine) -> Result<(), CoherenceViolation> {
     }
     machine.verify_coherence()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_suite_holds_the_invariants() {
-        let mut wb = Workbench::small();
-        let summaries = check_baseline_suite(&mut wb).expect("protocol invariants hold");
-        assert_eq!(summaries.len(), STUDIED_QUERIES.len() * 2);
-        assert!(summaries.iter().all(|s| s.exec_cycles > 0));
-    }
-}

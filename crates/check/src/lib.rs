@@ -16,30 +16,25 @@
 //!   traces, treating `LockAcquire`/`LockRelease` as release/acquire edges;
 //!   the same replay records which lock classes each processor nests and
 //!   reports a cycle among them.
-//! * [`budget`] — the allocation-budget report `dss-check alloc` emits:
-//!   per-run warm-up and steady-state heap counters with ratchet-diff
-//!   semantics (the counting allocator itself lives in the binary, which may
-//!   use `unsafe`; this library must not).
+//! * [`budget`] — the committed allocation budget: per-run warm-up and
+//!   steady-state heap counters with ratchet-diff semantics (the counting
+//!   allocator itself, `src/alloc.rs`, is included by file into the binaries
+//!   and tests that install it, which may use `unsafe`; this library must
+//!   not).
 //! * [`model`] — exhaustive BFS reachability over the coherence-protocol
 //!   transition kernel (`dss_memsim::protocol`) across {MSI, MESI} × 2–4
 //!   processors × 1–2 lines, checking SWMR, directory–cache agreement, the
 //!   data-value invariant, and quiescence at every reachable state, plus a
 //!   litmus suite of pinned transaction shapes; violations come back as
 //!   minimal replayable event sequences.
-//! * [`crash`] — the crash-recovery campaign (`dss-check crash`): spawns
-//!   `repro` as a child with each `dss_faultkit::crash` site armed, requires
-//!   the abort to kill it, resumes with `--resume`, and requires stdout
-//!   byte-identical to an uninterrupted baseline. Not part of `all`: it
-//!   needs the `repro` binary on disk and runs whole child sweeps.
 //!
-//! The `dss-check` binary runs any or all passes and exits non-zero on the
-//! first finding; CI gates on `dss-check all`.
+//! `tests/paper_scale.rs` runs the race, invariant and allocation checks
+//! over one paper-scale workbench; `cargo test` is the gate.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod budget;
-pub mod crash;
 pub mod invariants;
 pub mod model;
 pub mod race;

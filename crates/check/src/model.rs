@@ -1,4 +1,4 @@
-//! The `dss-check model` pass: exhaustive reachability checking of the
+//! The model check: exhaustive reachability checking of the
 //! coherence-protocol transition kernel.
 //!
 //! The simulator routes every coherence decision through the pure kernel in
@@ -24,8 +24,7 @@
 //! filtering) to their required final states, so a regression is reported as
 //! the specific named scenario it breaks, not only as an abstract
 //! reachability failure. Violations render as minimal replayable event
-//! sequences ([`render_counterexample`]) that `dss-check` writes next to its
-//! exit status for CI to archive.
+//! sequences ([`render_counterexample`]), which the failing test prints.
 
 use std::fmt::Write as _;
 
@@ -86,11 +85,6 @@ impl ModelReport {
         self.runs.iter().filter(|r| r.is_finding()).count()
             + self.litmus.iter().filter(|l| l.failure.is_some()).count()
     }
-
-    /// The first exploration that found a violation, if any.
-    pub fn first_violation(&self) -> Option<&ModelRun> {
-        self.runs.iter().find(|r| r.violation.is_some())
-    }
 }
 
 /// Human name of a protocol variant.
@@ -135,7 +129,7 @@ pub fn render_counterexample(run: &ModelRun) -> String {
         return String::new();
     };
     let mut out = String::new();
-    let _ = writeln!(out, "dss-check model counterexample");
+    let _ = writeln!(out, "model counterexample");
     let _ = writeln!(
         out,
         "kernel: {}, {} processors, {} modeled line(s)",
@@ -428,10 +422,9 @@ mod tests {
         );
         for run in &report.runs {
             assert!(run.complete, "{:?} not exhausted", run);
-            assert!(run.violation.is_none(), "violation: {:?}", run.violation);
+            assert!(run.violation.is_none(), "{}", render_counterexample(run));
         }
         assert_eq!(report.findings(), 0);
-        assert!(report.first_violation().is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The engine half of the allocation audit, as a plain integration test:
-//! an untraced query execution's heap use is an exact, repeatable count —
-//! so `dss-check alloc` can ratchet it at the paper scale — and a per-row
-//! clone moves it.
+//! The engine half of the allocation budget at the small scale: an untraced
+//! query execution's heap use is an exact, repeatable count — so
+//! `paper_scale.rs` can ratchet it at the paper scale — and a per-row clone
+//! moves it.
 //!
-//! Alone in its test binary for the reason `alloc_gate.rs` is: the counting
-//! allocator's counters are process-global, and even the test harness
-//! reporting another test's result would pollute an exact comparison.
+//! Alone in its test binary: the counting allocator's counters are
+//! process-global, and even the test harness reporting another test's
+//! result would pollute an exact comparison.
 
 #[path = "../src/alloc.rs"]
 mod alloc;

@@ -1,8 +1,8 @@
 //! Atomic artifact persistence.
 //!
 //! Every artifact the workbench writes — `repro --bench-json` timing logs,
-//! `dss-check alloc` budgets, `traceinfo` reports — is consumed by tools
-//! (CI diffs, ratchet gates) that assume the file is either the *old*
+//! `traceinfo` reports — is consumed by tools (diffs, ratchet gates) that
+//! assume the file is either the *old*
 //! complete document or the *new* complete document. A plain
 //! `File::create` + write gives a third state: a torn prefix left behind by
 //! a crash or `SIGKILL` mid-write, which then poisons the next run's diff.

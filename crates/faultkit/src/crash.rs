@@ -6,7 +6,8 @@
 //! (checkpoint journal, streamed block files) survives the process dying at
 //! the worst possible instants — and a site that calls
 //! [`std::process::abort`] cannot report its own outcome. So the campaign
-//! inverts: `dss-check crash` spawns `repro` as a child with one site armed
+//! inverts: `dss-bench`'s `tests/resume.rs` spawns `repro` as a child with
+//! one site armed
 //! through the environment, lets the abort kill it, then reruns with
 //! `--resume` and compares the recovered output against an uninterrupted
 //! baseline.
@@ -44,9 +45,9 @@ pub struct CrashSite {
 }
 
 /// The registered crash sites, in campaign order. Each corresponds to a
-/// `crash_point` call in `dss-core`'s checkpoint/trace plumbing; the
-/// `dss-check crash` campaign kills a `repro` child at every one and
-/// requires resume to reproduce the uninterrupted run bit for bit.
+/// `crash_point` call in `dss-core`'s checkpoint/trace plumbing; the crash
+/// campaign (`dss-bench`'s `tests/resume.rs`) kills a `repro` child at every
+/// one and requires resume to reproduce the uninterrupted run bit for bit.
 pub const CRASH_SITES: &[CrashSite] = &[
     CrashSite {
         name: "crash.trace.block-write",

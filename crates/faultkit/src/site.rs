@@ -1,6 +1,6 @@
 //! The fault-site registry: every injection the campaign performs, as a
-//! static table so coverage is enumerable (and `dss-check fault` can assert
-//! all of it ran).
+//! static table so coverage is enumerable (and the campaign's tests can pin
+//! how many sites ran).
 //!
 //! Each site is a pure function from a seeded RNG to an [`Outcome`]: it
 //! builds a healthy fixture, corrupts it in one specific seeded way, feeds

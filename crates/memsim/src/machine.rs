@@ -58,7 +58,7 @@ pub(crate) struct Node {
 pub struct Machine {
     cfg: MachineConfig,
     /// The pure transition kernel deciding every coherence transaction
-    /// (`crate::protocol`) — the same kernel `dss-check model` explores
+    /// (`crate::protocol`) — the same kernel `dss_check::check_model` explores
     /// exhaustively, so the simulator cannot drift from the checked protocol.
     kernel: Kernel,
     pub(crate) nodes: Vec<Node>,
@@ -71,7 +71,7 @@ pub struct Machine {
     /// Reusable per-processor run state. Hoisted out of the replay loop so
     /// that, once a run has grown these buffers, subsequent runs (through
     /// [`Machine::run_into`]) never touch the heap — the steady-state
-    /// property `dss-check alloc` measures.
+    /// property `dss-check`'s `paper_scale` test measures.
     scratch: Vec<ProcScratch>,
     /// Reusable per-processor block buffers for [`Machine::run_source`]: the
     /// streaming run replays one block per processor at a time, refilling
@@ -297,8 +297,8 @@ impl Machine {
     /// (no copy) and all per-run state lives in buffers the machine reuses
     /// between runs, so once one run has grown them (and the caches' lazily
     /// paged tables have seen the trace's address footprint), subsequent
-    /// runs perform **zero** heap allocations — `dss-check alloc` measures
-    /// exactly this with a counting allocator. [`Machine::run`] is a
+    /// runs perform **zero** heap allocations — `dss-check`'s `paper_scale`
+    /// test measures exactly this with a counting allocator. [`Machine::run`] is a
     /// convenience wrapper that allocates one fresh `SimStats` per call.
     ///
     /// # Panics

@@ -5,7 +5,7 @@
 //! how a directory entry changes — lives here as side-effect-free functions
 //! over [`DirEntry`] and per-node [`LineState`]s. The simulator
 //! ([`crate::Machine`]) applies these decisions to its caches, latencies, and
-//! statistics; the `dss-check model` pass drives the very same functions
+//! statistics; `dss_check::check_model` drives the very same functions
 //! through [`step`] to enumerate the protocol's entire reachable state space
 //! over small configurations. One transition table, two consumers — the
 //! model checker cannot drift from the machine it vouches for.
@@ -618,8 +618,8 @@ pub struct Exploration {
 /// same kernel and bounds always classify a bug identically.
 ///
 /// Lives in `dss-memsim` rather than `dss-check` so the fault-injection
-/// campaign (`dss-faultkit`, which `dss-check` depends on) can drive it
-/// against deliberately broken kernels without a dependency cycle.
+/// campaign (`dss-faultkit`) can drive it against deliberately broken
+/// kernels without depending on the checker.
 ///
 /// # Panics
 ///

@@ -2,8 +2,8 @@
 //!
 //! The runtime observer ([`crate::verify`]), the exhaustive model checker
 //! ([`crate::protocol::explore`]), the fault-injection campaign, and
-//! `dss-check model` all report violations by these exact strings, and the
-//! drill sites match on them verbatim — so a reworded copy in one place
+//! `dss_check::check_model` all report violations by these exact strings,
+//! and the drill sites match on them verbatim — so a reworded copy in one place
 //! would silently break the cross-checks. The unit test below enforces the
 //! dedup: any of these literals appearing in memsim source outside this
 //! module fails it.

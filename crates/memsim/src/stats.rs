@@ -22,7 +22,7 @@ fn kind_index(k: MissKind) -> usize {
 /// Stored inline as a fixed array (not a `Vec`): the counters are part of
 /// every [`SimStats`], and keeping them allocation-free lets a warmed
 /// [`crate::Machine`] fill a caller-owned `SimStats` without touching the
-/// heap (the property `dss-check alloc` measures).
+/// heap (the property `dss-check`'s `paper_scale` test measures).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MissMatrix {
     counts: [[u64; 3]; NCLASSES],

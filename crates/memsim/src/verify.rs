@@ -22,8 +22,9 @@
 //! The directory-protocol rules themselves (everything except inclusion,
 //! which concerns the machine's two physical cache levels) are defined once,
 //! in [`crate::protocol::check_line`] — the same function the exhaustive
-//! `dss-check model` pass evaluates over the kernel's whole reachable state
-//! space, so the runtime observer and the model checker cannot drift.
+//! model check (`dss_check::check_model`) evaluates over the kernel's whole
+//! reachable state space, so the runtime observer and the model checker
+//! cannot drift.
 //!
 //! [`Machine::verify_line`] checks one line (allocation-free on the success
 //! path, so the per-transaction observer hook compiled in by the
@@ -111,7 +112,7 @@ impl Machine {
         let entry = self.dir.entry(line);
         // The directory-protocol rules are the kernel's
         // ([`crate::protocol::check_line`]): one definition serves this
-        // runtime observer and the exhaustive `dss-check model` pass, so the
+        // runtime observer and the exhaustive `dss_check::check_model`, so the
         // two can never drift.
         let mut caches = [None; 64];
         for (id, node) in self.nodes.iter().enumerate() {

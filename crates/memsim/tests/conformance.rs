@@ -1,7 +1,7 @@
 //! Conformance: the cycle-accurate [`Machine`] is a refinement of the pure
 //! transition kernel in [`dss_memsim::protocol`].
 //!
-//! The model checker (`dss-check model`) exhausts the *kernel's* state
+//! The model checker (`dss_check::check_model`) exhausts the *kernel's* state
 //! space; that proof only covers the simulator if the simulator's coherence
 //! transitions actually are the kernel's. This suite pins that: random
 //! read/write schedules over two shared lines are replayed on a real
