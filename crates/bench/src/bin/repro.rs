@@ -25,8 +25,9 @@
 //! completed sweep point as it finishes, plus the streamed-mode block files
 //! (`PATH/traces/`). After a crash — power loss included; the journal is
 //! fsynced record by record — rerunning with `--resume` replays the journal,
-//! skips completed points, salvages partial block files down to their last
-//! checksum-valid block, and regenerates only what is missing; stdout is
+//! skips completed points, and computes only what is missing, recording from
+//! scratch every trace set a remaining point needs (block files are derived
+//! data; whatever the crash left of them is overwritten); stdout is
 //! byte-identical to an uninterrupted run. The manifest carries a
 //! fingerprint of the configuration (scale, seed, buffer pool, processor
 //! count), so resuming under different parameters safely starts fresh.
@@ -544,7 +545,7 @@ const OPTIONS: [(Flag, &str, bool, &str); 8] = [
         Flag::Resume,
         "--resume",
         false,
-        "--resume needs --state-dir (the journal and trace files to resume from)",
+        "--resume needs --state-dir (the journal to resume from)",
     ),
     (
         Flag::Inject,
@@ -704,7 +705,6 @@ fn main() {
                             j.replayed(),
                             manifest.display()
                         );
-                        wb.set_resume(true);
                         resume_mode = "resumed";
                     }
                     j

@@ -21,8 +21,8 @@ use dss_faultkit::FaultPlan;
 use dss_trace::BlockReader;
 use rand::Rng;
 
-/// The sweep under test — small, streamed (so trace salvage is exercised),
-/// and multi-point (so the journal matters).
+/// The sweep under test — small, streamed (so a kill can tear a block file
+/// the resume must rewrite), and multi-point (so the journal matters).
 const ARGS: &[&str] = &[
     "fig8",
     "--sf",
@@ -248,10 +248,11 @@ fn normalization_is_insensitive_to_measurement_noise() {
 /// The crash campaign: under each kill schedule, every registered crash site
 /// is armed at a seed-chosen hit, the child must die by SIGABRT, and the
 /// unarmed `--resume` must exit 0 with stdout byte-identical to one
-/// uninterrupted baseline and an equal normalized report. Seed 1 is the
-/// schedule every earlier campaign ran, seed 5 the one that found the
-/// skipped-processor resume bug (`crash.trace.pre-finish` at hit 2). Every
-/// kill runs before the verdict, and a failed kill keeps its state directory.
+/// uninterrupted baseline and an equal normalized report. A kill at a
+/// trace-block site leaves a torn or unfinished block file, which the resume
+/// rewrites; seed 5 places `crash.trace.pre-finish` at hit 2, a finished
+/// processor's file beside an unfinished one. Every kill runs before the
+/// verdict, and a failed kill keeps its state directory.
 #[test]
 #[ignore = "18 killed and resumed sweeps: run with `--release -- --ignored`"]
 fn every_crash_site_resumes_to_identical_output() {
@@ -329,12 +330,13 @@ fn every_crash_site_resumes_to_identical_output() {
 /// the packed 8-byte event word plus 24 bytes of framing per block, so
 /// walking every file the run left must find at most 8.1 bytes per event.
 /// The same sweep killed after its fourth journaled point then resumes: exit
-/// 0, an equal normalized report, at least the four journaled points served
-/// back. (Two Figure 12 shape checks fail at this scale, identically in both
-/// runs; this test does not assert the checks.)
-///
-/// Resumed stdout must equal the uninterrupted run's except for exactly the
-/// lines in [`SF_0_1_RESUME_MOVES`]; any other difference fails.
+/// 0, stdout byte-identical to the uninterrupted run's, an equal normalized
+/// report, at least the four journaled points served back. The kill lands
+/// in Figure 8's Q3 sweep after Q3's block files are complete; the resume
+/// records that set again rather than reusing it, so every later set meets
+/// the lock-table history an uninterrupted run gives it. (Two Figure 12
+/// shape checks fail at this scale, identically in both runs; this test does
+/// not assert the checks.)
 #[test]
 #[ignore = "three SF 0.1 sweeps and ~4 GB of trace files: run with `--release -- --ignored`"]
 fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
@@ -439,44 +441,9 @@ fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
     assert!(bench.contains("\"mode\": \"resumed\""), "{bench}");
     let loaded = points_loaded(&bench);
     assert!(loaded >= 4, "resume replayed only {loaded} points");
-    let (a, b) = (
-        String::from_utf8_lossy(&baseline.stdout),
-        String::from_utf8_lossy(&resumed.stdout),
-    );
-    assert_eq!(a.lines().count(), b.lines().count(), "resumed stdout:\n{b}");
-    let moved: Vec<(usize, &str, &str)> = a
-        .lines()
-        .zip(b.lines())
-        .enumerate()
-        .filter(|(_, (x, y))| x != y)
-        .map(|(i, (x, y))| (i + 1, x, y))
-        .collect();
-    assert_eq!(
-        moved, SF_0_1_RESUME_MOVES,
-        "resumed stdout moved other lines than the known ones (line, uninterrupted, resumed)"
+    assert!(
+        resumed.stdout == baseline.stdout,
+        "resumed stdout differs from the uninterrupted run's:\n{}",
+        String::from_utf8_lossy(&resumed.stdout)
     );
 }
-
-/// The stdout lines the SF 0.1 resume above moves: (line, uninterrupted,
-/// resumed). At this scale trace generation is not history-independent. The
-/// lock manager hands out freed LockHash/XidHash slots last-in first-out, so
-/// a set recorded after Q3's queries holds other metadata addresses than one
-/// recorded without them. The kill lands in Figure 8's Q3 sweep, after Q3's
-/// block files are complete, so the resumed run reuses them without running
-/// Q3 and records every later set from that other history. Figure 8 Q12 at
-/// 16-byte lines and Figure 12 "Q12 after Q3" move. Empty this table when
-/// slot allocation stops depending on history.
-const SF_0_1_RESUME_MOVES: &[(usize, &str, &str)] = &[
-    (
-        44,
-        "         16     6.3  228.1    0.0    3.3  237.6",
-        "         16     6.3  228.1    0.0    3.3  237.7",
-    ),
-    (
-        66,
-        "  [PASS] Q12 after Q3: only a few data misses disappear \u{2014} \
-         cold=7440313 after-Q3=7274979",
-        "  [PASS] Q12 after Q3: only a few data misses disappear \u{2014} \
-         cold=7440313 after-Q3=7274983",
-    ),
-];

@@ -16,7 +16,8 @@
 //! recomputing), every line must match its own FNV-1a checksum, and the
 //! stats digest must match the parsed record. A torn tail — the half-written
 //! line a crash inside an append leaves behind — simply ends the replay at
-//! the last valid record, exactly like the trace codec's salvage scan.
+//! the last valid record. The journal is the only resume state: trace files
+//! are derived data, recorded again whenever a resumed run needs them.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

@@ -26,8 +26,9 @@
 //!   persistence for everything the workbench writes to disk.
 //! * [`CheckpointJournal`] / [`config_fingerprint`] — crash safety: a
 //!   checksummed, fsynced journal of completed sweep points. A resumed run
-//!   replays it, salvages partial streamed trace files, recomputes only
-//!   what is missing, and renders output byte-identical to a fresh run.
+//!   replays it, recomputes only what is missing (recording from scratch
+//!   any streamed trace set that needs), and renders output byte-identical
+//!   to a fresh run.
 //!
 //! # Example
 //!

@@ -1,8 +1,8 @@
 //! The workbench: a built database plus cached per-processor traces.
 
 use std::collections::HashMap;
-use std::io::{BufWriter, Seek, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufWriter, Write};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -11,8 +11,7 @@ use dss_memsim::{MachineConfig, SimStats};
 use dss_query::{Database, DbConfig, Session};
 use dss_tpcd::params;
 use dss_trace::{
-    salvage_scan_file, EventStream, FileTraceSource, Trace, TraceError, TraceSource, Tracer,
-    DEFAULT_BLOCK_EVENTS,
+    EventStream, FileTraceSource, Trace, TraceError, TraceSource, Tracer, DEFAULT_BLOCK_EVENTS,
 };
 
 use crate::checkpoint::CheckpointJournal;
@@ -181,11 +180,6 @@ pub struct Workbench {
     /// The crash-safety journal: completed sweep points are served from it
     /// and newly computed points are appended (durably) as they finish.
     pub(crate) checkpoint: Option<Arc<Mutex<CheckpointJournal>>>,
-    /// Resume mode: salvage partial streamed block files left by an
-    /// interrupted run instead of regenerating them from scratch. Only safe
-    /// when the caller has verified (via the journal fingerprint) that the
-    /// files on disk belong to this exact configuration.
-    pub(crate) resume: bool,
 }
 
 impl Workbench {
@@ -217,7 +211,6 @@ impl Workbench {
             point_deadline: None,
             sabotage: None,
             checkpoint: None,
-            resume: false,
         }
     }
 
@@ -376,16 +369,6 @@ impl Workbench {
         self.checkpoint = Some(Arc::new(Mutex::new(journal)));
     }
 
-    /// Enables resume mode: streamed block files already on disk are
-    /// salvaged — complete files reused, partial files truncated to their
-    /// last checksum-valid block and completed in place — instead of being
-    /// regenerated from scratch. Enable only when the on-disk state is known
-    /// to belong to this exact configuration; the checkpoint journal's
-    /// fingerprint ([`crate::config_fingerprint`]) is the proof.
-    pub fn set_resume(&mut self, resume: bool) {
-        self.resume = resume;
-    }
-
     /// Returns the trace population for `query` in this workbench's
     /// [`TraceMode`]: a cheap clone of the materialized set, or a handle to
     /// per-processor block files (recorded on first request).
@@ -407,17 +390,11 @@ impl Workbench {
     /// Each processor's query runs with a sinked [`Tracer`] draining event
     /// blocks straight to disk, so recording holds at most one block per
     /// processor in memory — this is the generation half of the
-    /// bounded-memory pipeline. Files are written directly to their final
-    /// path and fsynced on completion: the stream's end marker, not a
-    /// rename, is the completion indicator, so a crash mid-write leaves a
-    /// file the next run's salvage scan can recognize as partial. In resume
-    /// mode ([`Workbench::set_resume`]) such leftovers are salvaged:
-    /// complete files are reused outright, partial ones are truncated to
-    /// their last checksum-valid block and completed in place by replaying
-    /// the (deterministic) generation and discarding the already-written
-    /// blocks. Generation is history-independent across sets but not across
-    /// the processors of one set, so a reused file's query still runs,
-    /// untraced, when a later processor's file has to be generated.
+    /// bounded-memory pipeline. A block file is derived data, a pure
+    /// function of the configuration, query, seed and processor, so every
+    /// set is recorded from scratch the first time this workbench asks for
+    /// it: whatever an earlier (perhaps killed) run left at the path is
+    /// overwritten. Files are fsynced on completion.
     ///
     /// # Panics
     ///
@@ -443,64 +420,18 @@ impl Workbench {
         let paths: Vec<PathBuf> = (0..self.nprocs)
             .map(|p| FileTraceSource::proc_path(&dir, &stem, p))
             .collect();
-        let salvaged: Vec<_> = paths
-            .iter()
-            .enumerate()
-            .map(|(p, path)| self.resume.then(|| salvage_state(path, p)).flatten())
-            .collect();
-        // The last processor whose file has to be written: every query before
-        // it runs, so it meets the database an uninterrupted run would have.
-        let last_generated = salvaged.iter().rposition(|s| !matches!(s, Some((_, true))));
-        for (p, (path, salvage)) in paths.iter().zip(salvaged).enumerate() {
+        for (p, path) in paths.iter().enumerate() {
             let seed = seed_base + p as u64;
             let sql = dss_query::sql_for(query, &params(query, seed));
+            let file = std::fs::File::create(path)
+                .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
+            let sync = file
+                .try_clone()
+                .unwrap_or_else(|e| panic!("clone handle {}: {e}", path.display()));
+            let sink = Box::new(BufWriter::new(CrashFile(file)));
+            let tracer = Tracer::with_sink(p, DEFAULT_BLOCK_EVENTS, sink)
+                .unwrap_or_else(|e| panic!("trace sink {}: {e}", path.display()));
             let mut session = Session::new(p);
-            if matches!(salvage, Some((_, true))) {
-                // A complete stream from the interrupted run: reuse as-is.
-                if Some(p) < last_generated {
-                    session.tracer = Tracer::disabled();
-                    self.db
-                        .run(&sql, &mut session)
-                        .unwrap_or_else(|e| panic!("Q{query} (seed {seed}) failed: {e}"));
-                }
-                continue;
-            }
-            let (file, tracer) = match salvage {
-                Some((scan, _)) => {
-                    // Partial stream: truncate to the last checksum-valid
-                    // block and complete it in place. The regenerated query
-                    // reproduces the salvaged blocks bit for bit (generation
-                    // is history-independent, pinned by a test below); the
-                    // resumed sink discards them and appends the rest.
-                    let mut file = std::fs::OpenOptions::new()
-                        .read(true)
-                        .write(true)
-                        .open(path)
-                        .unwrap_or_else(|e| panic!("reopen {}: {e}", path.display()));
-                    file.set_len(scan.valid_len)
-                        .unwrap_or_else(|e| panic!("truncate {}: {e}", path.display()));
-                    file.seek(std::io::SeekFrom::End(0))
-                        .unwrap_or_else(|e| panic!("seek {}: {e}", path.display()));
-                    let sync = file
-                        .try_clone()
-                        .unwrap_or_else(|e| panic!("clone handle {}: {e}", path.display()));
-                    let sink = Box::new(BufWriter::new(CrashFile(file)));
-                    let tracer =
-                        Tracer::with_sink_resume(p, DEFAULT_BLOCK_EVENTS, sink, scan.blocks);
-                    (sync, tracer)
-                }
-                None => {
-                    let file = std::fs::File::create(path)
-                        .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
-                    let sync = file
-                        .try_clone()
-                        .unwrap_or_else(|e| panic!("clone handle {}: {e}", path.display()));
-                    let sink = Box::new(BufWriter::new(CrashFile(file)));
-                    let tracer = Tracer::with_sink(p, DEFAULT_BLOCK_EVENTS, sink)
-                        .unwrap_or_else(|e| panic!("trace sink {}: {e}", path.display()));
-                    (sync, tracer)
-                }
-            };
             session.tracer = tracer.clone();
             self.db
                 .run(&sql, &mut session)
@@ -512,7 +443,7 @@ impl Workbench {
             // The end marker is on disk (buffered writer flushed by
             // `finish_sink`); make it durable before anything records this
             // file as usable.
-            file.sync_all()
+            sync.sync_all()
                 .unwrap_or_else(|e| panic!("fsync {}: {e}", path.display()));
         }
         fsync_dir(Some(&dir)).unwrap_or_else(|e| panic!("fsync dir {}: {e}", dir.display()));
@@ -542,19 +473,6 @@ impl Workbench {
             traces.push(session.tracer.take());
         }
         traces
-    }
-}
-
-/// What resume mode found at `path`: the salvage scan plus whether the
-/// stream is complete. `None` means "regenerate from scratch" — no file, a
-/// damaged header, or a file recorded for a different processor.
-fn salvage_state(path: &Path, proc_id: usize) -> Option<(dss_trace::SalvageScan, bool)> {
-    match salvage_scan_file(path) {
-        Ok(scan) if scan.proc_id == proc_id => {
-            let complete = scan.complete;
-            Some((scan, complete))
-        }
-        _ => None,
     }
 }
 
@@ -724,25 +642,22 @@ mod tests {
     }
 
     #[test]
-    fn resume_salvages_partial_and_reuses_complete_files() {
+    fn without_resume_leftover_files_are_rewritten() {
         let config = DbConfig {
             scale: 0.001,
             nbuffers: 1024,
             ..DbConfig::default()
         };
-        let dir = std::env::temp_dir().join(format!("dss-wb-resume-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("dss-wb-leftover-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut wb = Workbench::new(&config, 3);
         wb.set_trace_dir(dir.clone());
         wb.set_trace_mode(TraceMode::Streamed);
-        let files = wb.trace_files(6, 0);
-        let paths = files.paths().to_vec();
+        let paths = wb.trace_files(6, 0).paths().to_vec();
         let whole: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
-        // Tear proc 0's file mid-block, as a crash inside a block write
-        // would; tag proc 1's (complete) file past its end marker, where no
-        // reader looks — if resume rewrote the file the tag would vanish;
-        // leave proc 2 a complete file of the previous block format, which
-        // has no reader and so nothing to salvage.
+        // What an interrupted run may leave: proc 0's file torn mid-block,
+        // proc 1's complete but followed by bytes no reader looks at, and
+        // proc 2's a complete file of the previous block format.
         std::fs::write(&paths[0], &whole[0][..whole[0].len() - 9]).unwrap();
         let mut p1 = std::fs::OpenOptions::new()
             .append(true)
@@ -757,52 +672,14 @@ mod tests {
         let mut wb2 = Workbench::new(&config, 3);
         wb2.set_trace_dir(dir.clone());
         wb2.set_trace_mode(TraceMode::Streamed);
-        wb2.set_resume(true);
         let _ = wb2.trace_files(6, 0);
-        assert_eq!(
-            std::fs::read(&paths[0]).unwrap(),
-            whole[0],
-            "partial file salvaged and completed to the original bytes"
-        );
-        let back = std::fs::read(&paths[1]).unwrap();
-        assert_eq!(&back[..whole[1].len()], &whole[1][..]);
-        assert!(
-            back.ends_with(b"JUNK"),
-            "complete file reused, not rewritten"
-        );
-        assert_eq!(
-            std::fs::read(&paths[2]).unwrap(),
-            whole[2],
-            "old-format file regenerated from scratch"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn without_resume_leftover_files_are_rewritten() {
-        let config = DbConfig {
-            scale: 0.001,
-            nbuffers: 1024,
-            ..DbConfig::default()
-        };
-        let dir = std::env::temp_dir().join(format!("dss-wb-noresume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut wb = Workbench::new(&config, 2);
-        wb.set_trace_dir(dir.clone());
-        wb.set_trace_mode(TraceMode::Streamed);
-        let paths = wb.trace_files(6, 0).paths().to_vec();
-        let whole = std::fs::read(&paths[0]).unwrap();
-        std::fs::write(&paths[0], b"stale bytes from some other run").unwrap();
-
-        let mut wb2 = Workbench::new(&config, 2);
-        wb2.set_trace_dir(dir.clone());
-        wb2.set_trace_mode(TraceMode::Streamed);
-        let _ = wb2.trace_files(6, 0);
-        assert_eq!(
-            std::fs::read(&paths[0]).unwrap(),
-            whole,
-            "fresh mode regenerates from scratch"
-        );
+        for (p, path) in paths.iter().enumerate() {
+            assert_eq!(
+                std::fs::read(path).unwrap(),
+                whole[p],
+                "proc {p}'s file rewritten to the uninterrupted bytes"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -154,22 +154,21 @@ fn a_state_dir_from_before_the_packed_block_format_is_refused() {
 #[test]
 fn a_partial_file_after_a_complete_one_regenerates_the_uninterrupted_bytes() {
     // Q3's trace depends on what the processors before it left in the
-    // buffer pool and lock tables, so reusing processor 0's complete file
-    // must not mean skipping processor 0's query.
+    // buffer pool and lock tables, so the set is recorded as a whole: a
+    // complete file beside a torn one is rewritten with it.
     let dir = temp_dir("skipped-proc");
-    let streamed = |resume: bool| {
+    let streamed = || {
         let mut wb = Workbench::new(&config(), 2);
         wb.set_trace_dir(dir.clone());
         wb.set_trace_mode(TraceMode::Streamed);
-        wb.set_resume(resume);
         wb
     };
-    let paths = streamed(false).trace_files(3, 0).paths().to_vec();
+    let paths = streamed().trace_files(3, 0).paths().to_vec();
     let whole: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
     // Processor 1 died inside a block write; processor 0 had finished.
     std::fs::write(&paths[1], &whole[1][..whole[1].len() / 2]).unwrap();
 
-    let _ = streamed(true).trace_files(3, 0);
+    let _ = streamed().trace_files(3, 0);
     for (path, bytes) in paths.iter().zip(&whole) {
         assert!(
             std::fs::read(path).unwrap() == *bytes,

@@ -52,12 +52,12 @@ pub const CRASH_SITES: &[CrashSite] = &[
     CrashSite {
         name: "crash.trace.block-write",
         layer: "streamed trace file",
-        what: "a block file torn mid-write salvages to the last valid block",
+        what: "a block file torn mid-write is rewritten from scratch on resume",
     },
     CrashSite {
         name: "crash.trace.pre-finish",
         layer: "streamed trace file",
-        what: "a block file missing its end marker is completed, not reused as-is",
+        what: "a block file missing its end marker is rewritten, not reused as-is",
     },
     CrashSite {
         name: "crash.manifest.torn-append",

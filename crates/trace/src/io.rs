@@ -13,16 +13,13 @@
 //! Failures never panic: malformed or truncated input comes back as a
 //! structured [`TraceError`] carrying the byte offset (and, for event-level
 //! failures, the event index) where decoding stopped, and the file-level
-//! readers ([`salvage_scan_file`], [`crate::FileTraceSource`]) wrap the file
-//! path, so a bad trace on disk is diagnosable from the error alone. A stream
-//! ends with an explicit marker, so a killed writer leaves a file that reads
-//! back as truncated and that [`salvage_scan`] can cut to its last valid
-//! block.
+//! reader ([`crate::FileTraceSource`]) wraps the file path, so a bad trace on
+//! disk is diagnosable from the error alone. A stream ends with an explicit
+//! marker, so a killed writer leaves a file that reads back as truncated.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read, Write};
+use std::path::PathBuf;
 
 use crate::source::DEFAULT_BLOCK_EVENTS;
 use crate::{Event, Trace};
@@ -240,7 +237,12 @@ impl<W: Write> BlockWriter<W> {
         let id = proc_id as u64;
         w.write_all(&id.to_le_bytes())?;
         w.write_all(&mix(MIX_SEED, id).to_le_bytes())?;
-        Ok(Self::resume(w, 0))
+        Ok(BlockWriter {
+            w,
+            next_chunk: 0,
+            finished: false,
+            scratch: vec![0; SLICE_WORDS * 8],
+        })
     }
 
     /// Appends `events` as one block — or as several, when there are more
@@ -293,20 +295,6 @@ impl<W: Write> BlockWriter<W> {
         let hash = self.put_header(0)?;
         self.w.write_all(&hash.to_le_bytes())?;
         self.w.flush()
-    }
-
-    /// Resumes a block stream whose header and first `next_chunk` blocks are
-    /// already durable in `w` — the crash-recovery counterpart of
-    /// [`BlockWriter::new`]. No header is written; the caller must have
-    /// positioned `w` exactly at the end of a prefix validated by
-    /// [`salvage_scan`] (so the next block's chunk index is `next_chunk`).
-    pub fn resume(w: W, next_chunk: u64) -> Self {
-        BlockWriter {
-            w,
-            next_chunk,
-            finished: false,
-            scratch: vec![0; SLICE_WORDS * 8],
-        }
     }
 
     /// Number of blocks written so far.
@@ -383,13 +371,6 @@ impl<R: Read> BlockReader<R> {
     /// do not hash to its stored checksum.
     pub fn next_block(&mut self, buf: &mut Vec<Event>) -> Result<usize, TraceError> {
         buf.clear();
-        self.scan_block(Some(buf))
-    }
-
-    /// Reads and verifies the next block, appending its events to `keep` if
-    /// there is one — as they decode, before the block's checksum is known
-    /// to match; an error return disowns them.
-    fn scan_block(&mut self, mut keep: Option<&mut Vec<Event>>) -> Result<usize, TraceError> {
         if self.done {
             return Ok(0);
         }
@@ -417,10 +398,8 @@ impl<R: Read> BlockReader<R> {
                 self.next_chunk
             )));
         }
-        if let Some(buf) = &mut keep {
-            // One allocation for an honest block; a lying count buys no more.
-            buf.reserve(n.min(DEFAULT_BLOCK_EVENTS));
-        }
+        // One allocation for an honest block; a lying count buys no more.
+        buf.reserve(n.min(DEFAULT_BLOCK_EVENTS));
         let mut hash = mix(mix(MIX_SEED, count), chunk);
         let mut first = 0;
         while first < n {
@@ -439,17 +418,14 @@ impl<R: Read> BlockReader<R> {
             for (i, record) in self.scratch[..got].as_chunks::<8>().0.iter().enumerate() {
                 let w = u64::from_le_bytes(*record);
                 hash = mix(hash, w);
-                match (Event::from_bits(w), &mut keep) {
-                    (Some(event), Some(buf)) => buf.push(event),
-                    (Some(_), None) => {}
-                    (None, _) => {
-                        return Err(TraceError::Corrupt {
-                            offset: at + i as u64 * 8,
-                            event: Some((first + i, n)),
-                            what: format!("no event packs to the word {w:#018x}"),
-                        })
-                    }
-                }
+                let Some(event) = Event::from_bits(w) else {
+                    return Err(TraceError::Corrupt {
+                        offset: at + i as u64 * 8,
+                        event: Some((first + i, n)),
+                        what: format!("no event packs to the word {w:#018x}"),
+                    });
+                };
+                buf.push(event);
             }
             first += words;
         }
@@ -539,84 +515,6 @@ pub fn read_trace_blocks<R: Read>(r: R) -> Result<Trace, TraceError> {
     Ok(Trace {
         proc_id: br.proc_id(),
         events,
-    })
-}
-
-/// What [`salvage_scan`] found in a (possibly torn) block stream: the length
-/// of the longest checksum-valid prefix and whether the end marker was seen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SalvageScan {
-    /// The processor id from the stream header.
-    pub proc_id: usize,
-    /// Number of checksum-valid event blocks in the prefix (the chunk index
-    /// the next appended block must carry).
-    pub blocks: u64,
-    /// Number of events in those blocks.
-    pub events: u64,
-    /// Byte length of the valid prefix: header plus whole valid blocks, and
-    /// the end marker when `complete`. Truncating the file to this length
-    /// yields a stream a resumed writer can append to.
-    pub valid_len: u64,
-    /// Whether the end-of-stream marker was reached — i.e. the stream is a
-    /// whole trace, not a crashed writer's prefix.
-    pub complete: bool,
-}
-
-/// Scans a block stream for crash recovery: reads forward block by block and
-/// stops at the first damage (truncation, corruption, checksum mismatch)
-/// instead of failing, reporting the longest valid prefix. A writer killed
-/// mid-stream leaves a file this scan salvages down to the last
-/// checksum-valid block; [`BlockWriter::resume`] can then append the rest.
-/// Blocks are verified and counted, never materialized.
-///
-/// # Errors
-///
-/// Header damage is not salvageable — there is nothing valid to keep — so
-/// [`TraceError::BadMagic`], a truncated header, or a header checksum
-/// mismatch is returned as the error it is. [`TraceError::Io`] transport
-/// errors also propagate: a failing disk is not a decidable salvage. Damage
-/// *after* the header is never an error; it just ends the valid prefix.
-pub fn salvage_scan<R: Read>(r: R) -> Result<SalvageScan, TraceError> {
-    let mut br = BlockReader::new(r)?;
-    let mut scan = SalvageScan {
-        proc_id: br.proc_id(),
-        blocks: 0,
-        events: 0,
-        valid_len: br.offset,
-        complete: false,
-    };
-    loop {
-        match br.scan_block(None) {
-            Ok(0) => {
-                scan.complete = true;
-                scan.valid_len = br.offset;
-                return Ok(scan);
-            }
-            Ok(n) => {
-                scan.blocks += 1;
-                scan.events += n as u64;
-                scan.valid_len = br.offset;
-            }
-            Err(e @ TraceError::Io { .. }) => return Err(e),
-            Err(_) => return Ok(scan),
-        }
-    }
-}
-
-/// Runs [`salvage_scan`] over the file at `path`.
-///
-/// # Errors
-///
-/// As [`salvage_scan`] (plus the file-open error), wrapped in
-/// [`TraceError::InFile`] naming the path.
-pub fn salvage_scan_file(path: &Path) -> Result<SalvageScan, TraceError> {
-    let run = || -> Result<SalvageScan, TraceError> {
-        let file = File::open(path).map_err(|source| TraceError::Io { offset: 0, source })?;
-        salvage_scan(BufReader::new(file))
-    };
-    run().map_err(|e| TraceError::InFile {
-        path: path.to_path_buf(),
-        source: Box::new(e),
     })
 }
 
@@ -714,7 +612,6 @@ mod tests {
                 other => panic!("expected BadMagic, got {other}"),
             }
         }
-        assert_eq!(salvage_scan(&buf[..]).unwrap_err().kind(), "bad-magic");
     }
 
     /// A one-block stream whose header claims `count` events, followed by
@@ -890,84 +787,6 @@ mod tests {
                 bit / 8
             );
         }
-    }
-
-    #[test]
-    fn salvage_scan_reports_complete_streams() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        write_trace_blocks(&trace, &mut buf, 3).unwrap();
-        let scan = salvage_scan(buf.as_slice()).unwrap();
-        assert_eq!(scan.proc_id, trace.proc_id);
-        assert_eq!(scan.blocks, 3, "8 events in blocks of 3");
-        assert_eq!(scan.events, trace.events.len() as u64);
-        assert_eq!(scan.valid_len, buf.len() as u64);
-        assert!(scan.complete);
-    }
-
-    #[test]
-    fn salvage_scan_stops_at_the_last_valid_block() {
-        let trace = sample();
-        let mut buf = Vec::new();
-        write_trace_blocks(&trace, &mut buf, 3).unwrap();
-        // Cut inside the second block: only the first survives.
-        let first_end = HEADER + block(3);
-        let mut torn = buf.clone();
-        torn.truncate(first_end + 20);
-        let scan = salvage_scan(torn.as_slice()).unwrap();
-        assert_eq!(
-            (scan.blocks, scan.events, scan.valid_len, scan.complete),
-            (1, 3, first_end as u64, false)
-        );
-        // A flipped bit in the second block ends the prefix at the same place.
-        let mut flipped = buf.clone();
-        flipped[first_end + 20] ^= 0x40;
-        let scan = salvage_scan(flipped.as_slice()).unwrap();
-        assert_eq!((scan.blocks, scan.valid_len), (1, first_end as u64));
-        // A stream cut right before the end marker keeps every block but is
-        // not complete.
-        let mut unfinished = buf.clone();
-        unfinished.truncate(buf.len() - END);
-        let scan = salvage_scan(unfinished.as_slice()).unwrap();
-        assert_eq!((scan.blocks, scan.complete), (3, false));
-        assert_eq!(scan.valid_len, (buf.len() - END) as u64);
-    }
-
-    #[test]
-    fn salvage_scan_rejects_damaged_headers() {
-        // Nothing before a valid header is salvageable.
-        assert_eq!(salvage_scan(&b""[..]).unwrap_err().kind(), "truncated");
-        assert_eq!(
-            salvage_scan(&b"NOTATRCE"[..]).unwrap_err().kind(),
-            "bad-magic"
-        );
-        let mut buf = Vec::new();
-        write_trace_blocks(&sample(), &mut buf, 3).unwrap();
-        buf.truncate(20); // mid-header
-        assert_eq!(
-            salvage_scan(buf.as_slice()).unwrap_err().kind(),
-            "truncated"
-        );
-    }
-
-    #[test]
-    fn resumed_writer_completes_a_salvaged_prefix() {
-        let trace = sample();
-        let mut whole = Vec::new();
-        write_trace_blocks(&trace, &mut whole, 3).unwrap();
-        // Crash after two blocks: keep the valid prefix, then append the
-        // remaining blocks through a resumed writer.
-        let mut torn = whole.clone();
-        torn.truncate(HEADER + 2 * block(3) + 5);
-        let scan = salvage_scan(torn.as_slice()).unwrap();
-        assert_eq!(scan.blocks, 2);
-        let mut buf = torn[..scan.valid_len as usize].to_vec();
-        let mut bw = BlockWriter::resume(&mut buf, scan.blocks);
-        bw.write_block(&trace.events[scan.events as usize..])
-            .unwrap();
-        bw.finish().unwrap();
-        assert_eq!(buf, whole, "salvage + resume reproduces the whole stream");
-        assert_eq!(read_trace_blocks(buf.as_slice()).unwrap(), trace);
     }
 
     /// The bytes of a `DSSTRB02` file are a format, not an implementation

@@ -63,8 +63,8 @@ pub use cost::CostModel;
 pub use discipline::{check_lock_discipline, LockDisciplineError};
 pub use event::{Event, EventKind, LockClass, LockToken, MemRef};
 pub use io::{
-    read_trace_blocks, salvage_scan, salvage_scan_file, write_trace_blocks, BlockReader,
-    BlockWriter, SalvageScan, TraceError, BLOCK_MAGIC, MAX_BLOCK_EVENTS,
+    read_trace_blocks, write_trace_blocks, BlockReader, BlockWriter, TraceError, BLOCK_MAGIC,
+    MAX_BLOCK_EVENTS,
 };
 pub use source::{
     materialize, EventStream, FileTraceSource, ProcPrefix, TraceSource, DEFAULT_BLOCK_EVENTS,

@@ -92,11 +92,6 @@ impl<'a> IntoIterator for &'a Trace {
 struct Sink {
     writer: BlockWriter<Box<dyn Write>>,
     events_emitted: u64,
-    /// Blocks still to *discard* instead of write: a resumed recording
-    /// ([`Tracer::with_sink_resume`]) replays generation from the start, and
-    /// the first `skip_blocks` blocks are already durable in the salvaged
-    /// file prefix. Zero for a fresh recording.
-    skip_blocks: u64,
     /// First write failure, deferred: the engine's trace calls cannot carry
     /// errors, so the failure surfaces at [`Tracer::finish_sink`].
     error: Option<io::Error>,
@@ -106,7 +101,6 @@ impl std::fmt::Debug for Sink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sink")
             .field("events_emitted", &self.events_emitted)
-            .field("skip_blocks", &self.skip_blocks)
             .field("error", &self.error)
             .finish_non_exhaustive()
     }
@@ -174,10 +168,7 @@ impl TraceBuffer {
     fn drain_block(&mut self) {
         // `block_events` is finite only while a sink is attached.
         let Some(sink) = &mut self.sink else { return };
-        if sink.skip_blocks > 0 {
-            // Already durable in the salvaged prefix; discard.
-            sink.skip_blocks -= 1;
-        } else if sink.error.is_none() {
+        if sink.error.is_none() {
             if let Err(e) = sink.writer.write_block(&self.events) {
                 sink.error = Some(e);
             }
@@ -254,59 +245,18 @@ impl Tracer {
         assert!(block_events > 0, "block_events must be positive");
         let writer = BlockWriter::new(w, proc_id)?;
         let t = Tracer::new(proc_id);
-        t.attach(
-            block_events,
-            Sink {
+        {
+            let mut buf = t.buf.borrow_mut();
+            // The one block a streaming tracer ever holds, so it never regrows.
+            buf.events.reserve_exact(block_events);
+            buf.block_events = block_events;
+            buf.sink = Some(Sink {
                 writer,
                 events_emitted: 0,
-                skip_blocks: 0,
                 error: None,
-            },
-        );
+            });
+        }
         Ok(t)
-    }
-
-    /// Creates a streaming tracer that *resumes* a crashed recording: `w`
-    /// must be positioned at the end of a salvaged prefix already holding the
-    /// stream header and `salvaged_blocks` checksum-valid blocks (see
-    /// `dss_trace::salvage_scan`). Because generation is deterministic, the
-    /// caller replays it from the start; the first `salvaged_blocks` blocks
-    /// are discarded instead of rewritten, and everything after them is
-    /// appended with the correct chunk sequence. No header is written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_events` is zero. The block size must match the one
-    /// the salvaged prefix was recorded with, or the chunk boundaries — and
-    /// with them the skip accounting — would drift; the caller owns that
-    /// invariant (a mismatch surfaces at [`Tracer::finish_sink`] or as a
-    /// chunk-sequence error on read-back).
-    pub fn with_sink_resume(
-        proc_id: usize,
-        block_events: usize,
-        w: Box<dyn Write>,
-        salvaged_blocks: u64,
-    ) -> Self {
-        assert!(block_events > 0, "block_events must be positive");
-        let t = Tracer::new(proc_id);
-        t.attach(
-            block_events,
-            Sink {
-                writer: BlockWriter::resume(w, salvaged_blocks),
-                events_emitted: 0,
-                skip_blocks: salvaged_blocks,
-                error: None,
-            },
-        );
-        t
-    }
-
-    fn attach(&self, block_events: usize, sink: Sink) {
-        let mut buf = self.buf.borrow_mut();
-        // The one block a streaming tracer ever holds, so it never regrows.
-        buf.events.reserve_exact(block_events);
-        buf.block_events = block_events;
-        buf.sink = Some(sink);
     }
 
     /// Ends a streaming recording: flushes pending busy cycles, the final
@@ -332,27 +282,7 @@ impl Tracer {
         if let Some(e) = sink.error.take() {
             return Err(e);
         }
-        if sink.skip_blocks > 0 {
-            // A resumed recording with skips left at finish: the crash must
-            // have landed between the final partial block and the end
-            // marker, so that partial block is already durable and the
-            // regenerated copy is discarded. Anything else means the
-            // salvaged prefix holds blocks this deterministic regeneration
-            // never produced — refuse rather than write a scrambled stream.
-            if sink.skip_blocks > 1 || buf.events.is_empty() {
-                buf.events.clear();
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "salvaged prefix holds {} block(s) beyond the regenerated stream",
-                        sink.skip_blocks
-                    ),
-                ));
-            }
-            sink.skip_blocks -= 1;
-        } else {
-            sink.writer.write_block(&buf.events)?;
-        }
+        sink.writer.write_block(&buf.events)?;
         sink.events_emitted += buf.events.len() as u64;
         buf.events.clear();
         sink.writer.finish()?;
@@ -652,51 +582,6 @@ mod tests {
         let streamed = read_trace_blocks(out.0.borrow().as_slice()).unwrap();
         assert_eq!(streamed, reference.take(), "streaming changes no events");
         assert_eq!(streamed.proc_id, 2);
-    }
-
-    #[test]
-    fn resumed_sink_completes_a_salvaged_recording() {
-        use crate::{read_trace_blocks, salvage_scan};
-
-        // 11 refs + 11 busy events = 22: five full 4-event blocks plus a
-        // final partial block, so the cut sweep exercises both the
-        // full-block skip path and the salvaged-partial-block path.
-        let record = |t: &Tracer| {
-            for i in 0..11u64 {
-                t.read(0x1000 + i * 8, 8, DataClass::Data);
-                t.busy(2);
-            }
-        };
-        // The uninterrupted recording, for byte comparison.
-        let whole = Shared::default();
-        let t = Tracer::with_sink(1, 4, Box::new(whole.clone())).unwrap();
-        record(&t);
-        let total = t.finish_sink().unwrap();
-        let whole = whole.0.borrow().clone();
-
-        // Crash the recording at every possible byte length, salvage, and
-        // resume: the result must be byte-identical to the whole stream.
-        for cut in 24..whole.len() {
-            let torn = &whole[..cut];
-            let scan = salvage_scan(torn).unwrap();
-            let out = Shared(Rc::new(RefCell::new(
-                torn[..scan.valid_len as usize].to_vec(),
-            )));
-            let t = Tracer::with_sink_resume(1, 4, Box::new(out.clone()), scan.blocks);
-            record(&t);
-            assert_eq!(t.finish_sink().unwrap(), total, "cut at {cut}");
-            assert_eq!(*out.0.borrow(), whole, "cut at {cut}");
-        }
-        read_trace_blocks(whole.as_slice()).unwrap();
-    }
-
-    #[test]
-    fn resumed_sink_refuses_an_impossible_prefix() {
-        let t = Tracer::with_sink_resume(0, 4, Box::new(Vec::new()), 3);
-        t.read(0x100, 8, DataClass::Data);
-        let err = t.finish_sink().unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("salvaged prefix"), "{err}");
     }
 
     #[test]

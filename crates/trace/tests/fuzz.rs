@@ -1,7 +1,7 @@
 //! Fuzz-style robustness tests for the trace codec: arbitrary byte soup and
 //! single-byte corruptions of a valid trace must all come back as structured
 //! [`TraceError`]s — never a panic, and never garbage silently accepted as a
-//! healthy trace. (Truncation at every byte offset is `tests/salvage.rs`.)
+//! healthy trace. (Truncation at every byte offset is `tests/truncation.rs`.)
 //! Words no `Event` constructor produces, and block counts no writer emits,
 //! are part of that: they are `Corrupt`, not a misread and not an allocation.
 

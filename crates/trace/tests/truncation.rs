@@ -1,10 +1,13 @@
 //! Negative tests for cut-short traces, at both trust boundaries: the codec
 //! must classify empty/header-only/mid-event files as
-//! [`TraceError::Truncated`] with the offset where the bytes ran out, and
+//! [`TraceError::Truncated`] with the offset where the bytes ran out — and a
+//! cut at *any* byte offset as truncated, never a silent short read — and
 //! the lock-discipline checker must flag the in-memory shape a truncated
 //! trace would have (a lock acquired, the trace ending before its release).
 
 #![expect(clippy::expect_used, reason = "in-memory writes cannot fail")]
+
+use proptest::prelude::*;
 
 use dss_trace::{
     check_lock_discipline, materialize, read_trace_blocks, write_trace_blocks, DataClass,
@@ -52,6 +55,37 @@ fn cut_streams_are_truncated_where_the_bytes_ran_out() {
     // the release (event 3).
     let cut = 40 + 2 * 8 + 5;
     assert_truncated_at(&bytes[..cut], 40 + 2 * 8, "event record", Some((2, 5)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A stream cut at any byte offset, at any block size, decodes to the
+    /// whole trace (only when nothing was cut) or is rejected as truncated.
+    #[test]
+    fn any_cut_reads_back_whole_or_truncated(
+        block_events in 1usize..=8,
+        nevents in 0usize..=40,
+        cut_seed in any::<usize>(),
+    ) {
+        let t = Tracer::new(2);
+        for i in 0..nevents as u64 {
+            match i % 4 {
+                0 => t.read(0x1000 + i * 8, 8, DataClass::Data),
+                1 => t.write(0x9000 + i * 8, 8, DataClass::PrivHeap),
+                2 => t.lock_acquire(LockToken::new(0x40, LockClass::LockMgr)),
+                _ => t.lock_release(LockToken::new(0x40, LockClass::LockMgr)),
+            }
+        }
+        let trace = t.take();
+        let mut whole = Vec::new();
+        write_trace_blocks(&trace, &mut whole, block_events).expect("in-memory write");
+        let cut = cut_seed % (whole.len() + 1);
+        match read_trace_blocks(&whole[..cut]) {
+            Ok(back) => prop_assert_eq!((cut, back), (whole.len(), trace)),
+            Err(e) => prop_assert_eq!(e.kind(), "truncated", "cut at {}", cut),
+        }
+    }
 }
 
 #[test]
