@@ -227,26 +227,26 @@ impl BenchLog {
         self.entries.iter().flat_map(|e| &e.tally.errors)
     }
 
-    /// The recorded timings as a self-describing JSON document. Labels are
-    /// experiment names from this binary (no escaping needed). Schema v8
-    /// adds `points_reused` — cold points served from the workbench's memory
-    /// because another figure had simulated the same traces on the same
-    /// machine — next to `points_loaded` and `points_computed`, per
-    /// experiment and in the `resume` totals. Schema v7
-    /// drops the pipeline fields (the producer-thread count and the two
-    /// per-experiment stall times) with the pipeline itself. Schema v6 added the
-    /// crash-safety provenance: a top-level `resume` object
-    /// (`mode`: `"fresh"` or `"resumed"`, `crash_site`: the armed
-    /// crash-injection site or `null`, and the run's total
-    /// `points_loaded` / `points_computed`), plus per-experiment
-    /// `points_loaded`, `points_computed`, and `retries` (points this
-    /// experiment had to recompute in a resumed run — work the crash
-    /// destroyed; always 0 in a fresh run). Schema v5 made `peak_rss` honest
-    /// per experiment (the kernel high-water mark is reset at the start of
-    /// each one; where the reset interface is missing the value degrades to
-    /// delta-from-start) and added the monotone `peak_rss_cumulative`.
-    /// Schema v3 added the degradation record:
-    /// `point_errors` and `failed_experiments`, both empty on a healthy run.
+    /// The recorded timings as a self-describing JSON document, schema
+    /// `dss-bench-repro/v8`. Labels are experiment names from this binary (no
+    /// escaping needed).
+    ///
+    /// The run header carries `jobs`, `trace_mode`, `scale`,
+    /// `total_wall_ns` and a `resume` object: `mode` (`"fresh"` or
+    /// `"resumed"`), `crash_site` (the armed crash-injection site or `null`)
+    /// and the run's total `points_loaded` / `points_reused` /
+    /// `points_computed`. `point_errors` and `failed_experiments` are the
+    /// degradation record, both empty on a healthy run.
+    ///
+    /// Each experiment reports `wall_ns`, `sim_compute_ns`, `allocs`,
+    /// `alloc_bytes`, its own `peak_rss` (the kernel high-water mark is reset
+    /// at its start; where that interface is missing, the growth since its
+    /// start) and the monotone `peak_rss_cumulative`. Of its points,
+    /// `points_loaded` came from the checkpoint journal, `points_reused` from
+    /// the workbench's memory (another figure had simulated the same traces
+    /// on the same machine) and `points_computed` were simulated; `retries`
+    /// counts the points a resumed run had to recompute, always 0 in a fresh
+    /// run.
     fn to_json(&self, run: &RunHeader) -> String {
         let resumed = run.resume_mode == "resumed";
         let experiments: Vec<String> = self
@@ -664,22 +664,28 @@ fn main() {
     if let Some(n) = jobs {
         wb.set_jobs(n);
     }
-    // Scratch trace dir, deleted at exit. With `--state-dir` the block files
-    // are durable resume state instead and live under the state dir.
-    let mut trace_dir = None;
-    if trace_mode == TraceMode::Streamed && state_dir.is_none() {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "names a scratch directory; the diffed artifact is the files' contents"
-        )]
-        let dir = std::env::temp_dir().join(format!("dss-repro-traces-{}", std::process::id()));
+    // Block files live under the state dir (`traces/`), else in a scratch
+    // dir deleted at exit.
+    let mut scratch_dir = None;
+    if trace_mode == TraceMode::Streamed {
+        let dir = match &state_dir {
+            Some(state) => Path::new(state).join("traces"),
+            None => {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "names a scratch directory; the diffed artifact is the files' contents"
+                )]
+                let dir =
+                    std::env::temp_dir().join(format!("dss-repro-traces-{}", std::process::id()));
+                scratch_dir = Some(dir.clone());
+                dir
+            }
+        };
         eprintln!(
             "trace mode: streamed (block files under {}, replayed from disk)",
             dir.display()
         );
-        wb.set_trace_dir(dir.clone());
-        wb.set_trace_mode(TraceMode::Streamed);
-        trace_dir = Some(dir);
+        wb.set_trace_dir(dir);
     }
     let mut resume_mode = "fresh";
     if let Some(dir) = &state_dir {
@@ -726,14 +732,6 @@ fn main() {
             }
         };
         wb.set_checkpoint(journal);
-        if trace_mode == TraceMode::Streamed {
-            eprintln!(
-                "trace mode: streamed (durable block files under {}, replayed from disk)",
-                traces.display()
-            );
-            wb.set_trace_dir(traces);
-            wb.set_trace_mode(TraceMode::Streamed);
-        }
     }
     wb.set_fail_soft(true);
     if let Some(label) = inject {
@@ -774,7 +772,7 @@ fn main() {
 
     let total = start.elapsed();
     eprintln!("total wall time: {total:.1?}");
-    if let Some(dir) = trace_dir {
+    if let Some(dir) = scratch_dir {
         let _ = std::fs::remove_dir_all(&dir);
     }
     if let Some(path) = bench_json {

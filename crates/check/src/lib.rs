@@ -13,9 +13,10 @@
 //!   protocol's invariants over every touched line (with the
 //!   `check-invariants` feature, also after every transaction mid-run).
 //! * [`race`] — a vector-clock happens-before race detector over the query
-//!   traces, treating `LockAcquire`/`LockRelease` as release/acquire edges;
-//!   the same replay records which lock classes each processor nests and
-//!   reports a cycle among them.
+//!   traces, treating `LockAcquire`/`LockRelease` as release/acquire edges.
+//!   It runs `dss_trace::check_lock_discipline` on every trace, then replays
+//!   the slices by index; the same replay records which lock classes each
+//!   processor nests and reports a cycle among them.
 //! * [`budget`] — the committed allocation budget: per-run warm-up and
 //!   steady-state heap counters with ratchet-diff semantics (the counting
 //!   allocator itself, `src/alloc.rs`, is included by file into the binaries
@@ -42,4 +43,4 @@ pub mod race;
 pub use budget::{AllocBudget, Counts, RunBudget};
 pub use invariants::{check_baseline_suite, check_machine, InvariantFailure, RunSummary};
 pub use model::{check_model, render_counterexample, LitmusOutcome, ModelReport, ModelRun};
-pub use race::{detect_races, detect_races_source, Access, Race, RaceAnalysisError, RaceReport};
+pub use race::{detect_races, Access, Race, RaceAnalysisError, RaceReport};

@@ -3,9 +3,9 @@
 //! The paper's metadata-sharing analysis rests on the premise that all
 //! accesses to shared engine metadata (LockHash, XidHash, BufDesc, BufLookup)
 //! are serialized by the `LockMgrLock` / `BufMgrLock` spinlocks. This module
-//! machine-checks that premise: it replays a [`TraceSet`]-shaped slice of
-//! traces under the same deterministic interleaving the simulator uses,
-//! treats [`EventKind::LockAcquire`] / [`EventKind::LockRelease`] as acquire/release
+//! machine-checks that premise: it replays a slice of per-processor traces
+//! under the same deterministic interleaving the simulator uses, treats
+//! [`EventKind::LockAcquire`] / [`EventKind::LockRelease`] as acquire/release
 //! synchronization edges, and reports any pair of conflicting accesses (two
 //! accesses to the same word, at least one a write, from different
 //! processors) that are not ordered by the resulting happens-before relation.
@@ -20,21 +20,15 @@
 //! processor's clock.
 //!
 //! Soundness precondition: every trace must use its locks in the balanced,
-//! nested discipline checked by [`check_lock_discipline`] — the detector
-//! validates that first and refuses to analyze ill-formed traces.
-//!
-//! There is one replay, [`detect_races_source`], over any [`TraceSource`]: it
-//! holds one event block per processor and checks the discipline
-//! incrementally as events stream past, so block files are analyzable
-//! without ever materializing a trace. [`detect_races`] is the same call for
-//! materialized traces — a slice of traces is a source.
+//! nested discipline checked by [`check_lock_discipline`] — [`detect_races`]
+//! runs that check on every trace first and refuses to analyze ill-formed
+//! ones.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use dss_trace::{
-    DataClass, Event, EventKind, EventStream, LockClass, LockDisciplineError, LockToken, Trace,
-    TraceError, TraceSource,
+    check_lock_discipline, DataClass, EventKind, LockClass, LockDisciplineError, Trace,
 };
 
 /// Access granularity of the detector: 8-byte words, matching the engine's
@@ -97,10 +91,6 @@ pub enum RaceAnalysisError {
     /// With discipline-checked traces this indicates cross-processor lock
     /// cycles, which the engine's two global spinlocks cannot produce.
     Deadlock,
-    /// A streamed source failed mid-analysis (truncated or corrupt block
-    /// file, I/O error). Carries the rendered [`TraceError`], which is not
-    /// itself comparable.
-    Stream(String),
 }
 
 impl fmt::Display for RaceAnalysisError {
@@ -112,7 +102,6 @@ impl fmt::Display for RaceAnalysisError {
             RaceAnalysisError::Deadlock => {
                 write!(f, "replay deadlocked on lock acquisition order")
             }
-            RaceAnalysisError::Stream(msg) => write!(f, "trace stream failed: {msg}"),
         }
     }
 }
@@ -214,113 +203,40 @@ struct LockState {
     waiters: Vec<usize>,
 }
 
-/// Detects happens-before races over materialized `traces` (one per
-/// processor): [`detect_races_source`] over the slice.
+/// Detects happens-before races over `traces`, one per processor.
+///
+/// Every trace's lock discipline is checked first
+/// ([`check_lock_discipline`]), in processor order. The traces are then
+/// replayed under the same deterministic simulated-time interleaving the
+/// memory simulator uses: processors advance by busy cycles and one cycle
+/// per reference, and a contended acquire parks the processor until the
+/// holder's release. The result is reproducible and matches what the
+/// simulated machine actually interleaves.
 ///
 /// # Errors
 ///
-/// As [`detect_races_source`]; a slice never fails as a stream.
+/// Returns [`RaceAnalysisError::Discipline`] for the first trace, in
+/// processor order, that breaks the lock stack discipline (making
+/// vector-clock analysis meaningless), and [`RaceAnalysisError::Deadlock`]
+/// if the replay cannot make progress.
 pub fn detect_races(traces: &[Trace]) -> Result<RaceReport, RaceAnalysisError> {
-    detect_races_source(traces)
-}
-
-/// One processor's replay cursor over a streamed trace: the current block,
-/// the stream it refills from, and the incremental lock-discipline stack.
-///
-/// `base + pos` is the event's index within the processor's whole trace, so
-/// races and discipline errors report trace-wide indices whatever the block
-/// size.
-struct Cursor<'a> {
-    stream: Box<dyn EventStream + 'a>,
-    buf: Vec<Event>,
-    /// Position of the current event within `buf`.
-    pos: usize,
-    /// Trace-wide index of `buf[0]`.
-    base: usize,
-    /// The stream returned its zero-count end-of-stream block.
-    done: bool,
-    /// Locks currently held: `(token, trace-wide acquire index)`, innermost
-    /// last — the streaming equivalent of
-    /// [`dss_trace::check_lock_discipline`]'s stack.
-    held: Vec<(LockToken, usize)>,
-}
-
-impl Cursor<'_> {
-    /// The current event, pulling the next block when this one is drained.
-    /// `Ok(None)` means the stream is exhausted.
-    fn current(&mut self) -> Result<Option<Event>, TraceError> {
-        while self.pos >= self.buf.len() {
-            if self.done {
-                return Ok(None);
-            }
-            self.base += self.buf.len();
-            self.pos = 0;
-            if self.stream.next_block(&mut self.buf)? == 0 {
-                self.done = true;
-                self.buf.clear();
-            }
-        }
-        Ok(Some(self.buf[self.pos]))
+    for trace in traces {
+        check_lock_discipline(trace).map_err(|error| RaceAnalysisError::Discipline {
+            proc_id: trace.proc_id,
+            error,
+        })?;
     }
-
-    /// Trace-wide index of the current event.
-    fn index(&self) -> usize {
-        self.base + self.pos
-    }
-}
-
-/// Detects happens-before races over a [`TraceSource`] (one stream per
-/// processor), holding one event block per processor — block files are
-/// analyzable at any trace length without materializing.
-///
-/// Lock acquisition order — and therefore the synchronization edges — comes
-/// from the same deterministic simulated-time interleaving the memory
-/// simulator uses: processors advance by busy cycles and one cycle per
-/// reference, and a contended acquire parks the processor until the holder's
-/// release. The result is reproducible and matches what the simulated
-/// machine actually interleaves.
-///
-/// The lock discipline is checked *incrementally* as events stream past, so
-/// when several violations exist the reported one is the first encountered
-/// in replay order.
-///
-/// # Errors
-///
-/// Returns [`RaceAnalysisError::Discipline`] if any trace breaks the lock
-/// stack discipline (see [`dss_trace::check_lock_discipline`]), making
-/// vector-clock analysis meaningless, [`RaceAnalysisError::Deadlock`] if the
-/// replay cannot make progress, and [`RaceAnalysisError::Stream`] when the
-/// source fails mid-analysis (truncated or corrupt block files).
-pub fn detect_races_source<S>(src: &S) -> Result<RaceReport, RaceAnalysisError>
-where
-    S: TraceSource + ?Sized,
-{
-    let stream_err = |e: TraceError| RaceAnalysisError::Stream(e.to_string());
-    let streams = src.open().map_err(stream_err)?;
-    let n = streams.len();
-    let mut cursors: Vec<Cursor> = streams
-        .into_iter()
-        .map(|stream| Cursor {
-            stream,
-            buf: Vec::new(),
-            pos: 0,
-            base: 0,
-            done: false,
-            held: Vec::new(),
-        })
-        .collect();
-    let discipline = |c: &Cursor, error: LockDisciplineError| RaceAnalysisError::Discipline {
-        proc_id: c.stream.proc_id(),
-        error,
-    };
-
+    let n = traces.len();
     let mut report = RaceReport::default();
     let mut clocks: Vec<VClock> = (0..n).map(|_| VClock::new(n)).collect();
     for (p, c) in clocks.iter_mut().enumerate() {
         c.0[p] = 1; // Epoch 0 means "no access recorded".
     }
+    let mut pos = vec![0usize; n];
     let mut time = vec![0u64; n];
     let mut parked = vec![false; n];
+    // Lock classes each processor holds, innermost last.
+    let mut held: Vec<Vec<LockClass>> = vec![Vec::new(); n];
     let mut locks: BTreeMap<u64, LockState> = BTreeMap::new();
     let mut words: BTreeMap<u64, WordState> = BTreeMap::new();
 
@@ -328,119 +244,60 @@ where
         // Deterministic merge: the runnable processor with the least
         // (time, id) steps next, exactly like the simulator's event queue. A
         // parked processor is unfinished by definition; an unparked one is
-        // runnable when its cursor still yields an event.
-        let mut next: Option<(usize, Event)> = None;
+        // runnable while its trace has events left.
+        let mut next: Option<usize> = None;
         let mut unfinished = false;
         for p in 0..n {
             if parked[p] {
                 unfinished = true;
-                continue;
-            }
-            if let Some(event) = cursors[p].current().map_err(stream_err)? {
+            } else if pos[p] < traces[p].events.len() {
                 unfinished = true;
-                if next.is_none_or(|(b, _)| (time[p], p) < (time[b], b)) {
-                    next = Some((p, event));
+                if next.is_none_or(|b| (time[p], p) < (time[b], b)) {
+                    next = Some(p);
                 }
             }
         }
-        let Some((p, event)) = next else {
-            // A trace that ended inside a critical section is the breach to
-            // report — also when it left every other processor parked on
-            // that lock, which would otherwise read as a deadlock.
-            for c in cursors.iter().filter(|c| c.done) {
-                if let Some(&(tok, index)) = c.held.first() {
-                    return Err(discipline(
-                        c,
-                        LockDisciplineError::HeldAtEnd {
-                            index,
-                            addr: tok.addr,
-                        },
-                    ));
-                }
-            }
+        let Some(p) = next else {
             if unfinished {
                 return Err(RaceAnalysisError::Deadlock);
             }
             break;
         };
-        let index = cursors[p].index();
-        match event.kind() {
-            EventKind::Busy(cycles) => {
-                time[p] += cycles as u64;
-                cursors[p].pos += 1;
-            }
+        let index = pos[p];
+        match traces[p].events[index].kind() {
+            EventKind::Busy(cycles) => time[p] += cycles as u64,
             EventKind::Ref(r) => {
                 if r.class.is_shared() {
                     check_ref(p, index, &r, &clocks[p], &mut words, &mut report);
                     *report.checked.entry(r.class).or_insert(0) += 1;
                 }
                 time[p] += 1;
-                cursors[p].pos += 1;
             }
             EventKind::LockAcquire(tok) => {
-                if cursors[p].held.iter().any(|&(h, _)| h.addr == tok.addr) {
-                    return Err(discipline(
-                        &cursors[p],
-                        LockDisciplineError::Reacquired {
-                            index,
-                            addr: tok.addr,
-                        },
-                    ));
-                }
                 let lock = locks.entry(tok.addr).or_default();
-                match lock.holder {
-                    Some(holder) if holder != p => {
-                        lock.waiters.push(p);
-                        parked[p] = true;
-                    }
-                    _ => {
-                        lock.holder = Some(p);
-                        // Acquire edge: everything before the last release
-                        // happened before this critical section.
-                        let released = lock.released.clone();
-                        clocks[p].join(&released);
-                        for &(h, _) in &cursors[p].held {
-                            let pair = (h.class, tok.class);
-                            if h.class != tok.class && !report.nesting.contains(&pair) {
-                                report.nesting.push(pair);
-                            }
-                        }
-                        cursors[p].held.push((tok, index));
-                        time[p] += 1;
-                        cursors[p].pos += 1;
+                if lock.holder.is_some_and(|holder| holder != p) {
+                    // Parked on the same event until the holder releases.
+                    lock.waiters.push(p);
+                    parked[p] = true;
+                    continue;
+                }
+                lock.holder = Some(p);
+                // Acquire edge: everything before the last release happened
+                // before this critical section.
+                let released = lock.released.clone();
+                clocks[p].join(&released);
+                for &outer in &held[p] {
+                    let pair = (outer, tok.class);
+                    if outer != tok.class && !report.nesting.contains(&pair) {
+                        report.nesting.push(pair);
                     }
                 }
+                held[p].push(tok.class);
+                time[p] += 1;
             }
             EventKind::LockRelease(tok) => {
-                match cursors[p].held.last().copied() {
-                    Some((innermost, _)) if innermost.addr == tok.addr => {
-                        cursors[p].held.pop();
-                    }
-                    Some((innermost, _)) => {
-                        let error = if cursors[p].held.iter().any(|&(h, _)| h.addr == tok.addr) {
-                            LockDisciplineError::NotNested {
-                                index,
-                                addr: tok.addr,
-                                innermost: innermost.addr,
-                            }
-                        } else {
-                            LockDisciplineError::ReleaseUnheld {
-                                index,
-                                addr: tok.addr,
-                            }
-                        };
-                        return Err(discipline(&cursors[p], error));
-                    }
-                    None => {
-                        return Err(discipline(
-                            &cursors[p],
-                            LockDisciplineError::ReleaseUnheld {
-                                index,
-                                addr: tok.addr,
-                            },
-                        ));
-                    }
-                }
+                // The discipline check made this the innermost held lock.
+                held[p].pop();
                 let release_time = time[p] + 1;
                 let released = clocks[p].clone();
                 let lock = locks.entry(tok.addr).or_default();
@@ -453,9 +310,9 @@ where
                 }
                 clocks[p].0[p] += 1;
                 time[p] = release_time;
-                cursors[p].pos += 1;
             }
         }
+        pos[p] += 1;
     }
     Ok(report)
 }
@@ -532,7 +389,7 @@ fn check_ref(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_trace::{write_trace_blocks, FileTraceSource, Tracer};
+    use dss_trace::{LockToken, Tracer};
 
     const ADDR: u64 = 0x1_0000_0000;
 
@@ -629,77 +486,23 @@ mod tests {
         ));
     }
 
-    /// A contended workload with locked sections, unlocked racy stores, and
-    /// enough events to span several small blocks.
-    fn contended_traces(nprocs: usize) -> Vec<Trace> {
-        (0..nprocs)
-            .map(|p| {
-                let t = Tracer::new(p);
-                t.busy(3 * (p as u32 + 1));
-                for i in 0..40u64 {
-                    t.lock_acquire(tok());
-                    t.read(ADDR + (i % 4) * 8, 8, DataClass::LockHash);
-                    t.write(ADDR + (i % 4) * 8, 8, DataClass::LockHash);
-                    t.lock_release(tok());
-                    t.busy((i % 7) as u32);
-                    // Unsynchronized shared store: a deliberate race.
-                    t.write(ADDR + 0x100, 8, DataClass::BufDesc);
-                }
-                t.take()
-            })
-            .collect()
-    }
-
-    fn block_files(traces: &[Trace], dir: &std::path::Path, block: usize) -> FileTraceSource {
-        std::fs::create_dir_all(dir).unwrap();
-        let paths = traces
-            .iter()
-            .map(|t| {
-                let path = FileTraceSource::proc_path(dir, "race", t.proc_id);
-                let mut bytes = Vec::new();
-                write_trace_blocks(t, &mut bytes, block).unwrap();
-                std::fs::write(&path, bytes).unwrap();
-                path
-            })
-            .collect();
-        FileTraceSource::new(paths)
-    }
-
-    #[test]
-    fn block_size_never_changes_the_report() {
-        let traces = contended_traces(3);
-        let whole = detect_races(&traces).expect("analyzable");
-        assert!(!whole.races.is_empty(), "workload must exercise the races");
-
-        // Block files at several block sizes must all reproduce the slice's
-        // report exactly — trace-wide indices included.
-        let dir = std::env::temp_dir().join(format!("dss-race-src-{}", std::process::id()));
-        for block in [7, 64, 4096] {
-            let src = block_files(&traces, &dir, block);
-            let streamed = detect_races_source(&src).expect("analyzable");
-            assert_eq!(whole, streamed, "block_events={block}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn discipline_violations_are_reported_with_their_index() {
-        // Held at the end of the stream.
+        // Held at the end of the trace.
         let t = Tracer::new(0);
         t.busy(5);
         t.lock_acquire(tok());
-        let traces = [t.take()];
-        let err = detect_races_source(&traces[..]).unwrap_err();
-        assert_eq!(
+        let err = detect_races(&[t.take()]).unwrap_err();
+        assert!(matches!(
             err,
             RaceAnalysisError::Discipline {
                 proc_id: 0,
-                error: dss_trace::LockDisciplineError::HeldAtEnd {
+                error: LockDisciplineError::HeldAtEnd {
                     index: 1,
                     addr: 0x40
                 }
             }
-        );
+        ));
         // Held at the end with a waiter parked on it: still the discipline
         // breach, not the deadlock it causes.
         let t0 = Tracer::new(0);
@@ -713,40 +516,39 @@ mod tests {
             err,
             RaceAnalysisError::Discipline {
                 proc_id: 0,
-                error: dss_trace::LockDisciplineError::HeldAtEnd { index: 0, .. }
+                error: LockDisciplineError::HeldAtEnd { index: 0, .. }
             }
         ));
         // Released while never held.
         let t = Tracer::new(0);
         t.lock_release(tok());
-        let traces = [t.take()];
-        let err = detect_races_source(&traces[..]).unwrap_err();
+        let err = detect_races(&[t.take()]).unwrap_err();
         assert!(matches!(
             err,
             RaceAnalysisError::Discipline {
                 proc_id: 0,
-                error: dss_trace::LockDisciplineError::ReleaseUnheld { index: 0, .. }
+                error: LockDisciplineError::ReleaseUnheld { index: 0, .. }
             }
         ));
     }
 
     #[test]
-    fn truncated_block_file_is_a_stream_error() {
-        let traces = contended_traces(2);
-        let dir = std::env::temp_dir().join(format!("dss-race-trunc-{}", std::process::id()));
-        let src = block_files(&traces, &dir, 16);
-        // Cut the second processor's file mid-block.
-        let victim = &src.paths()[1];
-        let bytes = std::fs::read(victim).unwrap();
-        std::fs::write(victim, &bytes[..bytes.len() - 9]).unwrap();
-        let err = detect_races_source(&src).unwrap_err();
-        match err {
-            RaceAnalysisError::Stream(msg) => {
-                assert!(msg.contains("race.p1.trb"), "names the file: {msg}")
+    fn the_first_broken_trace_in_processor_order_is_named() {
+        // Proc 1 breaks the discipline at its first event, proc 0 only at
+        // its end: processor order, not replay order, picks the report.
+        let t0 = Tracer::new(0);
+        t0.busy(1000);
+        t0.lock_acquire(tok());
+        let t1 = Tracer::new(1);
+        t1.lock_release(tok());
+        let err = detect_races(&[t0.take(), t1.take()]).unwrap_err();
+        assert!(matches!(
+            err,
+            RaceAnalysisError::Discipline {
+                proc_id: 0,
+                error: LockDisciplineError::HeldAtEnd { index: 1, .. }
             }
-            other => panic!("expected a stream error, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        ));
     }
 
     #[test]

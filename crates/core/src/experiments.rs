@@ -10,8 +10,9 @@
 //! lives in [`crate::report`].
 //!
 //! Every sweep consumes its traces through [`crate::SimSource`], so the same
-//! experiment code runs over materialized sets or streamed block files
-//! (see [`crate::TraceMode`]) with bit-identical results.
+//! experiment code runs over materialized sets or, once
+//! [`Workbench::set_trace_dir`] names a spill directory, block files — with
+//! bit-identical results.
 
 use std::fmt;
 use std::panic::resume_unwind;
@@ -22,7 +23,7 @@ use dss_faultkit::crash::crash_point;
 use dss_memsim::{Machine, MachineConfig, Protocol, SimStats};
 use dss_query::{Database, PlanFeatures};
 use dss_tpcd::params;
-use dss_trace::{ProcPrefix, TraceSource};
+use dss_trace::ProcPrefix;
 
 use crate::checkpoint::CheckpointJournal;
 use crate::degrade::PointError;
@@ -155,14 +156,12 @@ impl PointTask {
     /// runner classifies them like any other point failure.
     fn run(&self) -> SimStats {
         let mut machine = Machine::new(self.cfg.clone());
-        let mut replay = |src: &SimSource| {
-            let take = self.cfg.nprocs.min(src.nprocs());
-            match src {
-                SimSource::Set(set) => machine.run(&set[..take]),
-                SimSource::Files(files) => machine
-                    .run_source(&ProcPrefix::new(files, take))
-                    .unwrap_or_else(|e| panic!("trace stream failed: {e}")),
-            }
+        let nprocs = self.cfg.nprocs;
+        let mut replay = |src: &SimSource| match src {
+            SimSource::Set(set) => machine.run(&set[..nprocs.min(set.len())]),
+            SimSource::Files(files) => machine
+                .run_source(&ProcPrefix::new(files, nprocs))
+                .unwrap_or_else(|e| panic!("trace stream failed: {e}")),
         };
         if let Some(warm) = &self.warm {
             replay(warm);
@@ -677,53 +676,20 @@ pub fn intra_query_experiment(wb: &mut Workbench) -> IntraQueryRuns {
         (Machine::new(MachineConfig::baseline()).run(&[trace]), sum)
     };
 
-    // Partitioned: rewrite the plan's SeqScan with a block range per node.
-    let plan = wb.db.plan_sql(&sql).expect("Q6 plans");
-    let npages = wb
+    // Partitioned: every node scans its quarter of `lineitem`'s blocks.
+    let mut sessions: Vec<Session> = (0..4).map(Session::new).collect();
+    let outputs = wb
         .db
-        .catalog
-        .table("lineitem")
-        .expect("lineitem")
-        .heap
-        .npages();
-    let mut traces = Vec::new();
-    let mut partial_sum = 0;
-    for node in 0..4u32 {
-        let lo = npages * node / 4;
-        let hi = npages * (node + 1) / 4;
-        let mut partitioned_plan = plan.clone();
-        restrict_scan(&mut partitioned_plan, lo, hi);
-        let mut session = Session::new(node as usize);
-        let out = wb.db.run_plan(&partitioned_plan, &mut session);
-        partial_sum += out.rows[0][0].dec();
-        traces.push(session.tracer.take());
-    }
+        .run_partitioned(&sql, &mut sessions.iter_mut().collect::<Vec<_>>())
+        .expect("Q6 runs");
+    let partial_sum = outputs.iter().map(|out| out.rows[0][0].dec()).sum();
+    let traces: Vec<_> = sessions.iter().map(|s| s.tracer.take()).collect();
     let partitioned = Machine::new(MachineConfig::baseline()).run(&traces);
     IntraQueryRuns {
         single,
         partitioned,
         partial_sum,
         full_sum,
-    }
-}
-
-fn restrict_scan(plan: &mut dss_query::Plan, lo: u32, hi: u32) {
-    use dss_query::Plan;
-    match plan {
-        Plan::SeqScan { block_range, .. } => *block_range = Some((lo, hi)),
-        Plan::NestLoop { outer, inner, .. }
-        | Plan::MergeJoin { outer, inner, .. }
-        | Plan::HashJoin { outer, inner, .. } => {
-            restrict_scan(outer, lo, hi);
-            restrict_scan(inner, lo, hi);
-        }
-        Plan::Filter { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Group { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Limit { input, .. } => restrict_scan(input, lo, hi),
-        Plan::IndexScan { .. } => {}
     }
 }
 

@@ -1,6 +1,5 @@
 //! The workbench: a built database plus cached per-processor traces.
 
-use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -10,9 +9,7 @@ use dss_faultkit::crash::crash_point;
 use dss_memsim::{MachineConfig, SimStats};
 use dss_query::{Database, DbConfig, Session};
 use dss_tpcd::params;
-use dss_trace::{
-    EventStream, FileTraceSource, Trace, TraceError, TraceSource, Tracer, DEFAULT_BLOCK_EVENTS,
-};
+use dss_trace::{FileTraceSource, Trace, Tracer, DEFAULT_BLOCK_EVENTS};
 
 use crate::checkpoint::CheckpointJournal;
 use crate::degrade::PointError;
@@ -33,52 +30,37 @@ pub const STUDIED_QUERIES: [u8; 3] = [3, 6, 12];
 
 /// Maximum trace sets kept in memory: the reuse experiment touches four
 /// distinct (query, seed) sets per call, and holding all four avoids
-/// regenerating any of them mid-experiment. Generation is
-/// history-independent (pinned by a test below), so the slot count can never
-/// change results — only how often sets are rebuilt.
+/// regenerating any of them mid-experiment. At SF ≤ 0.03 generation is
+/// history-independent (a test below pins it at SF 0.001), so there the slot
+/// count never changes results — only how often sets are rebuilt. At SF 0.1
+/// it is not: which sets ran before moves a set's lock-table addresses.
 const TRACE_CACHE_SLOTS: usize = 4;
 
-/// How the workbench hands traces to the simulator.
+/// How the workbench hands traces to the simulator: the two spellings of
+/// [`Workbench::set_trace_mode`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceMode {
     /// Generate whole trace sets in memory ([`TraceSet`]) and replay from
     /// there. Fastest for repeated sweeps at the paper's scale.
     #[default]
     Materialized,
-    /// Record traces straight to block files on disk and replay them a
-    /// block at a time: peak memory stays bounded by the block size however
-    /// large the scale factor, at the cost of re-reading files per sweep
-    /// point. Results are bit-identical to [`TraceMode::Materialized`].
+    /// Record traces straight to block files under the directory
+    /// [`Workbench::set_trace_dir`] names and replay them a block at a time:
+    /// peak memory stays bounded by the block size however large the scale
+    /// factor. Results are bit-identical to [`TraceMode::Materialized`].
     Streamed,
 }
 
 /// A trace population as the experiment sweeps consume it: either a
 /// materialized in-memory set or block files replayed from disk. Cloning is
-/// cheap (an `Arc` bump or a path list); both variants yield identical
-/// events, and a sweep point replays a set in place rather than through the
-/// [`TraceSource`] streams it also offers.
+/// cheap (an `Arc` bump or a path list), and both variants yield identical
+/// events.
 #[derive(Clone, Debug)]
 pub enum SimSource {
     /// A fully materialized, shared trace set.
     Set(TraceSet),
     /// Per-processor block files on disk.
     Files(FileTraceSource),
-}
-
-impl TraceSource for SimSource {
-    fn nprocs(&self) -> usize {
-        match self {
-            SimSource::Set(set) => set.len(),
-            SimSource::Files(files) => files.nprocs(),
-        }
-    }
-
-    fn open(&self) -> Result<Vec<Box<dyn EventStream + '_>>, TraceError> {
-        match self {
-            SimSource::Set(set) => set[..].open(),
-            SimSource::Files(files) => files.open(),
-        }
-    }
 }
 
 /// What the sweeps have done since the last [`Workbench::take_tally`]. The
@@ -149,17 +131,15 @@ pub struct Workbench {
     pub db: Database,
     nprocs: usize,
     jobs: usize,
-    cache: HashMap<(u8, u64), TraceSet>,
-    /// Insertion order for simple FIFO eviction.
-    order: Vec<(u8, u64)>,
-    /// How experiments consume traces (materialized sets or block files).
-    trace_mode: TraceMode,
-    /// Where streamed-mode block files live (default: a per-process temp
-    /// directory, created on first use).
-    trace_dir: Option<PathBuf>,
+    /// Materialized sets by `(query, seed_base)`, oldest first: FIFO
+    /// eviction at [`TRACE_CACHE_SLOTS`].
+    sets: Vec<((u8, u64), TraceSet)>,
+    /// Where block files are recorded. `Some` makes every sweep replay block
+    /// files instead of materialized sets.
+    spill: Option<PathBuf>,
     /// Block files already recorded this run. Files cost no memory, so
-    /// unlike the materialized cache this one never evicts.
-    stream_cache: HashMap<(u8, u64), FileTraceSource>,
+    /// unlike `sets` this list never evicts.
+    files: Vec<((u8, u64), FileTraceSource)>,
     /// Every cold sweep point simulated (or journal-loaded) so far, by value:
     /// `(query, seed_base, machine, stats)`. A few dozen small records that
     /// outlive [`Workbench::clear_traces`]; a `Vec` searched by equality, so
@@ -200,11 +180,9 @@ impl Workbench {
             db: Database::build(config),
             nprocs,
             jobs,
-            cache: HashMap::new(),
-            order: Vec::new(),
-            trace_mode: TraceMode::default(),
-            trace_dir: None,
-            stream_cache: HashMap::new(),
+            sets: Vec::new(),
+            spill: None,
+            files: Vec::new(),
             cold_points: Vec::new(),
             tally: SweepTally::default(),
             fail_soft: false,
@@ -293,7 +271,7 @@ impl Workbench {
     /// Number of trace sets currently cached (bounded by the cache's slot
     /// count regardless of how many sets were requested).
     pub fn cached_trace_sets(&self) -> usize {
-        self.cache.len()
+        self.sets.len()
     }
 
     /// Returns (generating and caching on demand) the per-processor traces
@@ -312,54 +290,57 @@ impl Workbench {
     /// seventeen templates are tested).
     pub fn traces(&mut self, query: u8, seed_base: u64) -> TraceSet {
         let key = (query, seed_base);
-        if let Some(t) = self.cache.get(&key) {
-            return Arc::clone(t);
+        if let Some((_, set)) = self.sets.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(set);
         }
-        // Bound memory: traces are large, keep only a couple of sets.
-        while self.order.len() >= TRACE_CACHE_SLOTS {
-            let evict = self.order.remove(0);
-            self.cache.remove(&evict);
+        // Bound memory, and evict before recording so the evicted set's
+        // buffers are parked for the new one.
+        while self.sets.len() >= TRACE_CACHE_SLOTS {
+            self.sets.remove(0);
         }
-        let sql_seeds: Vec<u64> = (0..self.nprocs as u64).map(|p| seed_base + p).collect();
-        let mut traces = Vec::with_capacity(self.nprocs);
-        for (p, seed) in sql_seeds.into_iter().enumerate() {
-            let mut session = Session::new(p);
-            let sql = dss_query::sql_for(query, &params(query, seed));
-            self.db
-                .run(&sql, &mut session)
-                .unwrap_or_else(|e| panic!("Q{query} (seed {seed}) failed: {e}"));
-            let mut trace = session.tracer.take();
-            // A cached set lives long: hold the events, not whatever recycled
-            // buffer they were recorded into.
-            trace.events.shrink_to_fit();
-            traces.push(trace);
-        }
-        let set: TraceSet = traces.into();
-        self.cache.insert(key, Arc::clone(&set));
-        self.order.push(key);
+        let set: TraceSet = self
+            .record(&[query], seed_base, Tracer::new, |tracer| {
+                let mut trace = tracer.take();
+                // A cached set lives long: hold the events, not whatever
+                // recycled buffer they were recorded into.
+                trace.events.shrink_to_fit();
+                trace
+            })
+            .into();
+        self.sets.push((key, Arc::clone(&set)));
         set
     }
 
     /// Drops all cached traces (frees memory between experiment suites).
-    /// Streamed-mode block files stay on disk and stay cached — they hold no
-    /// memory — and so do the cold sweep points already simulated.
+    /// Block files stay on disk and stay cached — they hold no memory — and
+    /// so do the cold sweep points already simulated.
     pub fn clear_traces(&mut self) {
-        self.cache.clear();
-        self.order.clear();
+        self.sets.clear();
     }
 
     /// Selects materialized or streamed trace delivery (see [`TraceMode`]).
-    /// Results are identical either way; only peak memory and wall-clock
-    /// differ.
+    /// [`TraceMode::Materialized`] turns block files off;
+    /// [`TraceMode::Streamed`] only confirms the directory
+    /// [`Workbench::set_trace_dir`] already turned them on with. Results are
+    /// identical either way; only peak memory and wall-clock differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`TraceMode::Streamed`] when no directory is set.
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
-        self.trace_mode = mode;
+        match mode {
+            TraceMode::Materialized => self.spill = None,
+            TraceMode::Streamed => assert!(
+                self.spill.is_some(),
+                "streamed traces need a directory: call set_trace_dir first"
+            ),
+        }
     }
 
-    /// Sets the directory streamed-mode block files are written to
-    /// (default: a fresh per-process directory under the system temp dir).
-    /// Takes effect for sets not yet recorded.
+    /// Makes every sweep replay block files recorded under `dir` instead of
+    /// materialized sets. Takes effect for sets not yet recorded.
     pub fn set_trace_dir(&mut self, dir: PathBuf) {
-        self.trace_dir = Some(dir);
+        self.spill = Some(dir);
     }
 
     /// Attaches a checkpoint journal: experiment sweeps serve completed
@@ -369,23 +350,25 @@ impl Workbench {
         self.checkpoint = Some(Arc::new(Mutex::new(journal)));
     }
 
-    /// Returns the trace population for `query` in this workbench's
-    /// [`TraceMode`]: a cheap clone of the materialized set, or a handle to
-    /// per-processor block files (recorded on first request).
+    /// Returns the trace population for `query`: per-processor block files
+    /// once [`Workbench::set_trace_dir`] has named a directory (recorded on
+    /// first request), otherwise a cheap clone of the materialized set.
     ///
     /// # Panics
     ///
-    /// Panics if the query fails, or (streamed mode) on an I/O failure
-    /// while recording the block files.
+    /// Panics if the query fails, or on an I/O failure while recording the
+    /// block files.
     pub fn source(&mut self, query: u8, seed_base: u64) -> SimSource {
-        match self.trace_mode {
-            TraceMode::Materialized => SimSource::Set(self.traces(query, seed_base)),
-            TraceMode::Streamed => SimSource::Files(self.trace_files(query, seed_base)),
+        if self.spill.is_some() {
+            SimSource::Files(self.trace_files(query, seed_base))
+        } else {
+            SimSource::Set(self.traces(query, seed_base))
         }
     }
 
     /// Returns (recording on first request) per-processor block files for
-    /// `query`, with parameter seeds starting at `seed_base`.
+    /// `query`, with parameter seeds starting at `seed_base`, under the
+    /// directory [`Workbench::set_trace_dir`] named.
     ///
     /// Each processor's query runs with a sinked [`Tracer`] draining event
     /// blocks straight to disk, so recording holds at most one block per
@@ -398,57 +381,41 @@ impl Workbench {
     ///
     /// # Panics
     ///
-    /// Panics if the query fails to plan or execute, or on an I/O failure.
+    /// Panics if no directory is set, if the query fails to plan or execute,
+    /// or on an I/O failure.
     pub fn trace_files(&mut self, query: u8, seed_base: u64) -> FileTraceSource {
         let key = (query, seed_base);
-        if let Some(src) = self.stream_cache.get(&key) {
+        if let Some((_, src)) = self.files.iter().find(|(k, _)| *k == key) {
             return src.clone();
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "picks a scratch directory; the diffed artifact is the files' contents"
-        )]
-        let dir = self
-            .trace_dir
-            .get_or_insert_with(|| {
-                std::env::temp_dir().join(format!("dss-traces-{}", std::process::id()))
-            })
-            .clone();
+        let Some(dir) = self.spill.clone() else {
+            panic!("block files need a directory: call set_trace_dir first");
+        };
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("create trace dir {}: {e}", dir.display()));
         let stem = format!("q{query}.s{seed_base}");
         let paths: Vec<PathBuf> = (0..self.nprocs)
             .map(|p| FileTraceSource::proc_path(&dir, &stem, p))
             .collect();
-        for (p, path) in paths.iter().enumerate() {
-            let seed = seed_base + p as u64;
-            let sql = dss_query::sql_for(query, &params(query, seed));
+        let open = |p: usize| {
+            let path = &paths[p];
             let file = std::fs::File::create(path)
                 .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
-            let sync = file
-                .try_clone()
-                .unwrap_or_else(|e| panic!("clone handle {}: {e}", path.display()));
-            let sink = Box::new(BufWriter::new(CrashFile(file)));
-            let tracer = Tracer::with_sink(p, DEFAULT_BLOCK_EVENTS, sink)
-                .unwrap_or_else(|e| panic!("trace sink {}: {e}", path.display()));
-            let mut session = Session::new(p);
-            session.tracer = tracer.clone();
-            self.db
-                .run(&sql, &mut session)
-                .unwrap_or_else(|e| panic!("Q{query} (seed {seed}) failed: {e}"));
+            let sink = Box::new(BufWriter::new(BlockFile(file)));
+            Tracer::with_sink(p, DEFAULT_BLOCK_EVENTS, sink)
+                .unwrap_or_else(|e| panic!("trace sink {}: {e}", path.display()))
+        };
+        self.record(&[query], seed_base, open, |tracer| {
             crash_point("crash.trace.pre-finish");
+            // Writes the end marker and fsyncs the file (see `BlockFile`)
+            // before anything records it as usable.
             tracer
                 .finish_sink()
-                .unwrap_or_else(|e| panic!("finish {}: {e}", path.display()));
-            // The end marker is on disk (buffered writer flushed by
-            // `finish_sink`); make it durable before anything records this
-            // file as usable.
-            sync.sync_all()
-                .unwrap_or_else(|e| panic!("fsync {}: {e}", path.display()));
-        }
+                .unwrap_or_else(|e| panic!("finish {}: {e}", paths[tracer.proc_id()].display()));
+        });
         fsync_dir(Some(&dir)).unwrap_or_else(|e| panic!("fsync dir {}: {e}", dir.display()));
         let src = FileTraceSource::new(paths);
-        self.stream_cache.insert(key, src.clone());
+        self.files.push((key, src.clone()));
         src
     }
 
@@ -460,36 +427,52 @@ impl Workbench {
     ///
     /// Panics if any query fails.
     pub fn stream_traces(&mut self, queries: &[u8], seed_base: u64) -> Vec<Trace> {
-        let mut traces = Vec::with_capacity(self.nprocs);
-        for p in 0..self.nprocs {
-            let mut session = Session::new(p);
-            for (i, q) in queries.iter().enumerate() {
-                let seed = seed_base + (p + i * self.nprocs) as u64;
-                let sql = dss_query::sql_for(*q, &params(*q, seed));
-                self.db
-                    .run(&sql, &mut session)
-                    .unwrap_or_else(|e| panic!("Q{q} (seed {seed}) failed: {e}"));
-            }
-            traces.push(session.tracer.take());
-        }
-        traces
+        self.record(queries, seed_base, Tracer::new, |tracer| tracer.take())
+    }
+
+    /// The one recording loop: processor `p` runs `queries` back to back in
+    /// one session recording into `open(p)`, query `i` with parameter seed
+    /// `seed_base + p + i·nprocs`, and `close` receives its tracer after the
+    /// last query. Processors record one after another, in order.
+    fn record<T>(
+        &mut self,
+        queries: &[u8],
+        seed_base: u64,
+        mut open: impl FnMut(usize) -> Tracer,
+        mut close: impl FnMut(Tracer) -> T,
+    ) -> Vec<T> {
+        let nprocs = self.nprocs;
+        (0..nprocs)
+            .map(|p| {
+                let mut session = Session::new(p);
+                session.tracer = open(p);
+                for (i, &q) in queries.iter().enumerate() {
+                    let seed = seed_base + (p + i * nprocs) as u64;
+                    let sql = dss_query::sql_for(q, &params(q, seed));
+                    self.db
+                        .run(&sql, &mut session)
+                        .unwrap_or_else(|e| panic!("Q{q} (seed {seed}) failed: {e}"));
+                }
+                close(session.tracer)
+            })
+            .collect()
     }
 }
 
-/// A [`Write`] wrapper arming the `crash.trace.block-write` crash site on
-/// every write syscall reaching the trace file (beneath the sink's
-/// [`BufWriter`]) — the crash campaign's way of dying inside a block flush.
-/// Unarmed, the crash point is one relaxed atomic load per flush.
-struct CrashFile(std::fs::File);
+/// A block file beneath a recording sink's [`BufWriter`]. Every write syscall
+/// arms the `crash.trace.block-write` crash site — the crash campaign's way
+/// of dying inside a block flush; unarmed, that is one relaxed atomic load
+/// per flush. A flush, which the sink issues once when it finishes, fsyncs.
+struct BlockFile(std::fs::File);
 
-impl Write for CrashFile {
+impl Write for BlockFile {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         crash_point("crash.trace.block-write");
         self.0.write(buf)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.0.flush()
+        self.0.sync_all()
     }
 }
 
@@ -497,22 +480,26 @@ impl Write for CrashFile {
 mod tests {
     use super::*;
 
-    #[test]
-    fn traces_are_cached_and_bounded() {
-        let mut wb = Workbench::new(
+    fn tiny(nprocs: usize) -> Workbench {
+        Workbench::new(
             &DbConfig {
                 scale: 0.001,
                 nbuffers: 1024,
                 ..DbConfig::default()
             },
-            2,
-        );
+            nprocs,
+        )
+    }
+
+    #[test]
+    fn traces_are_cached_and_bounded() {
+        let mut wb = tiny(2);
         let a = wb.traces(6, 0);
         let b = wb.traces(6, 0);
         assert!(Arc::ptr_eq(&a, &b), "second request served from cache");
         let _c = wb.traces(6, 100);
         let _d = wb.traces(3, 0); // evicts the oldest
-        assert!(wb.cache.len() <= TRACE_CACHE_SLOTS);
+        assert!(wb.sets.len() <= TRACE_CACHE_SLOTS);
     }
 
     #[test]
@@ -521,23 +508,16 @@ mod tests {
         // per-thread state, and here it must be this test's evicted set.
         std::thread::scope(|s| {
             s.spawn(|| {
-                let mut wb = Workbench::new(
-                    &DbConfig {
-                        scale: 0.001,
-                        nbuffers: 1024,
-                        ..DbConfig::default()
-                    },
-                    2,
-                );
+                let mut wb = tiny(2);
                 // One set more than the cache holds: the last is recorded
                 // into the buffers the evicted first set left behind.
                 for set in 0..=TRACE_CACHE_SLOTS as u64 {
                     wb.traces(6, 100 * set);
                 }
-                assert_eq!(wb.cache.len(), TRACE_CACHE_SLOTS);
-                assert!(!wb.cache.contains_key(&(6, 0)));
-                for key in &wb.order {
-                    for t in wb.cache[key].iter() {
+                assert_eq!(wb.sets.len(), TRACE_CACHE_SLOTS);
+                assert!(wb.sets.iter().all(|(key, _)| *key != (6, 0)));
+                for (key, set) in &wb.sets {
+                    for t in set.iter() {
                         assert!(!t.is_empty());
                         assert_eq!(t.events.capacity(), t.len(), "{key:?}");
                     }
@@ -548,14 +528,7 @@ mod tests {
 
     #[test]
     fn trace_sets_outlive_eviction_and_cross_threads() {
-        let mut wb = Workbench::new(
-            &DbConfig {
-                scale: 0.001,
-                nbuffers: 1024,
-                ..DbConfig::default()
-            },
-            2,
-        );
+        let mut wb = tiny(2);
         let a = wb.traces(6, 0);
         wb.clear_traces();
         // The evicted set is still alive through our clone, and usable from
@@ -571,14 +544,7 @@ mod tests {
 
     #[test]
     fn each_processor_gets_its_own_parameters() {
-        let mut wb = Workbench::new(
-            &DbConfig {
-                scale: 0.001,
-                nbuffers: 1024,
-                ..DbConfig::default()
-            },
-            2,
-        );
+        let mut wb = tiny(2);
         let traces = wb.traces(6, 0);
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].proc_id, 0);
@@ -594,14 +560,7 @@ mod tests {
         // pair generates the same trace no matter what ran before it, so
         // cache-eviction order, cache sizing, and streamed-vs-materialized
         // generation order can never change simulation results.
-        let mut wb = Workbench::new(
-            &DbConfig {
-                scale: 0.001,
-                nbuffers: 1024,
-                ..DbConfig::default()
-            },
-            2,
-        );
+        let mut wb = tiny(2);
         let a = wb.traces(6, 0);
         let _ = wb.traces(3, 0);
         let _ = wb.traces(12, 0);
@@ -614,31 +573,30 @@ mod tests {
     fn streamed_files_replay_the_materialized_events() {
         use dss_trace::materialize;
 
-        let mut wb = Workbench::new(
-            &DbConfig {
-                scale: 0.001,
-                nbuffers: 1024,
-                ..DbConfig::default()
-            },
-            2,
-        );
+        let mut wb = tiny(2);
         let dir = std::env::temp_dir().join(format!("dss-wb-stream-{}", std::process::id()));
         wb.set_trace_dir(dir.clone());
-        wb.set_trace_mode(TraceMode::Streamed);
-        let files = match wb.source(6, 0) {
-            SimSource::Files(f) => f,
-            SimSource::Set(_) => panic!("streamed mode yields files"),
-        };
+        let files = wb.trace_files(6, 0);
         let replayed = materialize(&files).unwrap();
         let in_memory = wb.traces(6, 0);
         assert_eq!(replayed[..], in_memory[..], "same events either way");
         // Second request reuses the recorded files.
-        let again = match wb.source(6, 0) {
-            SimSource::Files(f) => f,
-            SimSource::Set(_) => panic!("streamed mode yields files"),
-        };
-        assert_eq!(files.paths(), again.paths());
+        assert_eq!(files.paths(), wb.trace_files(6, 0).paths());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "call set_trace_dir")]
+    fn the_spill_directory_picks_the_source() {
+        let mut wb = tiny(2);
+        let dir = std::env::temp_dir().join(format!("dss-wb-spill-{}", std::process::id()));
+        wb.set_trace_dir(dir.clone());
+        assert!(matches!(wb.source(6, 0), SimSource::Files(_)));
+        wb.set_trace_mode(TraceMode::Materialized);
+        assert!(matches!(wb.source(6, 0), SimSource::Set(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Streamed only confirms a directory; with none set it is a bug.
+        wb.set_trace_mode(TraceMode::Streamed);
     }
 
     #[test]
@@ -652,7 +610,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut wb = Workbench::new(&config, 3);
         wb.set_trace_dir(dir.clone());
-        wb.set_trace_mode(TraceMode::Streamed);
         let paths = wb.trace_files(6, 0).paths().to_vec();
         let whole: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
         // What an interrupted run may leave: proc 0's file torn mid-block,
@@ -671,7 +628,6 @@ mod tests {
 
         let mut wb2 = Workbench::new(&config, 3);
         wb2.set_trace_dir(dir.clone());
-        wb2.set_trace_mode(TraceMode::Streamed);
         let _ = wb2.trace_files(6, 0);
         for (p, path) in paths.iter().enumerate() {
             assert_eq!(
@@ -685,14 +641,7 @@ mod tests {
 
     #[test]
     fn jobs_default_and_clamp() {
-        let mut wb = Workbench::new(
-            &DbConfig {
-                scale: 0.001,
-                nbuffers: 1024,
-                ..DbConfig::default()
-            },
-            2,
-        );
+        let mut wb = tiny(2);
         assert!(wb.jobs() >= 1);
         wb.set_jobs(0);
         assert_eq!(wb.jobs(), 1, "jobs clamps to at least one worker");

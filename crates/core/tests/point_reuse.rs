@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use dss_core::{config_fingerprint, CheckpointJournal, SweepTally, TraceMode, Workbench};
+use dss_core::{config_fingerprint, CheckpointJournal, SweepTally, Workbench};
 use dss_memsim::SimStats;
 use dss_query::DbConfig;
 
@@ -32,7 +32,6 @@ fn wb(jobs: usize, trace_dir: Option<PathBuf>) -> Workbench {
     let mut wb = Workbench::new(&config(), 2).with_jobs(jobs);
     if let Some(dir) = trace_dir {
         wb.set_trace_dir(dir);
-        wb.set_trace_mode(TraceMode::Streamed);
     }
     wb
 }

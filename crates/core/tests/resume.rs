@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use dss_core::{config_fingerprint, CheckpointJournal, TraceMode, Workbench};
+use dss_core::{config_fingerprint, CheckpointJournal, Workbench};
 use dss_query::DbConfig;
 
 fn config() -> DbConfig {
@@ -160,7 +160,6 @@ fn a_partial_file_after_a_complete_one_regenerates_the_uninterrupted_bytes() {
     let streamed = || {
         let mut wb = Workbench::new(&config(), 2);
         wb.set_trace_dir(dir.clone());
-        wb.set_trace_mode(TraceMode::Streamed);
         wb
     };
     let paths = streamed().trace_files(3, 0).paths().to_vec();

@@ -132,8 +132,6 @@ pub struct LockMgr {
     next_lock_slot: u32,
     next_xid_slot: u32,
     capacity: u32,
-    /// Running count of acquire calls (for tests and reports).
-    acquires: u64,
 }
 
 impl LockMgr {
@@ -178,18 +176,12 @@ impl LockMgr {
             next_lock_slot: 0,
             next_xid_slot: 0,
             capacity,
-            acquires: 0,
         }
     }
 
     /// The `LockMgrLock` spinlock token.
     pub fn lock_token(&self) -> LockToken {
         self.lock
-    }
-
-    /// Number of acquire calls so far.
-    pub fn acquire_count(&self) -> u64 {
-        self.acquires
     }
 
     /// Requests a `mode` lock on relation `rel` for transaction `xid`.
@@ -200,7 +192,6 @@ impl LockMgr {
     /// conflicting mode; no wait queue is modeled because the paper's
     /// read-only queries never contend on data locks.
     pub fn acquire(&mut self, xid: Xid, rel: u32, mode: LockMode, t: &Tracer) -> LockResult {
-        self.acquires += 1;
         let tag = LockTag { rel };
         t.lock_acquire(self.lock);
         t.busy(self.cost.lock_call);

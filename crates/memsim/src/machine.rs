@@ -614,13 +614,6 @@ impl Machine {
         self.violation.as_deref()
     }
 
-    /// Takes (and clears) the first recorded coherence violation, so a
-    /// persistent machine can be checked run by run.
-    #[cfg(feature = "check-invariants")]
-    pub fn take_violation(&mut self) -> Option<crate::verify::CoherenceViolation> {
-        self.violation.take().map(|b| *b)
-    }
-
     /// Arms a deliberate per-event heap allocation (test-only `alloc-probe`
     /// feature), so the allocation audit's negative test can prove the
     /// counting gate fires when the hot loop regresses.

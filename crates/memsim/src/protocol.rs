@@ -6,7 +6,7 @@
 //! over [`DirEntry`] and per-node [`LineState`]s. The simulator
 //! ([`crate::Machine`]) applies these decisions to its caches, latencies, and
 //! statistics; `dss_check::check_model` drives the very same functions
-//! through [`step`] to enumerate the protocol's entire reachable state space
+//! through [`Kernel::step`] to enumerate the protocol's entire reachable state space
 //! over small configurations. One transition table, two consumers — the
 //! model checker cannot drift from the machine it vouches for.
 //!

@@ -1,6 +1,6 @@
 //! The single home of every coherence rule string.
 //!
-//! The runtime observer ([`crate::verify`]), the exhaustive model checker
+//! The runtime observer (the `verify` module), the exhaustive model checker
 //! ([`crate::protocol::explore`]), the fault-injection campaign, and
 //! `dss_check::check_model` all report violations by these exact strings,
 //! and the drill sites match on them verbatim — so a reworded copy in one place

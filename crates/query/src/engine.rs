@@ -87,12 +87,9 @@ impl Database {
     /// Loads a pre-generated population (untraced).
     pub fn build_from(config: &DbConfig, data: &DbData) -> Database {
         let mut space = AddressSpace::new();
-        let mut lockmgr = LockMgr::new(&mut space, 4096);
+        let lockmgr = LockMgr::new(&mut space, 4096);
         let mut pool = BufferPool::new(&mut space, config.nbuffers);
         let catalog = Catalog::load(&mut pool, data, &config.indexes);
-        // Pre-size the lock manager's structures (no-op placeholder for
-        // symmetric construction order).
-        let _ = &mut lockmgr;
         Database {
             space,
             pool,
@@ -312,10 +309,8 @@ impl Database {
         let mut live: Vec<Vec<dss_tpcd::Value>> = Vec::new();
         for block in 0..meta.heap.npages() {
             let buf = pool.lookup(meta.heap.page(block)).expect("resident");
-            let count = pool.get_u32(buf, 0);
             let upto = ((meta.heap.ntuples() - block as u64 * meta.heap.tuples_per_page() as u64)
                 .min(meta.heap.tuples_per_page() as u64)) as u32;
-            let _ = count;
             for slot in 0..upto {
                 if meta.heap.is_live(pool, buf, slot) {
                     let row: Vec<dss_tpcd::Value> = (0..ncols)

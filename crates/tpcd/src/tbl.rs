@@ -38,7 +38,6 @@ pub fn to_tbl(def: &TableDef, rows: &[Vec<Value>]) -> String {
         }
         out.push('\n');
     }
-    let _ = def;
     out
 }
 

@@ -211,11 +211,11 @@ impl From<TraceError> for io::Error {
 /// count:u64  chunk:u64  count × packed event word:u64  checksum:u64
 /// ```
 ///
-/// all little-endian; the checksum is [`mix`] folded over `count`, `chunk`
-/// and the event words. `chunk` numbers the blocks sequentially from zero,
-/// so a reader detects reordered, duplicated, or mis-seeded chunks (e.g.
-/// from a buggy parallel producer) as corruption instead of replaying a
-/// scrambled workload. A zero-count block terminates the stream; a stream
+/// all little-endian; the checksum is the FNV-1a step `mix` folded over
+/// `count`, `chunk` and the event words. `chunk` numbers the blocks
+/// sequentially from zero, so a reader detects reordered, duplicated, or
+/// mis-seeded chunks (e.g. from a buggy parallel producer) as corruption
+/// instead of replaying a scrambled workload. A zero-count block terminates the stream; a stream
 /// cut before that marker is reported as truncated. Nothing about the
 /// stream's total length is promised up front, so a producer can emit blocks
 /// as it generates them and never hold more than one block in memory.

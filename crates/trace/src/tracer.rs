@@ -299,11 +299,6 @@ impl Tracer {
         self.buf.borrow_mut().enabled = enabled;
     }
 
-    /// Whether recording is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.buf.borrow().enabled
-    }
-
     /// Number of events recorded so far (excluding coalesced pending busy).
     pub fn len(&self) -> usize {
         self.buf.borrow().events.len()
