@@ -3,7 +3,9 @@
 //! processes — one worker, four workers, four workers replaying block files
 //! from disk — must print the same bytes, with every paper shape check
 //! passing. A hash-order, scheduling or codec leak anywhere between the
-//! engine and the report shows up here as a differing byte.
+//! engine and the report shows up here as a differing byte. The bytes they
+//! agree on are pinned too ([`STDOUT`]), so a report that moves in every
+//! configuration at once fails as well.
 
 use std::process::{Child, Command, Stdio};
 
@@ -12,6 +14,17 @@ const ALL: &[&str] = &["all", "ext", "--sf", "0.003"];
 
 /// Shape checks `all ext` prints, each `PASS` or `FAIL`.
 const CHECKS: usize = 62;
+
+/// Length and FNV-1a 64 of the `--jobs 1` stdout, the same in debug and
+/// release builds. On a deliberate change of the report the failure prints
+/// the replacement.
+const STDOUT: (usize, u64) = (18443, 0xe845_ac30_1e6d_e8dd);
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 #[expect(clippy::expect_used, reason = "spawning `repro` is the test")]
 fn spawn(extra: &[&str]) -> Child {
@@ -60,4 +73,9 @@ fn stdout_is_identical_across_jobs_and_trace_modes() {
         }
         assert!(*out == outs[0], "{extra:?} differs from --jobs 1 in length");
     }
+    let (len, hash) = (outs[0].len(), fnv1a(&outs[0]));
+    assert!(
+        (len, hash) == STDOUT,
+        "the report moved; this tree prints:\nconst STDOUT: (usize, u64) = ({len}, {hash:#018x});"
+    );
 }

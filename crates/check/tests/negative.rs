@@ -1,25 +1,15 @@
 //! Negative tests: the checkers must actually fire when the property they
 //! guard is deliberately broken — an unlocked store into shared metadata for
 //! the race detector, a corrupted directory sharer mask for the coherence
-//! invariant checker, an injected per-event allocation for the counting
-//! allocator (`--features alloc-probe`), two processors taking the engine's
-//! spinlocks in opposite orders for the lock-order contract. The real
-//! workload passing them all is `paper_scale.rs`.
+//! invariant checker, two processors taking the engine's spinlocks in
+//! opposite orders for the lock-order contract. The real workload passing
+//! them all is `paper_scale.rs`; the counting allocator's own sabotage test
+//! is `alloc_gate_engine.rs`.
 
 use dss_check::{check_machine, detect_races};
 use dss_core::Workbench;
 use dss_memsim::{Machine, MachineConfig};
 use dss_trace::{DataClass, Event, EventKind, MemRef, Trace};
-
-#[cfg(feature = "alloc-probe")]
-#[path = "../src/alloc.rs"]
-mod alloc;
-
-/// The probe test measures real heap traffic, so it needs the counting
-/// allocator installed for the whole test binary.
-#[cfg(feature = "alloc-probe")]
-#[global_allocator]
-static COUNTING_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 /// A small workbench shared per test (each builds its own database).
 fn workbench() -> Workbench {
@@ -80,37 +70,6 @@ fn corrupted_directory_sharer_mask_is_caught() {
     machine.corrupt_directory_sharers(line, 1 << 63);
     let violation = check_machine(&machine).expect_err("corruption must be caught");
     assert_eq!(violation.line, line);
-}
-
-/// Sabotage for the allocation audit: arm the test-only per-event allocation
-/// probe on a fully warmed machine and prove the counting gate sees it. The
-/// other tests in this binary share the process-global counters, so only the
-/// lower bound is meaningful — but that bound (one allocation per simulated
-/// event) is exactly what a hot-loop regression looks like.
-#[cfg(feature = "alloc-probe")]
-#[test]
-fn injected_per_event_allocation_is_caught() {
-    use dss_memsim::SimStats;
-
-    let mut wb = workbench();
-    let traces = wb.traces(6, 0);
-    let mut machine = Machine::new(MachineConfig::baseline());
-    let mut stats = SimStats::default();
-    machine.run_into(&traces, &mut stats);
-
-    machine.arm_alloc_probe();
-    let gate = alloc::AllocGate::begin();
-    machine.run_into(&traces, &mut stats);
-    let report = gate.end();
-
-    let events: u64 = traces.iter().map(|t| t.events.len() as u64).sum();
-    assert!(events > 0, "Q6 traces must contain events");
-    assert!(
-        report.allocs >= events,
-        "the gate saw {} allocation(s) for {events} probed event(s) — \
-         an allocating hot loop would slip through",
-        report.allocs
-    );
 }
 
 /// Sabotage for the race detector's well-formedness gate: a trace cut short

@@ -8,10 +8,9 @@
 //!   {MSI, MESI}) leaves the directory protocol's invariants intact (with
 //!   `--features check-invariants`, after every transaction too);
 //! * **allocation budget** — a warmed `Machine::run` touches the heap not at
-//!   all, and every ratcheted count equals the committed
-//!   `alloc-budget.json` in both directions. On a difference the failure
-//!   prints the budget this tree measures, to commit after a deliberate
-//!   change.
+//!   all, and every measured count equals [`BUDGET`]. On a difference the
+//!   failure prints the table this tree measures, to paste over `BUDGET`
+//!   after a deliberate change.
 //!
 //! One test alone in its binary: the counting allocator's counters are
 //! process-global, so nothing may run beside the measured scopes.
@@ -20,7 +19,7 @@
 mod alloc;
 
 use alloc::{AllocGate, AllocReport, CountingAlloc};
-use dss_check::{check_baseline_suite, detect_races, AllocBudget, Counts, RunBudget};
+use dss_check::{check_machine, detect_races};
 use dss_core::{query_label, Workbench, STUDIED_QUERIES};
 use dss_memsim::{Machine, MachineConfig, Protocol, SimStats};
 use dss_query::{sql_for, Plan, Session};
@@ -30,10 +29,49 @@ use dss_trace::DataClass;
 #[global_allocator]
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
-/// The committed allocation budget.
-const BUDGET: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/alloc-budget.json");
+/// The allocation budget, in [`measure`]'s order: per run a label, then
+/// `[allocs, deallocs, reallocs, bytes_allocated, peak_bytes]` of its first
+/// phase and of its second. A simulation's first phase is machine
+/// construction plus the first run, its second an identical run on the
+/// warmed machine; an untraced engine run has a first phase only; the traced
+/// engine run's phases are its two recordings.
+const BUDGET: [(&str, [u64; 5], [u64; 5]); 9] = [
+    (
+        "Q3 / MSI baseline",
+        [931, 0, 5, 8336512, 8336032],
+        [0, 0, 0, 0, 0],
+    ),
+    ("Q3 / MESI", [931, 0, 5, 8336512, 8336032], [0, 0, 0, 0, 0]),
+    (
+        "Q6 / MSI baseline",
+        [666, 0, 5, 5960832, 5960352],
+        [0, 0, 0, 0, 0],
+    ),
+    ("Q6 / MESI", [666, 0, 5, 5960832, 5960352], [0, 0, 0, 0, 0]),
+    (
+        "Q12 / MSI baseline",
+        [809, 0, 5, 7222400, 7221920],
+        [0, 0, 0, 0, 0],
+    ),
+    ("Q12 / MESI", [809, 0, 5, 7222400, 7221920], [0, 0, 0, 0, 0]),
+    (
+        "Q1 / engine untraced (scan, sort, group)",
+        [723407, 723402, 34, 36682224, 12388624],
+        [0, 0, 0, 0, 0],
+    ),
+    (
+        "Q9 / engine untraced (nested-loop and hash joins)",
+        [142404, 142393, 83, 13974489, 3351480],
+        [0, 0, 0, 0, 0],
+    ),
+    (
+        "Q6 / engine traced, recorded twice",
+        [1300, 1295, 19, 33677964, 25167788],
+        [1299, 1295, 0, 123564, 3124],
+    ),
+];
 
-/// The engine executions the budget ratchets: a template and the operators
+/// The engine executions the budget pins: a template and the operators
 /// its plan is made of.
 const ENGINE_RUNS: [(u8, &str); 2] = [(1, "scan, sort, group"), (9, "nested-loop and hash joins")];
 
@@ -69,43 +107,46 @@ fn paper_scale_traces_are_race_free_coherent_and_on_budget() {
         }
     }
 
-    let summaries = check_baseline_suite(&mut wb).unwrap_or_else(|f| panic!("invariants: {f}"));
-    assert_eq!(summaries.len(), STUDIED_QUERIES.len() * 2);
-    assert!(summaries.iter().all(|s| s.exec_cycles > 0), "{summaries:?}");
-
     let measured = measure(&mut wb);
-    let committed = std::fs::read_to_string(BUDGET).unwrap_or_else(|e| panic!("{BUDGET}: {e}"));
-    let committed = AllocBudget::parse(&committed).unwrap_or_else(|e| panic!("{BUDGET}: {e}"));
-    let problems = committed.diff(&measured);
+    let table: String = measured
+        .iter()
+        .map(|(run, first, second)| format!("    ({run:?}, {first:?}, {second:?}),\n"))
+        .collect();
     assert!(
-        problems.is_empty(),
-        "{problems:#?}\nthis tree measures (commit as {BUDGET} after a deliberate change):\n{}",
-        measured.to_json()
+        measured
+            .iter()
+            .map(|(run, first, second)| (run.as_str(), *first, *second))
+            .eq(BUDGET),
+        "the allocation budget moved; this tree measures:\n{table}"
     );
 }
 
-fn to_counts(r: AllocReport) -> Counts {
-    Counts {
-        allocs: r.allocs,
-        deallocs: r.deallocs,
-        reallocs: r.reallocs,
-        bytes_allocated: r.bytes_allocated,
-        peak_bytes: r.peak_bytes,
-    }
+type Measured = (String, [u64; 5], [u64; 5]);
+
+fn counts(r: AllocReport) -> [u64; 5] {
+    [
+        r.allocs,
+        r.deallocs,
+        r.reallocs,
+        r.bytes_allocated,
+        r.peak_bytes,
+    ]
 }
 
-/// Measures every budgeted run under the counting allocator, in the
-/// committed file's order.
+/// Measures every budgeted run under the counting allocator, in
+/// [`BUDGET`]'s order.
 ///
 /// The baseline suite first: per run a warm-up phase (machine construction
 /// plus the first simulation, where buffers grow) and a steady-state phase
-/// (an identical second simulation on the warmed machine, which must be
-/// heap-silent). The traces were generated by the checks before, so the
-/// scopes are single-threaded. Then the engine's host path: one untraced
-/// execution each of [`ENGINE_RUNS`], the whole of it ratcheted (the
-/// simulated machine never sees host allocation, so nothing else would
-/// notice a per-row clone coming back), and [`TRACED_QUERY`] recorded twice.
-fn measure(wb: &mut Workbench) -> AllocBudget {
+/// (an identical second simulation on the warmed machine), which must be
+/// heap-silent whatever the budget says. Once both gates are closed, the
+/// machine's coherence invariants are checked. The traces were generated by
+/// the race checks before, so the scopes are single-threaded. Then the
+/// engine's host path: one untraced execution each of [`ENGINE_RUNS`], the
+/// whole of it counted (the simulated machine never sees host allocation, so
+/// nothing else would notice a per-row clone coming back), and
+/// [`TRACED_QUERY`] recorded twice.
+fn measure(wb: &mut Workbench) -> Vec<Measured> {
     let configs: [(&str, MachineConfig); 2] = [
         ("MSI baseline", MachineConfig::baseline()),
         (
@@ -113,10 +154,11 @@ fn measure(wb: &mut Workbench) -> AllocBudget {
             MachineConfig::baseline().with_protocol(Protocol::Mesi),
         ),
     ];
-    let mut measured = AllocBudget::default();
+    let mut measured = Vec::new();
     for query in STUDIED_QUERIES {
         let traces = wb.traces(query, 0);
         for (name, config) in &configs {
+            let run = format!("{} / {name}", query_label(query));
             let mut stats = SimStats::default();
 
             let gate = AllocGate::begin();
@@ -128,12 +170,14 @@ fn measure(wb: &mut Workbench) -> AllocBudget {
             machine.run_into(&traces, &mut stats);
             let steady = gate.end();
 
-            measured.runs.push(RunBudget {
-                run: format!("{} / {name}", query_label(query)),
-                warmup: to_counts(warmup),
-                steady: to_counts(steady),
-                steady_ratcheted: false,
-            });
+            assert_eq!(
+                steady,
+                AllocReport::default(),
+                "{run}: steady-state heap activity — Machine::run must not allocate once warmed"
+            );
+            check_machine(&machine).unwrap_or_else(|v| panic!("{run}: {v}"));
+            assert!(stats.exec_cycles() > 0, "{run} simulated nothing");
+            measured.push((run, counts(warmup), counts(steady)));
         }
     }
     for (query, path) in ENGINE_RUNS {
@@ -146,14 +190,13 @@ fn measure(wb: &mut Workbench) -> AllocBudget {
         let gate = AllocGate::begin();
         wb.db.run_plan(&plan, &mut session);
         let execution = gate.end();
-        measured.runs.push(RunBudget {
-            run: format!("{} / engine untraced ({path})", query_label(query)),
-            warmup: to_counts(execution),
-            steady: Counts::default(),
-            steady_ratcheted: false,
-        });
+        measured.push((
+            format!("{} / engine untraced ({path})", query_label(query)),
+            counts(execution),
+            [0; 5],
+        ));
     }
-    measured.runs.push(measure_traced_twice(wb));
+    measured.push(measure_traced_twice(wb));
     measured
 }
 
@@ -168,7 +211,7 @@ fn plan(wb: &Workbench, query: u8) -> Plan {
 /// recording starts. The first grows its event buffer by doubling; the second
 /// finds that buffer parked and must not allocate one again, so its
 /// `reallocs` and `bytes_allocated` are the engine's alone.
-fn measure_traced_twice(wb: &mut Workbench) -> RunBudget {
+fn measure_traced_twice(wb: &mut Workbench) -> Measured {
     let plan = plan(wb, TRACED_QUERY);
     // Unmeasured first, as for the untraced engine runs: first use grows the
     // lock manager's host-side tables.
@@ -193,13 +236,12 @@ fn measure_traced_twice(wb: &mut Workbench) -> RunBudget {
         .join()
         .unwrap_or_else(|_| panic!("the traced engine run panicked"))
     });
-    RunBudget {
-        run: format!(
+    (
+        format!(
             "{} / engine traced, recorded twice",
             query_label(TRACED_QUERY)
         ),
-        warmup: to_counts(warmup),
-        steady: to_counts(steady),
-        steady_ratcheted: true,
-    }
+        counts(warmup),
+        counts(steady),
+    )
 }

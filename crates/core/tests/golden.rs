@@ -10,9 +10,10 @@
 //! of one point per other geometry the figures sweep (line sizes, cache
 //! sizes, warm caches, prefetching, MESI, fewer processors).
 //!
-//! If a change is *meant* to alter simulation results, regenerate the table
-//! with `cargo run -p dss-core --release --example golden_dump` and say so in
-//! the commit.
+//! Both tables are `const`s that a failure prints the replacement for: a
+//! snapshot mismatch prints the measured `QuerySnapshot` literal, a digest
+//! mismatch the whole `POINT_DIGESTS` table. If a change is *meant* to alter
+//! simulation results, paste it over the old one and say so in the commit.
 
 use dss_core::{Workbench, STUDIED_QUERIES};
 use dss_memsim::MissKind;
@@ -40,8 +41,8 @@ struct QuerySnapshot {
     stall_by_class: [u64; 10],
 }
 
-/// Captured from the seed simulator (`golden_dump` at the commit introducing
-/// this test), Workbench::small() with one job.
+/// Captured from the seed simulator at the commit introducing this test,
+/// `Workbench::small()` with one job.
 const SNAPSHOTS: [QuerySnapshot; 3] = [
     QuerySnapshot {
         query: 3,
@@ -227,10 +228,9 @@ fn baseline_suite_matches_pinned_snapshots() {
             l2_read_misses: matrix(&s.l2.read_misses),
             stall_by_class,
         };
-        assert_eq!(
-            &got, want,
-            "Q{} diverged from the pinned snapshot — if intentional, \
-             regenerate with `cargo run -p dss-core --release --example golden_dump`",
+        assert!(
+            got == *want,
+            "Q{} diverged from the pinned snapshot; this tree simulates:\n{got:#?},",
             b.query
         );
     }

@@ -78,11 +78,6 @@ pub struct Machine {
     /// these in place, so peak memory stays bounded by the block size — not
     /// the trace length — and steady-state streaming runs stay heap-quiet.
     blocks: Vec<Vec<Event>>,
-    /// When armed (test-only `alloc-probe` feature), every simulated event
-    /// performs one deliberate heap allocation so the allocation audit's
-    /// negative test can prove the gate fires.
-    #[cfg(feature = "alloc-probe")]
-    probe_allocs: bool,
     // Geometry hoisted out of the per-event paths.
     pub(crate) l1_line: u64,
     pub(crate) l2_line: u64,
@@ -250,8 +245,6 @@ impl Machine {
             locks: Vec::with_capacity(4 * cfg.nprocs),
             scratch: Vec::new(),
             blocks: Vec::new(),
-            #[cfg(feature = "alloc-probe")]
-            probe_allocs: false,
             l1_line: cfg.l1.line,
             l2_line: cfg.l2.line,
             l2_line_mask: !(cfg.l2.line - 1),
@@ -497,13 +490,6 @@ impl Machine {
         l1s: &mut LevelStats,
         l2s: &mut LevelStats,
     ) {
-        // The deliberate allocation the audit's negative test injects; off
-        // (and compiled out) everywhere else.
-        #[cfg(feature = "alloc-probe")]
-        if self.probe_allocs {
-            let probe: Vec<u64> = Vec::with_capacity(1);
-            std::hint::black_box(&probe);
-        }
         let event = block[rp.pos];
         match event.kind() {
             EventKind::Busy(n) => {
@@ -612,14 +598,6 @@ impl Machine {
     #[cfg(feature = "check-invariants")]
     pub fn first_violation(&self) -> Option<&crate::verify::CoherenceViolation> {
         self.violation.as_deref()
-    }
-
-    /// Arms a deliberate per-event heap allocation (test-only `alloc-probe`
-    /// feature), so the allocation audit's negative test can prove the
-    /// counting gate fires when the hot loop regresses.
-    #[cfg(feature = "alloc-probe")]
-    pub fn arm_alloc_probe(&mut self) {
-        self.probe_allocs = true;
     }
 
     /// A read must wait for a pending write-buffer entry to the same line.
