@@ -336,6 +336,11 @@ impl BufferPool {
         self.blocks[buf.index()][off..off + data.len()].copy_from_slice(data);
     }
 
+    /// Sets `len` bytes of a block to `byte` (no references emitted).
+    pub fn fill_bytes(&mut self, buf: BufId, off: usize, len: usize, byte: u8) {
+        self.blocks[buf.index()][off..off + len].fill(byte);
+    }
+
     fn bucket_of(&self, page: PageId) -> usize {
         let h = (page.rel as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)

@@ -1,16 +1,17 @@
 //! The system catalog: tables, indices, and column statistics.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use dss_btree::{BTree, Key, TupleId};
 use dss_bufcache::BufferPool;
 use dss_tpcd::{tpcd_schema, DbData, Value};
 
+use crate::datum::value_hash64;
 use crate::{Datum, Heap};
 
 /// Per-column statistics gathered at load time, used by the planner's
 /// selectivity estimates.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColumnStats {
     /// Smallest value, if the table is non-empty.
     pub min: Option<Datum>,
@@ -49,9 +50,20 @@ impl TableMeta {
     }
 }
 
-/// Encodes a datum as a b-tree key (see [`dss_btree::Key`] for ordering
-/// guarantees per type).
-pub fn index_key(d: &Datum) -> Key {
+/// Encodes a stored value as a b-tree key (see [`dss_btree::Key`] for
+/// ordering guarantees per type). The load, vacuum and inserts key their
+/// index entries with it.
+pub fn index_key(v: &Value) -> Key {
+    match v {
+        Value::Int(v) | Value::Dec(v) => Key::int(*v),
+        Value::Date(dt) => Key::int(dt.day_number() as i64),
+        Value::Str(s) => Key::str8(s),
+    }
+}
+
+/// [`index_key`] of the value `d` converts to: the key an index probe for
+/// `d` looks up.
+pub(crate) fn probe_key(d: &Datum) -> Key {
     match d {
         Datum::Int(v) | Datum::Dec(v) => Key::int(*v),
         Datum::Date(dt) => Key::int(dt.day_number() as i64),
@@ -118,44 +130,40 @@ impl Catalog {
             let rel = cat.next_rel;
             cat.next_rel += 1;
             let mut heap = Heap::create(rel, def.clone());
-            let rows = data.rows(def.name);
-            let mut tids = Vec::with_capacity(rows.len());
-            for row in &rows {
-                tids.push(heap.append(pool, row));
-            }
-            let stats = column_stats(&rows, def.columns.len());
+            let indexed: Vec<(usize, String)> = index_set
+                .iter()
+                .filter(|(t, _)| *t == def.name)
+                .map(|(tname, cname)| {
+                    let column = def
+                        .column_index(cname)
+                        .unwrap_or_else(|| panic!("index column {cname} not in {tname}"));
+                    (column, format!("{tname}_{cname}_idx"))
+                })
+                .collect();
+            let mut pass = LoadPass::new(def.columns.len(), indexed.iter().map(|(c, _)| *c));
+            data.for_each_row(def.name, |row| pass.push(&mut heap, pool, row));
+            let (stats, entries) = pass.finish();
+            let indexes = indexed
+                .into_iter()
+                .zip(entries)
+                .map(|((column, name), entries)| {
+                    let index_rel = cat.next_rel;
+                    cat.next_rel += 1;
+                    IndexMeta {
+                        name,
+                        column,
+                        tree: BTree::bulk_build(pool, index_rel, &entries),
+                    }
+                })
+                .collect();
             cat.tables.insert(
                 def.name.to_owned(),
                 TableMeta {
                     heap,
-                    indexes: Vec::new(),
+                    indexes,
                     stats,
                 },
             );
-            // Indexes for this table.
-            for (tname, cname) in index_set.iter().filter(|(t, _)| *t == def.name) {
-                let column = def
-                    .column_index(cname)
-                    .unwrap_or_else(|| panic!("index column {cname} not in {tname}"));
-                let mut entries: Vec<(Key, TupleId)> = rows
-                    .iter()
-                    .zip(&tids)
-                    .map(|(row, tid)| (index_key(&Datum::from(&row[column])), *tid))
-                    .collect();
-                entries.sort();
-                let index_rel = cat.next_rel;
-                cat.next_rel += 1;
-                let tree = BTree::bulk_build(pool, index_rel, &entries);
-                cat.tables
-                    .get_mut(def.name)
-                    .expect("just inserted")
-                    .indexes
-                    .push(IndexMeta {
-                        name: format!("{tname}_{cname}_idx"),
-                        column,
-                        tree,
-                    });
-            }
         }
         cat
     }
@@ -203,45 +211,111 @@ impl Catalog {
     }
 }
 
-/// Recomputes per-column statistics from a row set (vacuum support).
-pub(crate) fn recompute_stats(rows: &[Vec<Value>], ncols: usize) -> Vec<ColumnStats> {
-    column_stats(rows, ncols)
+/// One table's rows on their way into its heap: each row is appended, folded
+/// into per-column statistics and keyed for every index in a single visit.
+/// [`Catalog::load`] feeds it generated rows and
+/// [`Database::vacuum`](crate::Database::vacuum) a heap's live rows.
+pub(crate) struct LoadPass {
+    columns: Vec<StatsAcc>,
+    indexes: Vec<(usize, Vec<(Key, TupleId)>)>,
 }
 
-fn column_stats(rows: &[Vec<Value>], ncols: usize) -> Vec<ColumnStats> {
-    (0..ncols)
-        .map(|c| {
-            let mut min: Option<Datum> = None;
-            let mut max: Option<Datum> = None;
-            let mut distinct: HashSet<u64> = HashSet::new();
-            for row in rows {
-                let d = Datum::from(&row[c]);
-                distinct.insert(d.hash64());
-                match &min {
-                    None => min = Some(d.clone()),
-                    Some(m) if d.compare(m).is_lt() => min = Some(d.clone()),
-                    _ => {}
-                }
-                match &max {
-                    None => max = Some(d.clone()),
-                    Some(m) if d.compare(m).is_gt() => max = Some(d),
-                    _ => {}
-                }
-            }
-            ColumnStats {
-                min,
-                max,
-                ndistinct: distinct.len() as u64,
-            }
-        })
-        .collect()
+impl LoadPass {
+    /// A pass over a table of `ncols` columns with an index on each of
+    /// `indexed` (in index order).
+    pub(crate) fn new(ncols: usize, indexed: impl IntoIterator<Item = usize>) -> Self {
+        LoadPass {
+            columns: (0..ncols).map(|_| StatsAcc::default()).collect(),
+            indexes: indexed.into_iter().map(|c| (c, Vec::new())).collect(),
+        }
+    }
+
+    /// Appends `row` to `heap` and records its statistics and index keys.
+    pub(crate) fn push(&mut self, heap: &mut Heap, pool: &mut BufferPool, row: &[Value]) {
+        let tid = heap.append(pool, row);
+        for (acc, v) in self.columns.iter_mut().zip(row) {
+            acc.fold(v);
+        }
+        for (column, entries) in &mut self.indexes {
+            entries.push((index_key(&row[*column]), tid));
+        }
+    }
+
+    /// The table's statistics, and each index's entries sorted for
+    /// [`BTree::bulk_build`].
+    pub(crate) fn finish(self) -> (Vec<ColumnStats>, Vec<Vec<(Key, TupleId)>>) {
+        let stats = self.columns.into_iter().map(StatsAcc::finish).collect();
+        let entries = self
+            .indexes
+            .into_iter()
+            .map(|(_, mut entries)| {
+                entries.sort_unstable();
+                entries
+            })
+            .collect();
+        (stats, entries)
+    }
+}
+
+/// Running [`ColumnStats`] of one column. A column holds one kind of value,
+/// on which `Value`'s order is [`Datum::compare`]'s; `ndistinct` counts
+/// distinct [`Datum::hash64`] values.
+#[derive(Default)]
+struct StatsAcc {
+    min: Option<Value>,
+    max: Option<Value>,
+    hashes: Vec<u64>,
+    /// Set once deduplicating a full list failed to halve it: the column is
+    /// mostly distinct, and its list is only sorted once, at the end.
+    distinct: bool,
+}
+
+impl StatsAcc {
+    /// A full list of at least this many hashes is deduplicated before it
+    /// grows, so a low-cardinality column's list stays small.
+    const COMPACT_AT: usize = 4096;
+
+    fn fold(&mut self, v: &Value) {
+        if self.min.as_ref().is_none_or(|m| v < m) {
+            self.min = Some(v.clone());
+        }
+        if self.max.as_ref().is_none_or(|m| v > m) {
+            self.max = Some(v.clone());
+        }
+        let cap = self.hashes.capacity();
+        if !self.distinct && self.hashes.len() == cap && cap >= Self::COMPACT_AT {
+            self.dedup();
+            self.distinct = self.hashes.len() > cap / 2;
+        }
+        self.hashes.push(value_hash64(v));
+    }
+
+    fn dedup(&mut self) {
+        self.hashes.sort_unstable();
+        self.hashes.dedup();
+    }
+
+    fn finish(mut self) -> ColumnStats {
+        self.dedup();
+        ColumnStats {
+            min: self.min.map(Datum::from),
+            max: self.max.map(Datum::from),
+            ndistinct: self.hashes.len() as u64,
+        }
+    }
 }
 
 #[cfg(test)]
+#[path = "../tests/support/stats_oracle.rs"]
+mod stats_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::stats_oracle::reference_stats;
     use super::*;
     use dss_shmem::AddressSpace;
-    use dss_tpcd::Generator;
+    use dss_tpcd::{ColType, ColumnDef, Date, Generator, TableDef};
+    use proptest::prelude::*;
 
     fn tiny_catalog() -> (BufferPool, Catalog) {
         let mut space = AddressSpace::new();
@@ -322,7 +396,7 @@ mod tests {
         let seg_col = customer.heap.def().column_index("c_mktsegment").unwrap();
         let idx = customer.index_on(seg_col).unwrap();
         let t = dss_trace::Tracer::disabled();
-        let probe = index_key(&Datum::Str("BUILDING".into()));
+        let probe = index_key(&Value::Str("BUILDING".into()));
         let hits = idx
             .tree
             .lookup_range(&mut pool, &t, probe.min_in_group(), probe.max_in_group());
@@ -334,6 +408,101 @@ mod tests {
                 customer.heap.attr_value(&pool, buf, tid.slot, seg_col),
                 Datum::Str("BUILDING".into())
             );
+        }
+    }
+
+    /// A table of every column type; `t_str` is narrower than some of the
+    /// strings stored in it.
+    fn mixed_def() -> TableDef {
+        let column = |name, ty| ColumnDef { name, ty };
+        TableDef {
+            name: "t",
+            columns: vec![
+                column("t_int", ColType::Int),
+                column("t_dec", ColType::Dec),
+                column("t_date", ColType::Date),
+                column("t_str", ColType::Str(6)),
+            ],
+            base_cardinality: 0,
+        }
+    }
+
+    /// Random rows for [`mixed_def`]: column `c` draws from a domain of
+    /// `domains[c]` values (1 makes it all-equal), strings are up to twice
+    /// the column's width.
+    fn mixed_rows(seeds: &[u64], domains: [u64; 4]) -> Vec<Vec<Value>> {
+        seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| {
+                let pick = |c: usize| (seed.rotate_left(16 * c as u32) ^ i as u64) % domains[c];
+                let text: String = (0..pick(3) % 13)
+                    .map(|k| ["a", "b", " ", "c"][((pick(3) >> k) % 4) as usize])
+                    .collect();
+                vec![
+                    Value::Int(pick(0) as i64 - 50),
+                    Value::Dec(pick(1) as i64 * 25 - 1000),
+                    Value::Date(Date::from_day_number(pick(2) as i32 - 30)),
+                    Value::Str(text),
+                ]
+            })
+            .collect()
+    }
+
+    /// The one-pass statistics of `rows` loaded into a fresh heap, next to
+    /// [`reference_stats`] of the same rows.
+    fn both_stats(rows: &[Vec<Value>]) -> (Vec<ColumnStats>, Vec<ColumnStats>) {
+        let def = mixed_def();
+        let mut pool = BufferPool::new(&mut AddressSpace::new(), 512);
+        let mut heap = Heap::create(1, def.clone());
+        let mut pass = LoadPass::new(def.columns.len(), [0, 3]);
+        for row in rows {
+            pass.push(&mut heap, &mut pool, row);
+        }
+        let datums: Vec<Vec<Datum>> = rows
+            .iter()
+            .map(|row| row.iter().map(Datum::from).collect())
+            .collect();
+        (pass.finish().0, reference_stats(&datums, def.columns.len()))
+    }
+
+    #[test]
+    fn one_pass_stats_of_empty_and_single_row_tables() {
+        for rows in [Vec::new(), mixed_rows(&[7], [100; 4])] {
+            let (got, want) = both_stats(&rows);
+            assert_eq!(got, want);
+        }
+        assert_eq!(both_stats(&[]).0[0].min, None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Small tables, any mix of domain sizes.
+        #[test]
+        fn one_pass_stats_match_the_reference(
+            seeds in proptest::collection::vec(any::<u64>(), 0..60),
+            domains in (1u64..4, 1u64..200, 1u64..3000, 1u64..1 << 20),
+        ) {
+            let rows = mixed_rows(&seeds, [domains.0, domains.1, domains.2, domains.3]);
+            let (got, want) = both_stats(&rows);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Tables long enough for the distinct-hash lists to be compacted
+        /// while they fill.
+        #[test]
+        fn one_pass_stats_match_the_reference_on_long_tables(
+            seeds in proptest::collection::vec(any::<u64>(), 4000..12_000),
+            domains in (1u64..3, 1u64..5000, 2000u64..40_000, 1u64..1 << 30),
+        ) {
+            let rows = mixed_rows(&seeds, [domains.0, domains.1, domains.2, domains.3]);
+            let (got, want) = both_stats(&rows);
+            prop_assert_eq!(got, want);
         }
     }
 }

@@ -113,27 +113,56 @@ impl Datum {
     /// A 64-bit hash used by hash joins; deterministic.
     pub fn hash64(&self) -> u64 {
         match self {
-            Datum::Int(v) | Datum::Dec(v) => (*v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            Datum::Date(d) => (d.day_number() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            Datum::Str(s) => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in s.bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-                h
-            }
+            Datum::Int(v) | Datum::Dec(v) => hash_word(*v),
+            Datum::Date(d) => hash_word(d.day_number() as i64),
+            Datum::Str(s) => hash_str(s),
         }
     }
 }
 
+/// [`Datum::hash64`] of the datum `v` converts to, without converting it.
+pub(crate) fn value_hash64(v: &Value) -> u64 {
+    match v {
+        Value::Int(v) | Value::Dec(v) => hash_word(*v),
+        Value::Date(d) => hash_word(d.day_number() as i64),
+        Value::Str(s) => hash_str(s),
+    }
+}
+
+fn hash_word(v: i64) -> u64 {
+    (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+fn hash_str(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
 impl From<&Value> for Datum {
     fn from(v: &Value) -> Self {
+        v.clone().into()
+    }
+}
+
+impl From<Value> for Datum {
+    fn from(v: Value) -> Self {
         match v {
-            Value::Int(i) => Datum::Int(*i),
-            Value::Dec(d) => Datum::Dec(*d),
-            Value::Date(d) => Datum::Date(*d),
-            Value::Str(s) => Datum::Str(s.clone()),
+            Value::Int(i) => Datum::Int(i),
+            Value::Dec(d) => Datum::Dec(d),
+            Value::Date(d) => Datum::Date(d),
+            Value::Str(s) => Datum::Str(s),
+        }
+    }
+}
+
+impl From<Datum> for Value {
+    fn from(d: Datum) -> Self {
+        match d {
+            Datum::Int(i) => Value::Int(i),
+            Datum::Dec(d) => Value::Dec(d),
+            Datum::Date(d) => Value::Date(d),
+            Datum::Str(s) => Value::Str(s),
         }
     }
 }

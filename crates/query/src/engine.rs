@@ -8,7 +8,7 @@ use dss_shmem::{AddressSpace, PrivateHeap};
 use dss_tpcd::{DbData, Generator};
 use dss_trace::{CostModel, Tracer};
 
-use crate::catalog::{index_key, paper_index_set, Catalog};
+use crate::catalog::{index_key, paper_index_set, Catalog, LoadPass};
 use crate::exec::{build, run_to_completion, ExecCtx};
 use crate::expr::{bind, SlotSource};
 use crate::plan::Plan;
@@ -206,7 +206,7 @@ impl Database {
             let tid = meta.heap.append_traced(pool, &vals, scratch, &t);
             for idx in &mut meta.indexes {
                 t.busy(cost.btree_step);
-                let key = index_key(&Datum::from(&vals[idx.column]));
+                let key = index_key(&vals[idx.column]);
                 idx.tree.insert(pool, &t, key, tid);
             }
             affected += 1;
@@ -304,41 +304,33 @@ impl Database {
         if dead == 0 {
             return Ok(0);
         }
-        // Collect live rows.
+        // Compact live tuples front-to-back over the heap's existing pages.
+        // A row is only ever written at or before the slot it was read from,
+        // so reading and rewriting in one pass never clobbers an unread row.
         let ncols = meta.heap.def().columns.len();
-        let mut live: Vec<Vec<dss_tpcd::Value>> = Vec::new();
-        for block in 0..meta.heap.npages() {
+        let (ntuples, per_page) = (meta.heap.ntuples(), meta.heap.tuples_per_page() as u64);
+        let mut pass = LoadPass::new(ncols, meta.indexes.iter().map(|i| i.column));
+        meta.heap.truncate();
+        let mut row = Vec::with_capacity(ncols);
+        for block in 0..ntuples.div_ceil(per_page) as u32 {
             let buf = pool.lookup(meta.heap.page(block)).expect("resident");
-            let upto = ((meta.heap.ntuples() - block as u64 * meta.heap.tuples_per_page() as u64)
-                .min(meta.heap.tuples_per_page() as u64)) as u32;
+            let upto = (ntuples - block as u64 * per_page).min(per_page) as u32;
             for slot in 0..upto {
                 if meta.heap.is_live(pool, buf, slot) {
-                    let row: Vec<dss_tpcd::Value> = (0..ncols)
-                        .map(|attr| datum_to_value(&meta.heap.attr_value(pool, buf, slot, attr)))
-                        .collect();
-                    live.push(row);
+                    row.clear();
+                    row.extend(
+                        (0..ncols).map(|attr| meta.heap.attr_value(pool, buf, slot, attr).into()),
+                    );
+                    pass.push(&mut meta.heap, pool, &row);
                 }
             }
         }
-        // Rewrite the heap front-to-back over its existing pages.
-        meta.heap.truncate();
-        let mut tids = Vec::with_capacity(live.len());
-        for row in &live {
-            tids.push(meta.heap.append(pool, row));
+        // Rebuild every index and refresh the statistics.
+        let (stats, entries) = pass.finish();
+        for (idx, entries) in meta.indexes.iter_mut().zip(entries) {
+            idx.tree = dss_btree::BTree::bulk_build(pool, idx.tree.rel(), &entries);
         }
-        // Rebuild every index from the compacted heap.
-        for idx in &mut meta.indexes {
-            let mut entries: Vec<(dss_btree::Key, dss_btree::TupleId)> = live
-                .iter()
-                .zip(&tids)
-                .map(|(row, tid)| (index_key(&Datum::from(&row[idx.column])), *tid))
-                .collect();
-            entries.sort();
-            let index_rel = idx.tree.rel();
-            idx.tree = dss_btree::BTree::bulk_build(pool, index_rel, &entries);
-        }
-        // Refresh statistics.
-        meta.stats = crate::catalog::recompute_stats(&live, ncols);
+        meta.stats = stats;
         Ok(dead)
     }
 
@@ -522,16 +514,6 @@ impl SlotSource for DeleteSrc<'_> {
     fn load(&mut self, i: usize, t: &Tracer) -> Datum {
         self.heap
             .read_attr_walking(self.pool, self.buf, self.slot, i, &mut self.deformed, t)
-    }
-}
-
-/// Converts a runtime datum back to a storable value (vacuum support).
-fn datum_to_value(d: &Datum) -> dss_tpcd::Value {
-    match d {
-        Datum::Int(v) => dss_tpcd::Value::Int(*v),
-        Datum::Dec(v) => dss_tpcd::Value::Dec(*v),
-        Datum::Date(dt) => dss_tpcd::Value::Date(*dt),
-        Datum::Str(s) => dss_tpcd::Value::Str(s.clone()),
     }
 }
 

@@ -5,7 +5,7 @@ use dss_bufcache::BufId;
 use dss_lockmgr::{LockMode, LockResult};
 use dss_trace::{DataClass, Tracer};
 
-use crate::catalog::{index_key, Catalog};
+use crate::catalog::{probe_key, Catalog};
 use crate::expr::{Scalar, SlotSource};
 use crate::heap::Heap;
 use crate::row::{Row, RowShape};
@@ -323,16 +323,16 @@ impl IndexScanExec {
         ctx.t.busy(ctx.cost.scan_start);
         let (lo_key, hi_key) = match (&self.param, &self.lo, &self.hi) {
             (Some(p), _, _) => {
-                let k = index_key(p);
+                let k = probe_key(p);
                 (k.min_in_group(), k.max_in_group())
             }
             (None, lo, hi) => {
                 let lo_key = match lo {
-                    Some(d) => index_key(d).min_in_group(),
+                    Some(d) => probe_key(d).min_in_group(),
                     None => dss_btree::Key::MIN,
                 };
                 let hi_key = match hi {
-                    Some(d) => index_key(d).max_in_group(),
+                    Some(d) => probe_key(d).max_in_group(),
                     None => dss_btree::Key::MAX,
                 };
                 (lo_key, hi_key)

@@ -141,10 +141,9 @@ impl Heap {
                     pool.put_u32(buf, off, d.day_number() as u32);
                 }
                 (Value::Str(s), ColType::Str(w)) => {
-                    let mut bytes = vec![b' '; w as usize];
                     let n = s.len().min(w as usize);
-                    bytes[..n].copy_from_slice(&s.as_bytes()[..n]);
-                    pool.put_bytes(buf, off, &bytes);
+                    pool.put_bytes(buf, off, &s.as_bytes()[..n]);
+                    pool.fill_bytes(buf, off + n, w as usize - n, b' ');
                 }
                 (v, ty) => panic!("value {v:?} does not fit column type {ty:?}"),
             }

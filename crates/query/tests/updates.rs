@@ -3,8 +3,12 @@
 
 #![expect(clippy::expect_used, reason = "fixture statements must run")]
 
-use dss_query::{Database, Datum, DbConfig, Session, StatementOutput};
+use dss_query::{ColumnStats, Database, Datum, DbConfig, Session, StatementOutput};
 use dss_tpcd::Generator;
+
+#[path = "support/stats_oracle.rs"]
+mod stats_oracle;
+use stats_oracle::reference_stats;
 
 fn db() -> Database {
     Database::build(&DbConfig {
@@ -293,6 +297,13 @@ fn vacuum_refreshes_statistics() {
     let key_col = meta.heap.def().column_index("o_orderkey").unwrap();
     assert_eq!(meta.stats[key_col].max, Some(Datum::Int(50)));
     assert_eq!(meta.stats[key_col].ndistinct, 50);
+    // Every column's statistics are the reference definition's over the
+    // live rows, as a scan reads them back.
+    let stats = meta.stats.clone();
+    let mut s = Session::untraced(0);
+    let live = db.run("select * from orders", &mut s).expect("scan").rows;
+    assert_eq!(live.len(), 50);
+    assert_eq!(stats, reference_stats(&live, stats.len()));
 }
 
 #[test]

@@ -191,21 +191,38 @@ pub struct DbData {
 }
 
 impl DbData {
+    /// Calls `f` with each row of table `name`, as generic values in schema
+    /// column order, in generation order. At most one row is alive at a time,
+    /// so a loader never holds a table-sized copy of the population.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a TPC-D table.
+    pub fn for_each_row(&self, name: &str, mut f: impl FnMut(&[Value])) {
+        self.visit(name, |row| f(&row));
+    }
+
     /// Rows of table `name` as generic values in schema column order.
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a TPC-D table.
     pub fn rows(&self, name: &str) -> Vec<Vec<Value>> {
+        let mut rows = Vec::new();
+        self.visit(name, |row| rows.push(row));
+        rows
+    }
+
+    fn visit(&self, name: &str, f: impl FnMut(Vec<Value>)) {
         match name {
-            "region" => self.regions.iter().map(region_values).collect(),
-            "nation" => self.nations.iter().map(nation_values).collect(),
-            "supplier" => self.suppliers.iter().map(supplier_values).collect(),
-            "customer" => self.customers.iter().map(customer_values).collect(),
-            "part" => self.parts.iter().map(part_values).collect(),
-            "partsupp" => self.partsupps.iter().map(partsupp_values).collect(),
-            "orders" => self.orders.iter().map(order_values).collect(),
-            "lineitem" => self.lineitems.iter().map(lineitem_values).collect(),
+            "region" => self.regions.iter().map(region_values).for_each(f),
+            "nation" => self.nations.iter().map(nation_values).for_each(f),
+            "supplier" => self.suppliers.iter().map(supplier_values).for_each(f),
+            "customer" => self.customers.iter().map(customer_values).for_each(f),
+            "part" => self.parts.iter().map(part_values).for_each(f),
+            "partsupp" => self.partsupps.iter().map(partsupp_values).for_each(f),
+            "orders" => self.orders.iter().map(order_values).for_each(f),
+            "lineitem" => self.lineitems.iter().map(lineitem_values).for_each(f),
             other => panic!("unknown TPC-D table {other}"),
         }
     }

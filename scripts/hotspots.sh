@@ -12,6 +12,17 @@
 # so e.g. `scripts/hotspots.sh target/release/repro fig8 fig10 fig13 --jobs 1`.
 # Profile one busy thread (`--jobs 1`): the timer signal goes to whichever
 # thread the kernel picks. The program's stdout is discarded.
+#
+# To profile one benchmark rep in-process, build `dss-perf` with debug info
+# into a target directory of its own, so the optimized build stays as it is:
+#   CARGO_PROFILE_RELEASE_DEBUG=true CARGO_TARGET_DIR=/some/dir cargo build \
+#       --release --offline --locked --manifest-path benchmark/Cargo.toml
+#   scripts/hotspots.sh /some/dir/release/dss-perf rep --workload W --seed N \
+#       --mode timed --out D --tmp D
+# Ignore the `pace.rs` frames: they are the pacer's calibration slices, not
+# the workload. This is how the load's per-value `Value::Str` clones showed
+# up (`datum.rs:132`, 17.7 % of the samples) before the load became one
+# row-major pass.
 set -euo pipefail
 
 if (($# < 1)); then
