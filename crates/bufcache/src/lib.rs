@@ -18,7 +18,11 @@
 //!   emit those references themselves against [`BufferPool::page_addr`].
 //!
 //! The database is memory-resident (the paper's setup), so the pool never
-//! evicts and a pin never misses.
+//! evicts and a pin never misses. Its capacity, `nbuffers`, is the hard
+//! limit on allocated pages and sizes the emulated `buffer blocks` region,
+//! but host memory follows use: a buffer's 8-Kbyte block is allocated, zeroed,
+//! when [`BufferPool::alloc_page`] hands that buffer out, and a pool sized for
+//! a database it never fills costs only its descriptors and lookup buckets.
 //!
 //! # Example
 //!
@@ -109,6 +113,8 @@ pub struct BufferPool {
     entries_base: u64,
     lock: LockToken,
     cost: CostModel,
+    /// Page bytes of the buffers handed out so far, one block per buffer in
+    /// allocation order: `blocks.len() == next_free`.
     blocks: Vec<Box<[u8]>>,
     descs: Vec<BufferDesc>,
     /// Lookup-hash buckets: chain of buffer ids, walked in order on probe.
@@ -121,9 +127,10 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a pool of `nbuffers` blocks, mapping its four shared regions
+    /// Creates a pool of `nbuffers` buffers, mapping its four shared regions
     /// (blocks, descriptors, hash buckets, hash entries) plus `BufMgrLock`
-    /// into `space`.
+    /// into `space`. No block is allocated yet: each comes with the
+    /// [`BufferPool::alloc_page`] that hands its buffer out.
     ///
     /// # Panics
     ///
@@ -165,9 +172,7 @@ impl BufferPool {
             entries_base,
             lock: LockToken::new(lock_addr, LockClass::BufMgr),
             cost: CostModel::default(),
-            blocks: (0..nbuffers)
-                .map(|_| vec![0u8; BLOCK_SIZE as usize].into_boxed_slice())
-                .collect(),
+            blocks: Vec::new(),
             descs: (0..nbuffers)
                 .map(|_| BufferDesc {
                     tag: PageId::new(u32::MAX, u32::MAX),
@@ -201,8 +206,9 @@ impl BufferPool {
         self.lock
     }
 
-    /// Allocates the next page of relation `rel` (used while loading the
-    /// database; emits no references).
+    /// Allocates the next page of relation `rel` in the next free buffer,
+    /// with a zeroed block (used while loading the database; emits no
+    /// references).
     ///
     /// # Panics
     ///
@@ -218,6 +224,8 @@ impl BufferPool {
         *block += 1;
         let buf = self.next_free;
         self.next_free += 1;
+        self.blocks
+            .push(vec![0u8; BLOCK_SIZE as usize].into_boxed_slice());
         self.descs[buf as usize] = BufferDesc {
             tag: page,
             refcount: 0,

@@ -38,22 +38,22 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 const BUDGET: [(&str, [u64; 5], [u64; 5]); 9] = [
     (
         "Q3 / MSI baseline",
-        [931, 0, 5, 8336512, 8336032],
+        [346, 0, 5, 5940352, 5939872],
         [0, 0, 0, 0, 0],
     ),
-    ("Q3 / MESI", [931, 0, 5, 8336512, 8336032], [0, 0, 0, 0, 0]),
+    ("Q3 / MESI", [346, 0, 5, 5940352, 5939872], [0, 0, 0, 0, 0]),
     (
         "Q6 / MSI baseline",
-        [666, 0, 5, 5960832, 5960352],
+        [262, 0, 5, 4306048, 4305568],
         [0, 0, 0, 0, 0],
     ),
-    ("Q6 / MESI", [666, 0, 5, 5960832, 5960352], [0, 0, 0, 0, 0]),
+    ("Q6 / MESI", [262, 0, 5, 4306048, 4305568], [0, 0, 0, 0, 0]),
     (
         "Q12 / MSI baseline",
-        [809, 0, 5, 7222400, 7221920],
+        [309, 0, 5, 5174400, 5173920],
         [0, 0, 0, 0, 0],
     ),
-    ("Q12 / MESI", [809, 0, 5, 7222400, 7221920], [0, 0, 0, 0, 0]),
+    ("Q12 / MESI", [309, 0, 5, 5174400, 5173920], [0, 0, 0, 0, 0]),
     (
         "Q1 / engine untraced (scan, sort, group)",
         [723407, 723402, 34, 36682224, 12388624],

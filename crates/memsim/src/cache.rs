@@ -3,14 +3,17 @@
 //!
 //! The geometry math is pure shift/mask — [`CacheConfig::validate`] rejects
 //! non-power-of-two line sizes and set counts at construction, so `line_of`
-//! and `set_of` never divide. Classification state is a per-line history code
-//! in a paged flat table ([`crate::paged::PagedMap`]), and [`Cache::fill`] is
-//! the only way a non-resident line becomes resident: it classifies the miss
-//! and marks the line seen in one probe of that table and picks the victim in
-//! one scan of the set.
+//! and `set_of` never divide. Classification state is a 2-bit history code
+//! per line, four lines to a byte of a paged flat table
+//! ([`crate::paged::PagedMap`]), and [`Cache::fill`] is the only way a
+//! non-resident line becomes resident: it classifies the miss and marks the
+//! line seen in one probe of that table and picks the victim in one scan of
+//! the set.
 
 #![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
 #![deny(clippy::panic, clippy::unreachable)]
+
+use dss_shmem::{PRIVATE_BASE, PRIVATE_STRIDE, SHARED_BASE};
 
 use crate::config::CacheConfig;
 use crate::paged::PagedMap;
@@ -62,13 +65,19 @@ pub enum MissKind {
     Coherence,
 }
 
-/// Per-line classification history, one code per line the cache ever held:
-/// never filled, seen (resident, or gone by replacement — the next miss is a
-/// conflict either way, so replacement and inclusion eviction write nothing),
-/// removed by invalidation. A resident line is always `HIST_SEEN`.
+/// Per-line classification history, one 2-bit code per line the cache ever
+/// held: never filled, seen (resident, or gone by replacement — the next miss
+/// is a conflict either way, so replacement and inclusion eviction write
+/// nothing), removed by invalidation. A resident line is always `HIST_SEEN`.
+/// Four adjacent lines share a history byte ([`HIST_LINES_SHIFT`]); line `i`'s
+/// code sits at bit `2 × (i mod 4)` ([`hist_bit`]).
 const HIST_NEVER: u8 = 0;
 const HIST_SEEN: u8 = 1;
 const HIST_INVALIDATED: u8 = 2;
+/// Mask of one line's code, at bit 0.
+const HIST_MASK: u8 = 0b11;
+/// log2 of the lines that share a history byte.
+const HIST_LINES_SHIFT: u32 = 2;
 
 #[inline]
 fn classify_code(code: u8) -> MissKind {
@@ -77,6 +86,37 @@ fn classify_code(code: u8) -> MissKind {
         HIST_INVALIDATED => MissKind::Coherence,
         _ => MissKind::Conflict,
     }
+}
+
+/// The history map indexes lines from each segment's base and [`hist_bit`]
+/// from address 0: the two agree modulo 4 for lines up to 1 GiB because every
+/// segment base is 4 GiB-aligned.
+const _: () = assert!(
+    SHARED_BASE.trailing_zeros() >= 32
+        && PRIVATE_BASE.trailing_zeros() >= 32
+        && PRIVATE_STRIDE.trailing_zeros() >= 32
+);
+
+/// Bit offset of the history code of the line holding `addr`, for lines of
+/// `1 << line_shift` bytes.
+#[inline(always)]
+fn hist_bit(addr: u64, line_shift: u32) -> u32 {
+    2 * ((addr >> line_shift) & ((1 << HIST_LINES_SHIFT) - 1)) as u32
+}
+
+/// The history code at bit `bit` of `byte`.
+#[inline(always)]
+fn code_at(byte: u8, bit: u32) -> u8 {
+    (byte >> bit) & HIST_MASK
+}
+
+/// Stores `code` as the history at bit `bit` of `byte`, and returns the code
+/// it replaces.
+#[inline(always)]
+fn replace_code(byte: &mut u8, bit: u32, code: u8) -> u8 {
+    let old = code_at(*byte, bit);
+    *byte ^= (old ^ code) << bit;
+    old
 }
 
 /// A resident line packed into one word: `line | state << 1 | VALID`. Lines
@@ -127,6 +167,7 @@ pub struct Cache {
     /// Number of keys in `ways`: way `at`'s timestamp is at `at + nways`.
     nways: usize,
     tick: u64,
+    /// 2-bit history codes, four lines to a byte.
     history: PagedMap<u8>,
 }
 
@@ -156,7 +197,7 @@ impl Cache {
             ways: vec![0; if assoc > 1 { 2 * nways } else { nways }],
             nways,
             tick: 0,
-            history: PagedMap::new(cfg.line.trailing_zeros()),
+            history: PagedMap::new(cfg.line.trailing_zeros() + HIST_LINES_SHIFT),
         }
     }
 
@@ -216,7 +257,10 @@ impl Cache {
     /// for tests and invariant checks; the simulator classifies in
     /// [`Cache::fill`]).
     pub fn classify_miss(&self, addr: u64) -> MissKind {
-        classify_code(self.history.get(addr))
+        classify_code(code_at(
+            self.history.get(addr),
+            hist_bit(addr, self.line_shift),
+        ))
     }
 
     /// Makes the non-resident line containing `addr` resident in `state`:
@@ -228,7 +272,8 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, state: LineState) -> (MissKind, Option<(u64, bool)>) {
         let line = self.line_of(addr);
         debug_assert!(self.find(line).is_none(), "fill of resident {line:#x}");
-        let kind = classify_code(std::mem::replace(self.history.get_mut(line), HIST_SEEN));
+        let bit = hist_bit(line, self.line_shift);
+        let kind = classify_code(replace_code(self.history.get_mut(line), bit, HIST_SEEN));
         let start = self.set_start(line);
         let mut at = start;
         if self.assoc > 1 {
@@ -269,7 +314,8 @@ impl Cache {
     /// coherence miss; returns whether it was present (and dirty).
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
         let dirty = self.remove(line)?;
-        self.history.set(line, HIST_INVALIDATED);
+        let bit = hist_bit(line, self.line_shift);
+        replace_code(self.history.get_mut(line), bit, HIST_INVALIDATED);
         Some(dirty)
     }
 
@@ -488,6 +534,56 @@ mod tests {
                 (0x1010, LineState::Modified)
             ]
         );
+    }
+
+    #[test]
+    fn four_lines_sharing_a_history_byte_classify_independently() {
+        // The 8-byte L1 line of `l2_line = 16`, and 256-byte lines.
+        for line in [8, 256] {
+            // Direct-mapped, 8 sets: the line 8 lines on replaces a line.
+            let mut c = Cache::new(CacheConfig {
+                size: 8 * line,
+                line,
+                assoc: 1,
+            });
+            // Four adjacent lines from a 4-line boundary share one byte.
+            let [resident, conflict, coherence, untouched] =
+                [0, 1, 2, 3].map(|i| SHARED_BASE + i * line);
+            assert_eq!(c.fill(coherence, LineState::Modified).0, MissKind::Cold);
+            assert_eq!(c.fill(conflict, LineState::Shared).0, MissKind::Cold);
+            assert_eq!(c.fill(resident, LineState::Shared).0, MissKind::Cold);
+            assert_eq!(c.invalidate(coherence), Some(true));
+            let (_, victim) = c.fill(conflict + 8 * line, LineState::Shared);
+            assert_eq!(victim, Some((conflict, false)));
+            let last = line - 1;
+            assert!(c.contains(resident));
+            assert_eq!(
+                c.classify_miss(resident + last),
+                MissKind::Conflict,
+                "{line}: seen"
+            );
+            assert_eq!(
+                c.classify_miss(conflict + last),
+                MissKind::Conflict,
+                "{line}"
+            );
+            assert_eq!(
+                c.classify_miss(coherence + last),
+                MissKind::Coherence,
+                "{line}"
+            );
+            assert_eq!(c.classify_miss(untouched + last), MissKind::Cold, "{line}");
+            // Each refill reads and marks its own line only.
+            assert_eq!(c.fill(coherence, LineState::Shared).0, MissKind::Coherence);
+            assert_eq!(c.fill(conflict, LineState::Shared).0, MissKind::Conflict);
+            assert_eq!(c.classify_miss(untouched), MissKind::Cold, "{line}");
+            assert_eq!(c.fill(untouched, LineState::Shared).0, MissKind::Cold);
+            for l in [resident, conflict, coherence, untouched] {
+                assert_eq!(c.classify_miss(l), MissKind::Conflict, "{line}: {l:#x}");
+            }
+            // The next line starts the next byte.
+            assert_eq!(c.classify_miss(untouched + line), MissKind::Cold, "{line}");
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! The hot loop is hash-free and allocation-free: the processor with the
 //! smallest `(clock, index)` runs ahead until that key passes the runner-up's
 //! — one scan of the live clocks per switch, nothing per event — a miss is
-//! classified and filled by one [`Cache::fill`] per level (one history probe,
-//! one set scan), and invalidation targets arrive as a node bitmask from the
-//! directory.
+//! classified and filled by one [`Cache::fill`] per level (one probe of the
+//! history byte its 2-bit code shares with three neighbours, one set scan),
+//! and invalidation targets arrive as a node bitmask from the directory.
 
 #![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
 #![deny(clippy::panic, clippy::unreachable)]

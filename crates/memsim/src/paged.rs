@@ -165,12 +165,6 @@ impl<T: Copy + Default> PagedMap<T> {
             .get_mut(slot)
     }
 
-    /// Stores `value` at `addr`.
-    #[inline]
-    pub(crate) fn set(&mut self, addr: u64, value: T) {
-        *self.get_mut(addr) = value;
-    }
-
     /// Visits every slot of every allocated page as `(address, value)`, where
     /// the address is the base of the slot's line. Untouched pages are never
     /// visited; touched pages yield all their slots (including ones still at
@@ -203,7 +197,7 @@ mod tests {
     fn default_until_written() {
         let mut m: PagedMap<u8> = PagedMap::new(6);
         assert_eq!(m.get(SHARED_BASE), 0);
-        m.set(SHARED_BASE, 7);
+        *m.get_mut(SHARED_BASE) = 7;
         assert_eq!(m.get(SHARED_BASE), 7);
         // Same 64-byte line, different byte: same slot.
         assert_eq!(m.get(SHARED_BASE + 63), 7);
@@ -214,15 +208,15 @@ mod tests {
     #[test]
     fn segments_are_independent() {
         let mut m: PagedMap<u32> = PagedMap::new(6);
-        m.set(SHARED_BASE, 1);
-        m.set(private_base(0), 2);
-        m.set(private_base(3), 3);
+        *m.get_mut(SHARED_BASE) = 1;
+        *m.get_mut(private_base(0)) = 2;
+        *m.get_mut(private_base(3)) = 3;
         assert_eq!(m.get(SHARED_BASE), 1);
         assert_eq!(m.get(private_base(0)), 2);
         assert_eq!(m.get(private_base(3)), 3);
         // Low addresses (outside any allocator) still index cleanly.
         assert_eq!(m.get(0x40), 0);
-        m.set(0x40, 9);
+        *m.get_mut(0x40) = 9;
         assert_eq!(m.get(0x40), 9);
     }
 
@@ -230,7 +224,7 @@ mod tests {
     fn peek_mut_never_allocates() {
         let mut m: PagedMap<u8> = PagedMap::new(6);
         assert!(m.peek_mut(SHARED_BASE).is_none());
-        m.set(SHARED_BASE, 5);
+        *m.get_mut(SHARED_BASE) = 5;
         assert_eq!(m.peek_mut(SHARED_BASE).copied(), Some(5));
         // A different page of the same segment is still untouched.
         assert!(m.peek_mut(SHARED_BASE + (1 << 30)).is_none());
@@ -239,9 +233,9 @@ mod tests {
     #[test]
     fn for_each_visits_touched_pages_with_reconstructed_addresses() {
         let mut m: PagedMap<u32> = PagedMap::new(6);
-        m.set(0x40, 3);
-        m.set(SHARED_BASE + 128, 7);
-        m.set(private_base(2) + 64, 9);
+        *m.get_mut(0x40) = 3;
+        *m.get_mut(SHARED_BASE + 128) = 7;
+        *m.get_mut(private_base(2) + 64) = 9;
         let mut live = Vec::new();
         m.for_each(|addr, v| {
             if v != 0 {
@@ -260,9 +254,9 @@ mod tests {
         // The first shared touch sizes the table for the data, not for the
         // 4 GiB below `SHARED_BASE`.
         let mut m: PagedMap<u8> = PagedMap::new(3);
-        m.set(SHARED_BASE, 1);
-        m.set(private_base(1), 1);
-        m.set(0x40, 1);
+        *m.get_mut(SHARED_BASE) = 1;
+        *m.get_mut(private_base(1)) = 1;
+        *m.get_mut(0x40) = 1;
         for seg in &m.segments {
             assert!(seg.pages.len() <= 1, "{} page slots", seg.pages.len());
         }

@@ -23,8 +23,9 @@ pub struct DbConfig {
     pub scale: f64,
     /// Data generation seed.
     pub seed: u64,
-    /// Buffer pool size in 8 KB blocks; must hold the whole database (the
-    /// study's database is memory-resident).
+    /// Buffer pool capacity in 8 KB blocks; must hold the whole database
+    /// (the study's database is memory-resident). It sizes the emulated
+    /// block region; host memory is allocated per page as the load uses it.
     pub nbuffers: u32,
     /// `(table, column)` pairs to index.
     pub indexes: Vec<(&'static str, &'static str)>,
@@ -35,7 +36,7 @@ impl Default for DbConfig {
         DbConfig {
             scale: dss_tpcd::PAPER_SCALE,
             seed: 42,
-            nbuffers: 6144, // 48 MB of blocks: the ~20 MB database plus indices
+            nbuffers: 6144, // capacity for 48 MB: the ~20 MB database plus indices
             indexes: paper_index_set(),
         }
     }

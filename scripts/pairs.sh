@@ -7,14 +7,16 @@
 #
 #   scripts/pairs.sh <parent dss-perf> <change dss-perf> <workload> [pairs=10] [seed=42]
 #
-# Build each binary from its own checkout first, e.g.
-#   CARGO_TARGET_DIR=/some/dir cargo build --release --offline --locked \
-#       --manifest-path benchmark/Cargo.toml
+# Build both binaries with scripts/build-at.sh, e.g.
+#   scripts/build-at.sh HEAD~1 /some/dir/parent
+#   scripts/build-at.sh HEAD /some/dir/change
+# which builds every revision from one source path and one target directory,
+# so the two differ only by their source.
 # A run that is not `correct` or has `failed` > 0 stops the script.
 set -euo pipefail
 
 if (($# < 3)); then
-    sed -n '2,13p' "$0" >&2
+    sed -n '2,15p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 pairs=${4:-10} seed=${5:-42}
