@@ -31,23 +31,16 @@
 //! byte-identical to an uninterrupted run. The manifest carries a
 //! fingerprint of the configuration (scale, seed, buffer pool, processor
 //! count), so resuming under different parameters safely starts fresh.
-//! `--resume` without `--state-dir` is a usage error.
-//!
-//! The run degrades gracefully instead of aborting: every sweep point runs
-//! fail-soft (a panicking or deadline-blown point becomes a structured
-//! `PointError` and the rest of the sweep completes), and every experiment
-//! body runs under `catch_unwind` so one broken figure cannot take down the
-//! others. Two flags exercise this path deterministically: `--inject LABEL`
-//! makes the sweep point with that label (e.g. `fig8/Q6/l2_line=64`) panic,
-//! and `--point-deadline-ms N` times out any point slower than `N` ms.
+//! `--resume` without `--state-dir` is a usage error. The journal is also
+//! the one recovery path from a failing sweep point: a point that panics has
+//! hit a bug, and aborts the run with its panic message; `--resume` then
+//! computes only what the journal lacks.
 //!
 //! An argument that is neither a known experiment nor a known option is a
 //! usage error naming the valid ones; nothing runs.
 //!
-//! Exit codes: `0` success, `1` artifact write failure, `2` usage error,
-//! `3` partial results (one or more points or experiments failed; everything
-//! that could run did, and the failures are listed in the `--bench-json`
-//! report's `point_errors` / `failed_experiments` arrays).
+//! Exit codes: `0` success, `1` artifact write failure, `2` usage error;
+//! a panicking sweep point exits `101`, Rust's default for a panic.
 //!
 //! Tables and checks go to stdout; progress and timing go to stderr, so
 //! stdout is byte-identical at every `--jobs` value and safe to diff.
@@ -55,14 +48,13 @@
 #![deny(clippy::disallowed_methods)]
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use dss_core::experiments::{self, CACHE_SIZES_KB, LINE_SIZES};
+use dss_core::experiments;
 use dss_core::{
-    config_fingerprint, paper, query_label, report, CheckpointJournal, PointError, SweepTally,
-    TraceMode, Workbench, STUDIED_QUERIES,
+    config_fingerprint, paper, report, CheckpointJournal, SweepTally, TraceMode, Workbench,
+    STUDIED_QUERIES,
 };
 use dss_query::DbConfig;
 
@@ -87,10 +79,9 @@ struct BenchEntry {
     heap: alloc::AllocReport,
     peak_rss: u64,
     peak_rss_cumulative: u64,
-    /// Fanned-out compute time, points served from the checkpoint journal
-    /// (resume provenance) or from the workbench's memory (a cold point
-    /// another figure already simulated) vs. simulated, and the points that
-    /// failed.
+    /// Fanned-out compute time, and points served from the checkpoint
+    /// journal (resume provenance) or from the workbench's memory (a cold
+    /// point another figure already simulated) vs. simulated.
     tally: SweepTally,
 }
 
@@ -146,8 +137,6 @@ struct BenchLog {
     armed_rss: u64,
     /// Whether `/proc/self/clear_refs` resets worked at arm time.
     armed_reset: bool,
-    /// The labels of the experiments that were abandoned (see [`guarded`]).
-    failed: Vec<String>,
 }
 
 impl BenchLog {
@@ -164,7 +153,7 @@ impl BenchLog {
     /// Records one experiment: its wall-clock against the single-thread
     /// compute its sweeps fanned out (their ratio is the parallel speedup),
     /// the heap traffic its gate observed, the peak RSS of its own window,
-    /// and the sweep-point failures. Stderr, to keep stdout diffable.
+    /// and where its points came from. Stderr, to keep stdout diffable.
     fn record(
         &mut self,
         name: String,
@@ -209,9 +198,6 @@ impl BenchLog {
                 tally.points_reused
             );
         }
-        for err in &tally.errors {
-            eprintln!("  point error: {err}");
-        }
         self.entries.push(BenchEntry {
             name,
             wall,
@@ -222,21 +208,15 @@ impl BenchLog {
         });
     }
 
-    /// Every sweep-point failure of the run, in experiment then sweep order.
-    fn point_errors(&self) -> impl Iterator<Item = &PointError> {
-        self.entries.iter().flat_map(|e| &e.tally.errors)
-    }
-
     /// The recorded timings as a self-describing JSON document, schema
-    /// `dss-bench-repro/v8`. Labels are experiment names from this binary (no
+    /// `dss-bench-repro/v9`. Labels are experiment names from this binary (no
     /// escaping needed).
     ///
     /// The run header carries `jobs`, `trace_mode`, `scale`,
     /// `total_wall_ns` and a `resume` object: `mode` (`"fresh"` or
     /// `"resumed"`), `crash_site` (the armed crash-injection site or `null`)
     /// and the run's total `points_loaded` / `points_reused` /
-    /// `points_computed`. `point_errors` and `failed_experiments` are the
-    /// degradation record, both empty on a healthy run.
+    /// `points_computed`.
     ///
     /// Each experiment reports `wall_ns`, `sim_compute_ns`, `allocs`,
     /// `alloc_bytes`, its own `peak_rss` (the kernel high-water mark is reset
@@ -272,11 +252,6 @@ impl BenchLog {
                 )
             })
             .collect();
-        let errors: Vec<String> = self
-            .point_errors()
-            .map(|e| format!("    {}", e.to_json()))
-            .collect();
-        let abandoned: Vec<String> = self.failed.iter().map(|f| format!("\"{f}\"")).collect();
         let mode = match run.trace_mode {
             TraceMode::Materialized => "materialized",
             TraceMode::Streamed => "streamed",
@@ -289,13 +264,12 @@ impl BenchLog {
             None => "null".to_string(),
         };
         format!(
-            "{{\n  \"schema\": \"dss-bench-repro/v8\",\n  \"jobs\": {},\n  \
+            "{{\n  \"schema\": \"dss-bench-repro/v9\",\n  \"jobs\": {},\n  \
              \"trace_mode\": \"{}\",\n  \"scale\": {},\n  \
              \"resume\": {{\"mode\": \"{}\", \"crash_site\": {}, \
              \"points_loaded\": {}, \"points_reused\": {}, \
              \"points_computed\": {}}},\n  \
-             \"total_wall_ns\": {},\n  \"point_errors\": [{}],\n  \
-             \"failed_experiments\": [{}],\n  \"experiments\": [\n{}\n  ]\n}}\n",
+             \"total_wall_ns\": {},\n  \"experiments\": [\n{}\n  ]\n}}\n",
             run.jobs,
             mode,
             run.scale,
@@ -305,26 +279,17 @@ impl BenchLog {
             total(|t| t.points_reused),
             total(|t| t.points_computed),
             run.total_wall.as_nanos(),
-            if errors.is_empty() {
-                String::new()
-            } else {
-                format!("\n{}\n  ", errors.join(",\n"))
-            },
-            abandoned.join(", "),
             experiments.join(",\n")
         )
     }
 }
 
-/// Runs one experiment body under `catch_unwind`, so a failure that escapes
-/// the fail-soft sweeps (a paired experiment that lost its partner point, a
-/// renderer handed an impossible shape) abandons that one experiment instead
-/// of the whole run. The abandonment is recorded for the exit code and the
-/// benchmark report.
-fn guarded(label: &str, failed: &mut Vec<String>, f: impl FnOnce()) {
-    if catch_unwind(AssertUnwindSafe(f)).is_err() {
-        eprintln!("  [{label}] ABANDONED — experiment failed; continuing with the rest");
-        failed.push(label.to_string());
+/// A directory of block files that no later run reads, removed on drop.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -412,25 +377,16 @@ const EXPERIMENTS: [(&[&str], &str, Run); 12] = [
 /// Figures 6 and 7 and the quoted miss rates, from one baseline suite.
 fn baselines(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
     let baselines = wb.baseline_suite(&STUDIED_QUERIES);
-    let degraded = baselines.len() < STUDIED_QUERIES.len();
     if want(FIG6) {
         println!("{}", report::render_fig6a(&baselines));
         println!("{}", report::render_fig6b(&baselines));
-        if degraded {
-            println!("  ({FIG6} shape checks skipped: suite degraded, see point errors)");
-        } else {
-            println!("{}", paper::render_checks(&paper::check_fig6(&baselines)));
-        }
+        println!("{}", paper::render_checks(&paper::check_fig6(&baselines)));
     }
     if want(FIG7) {
         for b in &baselines {
             println!("{}", report::render_fig7(b));
         }
-        if degraded {
-            println!("  ({FIG7} shape checks skipped: suite degraded, see point errors)");
-        } else {
-            println!("{}", paper::render_checks(&paper::check_fig7(&baselines)));
-        }
+        println!("{}", paper::render_checks(&paper::check_fig7(&baselines)));
     }
     if want(RATES) {
         let rates: Vec<_> = baselines.iter().map(experiments::miss_rates).collect();
@@ -442,13 +398,6 @@ fn baselines(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
 fn line_sizes(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
     for q in STUDIED_QUERIES {
         let points = wb.line_size_sweep(q);
-        if points.len() < LINE_SIZES.len() {
-            println!(
-                "Figure 8/9 ({}): skipped — sweep degraded, see point errors",
-                query_label(q)
-            );
-            continue;
-        }
         if want(FIG8) {
             println!("{}", report::render_fig8(q, &points));
             println!("{}", paper::render_checks(&paper::check_fig8(q, &points)));
@@ -464,13 +413,6 @@ fn line_sizes(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
 fn cache_sizes(wb: &mut Workbench, want: &dyn Fn(&str) -> bool) {
     for q in STUDIED_QUERIES {
         let points = wb.cache_size_sweep(q);
-        if points.len() < CACHE_SIZES_KB.len() {
-            println!(
-                "Figure 10/11 ({}): skipped — sweep degraded, see point errors",
-                query_label(q)
-            );
-            continue;
-        }
         if want(FIG10) {
             println!("{}", report::render_fig10(q, &points));
             println!("{}", paper::render_checks(&paper::check_fig10(q, &points)));
@@ -504,13 +446,11 @@ enum Flag {
     BenchJson,
     StateDir,
     Resume,
-    Inject,
-    PointDeadlineMs,
 }
 
 /// Every option the command line accepts: its identity, its spelling,
 /// whether it takes a value (`--x V` or `--x=V`), and its usage-error line.
-const OPTIONS: [(Flag, &str, bool, &str); 8] = [
+const OPTIONS: [(Flag, &str, bool, &str); 6] = [
     (
         Flag::Jobs,
         "--jobs",
@@ -546,18 +486,6 @@ const OPTIONS: [(Flag, &str, bool, &str); 8] = [
         "--resume",
         false,
         "--resume needs --state-dir (the journal to resume from)",
-    ),
-    (
-        Flag::Inject,
-        "--inject",
-        true,
-        "--inject needs a sweep-point label",
-    ),
-    (
-        Flag::PointDeadlineMs,
-        "--point-deadline-ms",
-        true,
-        "--point-deadline-ms needs a number of milliseconds",
     ),
 ];
 
@@ -599,8 +527,6 @@ fn option_value(
 fn main() {
     let mut jobs: Option<usize> = None;
     let mut bench_json: Option<String> = None;
-    let mut inject: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
     let mut sf: Option<f64> = None;
     let mut trace_mode = TraceMode::Materialized;
     // `--resume`'s error line, owed until `--state-dir` is known to be given.
@@ -635,10 +561,6 @@ fn main() {
             Flag::BenchJson => bench_json = Some(value),
             Flag::StateDir => state_dir = Some(value),
             Flag::Resume => resume = Some(error),
-            Flag::Inject => inject = Some(value),
-            Flag::PointDeadlineMs => {
-                deadline_ms = Some(value.parse().unwrap_or_else(|_| usage_error(error)));
-            }
         }
     }
     if let (Some(error), None) = (resume, &state_dir) {
@@ -665,7 +587,7 @@ fn main() {
         wb.set_jobs(n);
     }
     // Block files live under the state dir (`traces/`), else in a scratch
-    // dir deleted at exit.
+    // dir deleted at exit, or as a panicking point unwinds `main`.
     let mut scratch_dir = None;
     if trace_mode == TraceMode::Streamed {
         let dir = match &state_dir {
@@ -677,7 +599,7 @@ fn main() {
                 )]
                 let dir =
                     std::env::temp_dir().join(format!("dss-repro-traces-{}", std::process::id()));
-                scratch_dir = Some(dir.clone());
+                scratch_dir = Some(ScratchDir(dir.clone()));
                 dir
             }
         };
@@ -733,14 +655,6 @@ fn main() {
         };
         wb.set_checkpoint(journal);
     }
-    wb.set_fail_soft(true);
-    if let Some(label) = inject {
-        eprintln!("fault injection armed: sweep point `{label}` will panic");
-        wb.set_sabotage(Some(label));
-    }
-    if let Some(ms) = deadline_ms {
-        wb.set_point_deadline(Some(Duration::from_millis(ms)));
-    }
     eprintln!(
         "  built in {:.1?}: {} heap pages (~{} MB of data), {} shared MB mapped; \
          {} simulation worker(s)\n",
@@ -766,15 +680,13 @@ fn main() {
         let t = Instant::now();
         let gate = alloc::AllocGate::begin();
         log.arm();
-        guarded(&label, &mut log.failed, || run(&mut wb, &want));
+        run(&mut wb, &want);
         log.record(label, t.elapsed(), gate.end(), wb.take_tally());
     }
 
     let total = start.elapsed();
     eprintln!("total wall time: {total:.1?}");
-    if let Some(dir) = scratch_dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    drop(scratch_dir);
     if let Some(path) = bench_json {
         #[expect(
             clippy::disallowed_methods,
@@ -797,12 +709,5 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("benchmark timings written to {path}");
-    }
-    let (errors, abandoned) = (log.point_errors().count(), log.failed.len());
-    if errors + abandoned > 0 {
-        eprintln!(
-            "repro: partial results — {errors} point error(s), {abandoned} abandoned experiment(s)"
-        );
-        std::process::exit(3);
     }
 }

@@ -66,23 +66,16 @@ fn stderr_tail(out: &Output) -> String {
 
 /// Strips the honest-measurement fields from a `--bench-json` report,
 /// keeping everything a resumed run must reproduce exactly: the schema and
-/// run parameters, the degradation record, and each experiment's name.
+/// run parameters, and each experiment's name.
 /// Timings, heap counts, RSS, and the resume-provenance counters differ
 /// between a fresh and a resumed run by construction.
 fn normalize_bench(json: &str) -> String {
     let mut out = String::new();
     for line in json.lines() {
         let t = line.trim_start();
-        let deterministic = [
-            "\"schema\"",
-            "\"jobs\"",
-            "\"trace_mode\"",
-            "\"scale\"",
-            "\"point_errors\"",
-            "\"failed_experiments\"",
-        ]
-        .iter()
-        .any(|k| t.starts_with(k));
+        let deterministic = ["\"schema\"", "\"jobs\"", "\"trace_mode\"", "\"scale\""]
+            .iter()
+            .any(|k| t.starts_with(k));
         if deterministic {
             out.push_str(t);
             out.push('\n');
@@ -164,7 +157,7 @@ fn crashed_sweep_resumes_to_identical_stdout() {
     );
 
     let bench = std::fs::read_to_string(&json).unwrap();
-    assert!(bench.contains("\"schema\": \"dss-bench-repro/v8\""));
+    assert!(bench.contains("\"schema\": \"dss-bench-repro/v9\""));
     assert!(
         bench.contains("\"mode\": \"resumed\""),
         "provenance must record the resume: {bench}"
@@ -219,15 +212,14 @@ fn resume_without_state_dir_is_a_usage_error() {
 
 #[test]
 fn normalization_keeps_only_the_deterministic_fields() {
-    let json = "{\n  \"schema\": \"dss-bench-repro/v8\",\n  \"jobs\": 2,\n  \
+    let json = "{\n  \"schema\": \"dss-bench-repro/v9\",\n  \"jobs\": 2,\n  \
                 \"trace_mode\": \"streamed\",\n  \"scale\": 0.003,\n  \
                 \"resume\": {\"mode\": \"fresh\", \"crash_site\": null, \
                 \"points_loaded\": 0, \"points_computed\": 15},\n  \
-                \"total_wall_ns\": 12345,\n  \"point_errors\": [],\n  \
-                \"failed_experiments\": [],\n  \"experiments\": [\n    \
+                \"total_wall_ns\": 12345,\n  \"experiments\": [\n    \
                 {\"name\": \"fig8/fig9\", \"wall_ns\": 999, \"points_loaded\": 0}\n  ]\n}\n";
     let norm = normalize_bench(json);
-    assert!(norm.contains("\"schema\": \"dss-bench-repro/v8\","));
+    assert!(norm.contains("\"schema\": \"dss-bench-repro/v9\","));
     assert!(norm.contains("\"scale\": 0.003,"));
     assert!(norm.contains("fig8/fig9"));
     assert!(!norm.contains("wall_ns"), "timings must be stripped");

@@ -34,6 +34,22 @@ fn unknown_option_is_rejected() {
 }
 
 #[test]
+fn retired_fault_flags_are_rejected() {
+    // A failing sweep point aborts the run; there is no fail-soft mode left
+    // to drive.
+    for args in [
+        ["fig8", "--inject", "fig8/Q6/l2_line=64"],
+        ["fig8", "--point-deadline-ms", "5"],
+    ] {
+        let stderr = usage_error(&repro(&args));
+        assert!(
+            stderr.contains(&format!("unknown option `{}`", args[1])),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_experiment_is_rejected() {
     let stderr = usage_error(&repro(&["fig8", "fig99"]));
     assert!(stderr.contains("unknown experiment `fig99`"), "{stderr}");

@@ -14,8 +14,6 @@
 //! [`Workbench::set_trace_dir`] names a spill directory, block files — with
 //! bit-identical results.
 
-use std::fmt;
-use std::panic::resume_unwind;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -26,8 +24,7 @@ use dss_tpcd::params;
 use dss_trace::ProcPrefix;
 
 use crate::checkpoint::CheckpointJournal;
-use crate::degrade::PointError;
-use crate::sim::{run_soft, SoftFailure};
+use crate::sim::run_points;
 use crate::workload::{SimSource, Workbench};
 
 /// L2 line sizes swept by Figures 8 and 9 (L1 lines are half).
@@ -152,8 +149,8 @@ struct PointTask {
 impl PointTask {
     /// Simulates the point: every replay feeds the machine the leading
     /// `cfg.nprocs` traces of its source — a materialized set in place,
-    /// block files a block at a time. Stream failures panic so the fail-soft
-    /// runner classifies them like any other point failure.
+    /// block files a block at a time. A stream failure panics, naming the
+    /// file, and aborts the run like any other failing point.
     fn run(&self) -> SimStats {
         let mut machine = Machine::new(self.cfg.clone());
         let nprocs = self.cfg.nprocs;
@@ -196,21 +193,14 @@ impl Workbench {
     /// The point runner: fans labeled points across this workbench's worker
     /// threads and is the one writer of the [`crate::SweepTally`] that
     /// [`Workbench::take_tally`] drains. A point's traces are generated only
-    /// if it has to be simulated.
-    ///
-    /// Fail-hard (the default): a panicking point propagates and every slot
-    /// is `Some`. Fail-soft ([`Workbench::set_fail_soft`]): each point runs
-    /// under `catch_unwind` with the optional point deadline, a failed point
-    /// is recorded as a [`PointError`] under its label and yields `None`,
-    /// and the remaining points still run. The sabotage hook
-    /// ([`Workbench::set_sabotage`]) panics the matching point in either
-    /// mode.
+    /// if it has to be simulated. A panicking point aborts the sweep with
+    /// its own panic once the other workers have finished.
     ///
     /// With a checkpoint journal attached ([`Workbench::set_checkpoint`]),
     /// points the journal already holds are served from it — no simulation,
-    /// no sabotage, no compute time — and each newly computed point is
-    /// durably appended the moment its worker finishes it, so an interrupted
-    /// sweep resumes from the last completed point, not the last completed
+    /// no compute time — and each newly computed point is durably appended
+    /// the moment its worker finishes it, so an interrupted or aborted sweep
+    /// resumes from the last completed point, not the last completed
     /// experiment.
     ///
     /// A cold point is a pure function of its trace set and its
@@ -218,10 +208,9 @@ impl Workbench {
     /// another figure's label (the baseline machine is a point of Figures 6,
     /// 8, 10 and 13) is served from memory the same way: looked up on this
     /// thread before the fan-out, counted as `points_reused`, journaled
-    /// under its own label. The sabotaged label is never served from memory.
-    fn fan_out_labeled(&mut self, points: Vec<Point>) -> Vec<Option<SimStats>> {
+    /// under its own label.
+    fn fan_out_labeled(&mut self, points: Vec<Point>) -> Vec<SimStats> {
         let checkpoint = self.checkpoint.clone();
-        let sabotage = self.sabotage.clone();
         // Lookups happen up front on this thread: a point the journal or this
         // workbench's memory already holds never reaches a worker.
         let mut results: Vec<Option<SimStats>> = Vec::with_capacity(points.len());
@@ -231,11 +220,10 @@ impl Workbench {
                 let journal = j.lock().unwrap_or_else(|p| p.into_inner());
                 journal.lookup(&point.label, seed).cloned()
             });
-            let sabotaged = sabotage.as_deref() == Some(point.label.as_str());
             results.push(if journaled.is_some() {
                 self.tally.points_loaded += 1;
                 journaled
-            } else if let Some(stats) = self.known_cold(point).filter(|_| !sabotaged) {
+            } else if let Some(stats) = self.known_cold(point) {
                 let stats = stats.clone();
                 self.tally.points_reused += 1;
                 if let Some(journal) = &checkpoint {
@@ -264,55 +252,35 @@ impl Workbench {
             .iter()
             .zip(&tasks)
             .map(|(&i, task)| {
-                let (checkpoint, sabotage) = (checkpoint.as_deref(), sabotage.as_deref());
+                let checkpoint = checkpoint.as_deref();
                 let point = &points[i];
-                let label = point.label.as_str();
                 move || {
-                    if sabotage == Some(label) {
-                        panic!("injected: sweep point {label} sabotaged");
-                    }
                     #[expect(clippy::disallowed_methods, reason = "times the point for `SweepTally::compute`: stderr and bench-JSON timing only")]
                     let start = Instant::now();
                     let stats = task.run();
                     let elapsed = start.elapsed();
                     if let Some(journal) = checkpoint {
                         crash_point("crash.point.pre-journal");
-                        journal_point(journal, label, point.measured.1, &stats);
+                        journal_point(journal, &point.label, point.measured.1, &stats);
                         crash_point("crash.point.post-journal");
                     }
                     (stats, elapsed)
                 }
             })
             .collect();
-        let deadline = if self.fail_soft {
-            self.point_deadline
-        } else {
-            None
-        };
-        let outcomes = run_soft(self.jobs(), &runs, deadline);
+        let outcomes = run_points(self.jobs(), &runs);
         drop(runs);
-        for (outcome, i) in outcomes.into_iter().zip(todo) {
-            let point = &points[i];
-            match outcome {
-                Ok((stats, elapsed)) => {
-                    self.tally.compute += elapsed;
-                    self.tally.points_computed += 1;
-                    results[i] = Some(stats);
-                }
-                Err(failure) if self.fail_soft => self.tally.errors.push(PointError {
-                    site: point.label.clone(),
-                    cause: failure.cause,
-                    seed: point.measured.1,
-                }),
-                Err(SoftFailure {
-                    payload: Some(payload),
-                    ..
-                }) => resume_unwind(payload),
-                Err(failure) => panic!("sweep point {} failed: {}", point.label, failure.cause),
-            }
+        for ((stats, elapsed), i) in outcomes.into_iter().zip(todo) {
+            self.tally.compute += elapsed;
+            self.tally.points_computed += 1;
+            results[i] = Some(stats);
         }
+        let results: Vec<SimStats> = results
+            .into_iter()
+            .map(|stats| stats.expect("every point served or simulated"))
+            .collect();
         for (point, stats) in points.into_iter().zip(&results) {
-            if let (None, Some(stats), None) = (point.warm, stats, self.known_cold(&point)) {
+            if point.warm.is_none() && self.known_cold(&point).is_none() {
                 let (query, seed_base) = point.measured;
                 self.cold_points
                     .push((query, seed_base, point.cfg, stats.clone()));
@@ -323,8 +291,6 @@ impl Workbench {
 
     /// The common sweep shape: one point per entry of `params`, all over
     /// `query`'s trace source, each labeled and configured from its entry.
-    /// Failed points are dropped from the list (fail-soft mode has recorded
-    /// them).
     fn sweep<P: Copy>(
         &mut self,
         query: u8,
@@ -342,16 +308,11 @@ impl Workbench {
             })
             .collect();
         let stats = self.fan_out_labeled(points);
-        params
-            .iter()
-            .zip(stats)
-            .filter_map(|(&p, stats)| Some((p, stats?)))
-            .collect()
+        params.iter().copied().zip(stats).collect()
     }
 
     /// Runs the baseline for a set of queries (default: the three studied
-    /// ones), one sweep point per query. In fail-soft mode, failed points
-    /// are skipped (and recorded as [`PointError`]s).
+    /// ones), one sweep point per query.
     pub fn baseline_suite(&mut self, queries: &[u8]) -> Vec<QueryBaseline> {
         let points = queries
             .iter()
@@ -366,12 +327,11 @@ impl Workbench {
         queries
             .iter()
             .zip(stats)
-            .filter_map(|(&query, stats)| stats.map(|stats| QueryBaseline { query, stats }))
+            .map(|(&query, stats)| QueryBaseline { query, stats })
             .collect()
     }
 
-    /// Figures 8 and 9: sweep the cache line size for one query. In
-    /// fail-soft mode, failed points are skipped (and recorded).
+    /// Figures 8 and 9: sweep the cache line size for one query.
     pub fn line_size_sweep(&mut self, query: u8) -> Vec<LinePoint> {
         let points = self.sweep(
             query,
@@ -405,11 +365,6 @@ impl Workbench {
     }
 
     /// Figure 13: the Section 6 prefetching experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either point fails — the pair is meaningless without both
-    /// (in fail-soft mode the failure is still recorded first).
     pub fn prefetch_experiment(&mut self, query: u8) -> PrefetchPair {
         let points = self.sweep(
             query,
@@ -417,8 +372,7 @@ impl Workbench {
             |d| format!("fig13/Q{query}/prefetch={d}"),
             |d| MachineConfig::baseline().with_data_prefetch(d),
         );
-        let stats = points.into_iter().map(|(_, stats)| stats);
-        let [base, opt] = all_points(stats, format_args!("fig13/Q{query}"));
+        let [base, opt] = all_points(points.into_iter().map(|(_, stats)| stats));
         PrefetchPair { query, base, opt }
     }
 
@@ -433,11 +387,6 @@ impl Workbench {
     }
 
     /// Runs the MSI-vs-MESI ablation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either point fails — the ablation is meaningless without
-    /// both (in fail-soft mode the failure is still recorded first).
     pub fn protocol_ablation(&mut self, query: u8) -> ProtocolAblation {
         let points = self.sweep(
             query,
@@ -445,8 +394,7 @@ impl Workbench {
             |(name, _)| format!("protocol/Q{query}/{name}"),
             |(_, protocol)| MachineConfig::baseline().with_protocol(protocol),
         );
-        let stats = points.into_iter().map(|(_, stats)| stats);
-        let [msi, mesi] = all_points(stats, format_args!("protocol/Q{query}"));
+        let [msi, mesi] = all_points(points.into_iter().map(|(_, stats)| stats));
         ProtocolAblation { query, msi, mesi }
     }
 
@@ -474,12 +422,6 @@ impl Workbench {
     /// (generation is history-independent, so this changes nothing but
     /// wall-clock and allocations). With all three arms journaled, no trace
     /// is generated at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an arm fails — the comparison is meaningless without all
-    /// three (in fail-soft mode the failure is still recorded first, and the
-    /// surviving arms are journaled).
     pub fn reuse_experiment(&mut self, query: u8, other: u8) -> ReuseSet {
         let (l1_kb, l2_kb) = REUSE_CACHES_KB;
         let cfg = MachineConfig::baseline().with_cache_sizes(l1_kb * 1024, l2_kb * 1024);
@@ -496,11 +438,7 @@ impl Workbench {
             measured: (query, 0),
         })
         .collect();
-        let stats = self.fan_out_labeled(points);
-        let [cold, warm_same, warm_other] = all_points(
-            stats.into_iter().flatten(),
-            format_args!("fig12/Q{query}v{other}"),
-        );
+        let [cold, warm_same, warm_other] = all_points(self.fan_out_labeled(points));
         ReuseSet {
             query,
             other,
@@ -511,20 +449,10 @@ impl Workbench {
     }
 }
 
-/// The all-or-nothing shape: the `N` results of a comparison, in sweep order.
-///
-/// # Panics
-///
-/// Panics naming `what` if a point is missing — a comparison without one of
-/// its arms is not a result.
-fn all_points<const N: usize>(
-    stats: impl Iterator<Item = SimStats>,
-    what: fmt::Arguments,
-) -> [SimStats; N] {
-    let stats: Vec<SimStats> = stats.collect();
-    stats
-        .try_into()
-        .unwrap_or_else(|_| panic!("{what} lost a sweep point (see point errors)"))
+/// The `N` results of a comparison, in sweep order.
+fn all_points<const N: usize>(stats: impl IntoIterator<Item = SimStats>) -> [SimStats; N] {
+    let stats: Vec<SimStats> = stats.into_iter().collect();
+    stats.try_into().expect("one result per sweep point")
 }
 
 /// Table 1: the operator matrix of all seventeen read-only queries.

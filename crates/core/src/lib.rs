@@ -21,14 +21,14 @@
 //! * [`experiments`] — the experiments' result types.
 //! * [`report`] — ASCII renderings in the paper's chart shapes.
 //! * [`paper`] — the paper's claims as executable shape checks.
-//! * [`PointError`] / [`write_atomic`] — graceful degradation: structured
-//!   records of failed sweep points (fail-soft mode) and atomic artifact
-//!   persistence for everything the workbench writes to disk.
-//! * [`CheckpointJournal`] / [`config_fingerprint`] — crash safety: a
-//!   checksummed, fsynced journal of completed sweep points. A resumed run
-//!   replays it, recomputes only what is missing (recording from scratch
-//!   any streamed trace set that needs), and renders output byte-identical
-//!   to a fresh run.
+//! * [`write_atomic`] — atomic artifact persistence for everything the
+//!   workbench writes to disk.
+//! * [`CheckpointJournal`] / [`config_fingerprint`] — crash safety and the
+//!   one recovery path: a checksummed, fsynced journal of completed sweep
+//!   points. A crash or a panicking point aborts the run; a resumed run
+//!   replays the journal, recomputes only what is missing (recording from
+//!   scratch any streamed trace set that needs), and renders output
+//!   byte-identical to a fresh run.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@
 #![expect(clippy::expect_used, reason = "not yet converted to `Result` paths")]
 
 mod checkpoint;
-mod degrade;
 pub mod experiments;
 pub mod paper;
 mod persist;
@@ -54,7 +53,6 @@ mod sim;
 mod workload;
 
 pub use checkpoint::{config_fingerprint, CheckpointJournal};
-pub use degrade::{json_string, PointCause, PointError};
 pub use persist::{fsync_dir, write_atomic};
 pub use workload::{
     query_label, SimSource, SweepTally, TraceMode, TraceSet, Workbench, STUDIED_QUERIES,

@@ -12,7 +12,6 @@ use dss_tpcd::params;
 use dss_trace::{FileTraceSource, Trace, Tracer, DEFAULT_BLOCK_EVENTS};
 
 use crate::checkpoint::CheckpointJournal;
-use crate::degrade::PointError;
 use crate::persist::fsync_dir;
 
 /// A shared, immutable set of per-processor traces.
@@ -65,15 +64,8 @@ pub enum SimSource {
 
 /// What the sweeps have done since the last [`Workbench::take_tally`]. The
 /// one point runner is its only writer, on the calling thread, after the
-/// workers have joined.
-///
-/// A point counts in `points_computed` and `compute` when its simulation
-/// finished *and its value was returned*. A point that outran the point
-/// deadline was simulated (and journaled, when a journal is attached) but
-/// its value was discarded, so like a panicking point it appears in `errors`
-/// only; a resumed run serves it from the journal as `points_loaded`. A
-/// point is counted under exactly one of `points_loaded`, `points_reused`
-/// and `points_computed`.
+/// workers have joined. A point is counted under exactly one of
+/// `points_loaded`, `points_reused` and `points_computed`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepTally {
     /// Per-point simulation time summed over the worker threads: the
@@ -87,8 +79,6 @@ pub struct SweepTally {
     pub points_reused: u64,
     /// Sweep points simulated.
     pub points_computed: u64,
-    /// Points that failed under fail-soft mode, in sweep order.
-    pub errors: Vec<PointError>,
 }
 
 /// Label of a query ("Q3").
@@ -147,16 +137,6 @@ pub struct Workbench {
     pub(crate) cold_points: Vec<(u8, u64, MachineConfig, SimStats)>,
     /// What the sweeps have done since the last [`Workbench::take_tally`].
     pub(crate) tally: SweepTally,
-    /// Fail-soft mode: sweep points run under `catch_unwind`, failures become
-    /// [`PointError`]s instead of aborting the sweep. Off by default (a
-    /// failing point panics the caller, exactly as before).
-    pub(crate) fail_soft: bool,
-    /// Optional per-point deadline enforced (in fail-soft mode) by the sweep
-    /// watchdog.
-    pub(crate) point_deadline: Option<Duration>,
-    /// Fault-injection hook: the label of one sweep point to sabotage (it
-    /// panics instead of simulating), for exercising the degradation path.
-    pub(crate) sabotage: Option<String>,
     /// The crash-safety journal: completed sweep points are served from it
     /// and newly computed points are appended (durably) as they finish.
     pub(crate) checkpoint: Option<Arc<Mutex<CheckpointJournal>>>,
@@ -185,9 +165,6 @@ impl Workbench {
             files: Vec::new(),
             cold_points: Vec::new(),
             tally: SweepTally::default(),
-            fail_soft: false,
-            point_deadline: None,
-            sabotage: None,
             checkpoint: None,
         }
     }
@@ -232,38 +209,8 @@ impl Workbench {
         self
     }
 
-    /// Enables (or disables) fail-soft sweeps. In fail-soft mode each sweep
-    /// point runs under `catch_unwind` with the optional
-    /// [`Workbench::set_point_deadline`] watchdog; a failed point becomes a
-    /// [`PointError`] (drained with [`Workbench::take_tally`]) and the
-    /// remaining points still run. Off (the default) reproduces the original
-    /// fail-hard behavior: the first panicking point propagates.
-    ///
-    /// With no faults, fail-soft results are bit-identical to fail-hard ones
-    /// at any job count.
-    pub fn set_fail_soft(&mut self, on: bool) {
-        self.fail_soft = on;
-    }
-
-    /// Sets the per-point deadline for fail-soft sweeps (`None` disables the
-    /// watchdog). A point that outruns the deadline is classified
-    /// [`crate::PointCause::TimedOut`] and its result is discarded — the
-    /// watchdog cannot preempt a wedged simulation, so the run still waits
-    /// for it, but its outcome no longer depends on how late it finished.
-    pub fn set_point_deadline(&mut self, deadline: Option<Duration>) {
-        self.point_deadline = deadline;
-    }
-
-    /// Sabotages the sweep point whose label equals `label` (e.g.
-    /// `"fig8/Q6/l2_line=64"`): it panics instead of simulating. A
-    /// fault-injection hook for exercising the degradation path end to end;
-    /// `None` disables it.
-    pub fn set_sabotage(&mut self, label: Option<String>) {
-        self.sabotage = label;
-    }
-
     /// Drains what the experiment sweeps did since the last call: compute
-    /// time, journal provenance and point failures, together.
+    /// time and where each point's value came from.
     pub fn take_tally(&mut self) -> SweepTally {
         std::mem::take(&mut self.tally)
     }

@@ -2,7 +2,7 @@
 //! trace set and its machine, so a workbench that has simulated it under one
 //! figure's label serves it from memory under another's — with the same
 //! value a fresh simulation returns, at any job count and in either trace
-//! mode, and without hiding the point from injection or the journal.
+//! mode, and without hiding the point from the journal.
 
 use std::path::PathBuf;
 
@@ -91,26 +91,6 @@ fn one_workbench_equals_three_and_simulates_the_baseline_once() {
         assert_eq!(got[2], got[9]);
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn an_injected_label_is_never_served_from_memory() {
-    let mut wb = wb(2, None);
-    wb.set_fail_soft(true);
-    assert_eq!(wb.line_size_sweep(6).len(), 5);
-    wb.set_sabotage(Some("fig10/Q6/l1_kb=4_l2_kb=128".into()));
-    let _ = wb.take_tally();
-    let sizes = wb.cache_size_sweep(6);
-    assert_eq!(sizes.len(), 3, "the injected point is missing");
-    assert!(sizes.iter().all(|p| p.l1_kb != 4));
-    let tally = wb.take_tally();
-    assert_eq!((tally.points_reused, tally.points_computed), (0, 3));
-    assert_eq!(tally.errors.len(), 1);
-    assert_eq!(tally.errors[0].site, "fig10/Q6/l1_kb=4_l2_kb=128");
-    // Disarmed, the same label is served from memory after all.
-    wb.set_sabotage(None);
-    assert_eq!(wb.cache_size_sweep(6).len(), 4);
-    assert_eq!(counts(&mut wb), (0, 4, 0));
 }
 
 #[test]

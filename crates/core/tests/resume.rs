@@ -1,11 +1,15 @@
 //! Checkpoint/resume through the experiment harness: journaled sweep points
 //! are served from the manifest without re-simulation, and the served
 //! results are identical to freshly computed ones — the invariant the
-//! byte-identical `repro --resume` output rests on.
+//! byte-identical `repro --resume` output rests on. The journal is also the
+//! one recovery path from a failing point: the run aborts with the point's
+//! own panic, and a resume computes only what the journal lacks.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::time::Duration;
 
-use dss_core::{config_fingerprint, CheckpointJournal, Workbench};
+use dss_core::{config_fingerprint, CheckpointJournal, SweepTally, Workbench};
 use dss_query::DbConfig;
 
 fn config() -> DbConfig {
@@ -86,6 +90,79 @@ fn partial_journal_recomputes_only_whats_missing() {
         CheckpointJournal::resume(&manifest, fp).unwrap().replayed(),
         5
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_tally_carries_compute_and_counts_together() {
+    let dir = temp_dir("tally");
+    let manifest = dir.join("manifest.ckpt");
+    let fp = config_fingerprint(&config(), 2);
+
+    // Journal two of the five points, as an interrupted earlier run would.
+    let mut first = Workbench::new(&config(), 2).with_jobs(2);
+    first.set_checkpoint(CheckpointJournal::create(&manifest, fp).unwrap());
+    let _ = first.line_size_sweep(6);
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let keep: Vec<&str> = text.lines().take(3).collect();
+    std::fs::write(&manifest, format!("{}\n", keep.join("\n"))).unwrap();
+
+    let mut wb = Workbench::new(&config(), 2).with_jobs(2);
+    wb.set_checkpoint(CheckpointJournal::resume(&manifest, fp).unwrap());
+    assert_eq!(wb.line_size_sweep(6).len(), 5);
+    // One drain reports the whole sweep: the time spent on the points that
+    // ran, and where every point's value came from.
+    let tally = wb.take_tally();
+    assert!(tally.compute > Duration::ZERO);
+    assert_eq!((tally.points_loaded, tally.points_computed), (2, 3));
+    assert_eq!(wb.take_tally(), SweepTally::default(), "drained clean");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_corrupt_block_file_aborts_the_run_and_a_resume_redoes_only_its_point() {
+    let dir = temp_dir("corrupt");
+    let manifest = dir.join("manifest.ckpt");
+    let fp = config_fingerprint(&config(), 2);
+    let streamed = || {
+        let mut wb = Workbench::new(&config(), 2).with_jobs(2);
+        wb.set_trace_dir(dir.join("traces"));
+        wb
+    };
+
+    // Figure 12's `warm_same` arm warms on Q3 at seed 1000: flip one event
+    // byte of processor 0's file, past the 24-byte stream header and the
+    // first block's count and chunk words.
+    let mut wb = streamed();
+    wb.set_checkpoint(CheckpointJournal::create(&manifest, fp).unwrap());
+    let warm = wb.trace_files(3, 1000).paths()[0].clone();
+    let mut bytes = std::fs::read(&warm).unwrap();
+    bytes[44] ^= 0xff;
+    std::fs::write(&warm, bytes).unwrap();
+
+    let payload = catch_unwind(AssertUnwindSafe(|| wb.reuse_experiment(3, 12)))
+        .expect_err("a point that cannot read its traces aborts the run");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("a formatted message");
+    assert!(
+        msg.contains("trace stream failed"),
+        "the point's own panic: {msg}"
+    );
+
+    // The other worker finished the queue, and the journal kept both arms.
+    let journal = CheckpointJournal::resume(&manifest, fp).unwrap();
+    assert_eq!(journal.replayed(), 2);
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    assert!(text.contains("pt fig12/Q3v12/cold "), "{text}");
+    assert!(text.contains("pt fig12/Q3v12/warm_other "), "{text}");
+
+    // A resumed workbench records the set afresh and simulates only the arm
+    // that failed.
+    let mut resumed = streamed();
+    resumed.set_checkpoint(journal);
+    let _ = resumed.reuse_experiment(3, 12);
+    assert_eq!(counts(&mut resumed), (2, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
