@@ -8,7 +8,7 @@
 
 use dss_check::{check_machine, detect_races};
 use dss_core::Workbench;
-use dss_memsim::{Machine, MachineConfig};
+use dss_memsim::{Machine, MachineConfig, MAX_PROCS};
 use dss_trace::{DataClass, Event, EventKind, MemRef, Trace};
 
 /// A small workbench shared per test (each builds its own database).
@@ -67,7 +67,19 @@ fn corrupted_directory_sharer_mask_is_caught() {
         }
     });
     let line = line.expect("a query run leaves shared lines tracked");
-    machine.corrupt_directory_sharers(line, 1 << 63);
+    let phantom = 1 << (MAX_PROCS - 1);
+    machine.corrupt_directory_sharers(line, phantom);
+    let mut stored = None;
+    machine.for_each_directory_entry(|l, e| {
+        if l == line {
+            stored = Some(e.sharers);
+        }
+    });
+    assert_eq!(
+        stored,
+        Some(phantom),
+        "the phantom sharer is stored, not lost"
+    );
     let violation = check_machine(&machine).expect_err("corruption must be caught");
     assert_eq!(violation.line, line);
 }

@@ -38,22 +38,22 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 const BUDGET: [(&str, [u64; 5], [u64; 5]); 9] = [
     (
         "Q3 / MSI baseline",
-        [346, 0, 5, 5940352, 5939872],
+        [346, 0, 5, 2352256, 2351776],
         [0, 0, 0, 0, 0],
     ),
-    ("Q3 / MESI", [346, 0, 5, 5940352, 5939872], [0, 0, 0, 0, 0]),
+    ("Q3 / MESI", [346, 0, 5, 2352256, 2351776], [0, 0, 0, 0, 0]),
     (
         "Q6 / MSI baseline",
-        [262, 0, 5, 4306048, 4305568],
+        [262, 0, 5, 1750144, 1749664],
         [0, 0, 0, 0, 0],
     ),
-    ("Q6 / MESI", [262, 0, 5, 4306048, 4305568], [0, 0, 0, 0, 0]),
+    ("Q6 / MESI", [262, 0, 5, 1750144, 1749664], [0, 0, 0, 0, 0]),
     (
         "Q12 / MSI baseline",
-        [309, 0, 5, 5174400, 5173920],
+        [309, 0, 5, 2077824, 2077344],
         [0, 0, 0, 0, 0],
     ),
-    ("Q12 / MESI", [309, 0, 5, 5174400, 5173920], [0, 0, 0, 0, 0]),
+    ("Q12 / MESI", [309, 0, 5, 2077824, 2077344], [0, 0, 0, 0, 0]),
     (
         "Q1 / engine untraced (scan, sort, group)",
         [723407, 723402, 34, 36682224, 12388624],

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use dss_memsim::protocol::{self, ExploreConfig, Kernel, KernelFault};
-use dss_memsim::{Machine, MachineConfig, Protocol};
+use dss_memsim::{Machine, MachineConfig, Protocol, MAX_PROCS};
 use dss_tpcd::{from_tbl, table_def, ColType, TableDef};
 use dss_trace::{
     check_lock_discipline, read_trace_blocks, write_trace_blocks, DataClass, LockClass,
@@ -589,7 +589,7 @@ fn dir_sharer_mask(rng: &mut StdRng) -> Outcome {
         return skipped("no directory state to corrupt");
     }
     let line = lines[rng.gen_range(0..lines.len())];
-    m.corrupt_directory_sharers(line, 1 << rng.gen_range(8..64u64));
+    m.corrupt_directory_sharers(line, 1 << rng.gen_range(8..MAX_PROCS));
     classify_verify(&m)
 }
 
@@ -601,7 +601,7 @@ fn dir_stale_owner(rng: &mut StdRng) -> Outcome {
         return skipped("no directory state to corrupt");
     }
     let line = lines[rng.gen_range(0..lines.len())];
-    m.corrupt_directory_owner(line, Some(rng.gen_range(8..63usize)));
+    m.corrupt_directory_owner(line, Some(rng.gen_range(8..MAX_PROCS)));
     classify_verify(&m)
 }
 

@@ -1,5 +1,7 @@
 //! Machine configuration.
 
+use dss_shmem::MAX_PROCS;
+
 /// Coherence protocol variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Protocol {
@@ -196,11 +198,20 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `nprocs` is zero.
+    /// Panics if `nprocs` is zero or above [`MAX_PROCS`].
     pub fn with_processors(mut self, nprocs: usize) -> Self {
-        assert!(nprocs >= 1, "a machine needs at least one processor");
         self.nprocs = nprocs;
+        self.check_processors();
         self
+    }
+
+    fn check_processors(&self) {
+        assert!(self.nprocs >= 1, "a machine needs at least one processor");
+        assert!(
+            self.nprocs <= MAX_PROCS,
+            "{} processors exceed MAX_PROCS = {MAX_PROCS}",
+            self.nprocs
+        );
     }
 
     /// Enables the paper's Section 6 prefetcher (4 L1 lines of database data).
@@ -219,11 +230,12 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent geometry (also checked lazily by `sets`):
+    /// Panics on a processor count outside `1..=MAX_PROCS`, or on
+    /// inconsistent geometry (also checked lazily by `sets`):
     /// non-power-of-two line sizes or set counts, zero associativity, or L1
     /// lines longer than L2 lines.
     pub fn validate(&self) {
-        assert!(self.nprocs >= 1);
+        self.check_processors();
         assert!(
             self.l1.line <= self.l2.line,
             "L1 lines must not exceed L2 lines"
@@ -282,6 +294,20 @@ mod tests {
             assoc: 1,
         }
         .sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "17 processors exceed MAX_PROCS = 16")]
+    fn more_processors_than_max_procs_rejected() {
+        MachineConfig::baseline().with_processors(MAX_PROCS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed MAX_PROCS")]
+    fn validate_rejects_more_processors_than_max_procs() {
+        let mut c = MachineConfig::baseline();
+        c.nprocs = MAX_PROCS + 1;
+        c.validate();
     }
 
     #[test]

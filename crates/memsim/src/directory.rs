@@ -10,7 +10,7 @@
 #![deny(clippy::disallowed_types, clippy::cast_possible_truncation)]
 #![deny(clippy::panic, clippy::unreachable)]
 
-use dss_shmem::{segment_of, Segment};
+use dss_shmem::{segment_of, Segment, MAX_PROCS};
 
 use crate::paged::PagedMap;
 use crate::protocol;
@@ -24,16 +24,22 @@ pub struct DirEntry {
     pub owner: Option<usize>,
 }
 
-/// Packed stored form of one entry. `owner_plus1` avoids an `Option`
-/// discriminant; `touched` keeps [`Directory::len`]'s "lines ever recorded"
-/// count exact even after a [`Directory::record_drop`] returns an entry to
-/// its default value.
+/// Packed stored form of one entry, 4 bytes: one sharer bit per processor
+/// (so [`MAX_PROCS`] bounds the mask's width), the owner as `owner_plus1` to
+/// avoid an `Option` discriminant, and `touched`, which keeps
+/// [`Directory::len`]'s "lines ever recorded" count exact even after a
+/// [`Directory::record_drop`] returns an entry to its default value.
+/// [`DirEntry`] and the protocol kernel stay `u64`-wide; only this stored
+/// form is narrow.
 #[derive(Clone, Copy, Debug, Default)]
 struct DirSlot {
-    sharers: u64,
+    sharers: u16,
     owner_plus1: u8,
     touched: bool,
 }
+
+const _: () = assert!(size_of::<DirSlot>() == 4);
+const _: () = assert!(MAX_PROCS <= u16::BITS as usize);
 
 impl DirSlot {
     #[inline]
@@ -41,18 +47,29 @@ impl DirSlot {
         self.owner_plus1.checked_sub(1).map(usize::from)
     }
 
+    /// The one widening path from the stored form to a [`DirEntry`].
     #[inline]
     fn entry(&self) -> DirEntry {
         DirEntry {
-            sharers: self.sharers,
+            sharers: u64::from(self.sharers),
             owner: self.owner(),
         }
     }
 
-    #[expect(clippy::cast_possible_truncation, reason = "node < MAX_PROCS = 64")]
+    /// The one narrowing path. Nodes are below `nprocs ≤ MAX_PROCS`
+    /// ([`crate::MachineConfig::validate`]), so nothing is lost; a wider mask
+    /// fails the debug assertion, and a release build records every node as
+    /// a sharer rather than dropping one.
+    #[expect(clippy::cast_possible_truncation, reason = "node < MAX_PROCS = 16")]
     #[inline]
     fn store(&mut self, e: DirEntry) {
-        self.sharers = e.sharers;
+        let sharers = u16::try_from(e.sharers);
+        debug_assert!(
+            sharers.is_ok(),
+            "sharer mask {:#x} past MAX_PROCS",
+            e.sharers
+        );
+        self.sharers = sharers.unwrap_or(u16::MAX);
         self.owner_plus1 = match e.owner {
             Some(node) => node as u8 + 1,
             None => 0,
@@ -108,11 +125,7 @@ impl Directory {
     /// The entry for `line` (default: uncached).
     #[inline]
     pub fn entry(&self, line: u64) -> DirEntry {
-        let s = self.slots.get(line);
-        DirEntry {
-            sharers: s.sharers,
-            owner: s.owner(),
-        }
+        self.slots.get(line).entry()
     }
 
     /// Records a read by `node`: adds it to the sharers and clears a dirty
@@ -161,13 +174,7 @@ impl Directory {
     pub fn for_each_entry(&self, mut f: impl FnMut(u64, DirEntry)) {
         self.slots.for_each(|line, s| {
             if s.touched {
-                f(
-                    line,
-                    DirEntry {
-                        sharers: s.sharers,
-                        owner: s.owner(),
-                    },
-                );
+                f(line, s.entry());
             }
         });
     }
@@ -176,19 +183,38 @@ impl Directory {
     /// deliberately desynchronizing the directory from the caches. Exists so
     /// the coherence invariant checker's negative tests can prove a corrupted
     /// sharer mask is detected; never call it from simulation code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharers` names a node at or above [`MAX_PROCS`]: the
+    /// stored mask has no bit for it.
     pub fn corrupt_sharers(&mut self, line: u64, sharers: u64) {
-        self.slot_mut(line).sharers = sharers;
+        assert!(
+            sharers >> MAX_PROCS == 0,
+            "sharer mask {sharers:#x} names a node at or above MAX_PROCS = {MAX_PROCS}"
+        );
+        let s = self.slot_mut(line);
+        s.store(DirEntry {
+            sharers,
+            ..s.entry()
+        });
     }
 
     /// Overwrites the recorded owner of `line` without any protocol action —
     /// the stale-owner flavor of [`Directory::corrupt_sharers`], for the same
     /// negative tests and fault-injection campaigns; never call it from
     /// simulation code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner` is a node at or above [`MAX_PROCS`].
     pub fn corrupt_owner(&mut self, line: u64, owner: Option<usize>) {
-        self.slot_mut(line).owner_plus1 = match owner {
-            Some(node) => u8::try_from(node + 1).unwrap_or(u8::MAX),
-            None => 0,
-        };
+        assert!(
+            owner.is_none_or(|node| node < MAX_PROCS),
+            "owner {owner:?} is a node at or above MAX_PROCS = {MAX_PROCS}"
+        );
+        let s = self.slot_mut(line);
+        s.store(DirEntry { owner, ..s.entry() });
     }
 
     /// Number of lines that have ever held directory state.
@@ -218,7 +244,7 @@ mod tests {
 
     /// Unpacks an invalidation mask into ascending node ids.
     fn nodes(mask: u64) -> Vec<usize> {
-        (0..64).filter(|n| mask & (1 << n) != 0).collect()
+        (0..MAX_PROCS).filter(|n| mask & (1 << n) != 0).collect()
     }
 
     #[test]
@@ -279,6 +305,7 @@ mod tests {
         assert_eq!(d.len(), 2);
         d.record_drop(0x100, 0);
         d.record_drop(0x100, 2);
+        assert_eq!(d.entry(0x100), DirEntry::default());
         assert_eq!(d.len(), 2, "dropped lines stay counted, as before");
         assert!(!d.is_empty());
     }
@@ -328,6 +355,51 @@ mod tests {
         d.record_read(0x100, 0);
         d.corrupt_sharers(0x100, 0b1010);
         assert_eq!(d.entry(0x100).sharers, 0b1010);
+    }
+
+    #[test]
+    fn the_widest_machine_round_trips_through_the_slot() {
+        let last = MAX_PROCS - 1;
+        let full = (1u64 << MAX_PROCS) - 1;
+        let mut d = Directory::new();
+        for node in 0..MAX_PROCS {
+            d.record_read(0x100, node);
+        }
+        assert_eq!(
+            d.entry(0x100),
+            DirEntry {
+                sharers: full,
+                owner: None
+            }
+        );
+        assert_eq!(
+            nodes(d.record_write(0x100, last)),
+            (0..last).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            d.entry(0x100),
+            DirEntry {
+                sharers: 0,
+                owner: Some(last)
+            }
+        );
+        d.record_read(0x100, 0);
+        assert_eq!(d.entry(0x100).sharers, 1 | 1 << last);
+        let mut seen = Vec::new();
+        d.for_each_entry(|line, e| seen.push((line, e)));
+        assert_eq!(seen, vec![(0x100, d.entry(0x100))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above MAX_PROCS")]
+    fn corrupt_sharers_rejects_a_node_the_slot_cannot_hold() {
+        Directory::new().corrupt_sharers(0x100, 1 << MAX_PROCS);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above MAX_PROCS")]
+    fn corrupt_owner_rejects_a_node_the_slot_cannot_hold() {
+        Directory::new().corrupt_owner(0x100, Some(MAX_PROCS));
     }
 
     #[test]

@@ -40,6 +40,7 @@ mod verify;
 pub use cache::{Cache, LineState, MissKind, RemovalCause};
 pub use config::{CacheConfig, Latencies, MachineConfig, Protocol};
 pub use directory::{home_of, DirEntry, Directory};
+pub use dss_shmem::MAX_PROCS;
 pub use machine::Machine;
 pub use stats::{LevelStats, MissMatrix, ProcStats, SimStats, TimeBreakdown};
 pub use verify::CoherenceViolation;

@@ -7,12 +7,13 @@
 //! hashing with pure array indexing by exploiting the known layout of the
 //! emulated address space (see `dss_shmem`): the shared segment is dense from
 //! `SHARED_BASE` up, and above `PRIVATE_BASE` live at most [`MAX_PROCS`]
-//! private segments at a fixed power-of-two stride, each dense from its own
-//! base. An address therefore splits into `(segment, offset from the
-//! segment's base)` with a compare or two and a shift — page tables start
-//! where the data does — the offset shifts down by the map's granularity to a
-//! line index, and the index selects a slot inside a lazily allocated
-//! fixed-size page.
+//! private segments, one per simulated processor, at a fixed power-of-two
+//! stride, each dense from its own base; an address past the last one is a
+//! bug and panics. An address therefore splits into `(segment, offset from
+//! the segment's base)` with a compare or two and a shift — page tables
+//! start where the data does — the offset shifts down by the map's
+//! granularity to a line index, and the index selects a slot inside a lazily
+//! allocated fixed-size page.
 //!
 //! Reads of untouched pages return `T::default()` without allocating; writes
 //! allocate at page granularity, so sparse traces stay cheap while hot lines

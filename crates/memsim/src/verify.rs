@@ -114,7 +114,7 @@ impl Machine {
         // ([`crate::protocol::check_line`]): one definition serves this
         // runtime observer and the exhaustive `dss_check::check_model`, so the
         // two can never drift.
-        let mut caches = [None; 64];
+        let mut caches = [None; dss_shmem::MAX_PROCS];
         for (id, node) in self.nodes.iter().enumerate() {
             caches[id] = node.l2.peek_state(line);
         }
@@ -211,6 +211,10 @@ impl Machine {
     /// without touching any cache — deliberately breaking coherence so
     /// negative tests can prove the invariant checker fires. Never call this
     /// from simulation code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharers` names a node at or above [`crate::MAX_PROCS`].
     pub fn corrupt_directory_sharers(&mut self, addr: u64, sharers: u64) {
         let line = addr & self.l2_line_mask;
         self.dir.corrupt_sharers(line, sharers);
@@ -220,6 +224,10 @@ impl Machine {
     /// `addr` without touching any cache — the stale-owner counterpart of
     /// [`Machine::corrupt_directory_sharers`], for negative tests and the
     /// fault-injection campaign. Never call this from simulation code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner` is a node at or above [`crate::MAX_PROCS`].
     pub fn corrupt_directory_owner(&mut self, addr: u64, owner: Option<usize>) {
         let line = addr & self.l2_line_mask;
         self.dir.corrupt_owner(line, owner);

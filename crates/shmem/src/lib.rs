@@ -56,8 +56,11 @@ pub const PRIVATE_BASE: u64 = 0x0100_0000_0000;
 /// Distance between consecutive processes' private segments.
 pub const PRIVATE_STRIDE: u64 = 0x0010_0000_0000;
 
-/// Maximum number of simulated processes with private segments.
-pub const MAX_PROCS: usize = 64;
+/// Maximum number of simulated processes with private segments, and so of
+/// simulated processors. It also sizes the simulator's directory slot: a
+/// sharer mask holds one bit per processor, so 16 fits a 4-byte entry.
+/// Widening the machine starts here and at that slot.
+pub const MAX_PROCS: usize = 16;
 
 // Every emulated address must fit a trace event's address field: widening the
 // address space cannot silently outgrow the packed word.
@@ -122,7 +125,7 @@ mod tests {
 
     #[test]
     fn owner_roundtrip() {
-        for p in [0usize, 1, 3, 63] {
+        for p in [0usize, 1, 3, MAX_PROCS - 1] {
             assert_eq!(private_owner(private_base(p)), Some(p));
             assert_eq!(private_owner(private_base(p) + PRIVATE_STRIDE - 1), Some(p));
         }
