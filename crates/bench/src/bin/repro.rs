@@ -25,10 +25,10 @@
 //! completed sweep point as it finishes, plus the streamed-mode block files
 //! (`PATH/traces/`). After a crash — power loss included; the journal is
 //! fsynced record by record — rerunning with `--resume` replays the journal,
-//! skips completed points, and computes only what is missing, recording from
-//! scratch every trace set a remaining point needs (block files are derived
-//! data; whatever the crash left of them is overwritten); stdout is
-//! byte-identical to an uninterrupted run. The manifest carries a
+//! skips completed points, and computes only what is missing, recording
+//! every trace set the uninterrupted run recorded, in its order (block files
+//! are derived data; whatever the crash left of them is overwritten); stdout
+//! is byte-identical to an uninterrupted run. The manifest carries a
 //! fingerprint of the configuration (scale, seed, buffer pool, processor
 //! count), so resuming under different parameters safely starts fresh.
 //! `--resume` without `--state-dir` is a usage error. The journal is also

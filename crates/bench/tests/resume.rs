@@ -6,7 +6,7 @@
 //! The two long contracts are `#[ignore]`d, for `cargo test --release --
 //! --ignored`: the crash campaign (every registered crash site under three
 //! kill schedules) and an SF 0.1 sweep held to its memory and trace-file
-//! bounds and resumed from a kill at a point boundary.
+//! bounds and resumed from two kills at point boundaries.
 
 #![cfg(unix)]
 
@@ -321,16 +321,17 @@ fn every_crash_site_resumes_to_identical_output() {
 /// where materializing the event sets would need tens of GB. A block file is
 /// the packed 8-byte event word plus 24 bytes of framing per block, so
 /// walking every file the run left must find at most 8.1 bytes per event.
-/// The same sweep killed after its fourth journaled point then resumes: exit
-/// 0, stdout byte-identical to the uninterrupted run's, an equal normalized
-/// report, at least the four journaled points served back. The kill lands
-/// in Figure 8's Q3 sweep after Q3's block files are complete; the resume
-/// records that set again rather than reusing it, so every later set meets
-/// the lock-table history an uninterrupted run gives it. (Two Figure 12
-/// shape checks fail at this scale, identically in both runs; this test does
-/// not assert the checks.)
+/// The same sweep is killed twice, after its fourth journaled point (inside
+/// Figure 8's Q3 sweep) and after its fifth (the last of that sweep, so the
+/// journal serves every Q3 point), and each kill resumes: exit 0, stdout
+/// byte-identical to the uninterrupted run's, an equal normalized report, at
+/// least the journaled points served back. A resume records every set the
+/// uninterrupted run recorded, in the same order, so every later set meets
+/// the lock-table history that run gives it. (Two Figure 12 shape checks
+/// fail at this scale, identically in all runs; this test does not assert
+/// the checks.)
 #[test]
-#[ignore = "three SF 0.1 sweeps and ~4 GB of trace files: run with `--release -- --ignored`"]
+#[ignore = "five SF 0.1 sweeps and ~4 GB of trace files: run with `--release -- --ignored`"]
 fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
     const SWEEP: &[&str] = &[
         "fig8",
@@ -404,38 +405,41 @@ fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
         "{bytes} bytes of .trb for {events} events"
     );
 
-    let crash_dir = temp_dir("sf01-crashed");
-    let crashed = repro(
-        SWEEP,
-        &crash_dir,
-        &[],
-        Some(("crash.point.post-journal", 4)),
-    );
-    assert_eq!(
-        crashed.status.signal(),
-        Some(SIGABRT),
-        "{}",
-        stderr_tail(&crashed)
-    );
-    let json = crash_dir.join("bench.json");
-    let resumed = repro(
-        SWEEP,
-        &crash_dir,
-        &["--resume", "--bench-json", &json.display().to_string()],
-        None,
-    );
-    let bench = std::fs::read_to_string(&json);
-    let _ = std::fs::remove_dir_all(&crash_dir);
+    for hits in [4, 5] {
+        let crash_dir = temp_dir(&format!("sf01-crashed-{hits}"));
+        let crashed = repro(
+            SWEEP,
+            &crash_dir,
+            &[],
+            Some(("crash.point.post-journal", hits)),
+        );
+        assert_eq!(
+            crashed.status.signal(),
+            Some(SIGABRT),
+            "{}",
+            stderr_tail(&crashed)
+        );
+        let json = crash_dir.join("bench.json");
+        let resumed = repro(
+            SWEEP,
+            &crash_dir,
+            &["--resume", "--bench-json", &json.display().to_string()],
+            None,
+        );
+        let bench = std::fs::read_to_string(&json);
+        let _ = std::fs::remove_dir_all(&crash_dir);
+        assert!(resumed.status.success(), "{}", stderr_tail(&resumed));
+        let bench = bench.unwrap();
+        assert_eq!(normalize_bench(&bench), normalize_bench(&base_bench));
+        assert!(bench.contains("\"mode\": \"resumed\""), "{bench}");
+        let loaded = points_loaded(&bench);
+        assert!(loaded >= hits, "resume replayed only {loaded} points");
+        assert!(
+            resumed.stdout == baseline.stdout,
+            "killed at journaled point {hits}, resumed stdout differs from the \
+             uninterrupted run's:\n{}",
+            String::from_utf8_lossy(&resumed.stdout)
+        );
+    }
     let _ = std::fs::remove_dir_all(&base_dir);
-    assert!(resumed.status.success(), "{}", stderr_tail(&resumed));
-    let bench = bench.unwrap();
-    assert_eq!(normalize_bench(&bench), normalize_bench(&base_bench));
-    assert!(bench.contains("\"mode\": \"resumed\""), "{bench}");
-    let loaded = points_loaded(&bench);
-    assert!(loaded >= 4, "resume replayed only {loaded} points");
-    assert!(
-        resumed.stdout == baseline.stdout,
-        "resumed stdout differs from the uninterrupted run's:\n{}",
-        String::from_utf8_lossy(&resumed.stdout)
-    );
 }

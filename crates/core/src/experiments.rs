@@ -130,8 +130,7 @@ pub struct ProtocolAblation {
 
 /// One sweep point by value: a fresh machine of `cfg`, optionally warmed by
 /// replaying the `warm` trace set first, then measured over the `measured`
-/// one. Sets are named by `(query, seed_base)` and only generated if the
-/// point has to be simulated.
+/// one. Sets are named by `(query, seed_base)`.
 struct Point {
     label: String,
     cfg: MachineConfig,
@@ -192,9 +191,12 @@ impl Workbench {
 
     /// The point runner: fans labeled points across this workbench's worker
     /// threads and is the one writer of the [`crate::SweepTally`] that
-    /// [`Workbench::take_tally`] drains. A point's traces are generated only
-    /// if it has to be simulated. A panicking point aborts the sweep with
-    /// its own panic once the other workers have finished.
+    /// [`Workbench::take_tally`] drains. A panicking point aborts the sweep
+    /// with its own panic once the other workers have finished.
+    ///
+    /// Every point's sources are taken first, in point order, whatever the
+    /// journal or the cold-point store holds: a resumed run records the
+    /// sets a fresh one does, in the same order.
     ///
     /// With a checkpoint journal attached ([`Workbench::set_checkpoint`]),
     /// points the journal already holds are served from it — no simulation,
@@ -210,6 +212,14 @@ impl Workbench {
     /// thread before the fan-out, counted as `points_reused`, journaled
     /// under its own label.
     fn fan_out_labeled(&mut self, points: Vec<Point>) -> Vec<SimStats> {
+        let tasks: Vec<PointTask> = points
+            .iter()
+            .map(|point| PointTask {
+                cfg: point.cfg.clone(),
+                warm: point.warm.map(|(q, seed_base)| self.source(q, seed_base)),
+                source: self.source(point.measured.0, point.measured.1),
+            })
+            .collect();
         let checkpoint = self.checkpoint.clone();
         // Lookups happen up front on this thread: a point the journal or this
         // workbench's memory already holds never reaches a worker.
@@ -237,23 +247,12 @@ impl Workbench {
         let todo: Vec<usize> = (0..points.len())
             .filter(|&i| results[i].is_none())
             .collect();
-        let tasks: Vec<PointTask> = todo
-            .iter()
-            .map(|&i| PointTask {
-                cfg: points[i].cfg.clone(),
-                warm: points[i]
-                    .warm
-                    .map(|(q, seed_base)| self.source(q, seed_base)),
-                source: self.source(points[i].measured.0, points[i].measured.1),
-            })
-            .collect();
         // Each run yields its stats and how long simulating them took.
         let runs: Vec<_> = todo
             .iter()
-            .zip(&tasks)
-            .map(|(&i, task)| {
+            .map(|&i| {
                 let checkpoint = checkpoint.as_deref();
-                let point = &points[i];
+                let (point, task) = (&points[i], &tasks[i]);
                 move || {
                     #[expect(clippy::disallowed_methods, reason = "times the point for `SweepTally::compute`: stderr and bench-JSON timing only")]
                     let start = Instant::now();
@@ -418,10 +417,7 @@ impl Workbench {
     /// measured set on it, so the three arms are independent sweep points and
     /// fan across up to [`Workbench::jobs`] workers; the within-arm
     /// warm→measured order is what carries the cache-reuse effect and stays
-    /// serial. The measured set is generated once and replayed by every arm
-    /// (generation is history-independent, so this changes nothing but
-    /// wall-clock and allocations). With all three arms journaled, no trace
-    /// is generated at all.
+    /// serial. The measured set is recorded once and replayed by every arm.
     pub fn reuse_experiment(&mut self, query: u8, other: u8) -> ReuseSet {
         let (l1_kb, l2_kb) = REUSE_CACHES_KB;
         let cfg = MachineConfig::baseline().with_cache_sizes(l1_kb * 1024, l2_kb * 1024);
@@ -636,9 +632,26 @@ pub struct StreamRuns {
 /// indices and, for Sequential queries, whole tables — is captured within
 /// each stream, quantifying the paper's Figure 12 upper bound under a
 /// realistic mixed workload and ordinary cache sizes.
+///
+/// Streams are used once, so they are recorded uncached (block files
+/// `streams.q3-6-12.s0` in streamed mode, deleted once replayed) and
+/// replayed like a sweep point.
 pub fn stream_experiment(wb: &mut Workbench, queries: &[u8]) -> StreamRuns {
-    let traces = wb.stream_traces(queries, 0);
-    let stats = Machine::new(MachineConfig::baseline()).run(&traces);
+    let stem = || {
+        let names: Vec<String> = queries.iter().map(u8::to_string).collect();
+        format!("streams.q{}.s0", names.join("-"))
+    };
+    let point = PointTask {
+        cfg: MachineConfig::baseline(),
+        warm: None,
+        source: wb.record_source(queries, 0, stem),
+    };
+    let stats = point.run();
+    if let SimSource::Files(files) = &point.source {
+        for path in files.paths() {
+            let _ = std::fs::remove_file(path);
+        }
+    }
     StreamRuns {
         queries: queries.to_vec(),
         stats,

@@ -7,12 +7,13 @@
 //! into the CC-NUMA memory-hierarchy simulator under each experiment's
 //! machine configuration.
 //!
-//! * [`Workbench`] — database + trace cache (one trace population drives a
-//!   whole parameter sweep, since traces are machine-independent) and the
-//!   experiment methods, one per table/figure of the evaluation. Given a
-//!   spill directory ([`Workbench::set_trace_dir`]) the workbench records
-//!   traces straight to block files and replays them from disk, bounding
-//!   peak memory at any scale. Every sweep point takes one path: a fresh
+//! * [`Workbench`] — database + trace cache (each set recorded once per
+//!   run; one trace population drives a whole parameter sweep, since
+//!   traces are machine-independent) and the experiment methods, one per
+//!   table/figure of the evaluation. Given a spill directory
+//!   ([`Workbench::set_trace_dir`]) the workbench records traces straight
+//!   to block files and replays them from disk, bounding peak memory at any
+//!   scale. Every sweep point takes one path: a fresh
 //!   [`dss_memsim::Machine`] replays its [`SimSource`] — a materialized
 //!   [`TraceSet`] in place ([`dss_memsim::Machine::run`]) or block files a
 //!   block at a time ([`dss_memsim::Machine::run_source`]), the same replay
@@ -26,8 +27,8 @@
 //! * [`CheckpointJournal`] / [`config_fingerprint`] — crash safety and the
 //!   one recovery path: a checksummed, fsynced journal of completed sweep
 //!   points. A crash or a panicking point aborts the run; a resumed run
-//!   replays the journal, recomputes only what is missing (recording from
-//!   scratch any streamed trace set that needs), and renders output
+//!   replays the journal, recomputes only what is missing (recording every
+//!   trace set a fresh run records, in the same order), and renders output
 //!   byte-identical to a fresh run.
 //!
 //! # Example

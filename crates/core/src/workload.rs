@@ -9,7 +9,7 @@ use dss_faultkit::crash::crash_point;
 use dss_memsim::{MachineConfig, SimStats};
 use dss_query::{Database, DbConfig, Session};
 use dss_tpcd::params;
-use dss_trace::{FileTraceSource, Trace, Tracer, DEFAULT_BLOCK_EVENTS};
+use dss_trace::{materialize, FileTraceSource, Trace, Tracer, DEFAULT_BLOCK_EVENTS};
 
 use crate::checkpoint::CheckpointJournal;
 use crate::persist::fsync_dir;
@@ -27,14 +27,6 @@ pub type TraceSet = Arc<[Trace]>;
 /// (*Sequential*), and Q12 (*Sequential* with an index-scanned second table).
 pub const STUDIED_QUERIES: [u8; 3] = [3, 6, 12];
 
-/// Maximum trace sets kept in memory: the reuse experiment touches four
-/// distinct (query, seed) sets per call, and holding all four avoids
-/// regenerating any of them mid-experiment. At SF ≤ 0.03 generation is
-/// history-independent (a test below pins it at SF 0.001), so there the slot
-/// count never changes results — only how often sets are rebuilt. At SF 0.1
-/// it is not: which sets ran before moves a set's lock-table addresses.
-const TRACE_CACHE_SLOTS: usize = 4;
-
 /// How the workbench hands traces to the simulator: the two spellings of
 /// [`Workbench::set_trace_mode`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,7 +38,8 @@ pub enum TraceMode {
     /// Record traces straight to block files under the directory
     /// [`Workbench::set_trace_dir`] names and replay them a block at a time:
     /// peak memory stays bounded by the block size however large the scale
-    /// factor. Results are bit-identical to [`TraceMode::Materialized`].
+    /// factor. Results are bit-identical to [`TraceMode::Materialized`] at
+    /// every scale: both record each set once, in the same order.
     Streamed,
 }
 
@@ -86,7 +79,7 @@ pub fn query_label(q: u8) -> String {
     format!("Q{q}")
 }
 
-/// A built database plus a small cache of generated trace sets.
+/// A built database plus every trace set recorded on it.
 ///
 /// Trace generation follows the paper's methodology: one query of the given
 /// type per processor, each with different TPC-D substitution parameters,
@@ -121,19 +114,17 @@ pub struct Workbench {
     pub db: Database,
     nprocs: usize,
     jobs: usize,
-    /// Materialized sets by `(query, seed_base)`, oldest first: FIFO
-    /// eviction at [`TRACE_CACHE_SLOTS`].
-    sets: Vec<((u8, u64), TraceSet)>,
-    /// Where block files are recorded. `Some` makes every sweep replay block
-    /// files instead of materialized sets.
+    /// Where block files are recorded. `Some` makes every set recorded from
+    /// then on block files instead of a materialized set.
     spill: Option<PathBuf>,
-    /// Block files already recorded this run. Files cost no memory, so
-    /// unlike `sets` this list never evicts.
-    files: Vec<((u8, u64), FileTraceSource)>,
+    /// Every set recorded so far by `(query, seed_base)`, in first-use
+    /// order. It never evicts: recording moves the buffer pool and lock
+    /// tables, so a set recorded twice could differ from itself. A run uses
+    /// at most five sets; block files hold no memory.
+    sources: Vec<((u8, u64), SimSource)>,
     /// Every cold sweep point simulated (or journal-loaded) so far, by value:
-    /// `(query, seed_base, machine, stats)`. A few dozen small records that
-    /// outlive [`Workbench::clear_traces`]; a `Vec` searched by equality, so
-    /// no iteration order exists to leak.
+    /// `(query, seed_base, machine, stats)`. A few dozen small records; a
+    /// `Vec` searched by equality, so no iteration order exists to leak.
     pub(crate) cold_points: Vec<(u8, u64, MachineConfig, SimStats)>,
     /// What the sweeps have done since the last [`Workbench::take_tally`].
     pub(crate) tally: SweepTally,
@@ -160,9 +151,8 @@ impl Workbench {
             db: Database::build(config),
             nprocs,
             jobs,
-            sets: Vec::new(),
             spill: None,
-            files: Vec::new(),
+            sources: Vec::new(),
             cold_points: Vec::new(),
             tally: SweepTally::default(),
             checkpoint: None,
@@ -215,54 +205,27 @@ impl Workbench {
         std::mem::take(&mut self.tally)
     }
 
-    /// Number of trace sets currently cached (bounded by the cache's slot
-    /// count regardless of how many sets were requested).
-    pub fn cached_trace_sets(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Returns (generating and caching on demand) the per-processor traces
-    /// for `query`, with parameter seeds starting at `seed_base`.
+    /// Returns the per-processor traces for `query`, with parameter seeds
+    /// starting at `seed_base`: [`Workbench::source`]'s set, read back from
+    /// disk if it was recorded as block files. Never records a set twice.
     ///
     /// Different `seed_base` values give independent instances of the same
     /// query type — the warm-up runs of the inter-query reuse experiment.
     ///
     /// The returned [`TraceSet`] is immutable and `Send + Sync`: cloning it is
-    /// an `Arc` bump, and clones stay valid (and share one allocation) even
-    /// after the cache evicts the entry.
+    /// an `Arc` bump, and clones share one allocation.
     ///
     /// # Panics
     ///
     /// Panics if the query fails to plan or execute (a bug, since all
-    /// seventeen templates are tested).
+    /// seventeen templates are tested), or if its block files cannot be read.
     pub fn traces(&mut self, query: u8, seed_base: u64) -> TraceSet {
-        let key = (query, seed_base);
-        if let Some((_, set)) = self.sets.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(set);
+        match self.source(query, seed_base) {
+            SimSource::Set(set) => set,
+            SimSource::Files(files) => materialize(&files)
+                .unwrap_or_else(|e| panic!("read back Q{query} (seed {seed_base}): {e}"))
+                .into(),
         }
-        // Bound memory, and evict before recording so the evicted set's
-        // buffers are parked for the new one.
-        while self.sets.len() >= TRACE_CACHE_SLOTS {
-            self.sets.remove(0);
-        }
-        let set: TraceSet = self
-            .record(&[query], seed_base, Tracer::new, |tracer| {
-                let mut trace = tracer.take();
-                // A cached set lives long: hold the events, not whatever
-                // recycled buffer they were recorded into.
-                trace.events.shrink_to_fit();
-                trace
-            })
-            .into();
-        self.sets.push((key, Arc::clone(&set)));
-        set
-    }
-
-    /// Drops all cached traces (frees memory between experiment suites).
-    /// Block files stay on disk and stay cached — they hold no memory — and
-    /// so do the cold sweep points already simulated.
-    pub fn clear_traces(&mut self) {
-        self.sets.clear();
     }
 
     /// Selects materialized or streamed trace delivery (see [`TraceMode`]).
@@ -285,7 +248,8 @@ impl Workbench {
     }
 
     /// Makes every sweep replay block files recorded under `dir` instead of
-    /// materialized sets. Takes effect for sets not yet recorded.
+    /// materialized sets. Takes effect for sets not yet recorded: a recorded
+    /// set is served as it was recorded.
     pub fn set_trace_dir(&mut self, dir: PathBuf) {
         self.spill = Some(dir);
     }
@@ -297,50 +261,75 @@ impl Workbench {
         self.checkpoint = Some(Arc::new(Mutex::new(journal)));
     }
 
-    /// Returns the trace population for `query`: per-processor block files
-    /// once [`Workbench::set_trace_dir`] has named a directory (recorded on
-    /// first request), otherwise a cheap clone of the materialized set.
+    /// Returns the trace population for `query`, with parameter seeds
+    /// starting at `seed_base`, recording it on first request: block files
+    /// if [`Workbench::set_trace_dir`] has named a directory, otherwise a
+    /// materialized set. The one way a set gets recorded, and it records
+    /// each `(query, seed_base)` at most once per workbench.
     ///
     /// # Panics
     ///
     /// Panics if the query fails, or on an I/O failure while recording the
     /// block files.
     pub fn source(&mut self, query: u8, seed_base: u64) -> SimSource {
-        if self.spill.is_some() {
-            SimSource::Files(self.trace_files(query, seed_base))
-        } else {
-            SimSource::Set(self.traces(query, seed_base))
+        let key = (query, seed_base);
+        if let Some((_, src)) = self.sources.iter().find(|(k, _)| *k == key) {
+            return src.clone();
         }
+        let src = self.record_source(&[query], seed_base, || format!("q{query}.s{seed_base}"));
+        self.sources.push((key, src.clone()));
+        src
     }
 
     /// Returns (recording on first request) per-processor block files for
     /// `query`, with parameter seeds starting at `seed_base`, under the
-    /// directory [`Workbench::set_trace_dir`] named.
-    ///
-    /// Each processor's query runs with a sinked [`Tracer`] draining event
-    /// blocks straight to disk, so recording holds at most one block per
-    /// processor in memory — this is the generation half of the
-    /// bounded-memory pipeline. A block file is derived data, a pure
-    /// function of the configuration, query, seed and processor, so every
-    /// set is recorded from scratch the first time this workbench asks for
-    /// it: whatever an earlier (perhaps killed) run left at the path is
-    /// overwritten. Files are fsynced on completion.
+    /// directory [`Workbench::set_trace_dir`] named: [`Workbench::source`]'s
+    /// files.
     ///
     /// # Panics
     ///
-    /// Panics if no directory is set, if the query fails to plan or execute,
-    /// or on an I/O failure.
+    /// Panics before recording anything if no directory is set, and if the
+    /// set was recorded in memory before one was. Otherwise as
+    /// [`Workbench::source`].
     pub fn trace_files(&mut self, query: u8, seed_base: u64) -> FileTraceSource {
-        let key = (query, seed_base);
-        if let Some((_, src)) = self.files.iter().find(|(k, _)| *k == key) {
-            return src.clone();
-        }
+        assert!(
+            self.spill.is_some(),
+            "block files need a directory: call set_trace_dir first"
+        );
+        let SimSource::Files(files) = self.source(query, seed_base) else {
+            panic!("Q{query} (seed {seed_base}) was recorded in memory before set_trace_dir");
+        };
+        files
+    }
+
+    /// Records `queries` (see `Workbench::record`), uncached: block files
+    /// named by `stem()` under the spill directory if one is set, otherwise
+    /// a materialized set.
+    ///
+    /// Each processor's query runs with a sinked [`Tracer`] draining event
+    /// blocks straight to disk, so recording holds at most one block per
+    /// processor in memory. A block file is derived data, so whatever an
+    /// earlier (perhaps killed) run left at the path is overwritten. Files
+    /// are fsynced on completion.
+    pub(crate) fn record_source(
+        &mut self,
+        queries: &[u8],
+        seed_base: u64,
+        stem: impl FnOnce() -> String,
+    ) -> SimSource {
         let Some(dir) = self.spill.clone() else {
-            panic!("block files need a directory: call set_trace_dir first");
+            let set = self.record(queries, seed_base, Tracer::new, |tracer| {
+                let mut trace = tracer.take();
+                // A recorded set lives long: hold the events, not whatever
+                // recycled buffer they were recorded into.
+                trace.events.shrink_to_fit();
+                trace
+            });
+            return SimSource::Set(set.into());
         };
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("create trace dir {}: {e}", dir.display()));
-        let stem = format!("q{query}.s{seed_base}");
+        let stem = stem();
         let paths: Vec<PathBuf> = (0..self.nprocs)
             .map(|p| FileTraceSource::proc_path(&dir, &stem, p))
             .collect();
@@ -352,7 +341,7 @@ impl Workbench {
             Tracer::with_sink(p, DEFAULT_BLOCK_EVENTS, sink)
                 .unwrap_or_else(|e| panic!("trace sink {}: {e}", path.display()))
         };
-        self.record(&[query], seed_base, open, |tracer| {
+        self.record(queries, seed_base, open, |tracer| {
             crash_point("crash.trace.pre-finish");
             // Writes the end marker and fsyncs the file (see `BlockFile`)
             // before anything records it as usable.
@@ -361,20 +350,7 @@ impl Workbench {
                 .unwrap_or_else(|e| panic!("finish {}: {e}", paths[tracer.proc_id()].display()));
         });
         fsync_dir(Some(&dir)).unwrap_or_else(|e| panic!("fsync dir {}: {e}", dir.display()));
-        let src = FileTraceSource::new(paths);
-        self.files.push((key, src.clone()));
-        src
-    }
-
-    /// Generates per-processor traces where each processor runs a *stream*
-    /// of queries back to back in one session (uncached: streams are used
-    /// once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query fails.
-    pub fn stream_traces(&mut self, queries: &[u8], seed_base: u64) -> Vec<Trace> {
-        self.record(queries, seed_base, Tracer::new, |tracer| tracer.take())
+        SimSource::Files(FileTraceSource::new(paths))
     }
 
     /// The one recording loop: processor `p` runs `queries` back to back in
@@ -445,29 +421,29 @@ mod tests {
         let b = wb.traces(6, 0);
         assert!(Arc::ptr_eq(&a, &b), "second request served from cache");
         let _c = wb.traces(6, 100);
-        let _d = wb.traces(3, 0); // evicts the oldest
-        assert!(wb.sets.len() <= TRACE_CACHE_SLOTS);
+        let _d = wb.traces(3, 0);
+        // One entry per distinct set, and the first is never evicted.
+        assert_eq!(wb.sources.len(), 3);
+        assert!(Arc::ptr_eq(&a, &wb.traces(6, 0)));
+        assert_eq!(wb.sources.len(), 3);
     }
 
     #[test]
     fn cached_sets_hold_exactly_their_events() {
         // On a thread of its own: which buffers a recording finds parked is
-        // per-thread state, and here it must be this test's evicted set.
+        // per-thread state, and here it must be this test's dropped trace.
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut wb = tiny(2);
-                // One set more than the cache holds: the last is recorded
-                // into the buffers the evicted first set left behind.
-                for set in 0..=TRACE_CACHE_SLOTS as u64 {
-                    wb.traces(6, 100 * set);
-                }
-                assert_eq!(wb.sets.len(), TRACE_CACHE_SLOTS);
-                assert!(wb.sets.iter().all(|(key, _)| *key != (6, 0)));
-                for (key, set) in &wb.sets {
-                    for t in set.iter() {
-                        assert!(!t.is_empty());
-                        assert_eq!(t.events.capacity(), t.len(), "{key:?}");
-                    }
+                // A dropped trace parks a buffer far larger than the set
+                // needs, and the first processor records into it.
+                drop(Trace {
+                    proc_id: 0,
+                    events: Vec::with_capacity(1 << 22),
+                });
+                for t in wb.traces(6, 0).iter() {
+                    assert!(!t.is_empty());
+                    assert_eq!(t.events.capacity(), t.len(), "proc {}", t.proc_id);
                 }
             });
         });
@@ -477,9 +453,9 @@ mod tests {
     fn trace_sets_outlive_eviction_and_cross_threads() {
         let mut wb = tiny(2);
         let a = wb.traces(6, 0);
-        wb.clear_traces();
-        // The evicted set is still alive through our clone, and usable from
-        // another thread (TraceSet: Send + Sync).
+        drop(wb);
+        // The set is still alive through our clone once its workbench is
+        // gone, and usable from another thread (TraceSet: Send + Sync).
         let events = std::thread::scope(|s| {
             let a = &a;
             s.spawn(move || a.iter().map(|t| t.events.len()).sum::<usize>())
@@ -503,32 +479,30 @@ mod tests {
 
     #[test]
     fn regeneration_is_history_independent() {
-        // The streaming redesign leans on this invariant: a (query, seed)
-        // pair generates the same trace no matter what ran before it, so
-        // cache-eviction order, cache sizing, and streamed-vs-materialized
-        // generation order can never change simulation results.
-        let mut wb = tiny(2);
-        let a = wb.traces(6, 0);
-        let _ = wb.traces(3, 0);
-        let _ = wb.traces(12, 0);
-        wb.clear_traces();
-        let b = wb.traces(6, 0);
-        assert_eq!(a[..], b[..], "regenerated traces must be identical");
+        // At this scale a (query, seed) pair generates the same trace no
+        // matter which sets a workbench recorded before it. At SF 0.1 it
+        // does not, which is why a workbench records each set once.
+        let a = tiny(2).traces(6, 0);
+        let mut after = tiny(2);
+        let _ = after.traces(3, 0);
+        let _ = after.traces(12, 0);
+        let b = after.traces(6, 0);
+        assert_eq!(a[..], b[..], "same traces whatever was recorded first");
     }
 
     #[test]
     fn streamed_files_replay_the_materialized_events() {
-        use dss_trace::materialize;
-
         let mut wb = tiny(2);
         let dir = std::env::temp_dir().join(format!("dss-wb-stream-{}", std::process::id()));
         wb.set_trace_dir(dir.clone());
         let files = wb.trace_files(6, 0);
         let replayed = materialize(&files).unwrap();
-        let in_memory = wb.traces(6, 0);
+        let in_memory = tiny(2).traces(6, 0);
         assert_eq!(replayed[..], in_memory[..], "same events either way");
-        // Second request reuses the recorded files.
+        // Second request reuses the recorded files, and `traces` reads
+        // them back rather than recording again.
         assert_eq!(files.paths(), wb.trace_files(6, 0).paths());
+        assert_eq!(wb.traces(6, 0)[..], in_memory[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -540,7 +514,11 @@ mod tests {
         wb.set_trace_dir(dir.clone());
         assert!(matches!(wb.source(6, 0), SimSource::Files(_)));
         wb.set_trace_mode(TraceMode::Materialized);
-        assert!(matches!(wb.source(6, 0), SimSource::Set(_)));
+        assert!(
+            matches!(wb.source(6, 0), SimSource::Files(_)),
+            "a recorded set is served as it was recorded"
+        );
+        assert!(matches!(wb.source(3, 0), SimSource::Set(_)));
         let _ = std::fs::remove_dir_all(&dir);
         // Streamed only confirms a directory; with none set it is a bug.
         wb.set_trace_mode(TraceMode::Streamed);

@@ -1,8 +1,11 @@
 //! Determinism regression tests for the parallel experiment harness: any
 //! `--jobs` value must reproduce the serial results bit for bit, and the
-//! shared-trace cache must stay bounded while handles circulate. Each side
-//! of a comparison gets its own workbench: a second identical sweep on one
-//! workbench is served from memory (`tests/point_reuse.rs`), not simulated.
+//! shared-trace cache must record each set once however sweeps use it.
+//! Each side of a comparison gets its own workbench: a second identical
+//! sweep on one workbench is served from memory (`tests/point_reuse.rs`),
+//! not simulated.
+
+use std::sync::Arc;
 
 use dss_core::{TraceMode, Workbench};
 
@@ -59,19 +62,18 @@ fn block_file_sweep_matches_the_materialized_one_at_any_job_count() {
 
 #[test]
 fn trace_cache_stays_bounded_under_method_sweeps() {
+    // The cache is bounded by the sets a run uses: each is recorded once.
     let mut wb = Workbench::small();
-    // Hold live handles across evictions: the Arc keeps each set alive for
-    // its user while the workbench's cache stays within its slot budget.
     let held = [wb.traces(3, 0), wb.traces(6, 0), wb.traces(12, 0)];
-    let _ = wb.line_size_sweep(6);
-    let _ = wb.baseline_suite(&[3, 12]);
-    assert!(
-        wb.cached_trace_sets() <= 4,
-        "cache kept {} sets",
-        wb.cached_trace_sets()
-    );
-    for t in &held {
-        assert!(!t.is_empty(), "evicted sets stay usable through their Arc");
+    // Two more sets, (3, 1000) and (12, 1000): five in all, and none of
+    // the first three is recorded again.
+    let _ = wb.baseline_suite(&[3, 6, 12]);
+    let _ = wb.reuse_experiment(3, 12);
+    for (set, q) in held.iter().zip([3, 6, 12]) {
+        assert!(
+            Arc::ptr_eq(set, &wb.traces(q, 0)),
+            "Q{q}'s set was recorded again"
+        );
     }
 }
 

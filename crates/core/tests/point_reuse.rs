@@ -77,8 +77,6 @@ fn one_workbench_equals_three_and_simulates_the_baseline_once() {
         assert_eq!(counts(one), (0, 0, 5));
         let sizes = one.cache_size_sweep(6);
         assert_eq!(counts(one), (0, 1, 3), "the 4 KB / 128 KB point");
-        // The reuse store holds stats, not traces.
-        one.clear_traces();
         let pair = one.prefetch_experiment(6);
         assert_eq!(counts(one), (0, 1, 1), "the prefetch=0 point");
 

@@ -3,7 +3,8 @@
 //! results are identical to freshly computed ones — the invariant the
 //! byte-identical `repro --resume` output rests on. The journal is also the
 //! one recovery path from a failing point: the run aborts with the point's
-//! own panic, and a resume computes only what the journal lacks.
+//! own panic, and a resume computes only what the journal lacks while
+//! recording every trace set a fresh run records.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -184,6 +185,39 @@ fn reuse_experiment_is_served_from_the_journal() {
     assert_eq!(fresh.cold, resumed.cold);
     assert_eq!(fresh.warm_same, resumed.warm_same);
     assert_eq!(fresh.warm_other, resumed.warm_other);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resume_records_what_a_fresh_run_records() {
+    // Recording moves the buffer pool and lock tables, so a resume records
+    // every set the fresh run did, even one whose points are all journaled.
+    let dir = temp_dir("records");
+    let (manifest, traces) = (dir.join("manifest.ckpt"), dir.join("traces"));
+    let fp = config_fingerprint(&config(), 2);
+    let streamed = |journal| {
+        let mut wb = Workbench::new(&config(), 2).with_jobs(2);
+        wb.set_trace_dir(traces.clone());
+        wb.set_checkpoint(journal);
+        wb
+    };
+
+    let mut fresh = streamed(CheckpointJournal::create(&manifest, fp).unwrap());
+    let _ = fresh.line_size_sweep(6);
+    let paths = fresh.trace_files(6, 0).paths().to_vec();
+    let recorded: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    std::fs::remove_dir_all(&traces).unwrap();
+
+    let mut resumed = streamed(CheckpointJournal::resume(&manifest, fp).unwrap());
+    let _ = resumed.line_size_sweep(6);
+    assert_eq!(counts(&mut resumed), (5, 0), "all five points loaded");
+    for (path, bytes) in paths.iter().zip(&recorded) {
+        assert!(
+            std::fs::read(path).is_ok_and(|b| b == *bytes),
+            "{} is not the fresh run's file",
+            path.display()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
