@@ -22,15 +22,18 @@
 //!
 //! The run is crash-safe when given a state directory: `--state-dir PATH`
 //! keeps a checkpoint manifest (`PATH/manifest.ckpt`) journaling every
-//! completed sweep point as it finishes, plus the streamed-mode block files
-//! (`PATH/traces/`). After a crash — power loss included; the journal is
-//! fsynced record by record — rerunning with `--resume` replays the journal,
-//! skips completed points, and computes only what is missing, recording
-//! every trace set the uninterrupted run recorded, in its order (block files
-//! are derived data; whatever the crash left of them is overwritten); stdout
-//! is byte-identical to an uninterrupted run. The manifest carries a
-//! fingerprint of the configuration (scale, seed, buffer pool, processor
-//! count), so resuming under different parameters safely starts fresh.
+//! completed sweep point as it finishes. After a crash — power loss
+//! included; the journal is fsynced record by record — rerunning with
+//! `--resume` replays the journal, skips completed points, and computes only
+//! what is missing, recording every trace set the uninterrupted run
+//! recorded, in its order; stdout is byte-identical to an uninterrupted run.
+//! Streamed-mode block files are scratch that lives for one run: they go
+//! under `PATH/traces/` (without a state dir, a per-process temp dir), and
+//! the directory is removed when the run ends, a killed run's leftovers
+//! with it, so a finished run leaves the manifest alone. The manifest
+//! carries a fingerprint of the configuration (scale, seed, buffer pool,
+//! processor count), so resuming under different parameters safely starts
+//! fresh.
 //! `--resume` without `--state-dir` is a usage error. The journal is also
 //! the one recovery path from a failing sweep point: a point that panics has
 //! hit a bug, and aborts the run with its panic message; `--resume` then
@@ -284,7 +287,8 @@ impl BenchLog {
     }
 }
 
-/// A directory of block files that no later run reads, removed on drop.
+/// A directory of block files that no later run reads, removed on drop:
+/// when `main` returns, or as a panicking point unwinds it.
 struct ScratchDir(PathBuf);
 
 impl Drop for ScratchDir {
@@ -586,28 +590,23 @@ fn main() {
     if let Some(n) = jobs {
         wb.set_jobs(n);
     }
-    // Block files live under the state dir (`traces/`), else in a scratch
-    // dir deleted at exit, or as a panicking point unwinds `main`.
-    let mut scratch_dir = None;
+    // Block files go under the state dir (`traces/`), else in a per-process
+    // temp dir. Either way they live for this run only: the guard removes
+    // the directory at the end, with whatever a killed run left there.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "names a scratch directory; the diffed artifact is the files' contents"
+    )]
+    let scratch_dir = ScratchDir(match &state_dir {
+        Some(state) => Path::new(state).join("traces"),
+        None => std::env::temp_dir().join(format!("dss-repro-traces-{}", std::process::id())),
+    });
     if trace_mode == TraceMode::Streamed {
-        let dir = match &state_dir {
-            Some(state) => Path::new(state).join("traces"),
-            None => {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "names a scratch directory; the diffed artifact is the files' contents"
-                )]
-                let dir =
-                    std::env::temp_dir().join(format!("dss-repro-traces-{}", std::process::id()));
-                scratch_dir = Some(ScratchDir(dir.clone()));
-                dir
-            }
-        };
         eprintln!(
             "trace mode: streamed (block files under {}, replayed from disk)",
-            dir.display()
+            scratch_dir.0.display()
         );
-        wb.set_trace_dir(dir);
+        wb.set_trace_dir(scratch_dir.0.clone());
     }
     let mut resume_mode = "fresh";
     if let Some(dir) = &state_dir {
@@ -617,16 +616,12 @@ fn main() {
             std::process::exit(1);
         }
         let manifest = dir.join("manifest.ckpt");
-        let traces = dir.join("traces");
         let fingerprint = config_fingerprint(&config, wb.nprocs());
         let journal = if resume.is_some() {
             match CheckpointJournal::resume(&manifest, fingerprint) {
                 Ok(j) => {
                     if let Some(reason) = j.fresh_reason() {
-                        // The old state answers a different experiment (or
-                        // does not exist); its trace files are stale too.
                         eprintln!("resume: starting fresh — {reason}");
-                        let _ = std::fs::remove_dir_all(&traces);
                     } else {
                         eprintln!(
                             "resume: {} completed point(s) journaled in {}",
@@ -643,8 +638,6 @@ fn main() {
                 }
             }
         } else {
-            // A fresh run owns the state dir outright: discard any leftovers.
-            let _ = std::fs::remove_dir_all(&traces);
             match CheckpointJournal::create(&manifest, fingerprint) {
                 Ok(j) => j,
                 Err(e) => {

@@ -165,6 +165,12 @@ fn crashed_sweep_resumes_to_identical_stdout() {
     // At least the points journaled before the kill were served back.
     let loaded = points_loaded(&bench);
     assert!(loaded >= 3, "expected >=3 journaled points, got {loaded}");
+    // Block files live for one run: the resume removed its own and the ones
+    // the killed run left.
+    assert!(
+        !crash_dir.join("traces").exists(),
+        "block files left behind"
+    );
 
     let _ = std::fs::remove_dir_all(&base_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
@@ -175,6 +181,12 @@ fn completed_sweep_resumes_as_pure_replay() {
     let dir = temp_dir("replay");
     let first = repro(ARGS, &dir, &[], None);
     assert!(first.status.success());
+    // A finished run leaves its journal and nothing else.
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["manifest.ckpt"], "block files left behind");
 
     let json = dir.join("bench.json");
     let replay = repro(
@@ -320,7 +332,8 @@ fn every_crash_site_resumes_to_identical_output() {
 /// its shared mapping is ~0.7 GB, so 2 GiB bounds the trace overhead on top,
 /// where materializing the event sets would need tens of GB. A block file is
 /// the packed 8-byte event word plus 24 bytes of framing per block, so
-/// walking every file the run left must find at most 8.1 bytes per event.
+/// walking every file the killed runs left must find at most 8.1 bytes per
+/// event, each read cleanly to its end marker; the resumes remove them.
 /// The same sweep is killed twice, after its fourth journaled point (inside
 /// Figure 8's Q3 sweep) and after its fifth (the last of that sweep, so the
 /// journal serves every Q3 point), and each kill resumes: exit 0, stdout
@@ -371,40 +384,10 @@ fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
         );
     }
 
-    let traces = base_dir.join("traces");
+    assert!(!base_dir.join("traces").exists(), "block files left behind");
+
     let (mut events, mut bytes) = (0u64, 0u64);
     let mut block = Vec::new();
-    for entry in std::fs::read_dir(&traces).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_none_or(|x| x != "trb") {
-            continue;
-        }
-        bytes += std::fs::metadata(&path).unwrap().len();
-        let mut file = BufReader::new(File::open(&path).unwrap());
-        let mut reader =
-            BlockReader::new(&mut file).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        loop {
-            match reader.next_block(&mut block) {
-                Ok(0) => break,
-                Ok(n) => events += n as u64,
-                Err(e) => panic!("{}: {e}", path.display()),
-            }
-        }
-        assert_eq!(
-            file.read(&mut [0u8; 1]).unwrap(),
-            0,
-            "{}: bytes after the end marker",
-            path.display()
-        );
-    }
-    // The trace files are ~4 GB: gone before the next sweep writes its own.
-    let _ = std::fs::remove_dir_all(&traces);
-    assert!(events > 0, "no block files recorded");
-    assert!(
-        bytes * 10 <= events * 81,
-        "{bytes} bytes of .trb for {events} events"
-    );
-
     for hits in [4, 5] {
         let crash_dir = temp_dir(&format!("sf01-crashed-{hits}"));
         let crashed = repro(
@@ -419,6 +402,31 @@ fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
             "{}",
             stderr_tail(&crashed)
         );
+        // The kill lands at a point boundary, so every set it recorded is
+        // whole.
+        for entry in std::fs::read_dir(crash_dir.join("traces")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|x| x != "trb") {
+                continue;
+            }
+            bytes += std::fs::metadata(&path).unwrap().len();
+            let mut file = BufReader::new(File::open(&path).unwrap());
+            let mut reader =
+                BlockReader::new(&mut file).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            loop {
+                match reader.next_block(&mut block) {
+                    Ok(0) => break,
+                    Ok(n) => events += n as u64,
+                    Err(e) => panic!("{}: {e}", path.display()),
+                }
+            }
+            assert_eq!(
+                file.read(&mut [0u8; 1]).unwrap(),
+                0,
+                "{}: bytes after the end marker",
+                path.display()
+            );
+        }
         let json = crash_dir.join("bench.json");
         let resumed = repro(
             SWEEP,
@@ -427,8 +435,10 @@ fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
             None,
         );
         let bench = std::fs::read_to_string(&json);
+        let traces_left = crash_dir.join("traces").exists();
         let _ = std::fs::remove_dir_all(&crash_dir);
         assert!(resumed.status.success(), "{}", stderr_tail(&resumed));
+        assert!(!traces_left, "block files left behind");
         let bench = bench.unwrap();
         assert_eq!(normalize_bench(&bench), normalize_bench(&base_bench));
         assert!(bench.contains("\"mode\": \"resumed\""), "{bench}");
@@ -441,5 +451,10 @@ fn sf_0_1_sweep_stays_bounded_and_resumes_from_a_kill() {
             String::from_utf8_lossy(&resumed.stdout)
         );
     }
+    assert!(events > 0, "no block files recorded");
+    assert!(
+        bytes * 10 <= events * 81,
+        "{bytes} bytes of .trb for {events} events"
+    );
     let _ = std::fs::remove_dir_all(&base_dir);
 }

@@ -2,7 +2,7 @@
 //!
 //! A long `repro` campaign dies with the process today unless every
 //! completed sweep point survives it. The journal is an append-only manifest
-//! next to the streamed trace files: one checksummed line per completed
+//! in the run's state directory: one checksummed line per completed
 //! point carrying the point's label, seed, a digest of its serialized
 //! [`SimStats`], and the full stats record itself — enough for a resumed run
 //! to *skip the simulation and still render byte-identical output*. Records
@@ -16,8 +16,8 @@
 //! recomputing), every line must match its own FNV-1a checksum, and the
 //! stats digest must match the parsed record. A torn tail — the half-written
 //! line a crash inside an append leaves behind — simply ends the replay at
-//! the last valid record. The journal is the only resume state: trace files
-//! are derived data, recorded again whenever a resumed run needs them.
+//! the last valid record. The journal is the only resume state: block files
+//! live for one run, and a resumed run records every set it needs afresh.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -46,10 +46,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Fingerprints the configuration a journal's results are valid for: the
 /// database parameters and the processor count, plus the journal format
-/// version and the format of the trace files the journal sits beside.
-/// Resuming under a different fingerprint discards the journal — its
-/// results answer a different experiment, or its block files are ones this
-/// build cannot read.
+/// version and the block-file format (a term kept so that journals written
+/// by earlier builds keep their fingerprint). Resuming under a different
+/// fingerprint discards the journal: its results answer a different
+/// experiment.
 pub fn config_fingerprint(config: &DbConfig, nprocs: usize) -> u64 {
     let mut h = fnv1a(JOURNAL_MAGIC.as_bytes()) ^ fnv1a(dss_trace::BLOCK_MAGIC).rotate_left(32);
     for word in [
@@ -114,8 +114,7 @@ impl CheckpointJournal {
     /// onto the fragment), then keeps writing from there. A missing journal,
     /// an unreadable header, or a fingerprint mismatch is not an error — the
     /// journal is recreated fresh and [`CheckpointJournal::fresh_reason`]
-    /// says why, so the caller can also discard any sibling state (stale
-    /// trace files) the old journal vouched for.
+    /// says why.
     ///
     /// # Errors
     ///
@@ -198,9 +197,8 @@ impl CheckpointJournal {
         self.replayed
     }
 
-    /// Why [`CheckpointJournal::resume`] had to start fresh, if it did. A
-    /// caller resuming trace files alongside the journal must treat this as
-    /// "discard everything" — the old state answers a different experiment.
+    /// Why [`CheckpointJournal::resume`] had to start fresh, if it did: the
+    /// old journal answers a different experiment, or there is none.
     pub fn fresh_reason(&self) -> Option<&str> {
         self.fresh_reason.as_deref()
     }

@@ -12,7 +12,6 @@ use dss_tpcd::params;
 use dss_trace::{materialize, FileTraceSource, Trace, Tracer, DEFAULT_BLOCK_EVENTS};
 
 use crate::checkpoint::CheckpointJournal;
-use crate::persist::fsync_dir;
 
 /// A shared, immutable set of per-processor traces.
 ///
@@ -276,41 +275,31 @@ impl Workbench {
         if let Some((_, src)) = self.sources.iter().find(|(k, _)| *k == key) {
             return src.clone();
         }
-        let src = self.record_source(&[query], seed_base, || format!("q{query}.s{seed_base}"));
+        let src = if self.spill.is_some() {
+            self.record_source(&[query], seed_base, || format!("q{query}.s{seed_base}"))
+        } else {
+            let set = self.record(&[query], seed_base, Tracer::new, |tracer| {
+                let mut trace = tracer.take();
+                // A cached set lives long: hold the events, not whatever
+                // recycled buffer they were recorded into.
+                trace.events.shrink_to_fit();
+                trace
+            });
+            SimSource::Set(set.into())
+        };
         self.sources.push((key, src.clone()));
         src
     }
 
-    /// Returns (recording on first request) per-processor block files for
-    /// `query`, with parameter seeds starting at `seed_base`, under the
-    /// directory [`Workbench::set_trace_dir`] named: [`Workbench::source`]'s
-    /// files.
-    ///
-    /// # Panics
-    ///
-    /// Panics before recording anything if no directory is set, and if the
-    /// set was recorded in memory before one was. Otherwise as
-    /// [`Workbench::source`].
-    pub fn trace_files(&mut self, query: u8, seed_base: u64) -> FileTraceSource {
-        assert!(
-            self.spill.is_some(),
-            "block files need a directory: call set_trace_dir first"
-        );
-        let SimSource::Files(files) = self.source(query, seed_base) else {
-            panic!("Q{query} (seed {seed_base}) was recorded in memory before set_trace_dir");
-        };
-        files
-    }
-
     /// Records `queries` (see `Workbench::record`), uncached: block files
     /// named by `stem()` under the spill directory if one is set, otherwise
-    /// a materialized set.
+    /// a materialized set held in whatever buffers it was recorded into.
     ///
     /// Each processor's query runs with a sinked [`Tracer`] draining event
     /// blocks straight to disk, so recording holds at most one block per
-    /// processor in memory. A block file is derived data, so whatever an
-    /// earlier (perhaps killed) run left at the path is overwritten. Files
-    /// are fsynced on completion.
+    /// processor in memory. Block files are scratch for this process: no
+    /// later run reads them, so they are not fsynced, and whatever an
+    /// earlier (perhaps killed) run left at the path is overwritten.
     pub(crate) fn record_source(
         &mut self,
         queries: &[u8],
@@ -318,13 +307,7 @@ impl Workbench {
         stem: impl FnOnce() -> String,
     ) -> SimSource {
         let Some(dir) = self.spill.clone() else {
-            let set = self.record(queries, seed_base, Tracer::new, |tracer| {
-                let mut trace = tracer.take();
-                // A recorded set lives long: hold the events, not whatever
-                // recycled buffer they were recorded into.
-                trace.events.shrink_to_fit();
-                trace
-            });
+            let set = self.record(queries, seed_base, Tracer::new, |tracer| tracer.take());
             return SimSource::Set(set.into());
         };
         std::fs::create_dir_all(&dir)
@@ -342,14 +325,13 @@ impl Workbench {
                 .unwrap_or_else(|e| panic!("trace sink {}: {e}", path.display()))
         };
         self.record(queries, seed_base, open, |tracer| {
+            // A kill here leaves a file without its end marker.
             crash_point("crash.trace.pre-finish");
-            // Writes the end marker and fsyncs the file (see `BlockFile`)
-            // before anything records it as usable.
+            // Writes the end marker and flushes the file.
             tracer
                 .finish_sink()
                 .unwrap_or_else(|e| panic!("finish {}: {e}", paths[tracer.proc_id()].display()));
         });
-        fsync_dir(Some(&dir)).unwrap_or_else(|e| panic!("fsync dir {}: {e}", dir.display()));
         SimSource::Files(FileTraceSource::new(paths))
     }
 
@@ -385,7 +367,7 @@ impl Workbench {
 /// A block file beneath a recording sink's [`BufWriter`]. Every write syscall
 /// arms the `crash.trace.block-write` crash site — the crash campaign's way
 /// of dying inside a block flush; unarmed, that is one relaxed atomic load
-/// per flush. A flush, which the sink issues once when it finishes, fsyncs.
+/// per flush.
 struct BlockFile(std::fs::File);
 
 impl Write for BlockFile {
@@ -395,7 +377,7 @@ impl Write for BlockFile {
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.0.sync_all()
+        self.0.flush()
     }
 }
 
@@ -495,13 +477,15 @@ mod tests {
         let mut wb = tiny(2);
         let dir = std::env::temp_dir().join(format!("dss-wb-stream-{}", std::process::id()));
         wb.set_trace_dir(dir.clone());
-        let files = wb.trace_files(6, 0);
+        let SimSource::Files(files) = wb.source(6, 0) else {
+            panic!("a spill directory records block files");
+        };
         let replayed = materialize(&files).unwrap();
         let in_memory = tiny(2).traces(6, 0);
         assert_eq!(replayed[..], in_memory[..], "same events either way");
         // Second request reuses the recorded files, and `traces` reads
         // them back rather than recording again.
-        assert_eq!(files.paths(), wb.trace_files(6, 0).paths());
+        assert!(matches!(wb.source(6, 0), SimSource::Files(f) if f.paths() == files.paths()));
         assert_eq!(wb.traces(6, 0)[..], in_memory[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -535,7 +519,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut wb = Workbench::new(&config, 3);
         wb.set_trace_dir(dir.clone());
-        let paths = wb.trace_files(6, 0).paths().to_vec();
+        let SimSource::Files(files) = wb.source(6, 0) else {
+            panic!("a spill directory records block files");
+        };
+        let paths = files.paths().to_vec();
         let whole: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
         // What an interrupted run may leave: proc 0's file torn mid-block,
         // proc 1's complete but followed by bytes no reader looks at, and
@@ -553,7 +540,7 @@ mod tests {
 
         let mut wb2 = Workbench::new(&config, 3);
         wb2.set_trace_dir(dir.clone());
-        let _ = wb2.trace_files(6, 0);
+        let _ = wb2.source(6, 0);
         for (p, path) in paths.iter().enumerate() {
             assert_eq!(
                 std::fs::read(path).unwrap(),

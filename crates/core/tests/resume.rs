@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dss_core::{config_fingerprint, CheckpointJournal, SweepTally, Workbench};
+use dss_core::{config_fingerprint, CheckpointJournal, SimSource, SweepTally, Workbench};
 use dss_query::DbConfig;
 
 fn config() -> DbConfig {
@@ -25,6 +25,15 @@ fn config() -> DbConfig {
 fn counts(wb: &mut Workbench) -> (u64, u64) {
     let tally = wb.take_tally();
     (tally.points_loaded, tally.points_computed)
+}
+
+/// The block files of `wb`'s `(query, seed_base)` set, recorded on first
+/// request under the directory `wb` spills to.
+fn block_files(wb: &mut Workbench, query: u8, seed_base: u64) -> Vec<PathBuf> {
+    match wb.source(query, seed_base) {
+        SimSource::Files(files) => files.paths().to_vec(),
+        SimSource::Set(_) => panic!("a spill directory records block files"),
+    }
 }
 
 #[expect(clippy::unwrap_used, reason = "scratch directories must exist")]
@@ -136,7 +145,7 @@ fn a_corrupt_block_file_aborts_the_run_and_a_resume_redoes_only_its_point() {
     // first block's count and chunk words.
     let mut wb = streamed();
     wb.set_checkpoint(CheckpointJournal::create(&manifest, fp).unwrap());
-    let warm = wb.trace_files(3, 1000).paths()[0].clone();
+    let warm = block_files(&mut wb, 3, 1000)[0].clone();
     let mut bytes = std::fs::read(&warm).unwrap();
     bytes[44] ^= 0xff;
     std::fs::write(&warm, bytes).unwrap();
@@ -204,7 +213,7 @@ fn a_resume_records_what_a_fresh_run_records() {
 
     let mut fresh = streamed(CheckpointJournal::create(&manifest, fp).unwrap());
     let _ = fresh.line_size_sweep(6);
-    let paths = fresh.trace_files(6, 0).paths().to_vec();
+    let paths = block_files(&mut fresh, 6, 0);
     let recorded: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
     std::fs::remove_dir_all(&traces).unwrap();
 
@@ -273,12 +282,12 @@ fn a_partial_file_after_a_complete_one_regenerates_the_uninterrupted_bytes() {
         wb.set_trace_dir(dir.clone());
         wb
     };
-    let paths = streamed().trace_files(3, 0).paths().to_vec();
+    let paths = block_files(&mut streamed(), 3, 0);
     let whole: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
     // Processor 1 died inside a block write; processor 0 had finished.
     std::fs::write(&paths[1], &whole[1][..whole[1].len() / 2]).unwrap();
 
-    let _ = streamed().trace_files(3, 0);
+    let _ = streamed().source(3, 0);
     for (path, bytes) in paths.iter().zip(&whole) {
         assert!(
             std::fs::read(path).unwrap() == *bytes,

@@ -164,14 +164,6 @@ impl FileTraceSource {
         dir.join(format!("{stem}.p{p}.trb"))
     }
 
-    /// A source over the conventional layout `dir/<stem>.p<p>.trb` for
-    /// processors `0..nprocs`.
-    pub fn in_dir(dir: &Path, stem: &str, nprocs: usize) -> Self {
-        FileTraceSource {
-            paths: (0..nprocs).map(|p| Self::proc_path(dir, stem, p)).collect(),
-        }
-    }
-
     /// The per-processor file paths, in processor order.
     pub fn paths(&self) -> &[PathBuf] {
         &self.paths
@@ -306,13 +298,16 @@ mod tests {
         let dir = std::env::temp_dir().join("dss-trace-source-test");
         std::fs::create_dir_all(&dir).unwrap();
         let traces = sample(2, 500);
-        for t in &traces {
-            let path = FileTraceSource::proc_path(&dir, "q", t.proc_id);
+        let paths: Vec<PathBuf> = traces
+            .iter()
+            .map(|t| FileTraceSource::proc_path(&dir, "q", t.proc_id))
+            .collect();
+        for (t, path) in traces.iter().zip(&paths) {
             let mut buf = Vec::new();
             write_trace_blocks(t, &mut buf, 64).unwrap();
             std::fs::write(path, buf).unwrap();
         }
-        let src = FileTraceSource::in_dir(&dir, "q", 2);
+        let src = FileTraceSource::new(paths);
         assert_eq!(src.nprocs(), 2);
         // Two independent opens see the same events.
         assert_eq!(materialize(&src).unwrap(), traces);
